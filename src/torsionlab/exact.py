@@ -8,7 +8,6 @@ integer dtypes are used anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -94,31 +93,55 @@ class IntegerMatrix:
         return [list(row) for row in self.entries]
 
 
+def _echelon(rows: list[list[int]], cols: int, modulus: int | None = None) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) row echelon form of ``rows``, computed in place.
+
+    Returns the pivot columns, the sign of the row permutation and the last
+    pivot (1 when there is none).  Over Z each division by the previous
+    pivot is exact by Sylvester's identity, so for a square matrix of full
+    rank sign * last pivot is the determinant.  With a modulus the entries
+    must be reduced already; rows are scaled by the pivot instead of
+    divided, which keeps the rank over F_modulus.
+    """
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    m = len(rows)
+    for c in range(cols):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        top = rows[r][c:]
+        p = top[0]
+        for i in range(r + 1, m):
+            row = rows[i]
+            f = row[c]
+            # with a zero in column c the row would only be scaled: by
+            # p / prev over Z, by the unit p over F_modulus
+            if not f and (modulus or p == prev):
+                continue
+            if modulus:
+                row[c:] = [(p * x - f * y) % modulus for x, y in zip(row[c:], top)]
+            else:
+                row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, sign, prev
+
+
 def determinant(mat: IntegerMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = mat.rows
-    if n == 0:
-        return 1
-    a = mat.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign, last = _echelon(mat.to_lists(), mat.cols)
+    return sign * last if len(pivots) == mat.rows else 0
 
 
 @dataclass(frozen=True)
@@ -323,63 +346,19 @@ def cokernel(mat: IntegerMatrix) -> AbelianGroupStructure:
 
 
 def rational_rank(mat: IntegerMatrix) -> int:
-    """Rank over Q, by plain fraction Gaussian elimination.
+    """Rank over Q, by fraction-free Gaussian elimination.
 
     Deliberately independent of smith_normal_form so the two can be used
     to cross-check each other.
     """
-    rows = [[Fraction(x) for x in row] for row in mat.entries]
-    rank = 0
-    col = 0
-    n = mat.cols
-    while rank < len(rows) and col < n:
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_echelon(mat.to_lists(), mat.cols)[0])
 
 
 def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
     """Rank of the matrix over the prime field F_p."""
     if p < 2:
         raise ValueError("modulus must be a prime >= 2")
-    rows = [[x % p for x in row] for row in mat.entries]
-    rank = 0
-    col = 0
-    n = mat.cols
-    while rank < len(rows) and col < n:
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_echelon([[x % p for x in row] for row in mat.entries], mat.cols, p)[0])
 
 
 def independent_columns(mat: IntegerMatrix, order: Sequence[int] | None = None) -> list[int]:
@@ -388,20 +367,6 @@ def independent_columns(mat: IntegerMatrix, order: Sequence[int] | None = None) 
     Columns are examined in the given order (default: left to right); the
     selected set spans the column space over Q.
     """
-    if order is None:
-        order = range(mat.cols)
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    chosen: list[int] = []
-    for j in order:
-        vec = [Fraction(row[j]) for row in mat.entries]
-        for b, piv in zip(basis, pivots):
-            if vec[piv] != 0:
-                f = vec[piv] / b[piv]
-                vec = [x - f * y for x, y in zip(vec, b)]
-        piv = next((i for i, x in enumerate(vec) if x != 0), None)
-        if piv is not None:
-            basis.append(vec)
-            pivots.append(piv)
-            chosen.append(j)
-    return sorted(chosen)
+    order = list(range(mat.cols) if order is None else order)
+    rows = [[row[j] for j in order] for row in mat.entries]
+    return sorted(order[c] for c in _echelon(rows, len(order))[0])

@@ -93,9 +93,8 @@ def homology_oracle_crosscheck(complex_: SimplicialComplex, k: int) -> OracleRep
     d_k1 = boundary_matrix(complex_, k + 1)
 
     group = _homology_from_boundaries(d_k, d_k1)
-    betti_rational = d_k.cols - rational_rank(d_k) - rational_rank(d_k1)
-
     rk_q = rational_rank(d_k1)
+    betti_rational = d_k.cols - rational_rank(d_k) - rk_q
     modular = tuple(p for p in ORACLE_PRIMES if rank_mod_p(d_k1, p) < rk_q)
     snf_primes = tuple(p for p in ORACLE_PRIMES if group.torsion_order % p == 0)
 

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 LORENTZ_FORM_TOL = 1e-9
-POINT_TOL = 1e-10
 COMMUTE_TOL = 1e-9
 FD_STEP = 1e-5
 
@@ -62,10 +61,6 @@ def base_point(d: int) -> np.ndarray:
     x = np.zeros(d + 1)
     x[0] = 1.0
     return x
-
-
-def is_point(x: np.ndarray) -> bool:
-    return abs(lorentz_inner(x, x) + 1.0) <= POINT_TOL and x[0] > 0
 
 
 def distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -556,46 +551,3 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
     return OrbitCountReport(count=count, bound=bound, max_power=k_max,
                             passed=count <= bound)
 
-
-# --- isometry file format ----------------------------------------------------
-#
-#   isom d=<n>            followed by d+1 whitespace-separated rows
-#   loxo l=<len> axis=<x0,..,xd;y0,..,yd>
-#   para fix=<x0,..,xd> v=<v1,..,v(d-1)>
-
-
-def _parse_vector(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
-
-
-def read_isometries(text: str) -> list[LorentzIsometry]:
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip() and not ln.strip().startswith("#")]
-    out: list[LorentzIsometry] = []
-    i = 0
-    while i < len(lines):
-        lineno, line = lines[i]
-        parts = line.split()
-        try:
-            if parts[0] == "isom":
-                d = int(parts[1].split("=")[1])
-                rows = []
-                for k in range(d + 1):
-                    rows.append([float(p) for p in lines[i + 1 + k][1].split()])
-                out.append(LorentzIsometry(np.array(rows)))
-                i += d + 2
-            elif parts[0] == "loxo":
-                fields = dict(p.split("=", 1) for p in parts[1:])
-                length = float(fields.get("l", fields.get("ℓ", "")))
-                minus_txt, plus_txt = fields["axis"].split(";")
-                out.append(loxodromic(_parse_vector(minus_txt), _parse_vector(plus_txt), length))
-                i += 1
-            elif parts[0] == "para":
-                fields = dict(p.split("=", 1) for p in parts[1:])
-                out.append(parabolic(_parse_vector(fields["fix"]), _parse_vector(fields["v"])))
-                i += 1
-            else:
-                raise GeometryError(f"line {lineno}: unknown directive {parts[0]!r}")
-        except (IndexError, KeyError, ValueError) as exc:
-            raise GeometryError(f"line {lineno}: malformed isometry entry ({exc})") from None
-    return out

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from torsionlab.exact import (
     rational_rank,
     smith_normal_form,
 )
+from torsionlab.homology import ORACLE_PRIMES
 
 
 def assert_valid_snf(mat):
@@ -79,6 +81,45 @@ def test_snf_properties_hypothesis(mat):
     assert_valid_snf(mat)
 
 
+@st.composite
+def degenerate_matrices(draw):
+    """Sparse entries up to +-1000, some zero columns, some rows combinations of others."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 6)))
+    entry = st.one_of(st.just(0), st.integers(-1000, 1000))
+    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in data:
+            row[j] = 0
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        a, b = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        data[i] = [x * u + y * v for u, v in zip(data[a], data[b])]
+    return IntegerMatrix.from_rows(data, cols)
+
+
+def columns_of(mat, cols):
+    return IntegerMatrix.from_rows([[row[j] for j in cols] for row in mat.entries], len(cols))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(degenerate_matrices(), st.data())
+def test_elimination_agrees_with_snf(mat, data):
+    diag = smith_normal_form(mat).S.diagonal_entries()
+    assert rational_rank(mat) == sum(1 for d in diag if d)
+    for p in ORACLE_PRIMES:
+        assert rank_mod_p(mat, p) == sum(1 for d in diag if d % p)
+    if mat.rows == mat.cols:
+        assert abs(determinant(mat)) == math.prod(diag)
+
+    order = data.draw(st.permutations(range(mat.cols)))
+    chosen = independent_columns(mat, order)
+    for k, j in enumerate(order):
+        before = rational_rank(columns_of(mat, order[:k]))
+        raises = rational_rank(columns_of(mat, order[:k + 1])) > before
+        assert raises == (j in chosen)
+
+
 def test_cokernel_diag():
     group = cokernel(IntegerMatrix.diagonal([2, 3]))
     assert group == AbelianGroupStructure(0, (6,))
@@ -115,6 +156,7 @@ def test_group_structure_validation():
 def test_determinant_known():
     assert determinant(IntegerMatrix.identity(4)) == 1
     assert determinant(IntegerMatrix.from_rows([[1, 2], [3, 4]], 2)) == -2
+    assert determinant(IntegerMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 5]], 3)) == -5
     assert determinant(IntegerMatrix.zeros(3, 3)) == 0
 
 

@@ -244,21 +244,3 @@ def test_exp_map_inverse_of_geodesic():
     c = hyp.geodesic_through(x, y)
     assert np.allclose(c(0), x, atol=1e-12)
     assert np.allclose(c(hyp.distance(x, y)), y, atol=1e-10)
-
-
-def test_isometry_file_roundtrip():
-    g = hyp.standard_loxodromic(2, 0.4)
-    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in g.matrix)
-    text = f"isom d=2\n{rows}\nloxo l=0.3 axis=1,-1,0;1,1,0\npara fix=1,1,0,0 v=0.5,0.0\n"
-    isos = hyp.read_isometries(text)
-    assert len(isos) == 3
-    assert np.allclose(isos[0].matrix, g.matrix)
-    assert hyp.translation_length(isos[1]) == pytest.approx(0.3, abs=1e-10)
-    assert isos[2].kind == "parabolic"
-
-
-def test_isometry_file_errors():
-    with pytest.raises(hyp.GeometryError, match="line 1"):
-        hyp.read_isometries("loxo l=0.3\n")
-    with pytest.raises(hyp.GeometryError):
-        hyp.read_isometries("bogus 1 2 3\n")
