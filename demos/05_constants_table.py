@@ -2,7 +2,7 @@
 
 Ball volumes, the packing ratio N(d, r, R), the unit-vector packing
 number b(d), the exact thick-thin epsilons with their commutator chain,
-the covering constants, and the figure-eight volume integral.
+the covering constants, and the figure-eight volume.
 """
 
 from fractions import Fraction
@@ -47,5 +47,5 @@ print(f"\ncovering constants at d=2, eps=0.01, eps0=0.1, b=6:"
       f"  c = {consts.c:.4g}, D = {consts.D:.4g}")
 
 print(f"\nfigure-eight complement volume:")
-print(f"  adaptive quadrature  {figure_eight_volume(0):.10f}")
-print(f"  tanh-sinh quadrature {figure_eight_volume(1):.10f}   (both < 2.03)")
+print(f"  closed form 3·Cl₂(2π/3) {figure_eight_volume(0):.10f}")
+print(f"  tanh-sinh quadrature    {figure_eight_volume(1):.10f}   (both < 2.03)")

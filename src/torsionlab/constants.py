@@ -1,10 +1,13 @@
-"""Closed-form and quadrature evaluation of the geometric constants.
+"""Closed-form evaluation of the geometric constants.
 
 Covers Euclidean and hyperbolic ball volumes, the packing ratio
 N(d, r, R) bounding r-discrete sets in R-balls, the unit-vector packing
 number b(d), the thick-thin epsilon assignment with its commutator chain,
 the covering constants c and D, and the figure-eight knot complement
-volume as a Lobachevsky-type integral.
+volume.  The integrals are evaluated in closed form by mpmath at the
+working precision: 2F1 for ball volumes, the incomplete beta function for
+caps (DLMF 15.4, 8.17), and 3 Cl_2(2 pi/3) for the figure-eight volume
+(Milnor).  Independent tanh-sinh quadratures cross-check the first and last.
 
 Thick-thin quantities are exact rationals (fractions of the configured
 Margulis epsilon); only genuinely transcendental values are floats.
@@ -12,13 +15,13 @@ Margulis epsilon); only genuinely transcendental values are floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
-from scipy.integrate import quad
 
 from .precision import working_precision
 
@@ -44,8 +47,8 @@ def sphere_surface_area(d: int) -> float:
 def hyperbolic_ball_volume(d: int, R: float) -> float:
     """Volume of the radius-R ball in hyperbolic d-space.
 
-    surface(S^(d-1)) * integral_0^R sinh(t)^(d-1) dt, evaluated by
-    adaptive quadrature; d = 2 and d = 3 use closed forms.
+    surface(S^(d-1)) * integral_0^R sinh(t)^(d-1) dt.  Above d = 3 the
+    integral is 2^(d-1) v^a / a * 2F1(1-a, a; a+1; -v), a = d/2, v = sinh(R/2)^2.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
@@ -57,19 +60,21 @@ def hyperbolic_ball_volume(d: int, R: float) -> float:
         return 2 * math.pi * (math.cosh(R) - 1)
     if d == 3:
         return math.pi * (math.sinh(2 * R) - 2 * R)
-    value, _ = quad(lambda t: math.sinh(t) ** (d - 1), 0.0, R,
-                    epsabs=0.0, epsrel=1e-13, limit=200)
-    return sphere_surface_area(d) * value
+    with mpmath.workprec(working_precision()):
+        a, v = mpmath.mpf(d) / 2, mpmath.sinh(mpmath.mpf(R) / 2) ** 2
+        integral = 2 ** (d - 1) * v ** a / a * mpmath.hyp2f1(1 - a, a, a + 1, -v)
+    return sphere_surface_area(d) * float(integral)
 
 
 def hyperbolic_ball_volume_mp(d: int, R: float) -> float:
-    """Independent high-precision quadrature of the same volume (cross-check)."""
+    """Independent tanh-sinh quadrature of the same volume (cross-check)."""
     if d == 1:
         return 2.0 * R
     with mpmath.workprec(working_precision()):
-        integral = mpmath.quad(lambda t: mpmath.sinh(t) ** (d - 1), [0, R])
+        scale = mpmath.sinh(R)  # the integrand peaks at 1: a relative error test for small R
+        integral = mpmath.quad(lambda t: (mpmath.sinh(t) / scale) ** (d - 1), [0, R])
         surface = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
-        return float(surface * integral)
+        return float(surface * integral * scale ** (d - 1))
 
 
 class VolumeRatio(NamedTuple):
@@ -100,18 +105,19 @@ def volume_ratio_bound(d: int, r: float, R: float) -> VolumeRatio:
 # --- unit-vector packing ----------------------------------------------------
 
 def spherical_cap_area(d: int, theta: float) -> float:
-    """Area of a spherical cap of angular radius theta on S^(d-1)."""
+    """Area of a spherical cap of angular radius theta on S^(d-1).
+
+    surface(S^(d-2)) * integral_0^theta sin(t)^(d-2) dt, where the integral
+    is 2^(d-2) B(x; (d-1)/2, (d-1)/2) with x = sin(theta/2)^2.
+    """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not 0 < theta <= math.pi:
         raise ValueError("cap radius must lie in (0, pi]")
-    if d == 2:
-        return 2 * theta
-    if d == 3:
-        return 2 * math.pi * (1 - math.cos(theta))
-    value, _ = quad(lambda t: math.sin(t) ** (d - 2), 0.0, theta,
-                    epsabs=0.0, epsrel=1e-13, limit=200)
-    return sphere_surface_area(d - 1) * value
+    with mpmath.workprec(working_precision()):
+        half, x = mpmath.mpf(d - 1) / 2, mpmath.sin(mpmath.mpf(theta) / 2) ** 2
+        integral = 2 ** (d - 2) * mpmath.betainc(half, half, 0, x)
+    return sphere_surface_area(d - 1) * float(integral)
 
 
 def unit_vector_packing_bound(d: int) -> int:
@@ -275,23 +281,21 @@ def covering_constants(d: int, eps: float, eps0: float, delta: float, b: int) ->
 
 # --- figure-eight volume -----------------------------------------------------
 
-def _lobachevsky_integrand(theta: float) -> float:
-    return -math.log(2 * math.sin(theta))
+@functools.cache
+def _figure_eight_closed_form(bits: int) -> float:
+    with mpmath.workprec(bits):
+        return float(3 * mpmath.clsin(2, 2 * mpmath.pi / 3))
 
 
 def figure_eight_volume(refinement: int = 0) -> float:
-    """6 * integral_0^(pi/3) of -log(2 sin theta) dtheta.
+    """6 * integral_0^(pi/3) of -log(2 sin theta) dtheta = 3 Cl_2(2 pi/3).
 
-    The integrand has an integrable log singularity at 0, removed by the
-    substitution theta = u^2.  refinement 0 uses adaptive quadrature on
-    the substituted integrand; refinement 1 uses high-precision tanh-sinh
-    quadrature on the raw integrand.  The two agree to well below 1e-9.
+    refinement 0 evaluates the Clausen function, once per working
+    precision; refinement 1 uses tanh-sinh quadrature on the integrand,
+    whose log singularity at 0 it absorbs.  The two agree to well below 1e-9.
     """
     if refinement == 0:
-        upper = math.sqrt(math.pi / 3)
-        value, _ = quad(lambda u: _lobachevsky_integrand(u * u) * 2 * u, 0.0, upper,
-                        epsabs=1e-14, epsrel=1e-13, limit=400)
-        return 6.0 * value
+        return _figure_eight_closed_form(working_precision())
     if refinement == 1:
         with mpmath.workprec(working_precision()):
             value = mpmath.quad(lambda t: -mpmath.log(2 * mpmath.sin(t)), [0, mpmath.pi / 3])

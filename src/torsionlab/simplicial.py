@@ -159,6 +159,18 @@ def complexity_profile(complex_: SimplicialComplex) -> ComplexityProfile:
     )
 
 
+def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex]) -> IntegerMatrix:
+    """Boundary columns of k_simplices in the basis lower; other faces are dropped."""
+    index = {s: i for i, s in enumerate(lower)}
+    data = [[0] * len(k_simplices) for _ in lower]
+    for j, s in enumerate(k_simplices):
+        for drop in range(len(s)):
+            i = index.get(s[:drop] + s[drop + 1:])
+            if i is not None:
+                data[i][j] = (-1) ** drop
+    return IntegerMatrix.from_rows(data, len(k_simplices))
+
+
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:
     """Matrix of the boundary map from k-chains to (k-1)-chains.
 
@@ -167,17 +179,7 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    k_simplices = complex_.simplices_of_dim(k)
-    if k == 0:
-        return IntegerMatrix.zeros(0, len(k_simplices))
-    lower = complex_.simplices_of_dim(k - 1)
-    index = {s: i for i, s in enumerate(lower)}
-    data = [[0] * len(k_simplices) for _ in lower]
-    for j, s in enumerate(k_simplices):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            data[index[face]][j] = (-1) ** drop
-    return IntegerMatrix.from_rows(data, len(k_simplices))
+    return _assemble_boundary(complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1))
 
 
 def relative_boundary_matrix(pair: SimplicialPair, k: int) -> IntegerMatrix:
@@ -189,18 +191,9 @@ def relative_boundary_matrix(pair: SimplicialPair, k: int) -> IntegerMatrix:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     sub = pair.sub.simplices
-    k_simplices = [s for s in pair.total.simplices_of_dim(k) if s not in sub]
-    if k == 0:
-        return IntegerMatrix.zeros(0, len(k_simplices))
-    lower = [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub]
-    index = {s: i for i, s in enumerate(lower)}
-    data = [[0] * len(k_simplices) for _ in lower]
-    for j, s in enumerate(k_simplices):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            if face in index:
-                data[index[face]][j] = (-1) ** drop
-    return IntegerMatrix.from_rows(data, len(k_simplices))
+    return _assemble_boundary(
+        [s for s in pair.total.simplices_of_dim(k) if s not in sub],
+        [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub])
 
 
 def random_dv_complex(max_degree: int, max_vertices: int, dim: int, seed: int) -> SimplicialComplex:

@@ -107,7 +107,7 @@ def test_criterion_6_figure_eight_volume():
     ok = a < 2.03 and b < 2.03
     ok &= abs(a - 2.0298832128) <= 1e-8
     ok &= abs(b - 2.0298832128) <= 1e-8
-    report(6, f"figure-eight volume {a:.10f} < 2.03, two quadratures agree", ok)
+    report(6, f"figure-eight volume {a:.10f} < 2.03, closed form and quadrature agree", ok)
 
 
 def test_criterion_7_dehn_filling_family():

@@ -44,11 +44,11 @@ def test_hyperbolic_volume_d3_closed_form():
 
 
 def test_hyperbolic_volume_quadratures_agree():
-    for d in (4, 5, 7):
-        for radius in (0.5, 1.0, 2.0):
+    for d in (4, 5, 7, 12, 24):
+        for radius in (1e-3, 0.05, 0.5, 1.0, 2.0, 5.0):
             a = hyperbolic_ball_volume(d, radius)
             b = hyperbolic_ball_volume_mp(d, radius)
-            assert a == pytest.approx(b, rel=1e-10)
+            assert a == pytest.approx(b, rel=1e-12, abs=0), (d, radius)
 
 
 def test_hyperbolic_dominates_euclidean():
@@ -101,6 +101,13 @@ def test_packing_bound_d3_at_least_icosahedral():
     assert unit_vector_packing_bound(3) >= 12
 
 
+def test_packing_bound_pinned_values():
+    expected = [6, 14, 34, 77, 170, 368, 788, 1673, 3527, 7399, 15455, 32171, 66765,
+                138204, 285446, 588408, 1210821, 2487778, 5104370, 10459975, 21410545,
+                43780148, 89437026]
+    assert [unit_vector_packing_bound(d) for d in range(2, 25)] == expected
+
+
 def test_packing_bound_domain():
     with pytest.raises(ValueError):
         unit_vector_packing_bound(1)
@@ -112,6 +119,13 @@ def test_cap_area_monotone_in_radius():
     for d in (2, 3, 5):
         areas = [spherical_cap_area(d, t) for t in (0.2, 0.5, 1.0, 2.0)]
         assert areas == sorted(areas)
+
+
+def test_cap_area_low_dimension_closed_forms():
+    for theta in (0.1, math.pi / 6, 1.0, 2.0, 3.0, math.pi):
+        assert spherical_cap_area(2, theta) == pytest.approx(2 * theta, rel=1e-13, abs=0)
+        assert spherical_cap_area(3, theta) == pytest.approx(
+            2 * math.pi * (1 - math.cos(theta)), rel=1e-13, abs=0)
 
 
 def test_cap_area_full_sphere():
