@@ -1,31 +1,31 @@
 """Nerves of finite covers by metric balls in Euclidean or hyperbolic space.
 
-Ball covers are good covers (balls are convex, and so are their
-intersections), so by the nerve lemma the nerve has the homology of the
-union.  Pairwise incidence is decided exactly from center distances;
-higher tuples by cyclic projection onto the balls with a certified
-margin: a tuple that can be neither certified feasible nor certified
-infeasible raises instead of guessing.
+Ball covers are good covers, so by the nerve lemma the nerve has the
+homology of the union.  By Lagrange duality, closed balls B(c_i, r_i) share
+a point iff A is copositive (l^T A l >= 0 for all l >= 0): in E^d,
+A_ij = r_i^2 + r_j^2 - |c_i - c_j|^2; on the hyperboloid, where the ball is
+the half-space -<x, c_i> <= h_i = cosh(r_i) sqrt(-<c_i, c_i>) of the upper
+sheet, A_ij = h_i h_j + <c_i, c_j>.  Floats are dyadic rationals, so a
+Euclidean decision is exact.  A grows with h, so rational enclosures of h
+certify a hyperbolic one, or raise when they straddle the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from . import hyperbolic as hyp
-from .exact import AbelianGroupStructure
+from .exact import AbelianGroupStructure, IntegerMatrix, determinant
 from .homology import all_homology
+from .precision import working_precision
 from .simplicial import SimplicialComplex, SimplicialPair, build_complex
-
-FEASIBLE_TOL = 1e-12
-INFEASIBLE_MARGIN = 1e-7
-STALL_TOL = 1e-14
-MAX_SWEEPS = 50_000
 
 
 class IndeterminateIntersectionError(RuntimeError):
@@ -51,18 +51,6 @@ class EuclideanSpace:
             raise ValueError(f"point must have {self.dimension} coordinates")
         return x
 
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(x - y))
-
-    def project_to_ball(self, x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-        d = self.distance(x, center)
-        if d <= radius:
-            return x
-        return center + (x - center) * (radius / d)
-
-    def seed_point(self, centers: Sequence[np.ndarray]) -> np.ndarray:
-        return np.mean(np.stack(centers), axis=0)
-
 
 class HyperbolicSpace:
     """Hyperbolic d-space in the hyperboloid model."""
@@ -78,19 +66,6 @@ class HyperbolicSpace:
         if x.shape != (self.dimension + 1,):
             raise ValueError(f"hyperboloid point must have {self.dimension + 1} coordinates")
         return hyp.make_point(x)
-
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        return hyp.distance(x, y)
-
-    def project_to_ball(self, x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-        d = self.distance(x, center)
-        if d <= radius:
-            return x
-        u = (x - math.cosh(d) * center) / math.sinh(d)
-        return hyp.make_point(hyp.exp_map(center, u, radius))
-
-    def seed_point(self, centers: Sequence[np.ndarray]) -> np.ndarray:
-        return hyp.make_point(np.mean(np.stack(centers), axis=0))
 
 
 @dataclass(frozen=True)
@@ -113,33 +88,71 @@ class BallCover:
         return len(self.elements)
 
 
+def _dyadic(rows: list[list[float]]) -> list[list[int]]:
+    """The rows times the least power of two that makes every entry an integer."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    shift = max(d.bit_length() for row in ratios for _, d in row)
+    return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios]
+
+
+def _copositive(a: list[list[int]]) -> bool:
+    """Whether l^T a l >= 0 for every l >= 0 (Kaplan, Linear Algebra Appl. 313, 2000).
+
+    A minimiser over the simplex of least support S has a_SS nonsingular
+    and a_SS l = m 1, so a fails iff some a_SS^-1 1 < 0: by Cramer's rule,
+    iff each det(a_SS with column i replaced by ones) has the sign opposite
+    to det a_SS.  For |S| = 1 that is a negative diagonal entry.
+    """
+    if any(a[i][i] < 0 for i in range(len(a))):
+        return False
+    for size in range(2, len(a) + 1):
+        for s in combinations(range(len(a)), size):
+            sub = [[a[i][j] for j in s] for i in s]
+            det = determinant(IntegerMatrix.from_rows(sub))
+            if det and all(det * determinant(IntegerMatrix.from_rows(
+                    [row[:c] + [1] + row[c + 1:] for row in sub])) < 0 for c in range(size)):
+                return False
+    return True
+
+
+def _common_point(space, balls: Sequence[tuple[np.ndarray, float]],
+                  indices: tuple[int, ...]) -> bool:
+    if space.kind == "E":
+        rows = _dyadic([[*c, r] for c, r in balls])
+        return _copositive([[u[-1] ** 2 + v[-1] ** 2 - sum((x - y) ** 2 for x, y in zip(u[:-1], v[:-1]))
+                             for v in rows] for u in rows])
+    rows = _dyadic([list(c) for c, _ in balls])
+    gram = [[sum(x * y for x, y in zip(u[1:], v[1:])) - u[0] * v[0] for v in rows] for u in rows]
+    # A's entries are O(r^2) differences of O(1) terms: 2 more bits per halving
+    # of r.  Six correctly rounded Decimal operations at bits // 3 + 3 digits
+    # stay far below a relative 2**-bits
+    bits = working_precision() + 2 * max(0, -math.frexp(min(r for _, r in balls))[1])
+    with localcontext(Context(prec=bits // 3 + 3, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        e = [Decimal(r).exp() for _, r in balls]
+        h = [Fraction((x + 1 / x) / 2 * Decimal(-gram[i][i]).sqrt()) for i, x in enumerate(e)]
+    den = math.lcm(*(x.denominator for x in h))
+    # h (1 -+ 2**-bits) brackets the exact h and A grows with h: copositive at
+    # the lower end certifies a common point, failing at the upper end none
+    for sign, meets in ((-1, True), (1, False)):
+        b = [x.numerator * (den // x.denominator) * ((1 << bits) + sign) for x in h]
+        if _copositive([[x * y + (g * den * den << 2 * bits) for y, g in zip(b, row)]
+                        for x, row in zip(b, gram)]) == meets:
+            return meets
+    raise IndeterminateIntersectionError(indices)
+
+
 def balls_intersect(space, a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> bool:
-    return space.distance(a[0], b[0]) <= a[1] + b[1]
+    return _common_point(space, (a, b), (0, 1))
 
 
 def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
                         indices: tuple[int, ...]) -> bool:
-    """Certified feasibility of a common point, by cyclic projections.
+    """Whether the closed balls meet: exact in E^d, certified in H^d.
 
-    Feasible: some iterate violates every ball constraint by at most
-    FEASIBLE_TOL.  Infeasible: the sweep map reaches a numerical fixed
-    point whose worst violation still exceeds INFEASIBLE_MARGIN.  Anything
-    in between raises.
+    A hyperbolic tuple whose enclosure of h at working_precision() bits
+    straddles the boundary raises IndeterminateIntersectionError(indices).
     """
-    point = space.seed_point([c for c, _ in balls])
-    prev = None
-    for _ in range(MAX_SWEEPS):
-        for center, radius in balls:
-            point = space.project_to_ball(point, center, radius)
-        violation = max(space.distance(point, c) - r for c, r in balls)
-        if violation <= FEASIBLE_TOL:
-            return True
-        if prev is not None and space.distance(point, prev) < STALL_TOL:
-            if violation > INFEASIBLE_MARGIN:
-                return False
-            raise IndeterminateIntersectionError(indices)
-        prev = point
-    raise IndeterminateIntersectionError(indices)
+    return _common_point(space, balls, indices)
 
 
 def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
@@ -155,32 +168,26 @@ def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
         raise ValueError("dimension cap must be at least 1")
     n = len(cover)
     space = cover.space
-    simplices: set[tuple[int, ...]] = {(i,) for i in range(n)}
-
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
+    frontier = []
     for i, j in combinations(range(n), 2):
-        if balls_intersect(space, cover.elements[i], cover.elements[j]):
-            simplices.add((i, j))
+        try:
+            met = balls_intersect(space, cover.elements[i], cover.elements[j])
+        except IndeterminateIntersectionError:
+            raise IndeterminateIntersectionError((i, j)) from None
+        if met:
+            frontier.append((i, j))
             adjacency[i].add(j)
             adjacency[j].add(i)
-
-    frontier = sorted(s for s in simplices if len(s) == 2)
-    for k in range(2, max_dim + 1):
+    simplices = {(i,) for i in range(n)} | set(frontier)
+    for _ in range(2, max_dim + 1):
         next_frontier = []
         for s in frontier:
-            common = set.intersection(*(adjacency[v] for v in s))
-            for w in sorted(common):
-                if w > s[-1]:
-                    candidate = s + (w,)
-                    if candidate in simplices:
-                        continue
-                    balls = [cover.elements[i] for i in candidate]
-                    if common_point_exists(space, balls, candidate):
-                        simplices.add(candidate)
-                        next_frontier.append(candidate)
+            for w in sorted(set.intersection(*(adjacency[v] for v in s))):
+                if w > s[-1] and common_point_exists(space, [cover.elements[i] for i in s + (w,)], s + (w,)):
+                    next_frontier.append(s + (w,))
         frontier = next_frontier
-        if not frontier:
-            break
+        simplices.update(frontier)
     return build_complex(simplices, vertex_count=n)
 
 
@@ -215,10 +222,6 @@ def relative_nerve(cover: BallCover, subfamily: Sequence[int],
             raise ValueError(f"shrink radius for index {j} must be in (0, original radius]")
 
     total = nerve(cover, max_dim=max_dim)
-    if not indices:
-        sub = SimplicialComplex(vertex_count=len(cover), simplices=frozenset())
-        return NervePair(nerve=total, sub_nerve=sub)
-
     sub_cover = BallCover(
         space=cover.space,
         elements=tuple((cover.elements[j][0], float(r)) for j, r in zip(indices, shrink)),
@@ -246,12 +249,12 @@ def nerve_lemma_check(cover: BallCover, reference: Sequence[AbelianGroupStructur
 
     Degrees checked run over the reference list, which must stay below
     the dimension cap (the cap skeleton distorts homology at the cap
-    itself).
+    itself).  Simplices up to dimension len(reference) fix those degrees.
     """
     cap = cover.space.dimension + 1 if max_dim is None else max_dim
     if len(reference) > cap:
         raise ValueError("reference list reaches the dimension cap; raise max_dim")
-    complex_ = nerve(cover, max_dim=cap)
+    complex_ = nerve(cover, max_dim=max(1, len(reference)))
     computed = tuple(all_homology(complex_, up_to=len(reference) - 1))
     mismatches = tuple(k for k, (got, want) in enumerate(zip(computed, reference)) if got != want)
     return NerveLemmaReport(computed=computed, reference=tuple(reference), mismatches=mismatches)
@@ -304,12 +307,8 @@ def write_cover(cover: BallCover) -> str:
 
 def circle_cover(count: int = 8, radius: float = 0.9) -> BallCover:
     """Balls centered at the count-th roots of unity on the unit circle."""
-    space = EuclideanSpace(2)
-    balls = []
-    for k in range(count):
-        angle = 2 * math.pi * k / count
-        balls.append(((math.cos(angle), math.sin(angle)), radius))
-    return BallCover.of(space, balls)
+    angles = [2 * math.pi * k / count for k in range(count)]
+    return BallCover.of(EuclideanSpace(2), [((math.cos(a), math.sin(a)), radius) for a in angles])
 
 
 def annulus_cover(count: int = 8, center_radius: float = 1.0,

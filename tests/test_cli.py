@@ -180,3 +180,23 @@ def test_cli_import_does_not_load_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_nerve_import_does_not_load_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, torsionlab.nerve; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_verify_orbit_defaults_run_every_record(capsys):
+    # the default seed reaches translation lengths whose powers have
+    # entries near 1e4; the Lorentz check must scale with them
+    code, out, err = run_cli(capsys, "verify", "orbit")
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert code == 0, err
+    assert len(docs) == 101
+    assert all(d["passed"] for d in docs[:-1])
+    assert docs[-1] == {"suite": "orbit", "count": 100, "seed": 0, "failures": 0}

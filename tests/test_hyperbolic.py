@@ -51,6 +51,15 @@ def test_lorentz_form_preserved_by_constructors_and_composition():
         assert residual < 1e-9
 
 
+def test_long_loxodromic_keeps_the_lorentz_form():
+    # entries near cosh(10) ~ 1.1e4 carry rounding far above an absolute 1e-9
+    g = hyp.standard_loxodromic(3, 10.0)
+    assert abs(g.matrix[0, 0]) > 1e4
+    x = hyp.base_point(3)
+    assert hyp.displacement(g, x) == pytest.approx(10.0, rel=1e-8)
+    assert hyp.displacement(g.inverse(), x) == pytest.approx(10.0, rel=1e-8)
+
+
 def test_identity_displacement_zero():
     e = hyp.identity(3)
     rng = np.random.default_rng(1)

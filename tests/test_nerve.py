@@ -1,8 +1,14 @@
 import math
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torsionlab import nerve as nerve_module
 from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.homology import all_homology, all_relative_homology
 from torsionlab.nerve import (
@@ -12,6 +18,7 @@ from torsionlab.nerve import (
     IndeterminateIntersectionError,
     NervePair,
     annulus_cover,
+    balls_intersect,
     circle_cover,
     common_point_exists,
     nerve,
@@ -161,16 +168,111 @@ def test_hyperbolic_pairwise_distances_drive_edges():
     assert not k.contains([0, 2])
 
 
-def test_indeterminate_tuple_raises_with_names():
-    # three balls missing a common point by 1e-9: inside the ambiguity
-    # window, so certification must refuse rather than guess
+@pytest.mark.parametrize("gap", [1e-9, -1e-9, 1e-13, -1e-13])
+def test_near_circumradius_triple_is_decided_exactly(gap):
+    # three unit-spaced disks meet iff the radius reaches the circumradius
+    # 1/sqrt(3); the float centres move it by far less than 1e-13
     s3 = math.sqrt(3) / 2
     centers = [(0.0, 0.0), (1.0, 0.0), (0.5, s3)]
-    radius = 1 / math.sqrt(3) - 1e-9  # circumradius minus a hair
-    cover = BallCover.of(EuclideanSpace(2), [(c, radius) for c in centers])
+    cover = BallCover.of(EuclideanSpace(2), [(c, 1 / math.sqrt(3) + gap) for c in centers])
+    assert common_point_exists(cover.space, cover.elements, (0, 1, 2)) == (gap > 0)
+    assert nerve(cover).f_vector() == ((3, 3, 1) if gap > 0 else (3, 3))
+
+
+def test_circumradius_13_6_decided_at_every_ulp():
+    # (0,0), (4,0), (2,3) is acute with circumradius 13/6: equal disks meet
+    # iff r >= 13/6, which no float equals
+    r = 2.1666666666666665
+    for radius in (math.nextafter(r, 0), r, math.nextafter(r, 3)):
+        balls = [(np.array(c), radius) for c in ((0.0, 0.0), (4.0, 0.0), (2.0, 3.0))]
+        got = common_point_exists(EuclideanSpace(2), balls, (0, 1, 2))
+        assert got == (Fraction(radius) >= Fraction(13, 6))
+
+
+def _hyperbolic_triple(radius, spread=0.5):
+    # centres at distance spread from the base point, 120 degrees apart:
+    # the base point is the circumcentre, so the balls meet iff radius >= spread
+    space = HyperbolicSpace(2)
+    balls = [([math.cosh(spread), math.sinh(spread) * math.cos(a), math.sinh(spread) * math.sin(a)],
+              radius) for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    return BallCover.of(space, balls)
+
+
+@pytest.mark.parametrize("shift, meets", [(1e-12, True), (-1e-12, False)])
+def test_hyperbolic_triple_at_its_circumradius(shift, meets):
+    cover = _hyperbolic_triple(0.5 * (1 + shift))
+    assert common_point_exists(cover.space, cover.elements, (0, 1, 2)) == meets
+
+
+@pytest.mark.parametrize("shift, meets", [(1e-6, True), (-1e-6, False)])
+def test_tiny_hyperbolic_triple_is_decided(shift, meets):
+    # radius 1e-20: A is of order 1e-40 against entries of order 1
+    cover = _hyperbolic_triple(1e-20 * (1 + shift), spread=1e-20)
+    assert common_point_exists(cover.space, cover.elements, (0, 1, 2)) == meets
+    assert nerve(cover).f_vector() == ((3, 3, 1) if meets else (3, 3))
+
+
+def test_duplicate_hyperbolic_balls_meet():
+    space = HyperbolicSpace(3)
+    ball = ([math.cosh(1.2), math.sinh(1.2), 0.0, 0.0], 0.3)
+    cover = BallCover.of(space, [ball] * 4)
+    assert common_point_exists(space, cover.elements, (0, 1, 2, 3))
+    assert nerve(cover).f_vector() == (4, 6, 4, 1)
+
+
+def test_straddling_hyperbolic_enclosure_raises_with_names(monkeypatch):
+    # an 8-bit enclosure of cosh(r) cannot place a triple 1e-6 from tangency
+    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
+    cover = _hyperbolic_triple(0.5 * (1 + 1e-6))
+    with pytest.raises(IndeterminateIntersectionError) as err:
+        common_point_exists(cover.space, cover.elements, (3, 5, 8))
+    assert err.value.indices == (3, 5, 8)
+
+
+def test_straddling_pair_names_its_cover_indices(monkeypatch):
+    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
+    d = 1.0 + 1e-6
+    far = [math.cosh(5.0), math.sinh(5.0), 0.0]
+    tangent = [math.cosh(d), math.sinh(d), 0.0]
+    cover = BallCover.of(HyperbolicSpace(2), [(far, 0.5), ([1.0, 0.0, 0.0], 0.5), (tangent, 0.5)])
     with pytest.raises(IndeterminateIntersectionError) as err:
         nerve(cover)
-    assert err.value.indices == (0, 1, 2)
+    assert err.value.indices == (1, 2)
+
+
+dyadic = st.integers(-48, 48).map(lambda n: n / 8)
+radius = st.integers(1, 40).map(lambda n: n / 8)
+
+
+@st.composite
+def euclidean_tuples(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, d + 2))
+    return [(tuple(draw(dyadic) for _ in range(d)), draw(radius)) for _ in range(k)], d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(euclidean_tuples(), st.randoms(use_true_random=False))
+def test_euclidean_decision_is_exact_and_invariant(case, rng):
+    balls, d = case
+    space = EuclideanSpace(d)
+
+    def decide(family):
+        cover = BallCover.of(space, family)
+        return common_point_exists(space, cover.elements, tuple(range(len(family))))
+
+    (c1, r1), (c2, r2) = balls[:2]
+    squared = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(c1, c2))
+    pair = BallCover.of(space, balls[:2]).elements
+    assert balls_intersect(space, *pair) == (squared <= (Fraction(r1) + Fraction(r2)) ** 2)
+
+    got = decide(balls)
+    shuffled = list(balls)
+    rng.shuffle(shuffled)
+    shift = [rng.randint(-5, 5) for _ in range(d)]
+    assert decide(shuffled) == got
+    assert decide([(tuple(x + t for x, t in zip(c, shift)), r) for c, r in balls]) == got
+    assert decide([(tuple(2 * x for x in c), 2 * r) for c, r in balls]) == got
 
 
 def test_feasibility_certificates():
@@ -193,6 +295,30 @@ def test_cover_file_hyperbolic():
     cover = read_cover(text)
     assert cover.space.kind == "H"
     assert nerve(cover).f_vector() == (2, 1)
+
+
+def test_demo_cover_file_reads_the_circle_cover():
+    path = Path(__file__).resolve().parent.parent / "demos" / "files" / "circle_cover.cover"
+    assert nerve(read_cover(path.read_text())).f_vector() == (8, 16, 8)
+
+
+def test_nerve_lemma_check_builds_only_the_checked_degrees(monkeypatch):
+    # 4-tuples of this E3 cover meet, but two reference degrees need triangles only
+    rng = random.Random(3)
+    cover = BallCover.of(EuclideanSpace(3),
+                         [([rng.uniform(-0.5, 0.5) for _ in range(3)], 1.0) for _ in range(8)])
+    assert nerve(cover).f_vector()[3] > 0
+    sizes = []
+    decide = nerve_module.common_point_exists
+
+    def counting(space, balls, indices):
+        sizes.append(len(balls))
+        return decide(space, balls, indices)
+
+    monkeypatch.setattr(nerve_module, "common_point_exists", counting)
+    report = nerve_lemma_check(cover, [G(1), G(0)])
+    assert report.passed
+    assert sizes and max(sizes) == 3
 
 
 def test_cover_file_errors():
