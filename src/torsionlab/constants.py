@@ -57,7 +57,7 @@ def hyperbolic_ball_volume(d: int, R: float) -> float:
     if d == 1:
         return 2.0 * R
     if d == 2:
-        return 2 * math.pi * (math.cosh(R) - 1)
+        return 4 * math.pi * math.sinh(R / 2) ** 2
     if d == 3:
         return math.pi * (math.sinh(2 * R) - 2 * R)
     with mpmath.workprec(working_precision()):

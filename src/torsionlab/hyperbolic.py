@@ -118,30 +118,6 @@ def tangent_basis(x: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
-def _lorentz_residual(matrix: np.ndarray) -> float:
-    d = matrix.shape[0] - 1
-    j = lorentz_form_matrix(d)
-    return float(np.max(np.abs(matrix.T @ j @ matrix - j)))
-
-
-def _lorentz_orthonormalize(matrix: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt the columns back onto O+(d,1); column 0 stays timelike."""
-    d = matrix.shape[0] - 1
-    cols = [matrix[:, i].copy() for i in range(d + 1)]
-    t = cols[0]
-    t = t / math.sqrt(-lorentz_inner(t, t))
-    if t[0] < 0:
-        t = -t
-    out = [t]
-    for i in range(1, d + 1):
-        v = cols[i]
-        v = v + lorentz_inner(v, out[0]) * out[0]
-        for b in out[1:]:
-            v = v - lorentz_inner(v, b) * b
-        out.append(v / tangent_norm(v))
-    return np.column_stack(out)
-
-
 @dataclass(frozen=True)
 class LorentzIsometry:
     """Matrix in O+(d,1), optionally tagged with how it was constructed.
@@ -159,8 +135,12 @@ class LorentzIsometry:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GeometryError("isometry matrix must be square")
+        if not np.isfinite(m).all():
+            raise GeometryError("isometry matrix has non-finite entries")
+        j = lorentz_form_matrix(m.shape[0] - 1)
         # rounding errors of M^T J M grow with the entries squared
-        if _lorentz_residual(m) > LORENTZ_FORM_TOL * max(1.0, float(np.max(np.abs(m)))) ** 2:
+        residual = float(np.max(np.abs(m.T @ j @ m - j)))
+        if residual > LORENTZ_FORM_TOL * max(1.0, float(np.max(np.abs(m)))) ** 2:
             raise GeometryError("matrix does not preserve the Lorentz form")
         if m[0, 0] <= 0:
             raise GeometryError("matrix does not preserve the upper sheet")
@@ -174,33 +154,23 @@ class LorentzIsometry:
         return self.matrix @ x
 
     def inverse(self) -> "LorentzIsometry":
-        d = self.dimension
-        j = lorentz_form_matrix(d)
-        inv = j @ self.matrix.T @ j
-        return LorentzIsometry(_polish(inv))
+        j = lorentz_form_matrix(self.dimension)
+        return LorentzIsometry(j @ self.matrix.T @ j)
 
     def __matmul__(self, other: "LorentzIsometry") -> "LorentzIsometry":
-        return LorentzIsometry(_polish(self.matrix @ other.matrix))
+        return LorentzIsometry(self.matrix @ other.matrix)
 
     def power(self, k: int) -> "LorentzIsometry":
+        """g^k by repeated squaring of the matrix, or of its inverse for k < 0."""
         if k == 0:
             return identity(self.dimension)
         base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out @ base
-        return out
+        return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)))
 
     def commutes_with(self, other: "LorentzIsometry", tol: float = COMMUTE_TOL) -> bool:
         ab = self.matrix @ other.matrix
         ba = other.matrix @ self.matrix
         return float(np.max(np.abs(ab - ba))) <= tol
-
-
-def _polish(matrix: np.ndarray) -> np.ndarray:
-    if _lorentz_residual(matrix) > 1e-12:
-        return _lorentz_orthonormalize(matrix)
-    return matrix
 
 
 def identity(d: int) -> LorentzIsometry:
@@ -265,13 +235,15 @@ def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
     b = _check_null_future(xi_plus)
     d = a.shape[0] - 1
     frame = _frame_from_axis(a, b, d)
-    boost = np.eye(d + 1)
-    boost[0, 0] = boost[1, 1] = math.cosh(length)
-    boost[0, 1] = boost[1, 0] = math.sinh(length)
-    j = lorentz_form_matrix(d)
-    matrix = frame @ boost @ (j @ frame.T @ j)
+    p, u = frame[:, 0], frame[:, 1]
+    # boost in the plane of p and u, the identity on its complement.  Unlike
+    # frame @ boost @ frame^-1 it does not square the rounding of the frame,
+    # whose entries grow as the endpoints approach each other.
+    cosh_part = (math.cosh(length) - 1) * (np.outer(u, u) - np.outer(p, p))
+    sinh_part = math.sinh(length) * (np.outer(p, u) - np.outer(u, p))
+    matrix = np.eye(d + 1) + (cosh_part + sinh_part) @ lorentz_form_matrix(d)
     return LorentzIsometry(
-        _polish(matrix), kind="loxodromic",
+        matrix, kind="loxodromic",
         params={"length": float(length), "frame": frame},
     )
 
@@ -327,7 +299,7 @@ def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
     j = lorentz_form_matrix(d)
     matrix = frame @ _standard_parabolic_matrix(d, vec) @ (j @ frame.T @ j)
     return LorentzIsometry(
-        _polish(matrix), kind="parabolic",
+        matrix, kind="parabolic",
         params={"fixed": n, "v": vec, "frame": frame},
     )
 
@@ -514,9 +486,14 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
     """Count the powers g^k (k != 0) displacing x by at most R.
 
     The displacement of g^k grows monotonically in |k| for a loxodromic,
-    so the count is 2 * max{k : d(x, g^k x) <= R}, found by doubling plus
-    bisection on the matrix powers.  The count must not exceed the volume
-    ratio N(d, eps, R) for any eps <= translation length.
+    so the count is 2 * max{k : d(x, g^k x) <= R}.  The search starts at
+    the closed form sinh(d(x, g^k x)/2) = cosh(r) sinh(k l/2) for a point at
+    distance r from the axis of a rotation-free loxodromic of length l
+    (Ratcliffe, Foundations of Hyperbolic Manifolds, 4.7), with cosh(r)
+    read off d(x, g x).  From there k moves one step at a time under the
+    matrix rule d(x, g^k x) <= R until d(x, g^k x) <= R < d(x, g^(k+1) x);
+    there is no cap on k.  The count must not exceed the volume ratio
+    N(d, eps, R) for any eps <= translation length.
     """
     from .constants import volume_ratio_bound
 
@@ -531,22 +508,16 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
     def disp(k: int) -> float:
         return displacement(g.power(k), x)
 
-    if disp(1) > R:
+    disp_1 = disp(1)
+    if disp_1 > R:
         k_max = 0
     else:
-        hi = 1
-        while disp(2 * hi) <= R and 2 * hi < 10 ** 6:
-            hi *= 2
-        lo = hi
-        hi = 2 * hi
-        # invariant: disp(lo) <= R < disp(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if disp(mid) <= R:
-                lo = mid
-            else:
-                hi = mid
-        k_max = lo
+        cosh_r = math.sinh(disp_1 / 2) / math.sinh(length / 2)
+        k_max = max(1, math.floor(2 * math.asinh(math.sinh(R / 2) / cosh_r) / length))
+        while disp(k_max) > R:  # stops at k_max = 1 at the latest
+            k_max -= 1
+        while disp(k_max + 1) <= R:
+            k_max += 1
     count = 2 * k_max
     bound = volume_ratio_bound(g.dimension, eps, R).value
     return OrbitCountReport(count=count, bound=bound, max_power=k_max,

@@ -311,8 +311,8 @@ def circle_cover(count: int = 8, radius: float = 0.9) -> BallCover:
     return BallCover.of(EuclideanSpace(2), [((math.cos(a), math.sin(a)), radius) for a in angles])
 
 
-def annulus_cover(count: int = 8, center_radius: float = 1.0,
-                  ball_radius: float = 0.9, inner_radius: float = 0.45) -> tuple[BallCover, list[int], list[float]]:
+def annulus_cover(count: int = 8, ball_radius: float = 0.9,
+                  inner_radius: float = 0.45) -> tuple[BallCover, list[int], list[float]]:
     """Cover of an annulus with a shrunken subfamily hugging the inner circle.
 
     Returns the full cover, the subfamily indices, and the shrink radii;

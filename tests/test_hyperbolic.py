@@ -56,8 +56,19 @@ def test_long_loxodromic_keeps_the_lorentz_form():
     g = hyp.standard_loxodromic(3, 10.0)
     assert abs(g.matrix[0, 0]) > 1e4
     x = hyp.base_point(3)
-    assert hyp.displacement(g, x) == pytest.approx(10.0, rel=1e-8)
+    assert hyp.displacement(g, x) == pytest.approx(10.0, rel=1e-12)
     assert hyp.displacement(g.inverse(), x) == pytest.approx(10.0, rel=1e-8)
+    # entries near cosh(20) ~ 2.4e8 square to ~6e16 in the form check
+    assert np.isfinite(g.power(2).matrix).all()
+    assert hyp.displacement(g.power(2), x) == pytest.approx(20.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_non_finite_matrix_rejected(entry):
+    m = np.eye(4)
+    m[0, 1] = entry
+    with pytest.raises(hyp.GeometryError, match="non-finite"):
+        hyp.LorentzIsometry(m)
 
 
 def test_identity_displacement_zero():
@@ -117,6 +128,9 @@ def test_translation_length_recovered():
         g = hyp.standard_loxodromic(2, length)
         assert hyp.translation_length(g) == pytest.approx(length, abs=1e-10)
         assert hyp.translation_length(g.power(3)) == pytest.approx(3 * length, abs=1e-9)
+        assert hyp.translation_length(g.power(-3)) == pytest.approx(3 * length, abs=1e-9)
+        product = g.power(3) @ g.power(-3)
+        assert np.allclose(product.matrix, np.eye(3), rtol=0, atol=1e-12)
 
 
 def test_loxodromic_from_generic_axis():
@@ -124,6 +138,16 @@ def test_loxodromic_from_generic_axis():
     plus = [math.sqrt(5.0), -1.0, 0.0, 2.0]
     g = hyp.loxodromic(minus, plus, 0.7)
     assert hyp.translation_length(g) == pytest.approx(0.7, abs=1e-10)
+
+
+@pytest.mark.parametrize("angle", [0.003, 0.01, 0.02])
+@pytest.mark.parametrize("phi", [0.3, 1.0, 2.0])
+def test_loxodromic_with_nearby_endpoints(angle, phi):
+    # the axis runs far from the base point, so its frame has large entries
+    minus = [1.0, math.cos(phi), math.sin(phi)]
+    plus = [1.0, math.cos(phi + angle), math.sin(phi + angle)]
+    g = hyp.loxodromic(minus, plus, 0.03)
+    assert hyp.translation_length(g) == pytest.approx(0.03, rel=1e-5)
 
 
 def test_parabolic_translation_lengths_vanish():
@@ -219,19 +243,63 @@ def test_orbit_count_zero_below_length():
     assert report.passed
 
 
-def test_orbit_count_off_axis_closed_form():
-    d, length, r, R = 3, 0.3, 1.0, 3.0
-    g = hyp.standard_loxodromic(d, length)
+def off_axis_point(d, r):
     v = np.zeros(d + 1)
     v[2] = 1.0
-    x = hyp.make_point(hyp.exp_map(hyp.base_point(d), v, r))
-    report = hyp.orbit_count_check(g, x, R)
-    # closed form: d_{g^k}(x) = 2 asinh(cosh(r) sinh(k l / 2))
-    k_max = 0
-    while 2 * math.asinh(math.cosh(r) * math.sinh((k_max + 1) * length / 2)) <= R:
+    return hyp.make_point(hyp.exp_map(hyp.base_point(d), v, r))
+
+
+def closed_form_max_power(length, R, r):
+    """Largest k with 2 asinh(cosh(r) sinh(k l / 2)) <= R: floor, then a +-1 walk."""
+    def disp(k):
+        return 2 * math.asinh(math.cosh(r) * math.sinh(k * length / 2))
+
+    k_max = math.floor(2 * math.asinh(math.sinh(R / 2) / math.cosh(r)) / length)
+    while disp(k_max) > R:
+        k_max -= 1
+    while disp(k_max + 1) <= R:
         k_max += 1
+    return k_max
+
+
+@pytest.mark.parametrize("length, R, r", [
+    (0.3, 3.0, 1.0),
+    (0.002, 4.9999, 0.0),  # k = 2499, on the axis without a tie k l = R
+    (2e-6, 3.0, 0.5),  # k = 1 392 529 powers
+], ids=["off-axis", "on-axis", "million-powers"])
+def test_orbit_count_off_axis_closed_form(length, R, r):
+    g = hyp.standard_loxodromic(3, length)
+    report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
+    k_max = closed_form_max_power(length, R, r)
+    assert report.max_power == k_max
     assert report.count == 2 * k_max
     assert report.passed
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_orbit_count_walks_from_a_wrong_start(monkeypatch, factor):
+    # a misread translation length puts the closed-form start above (0.5)
+    # or below (2.0) the answer; the matrix rule must still reach it
+    g = hyp.standard_loxodromic(3, 0.01)
+    real = hyp.translation_length
+    monkeypatch.setattr(hyp, "translation_length", lambda h: factor * real(h))
+    report = hyp.orbit_count_check(g, off_axis_point(3, 0.5), 2.0)
+    assert report.max_power == closed_form_max_power(0.01, 2.0, 0.5) == 182
+
+
+def test_orbit_count_of_a_rotating_loxodromic():
+    # the rotation raises d(x, g x), so the rotation-free start falls short:
+    # cosh d_k = cosh^2(r) cosh(k l) - sinh^2(r) cos(k theta), increasing in k here
+    length, theta, r, R = 0.3, 0.4, 1.0, 3.0
+    rotation = np.eye(4)
+    rotation[2:, 2:] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    g = hyp.standard_loxodromic(3, length) @ hyp.LorentzIsometry(rotation)
+    report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
+    k = 1
+    while math.acosh(math.cosh(r) ** 2 * math.cosh(k * length)
+                     - math.sinh(r) ** 2 * math.cos(k * theta)) <= R:
+        k += 1
+    assert report.max_power == k - 1 == 6
 
 
 def test_orbit_count_randomized_suite():
