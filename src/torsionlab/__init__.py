@@ -19,7 +19,7 @@ from .exact import (
     cokernel,
     smith_normal_form,
 )
-from .homology import all_homology, all_relative_homology, homology, relative_homology
+from .homology import all_homology, all_relative_homology, relative_homology
 from .simplicial import (
     SimplicialComplex,
     SimplicialPair,
@@ -42,7 +42,6 @@ __all__ = [
     "build_complex",
     "cokernel",
     "complexity_profile",
-    "homology",
     "random_dv_complex",
     "relative_boundary_matrix",
     "relative_homology",

@@ -98,12 +98,15 @@ def dv_torsion_check(pair: SimplicialPair, p: int) -> DVBoundReport:
     """Exact check of torsion(H_p(total, sub)) <= (p+1)^(D^p * V).
 
     D and V come from the profile of the total complex.  The comparison
-    is torsion <= (p+1)**(D^p * V) over the integers.
+    is torsion <= (p+1)**(D^p * V) over the integers.  For p >= 1 and an
+    exponent of at least torsion's bit length it holds without the power:
+    (p+1)^e >= 2^e > torsion.
     """
     profile = complexity_profile(pair.total)
     torsion = relative_homology(pair, p).torsion_order
     exponent = (profile.D ** p) * profile.V
-    holds = torsion <= (p + 1) ** exponent
+    holds = ((p >= 1 and exponent >= torsion.bit_length())
+             or torsion <= (p + 1) ** exponent)
     return DVBoundReport(
         D=profile.D,
         V=profile.V,

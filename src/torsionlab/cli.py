@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit-code contract: 0 success, 1 verification failure, 2 input error,
-64 usage error.  All randomized suites take a --seed (default 0) and the
-same invocation always produces byte-identical output.
+3 internal error, 64 usage error.  All randomized suites take a --seed
+(default 0) and the same invocation always produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, constants, dehn, hyperbolic, nerve
-from .exact import AbelianGroupStructure
+from .exact import AbelianGroupStructure, ExactArithmeticError
 from .homology import all_homology, all_relative_homology
 from .simplicial import MalformedComplexError, SimplicialPair, read_complex_or_pair
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
 
@@ -365,10 +366,12 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         sys.stderr.write(f"torsionlab: input error: {exc}\n")
         return EXIT_INPUT
-    except (nerve.IndeterminateIntersectionError, hyperbolic.GeometryError,
-            hyperbolic.SamplingError) as exc:
+    except (hyperbolic.GeometryError, hyperbolic.SamplingError) as exc:
         sys.stderr.write(f"torsionlab: input error: {exc}\n")
         return EXIT_INPUT
+    except (ExactArithmeticError, nerve.IndeterminateIntersectionError) as exc:
+        sys.stderr.write(f"torsionlab: internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -28,6 +28,11 @@ from .precision import working_precision
 
 # --- ball volumes and the packing ratio -------------------------------------
 
+# Below this radius the 3-ball volume is summed as a series (see
+# hyperbolic_ball_volume); above it the closed form loses under 13 ulps.
+BALL_SERIES_BELOW = 0.5
+
+
 def euclidean_ball_volume(d: int, r: float) -> float:
     """Volume of the radius-r ball in R^d: pi^(d/2) r^d / Gamma(d/2 + 1)."""
     if d < 1:
@@ -59,6 +64,16 @@ def hyperbolic_ball_volume(d: int, R: float) -> float:
     if d == 2:
         return 4 * math.pi * math.sinh(R / 2) ** 2
     if d == 3:
+        if R < BALL_SERIES_BELOW:
+            # sinh x - x cancels for small x; sum its odd series x^(2n+1)/(2n+1)!
+            # instead (x = 2R <= 1: nine terms reach double precision)
+            x = 2 * R
+            term = x
+            total = 0.0
+            for n in range(1, 10):
+                term *= x * x / ((2 * n) * (2 * n + 1))
+                total += term
+            return math.pi * total
         return math.pi * (math.sinh(2 * R) - 2 * R)
     with mpmath.workprec(working_precision()):
         a, v = mpmath.mpf(d) / 2, mpmath.sinh(mpmath.mpf(R) / 2) ** 2

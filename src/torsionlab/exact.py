@@ -3,11 +3,22 @@
 Everything here runs on arbitrary-precision Python integers.  Intermediate
 entries of a Smith reduction can blow up far beyond 64 bits, so no numpy
 integer dtypes are used anywhere in this module.
+
+Cokernels (and, in ``homology``, boundary ranks and torsion) come from two
+stages.  ``unit_reduce`` first eliminates every +-1 pivot of a sparse copy
+of the matrix.  Such a pivot can be moved to a corner by permutations, and
+clearing its row and column by unimodular operations leaves the block sum
+(1) + S, with S the Schur complement.  Unimodular operations keep the
+Smith form, so the matrix has rank 1 + rank S and the same invariant
+factors above 1 as S.  Only the small residual then goes through
+``smith_normal_form``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -333,14 +344,73 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     )
 
 
+def unit_reduce(mat: IntegerMatrix) -> tuple[int, IntegerMatrix]:
+    """Eliminate every +-1 pivot; return their number and the residual.
+
+    The matrix is held as sparse columns (row -> value) with the set of
+    columns met by each row.  Pivots go in Markowitz order: the column
+    with the fewest entries that holds a unit, then its unit in the row
+    with the fewest entries.  Column operations clear the pivot row, and
+    the pivot row and column are deleted.  A column without a unit is
+    looked at again whenever an elimination changes it.  The residual
+    holds the surviving nonzero rows and columns in their original order;
+    mat has rank units + rank(residual), and the invariant factors above 1
+    of both agree.
+    """
+    row_ids = range(mat.rows)
+    cols = [dict(zip(compress(row_ids, col), compress(col, col))) for col in zip(*mat.entries)]
+    row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            row_cols[i].add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, c = heapq.heappop(heap)
+        pivot_col = cols[c]
+        if len(pivot_col) != size:
+            continue  # a stale entry: the column changed or was eliminated
+        unit_rows = [i for i, v in pivot_col.items() if v == 1 or v == -1]
+        if not unit_rows:
+            continue
+        r = min(unit_rows, key=lambda i: (len(row_cols[i]), i))
+        u = pivot_col[r]
+        for j in row_cols[r] - {c}:
+            col = cols[j]
+            f = col[r] * u
+            for i, v in pivot_col.items():
+                w = col.get(i, 0) - f * v
+                if w:
+                    if i not in col:
+                        row_cols[i].add(j)
+                    col[i] = w
+                else:
+                    del col[i]
+                    row_cols[i].discard(j)
+            if col:
+                heapq.heappush(heap, (len(col), j))
+        for i in pivot_col:
+            row_cols[i].discard(c)
+        cols[c] = {}
+        units += 1
+    keep_cols = [j for j, col in enumerate(cols) if col]
+    keep_rows = [i for i, js in enumerate(row_cols) if js]
+    entries = tuple(tuple(cols[j].get(i, 0) for j in keep_cols) for i in keep_rows)
+    return units, IntegerMatrix(len(keep_rows), len(keep_cols), entries)
+
+
 def cokernel(mat: IntegerMatrix) -> AbelianGroupStructure:
     """Structure of Z^rows / (column span of mat).
 
-    Columns are the images of the generators of the source module.
+    Columns are the images of the generators of the source module.  The
+    +-1 pivots are eliminated first (``unit_reduce``), and the Smith form
+    of the residual gives the rest of the rank and the torsion.
     """
-    snf = smith_normal_form(mat)
+    units, residual = unit_reduce(mat)
+    snf = smith_normal_form(residual)
     return AbelianGroupStructure(
-        betti=mat.rows - snf.rank,
+        betti=mat.rows - units - snf.rank,
         invariant_factors=snf.invariant_factors(),
     )
 

@@ -164,11 +164,13 @@ def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex]) -> Inte
     index = {s: i for i, s in enumerate(lower)}
     data = [[0] * len(k_simplices) for _ in lower]
     for j, s in enumerate(k_simplices):
+        sign = 1
         for drop in range(len(s)):
             i = index.get(s[:drop] + s[drop + 1:])
             if i is not None:
-                data[i][j] = (-1) ** drop
-    return IntegerMatrix.from_rows(data, len(k_simplices))
+                data[i][j] = sign
+            sign = -sign
+    return IntegerMatrix(len(lower), len(k_simplices), tuple(map(tuple, data)))
 
 
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from torsionlab.bounds import (
     soule_bound,
 )
 from torsionlab.exact import IntegerMatrix, cokernel
-from torsionlab.simplicial import SimplicialPair, boundary_matrix, empty_complex
+from torsionlab.simplicial import SimplicialPair, boundary_matrix, build_complex, empty_complex
 
 
 def test_soule_diagonal_equality():
@@ -110,6 +111,18 @@ def test_dv_check_self_pair_trivial():
         assert report.torsion_order == 1
         assert report.log_torsion == 0.0
         assert report.holds
+
+
+@pytest.mark.parametrize("leaves, p", [(50, 4), (200, 5)])
+def test_dv_check_decides_huge_exponents_at_once(leaves, p):
+    # D^p * V is 3.2e8 and 6.4e13 here: (p+1)^(D^p * V) is never built
+    star = build_complex([(0, leaf) for leaf in range(1, leaves + 1)])
+    start = time.perf_counter()
+    report = dv_torsion_check(SimplicialPair(total=star, sub=empty_complex(star.vertex_count)), p)
+    assert time.perf_counter() - start < 2.0
+    assert (report.D, report.V) == (leaves, leaves + 1)
+    assert report.holds
+    assert report.log_bound == pytest.approx(leaves ** p * (leaves + 1) * math.log(p + 1))
 
 
 def test_dv_bound_monotone_in_budget():

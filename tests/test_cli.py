@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from torsionlab import complexes
+from torsionlab import cli, complexes, nerve
 from torsionlab.cli import main
-from torsionlab.simplicial import write_complex, write_pair
+from torsionlab.exact import ExactArithmeticError
+from torsionlab.simplicial import build_complex, write_complex, write_pair
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,3 +201,54 @@ def test_verify_orbit_defaults_run_every_record(capsys):
     assert len(docs) == 101
     assert all(d["passed"] for d in docs[:-1])
     assert docs[-1] == {"suite": "orbit", "count": 100, "seed": 0, "failures": 0}
+
+
+def grid_klein_bottle(n):
+    """n x n grid with the i = n edge glued back by j -> -j, squares cut diagonally."""
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, -j
+        return i * n + j % n
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
+            triangles += [(a, b, d), (a, c, d)]
+    return build_complex(triangles, vertex_count=n * n)
+
+
+def test_homology_of_a_20x20_klein_bottle(capsys, tmp_path):
+    klein = grid_klein_bottle(20)
+    assert klein.f_vector() == (400, 1200, 800)
+    path = tmp_path / "klein20.cplx"
+    path.write_text(write_complex(klein))
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert code == 0, err
+    assert out.splitlines() == [
+        '{"degree": 0, "betti": 1, "torsion": []}',
+        '{"degree": 1, "betti": 1, "torsion": [2]}',
+        '{"degree": 2, "betti": 0, "torsion": []}',
+    ]
+
+
+def test_inconsistent_exact_arithmetic_is_an_internal_error(capsys, monkeypatch, rp2_file):
+    def broken(*args, **kwargs):
+        raise ExactArithmeticError("negative Betti number: boundary maps are inconsistent")
+
+    monkeypatch.setattr(cli, "all_homology", broken)
+    code, out, err = run_cli(capsys, "homology", rp2_file)
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err and "negative Betti number" in err
+
+
+def test_uncertified_intersection_is_an_internal_error(capsys, monkeypatch):
+    def straddle(*args, **kwargs):
+        raise nerve.IndeterminateIntersectionError((0, 1))
+
+    monkeypatch.setattr(nerve, "nerve_lemma_check", straddle)
+    code, out, err = run_cli(capsys, "verify", "nerve")
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err and "(0, 1)" in err

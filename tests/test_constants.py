@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from torsionlab.constants import (
+    BALL_SERIES_BELOW,
     CommutatorCheck,
     EpsilonAssignment,
     ThickThinParams,
@@ -49,6 +51,17 @@ def test_hyperbolic_volume_quadratures_agree():
             a = hyperbolic_ball_volume(d, radius)
             b = hyperbolic_ball_volume_mp(d, radius)
             assert a == pytest.approx(b, rel=1e-12, abs=0), (d, radius)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1e-5, 1e-8,
+                                    BALL_SERIES_BELOW * (1 - 1e-9), BALL_SERIES_BELOW,
+                                    BALL_SERIES_BELOW * (1 + 1e-9), 0.7])
+def test_hyperbolic_volume_d3_small_radius(radius):
+    # pi (sinh 2R - 2R) cancels for small R; the series below the threshold does not
+    with mpmath.workdps(50):
+        r = mpmath.mpf(radius)
+        exact = float(mpmath.pi * (mpmath.sinh(2 * r) - 2 * r))
+    assert hyperbolic_ball_volume(3, radius) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_hyperbolic_dominates_euclidean():

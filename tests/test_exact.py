@@ -14,6 +14,7 @@ from torsionlab.exact import (
     rank_mod_p,
     rational_rank,
     smith_normal_form,
+    unit_reduce,
 )
 from torsionlab.homology import ORACLE_PRIMES
 
@@ -118,6 +119,57 @@ def test_elimination_agrees_with_snf(mat, data):
         before = rational_rank(columns_of(mat, order[:k]))
         raises = rational_rank(columns_of(mat, order[:k + 1])) > before
         assert raises == (j in chosen)
+
+
+@st.composite
+def sparse_matrices(draw, entries):
+    """Matrices up to 7 x 7 with the given entry strategy; empty shapes included."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    return IntegerMatrix.from_rows(data, cols)
+
+
+UNIT_RICH = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3])
+NON_UNIT = st.one_of(st.just(0), st.integers(2, 40), st.integers(-40, -2))
+
+
+def check_unit_reduce(mat):
+    units, residual = unit_reduce(mat)
+    snf = smith_normal_form(mat)
+    residual_snf = smith_normal_form(residual)
+    assert units + residual_snf.rank == snf.rank == rational_rank(mat)
+    assert residual_snf.invariant_factors() == snf.invariant_factors()
+    assert cokernel(mat) == AbelianGroupStructure(mat.rows - snf.rank, snf.invariant_factors())
+    # every unit is eliminated, and no zero row or column survives
+    assert all(abs(v) != 1 for row in residual.entries for v in row)
+    assert all(any(row) for row in residual.entries)
+    assert all(any(col) for col in zip(*residual.entries))
+    return units, residual
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(sparse_matrices(UNIT_RICH), degenerate_matrices()))
+def test_unit_reduce_agrees_with_snf(mat):
+    check_unit_reduce(mat)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_matrices(NON_UNIT))
+def test_unit_reduce_without_units_keeps_the_nonzero_part(mat):
+    units, residual = check_unit_reduce(mat)
+    assert units == 0
+    nonzero_rows = [row for row in mat.entries if any(row)]
+    nonzero_cols = [j for j in range(mat.cols) if any(row[j] for row in mat.entries)]
+    assert residual.entries == tuple(tuple(row[j] for j in nonzero_cols) for row in nonzero_rows)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
+def test_unit_reduce_empty_shapes(rows, cols):
+    units, residual = unit_reduce(IntegerMatrix.zeros(rows, cols))
+    assert units == 0
+    assert (residual.rows, residual.cols) == (0, 0)
+    assert cokernel(IntegerMatrix.zeros(rows, cols)) == AbelianGroupStructure(rows)
 
 
 def test_cokernel_diag():

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from torsionlab import complexes
@@ -26,6 +28,16 @@ KNOWN = {
     "rp2": [G(1), G(0, (2,)), G(0)],
     "klein": [G(1), G(1, (2,)), G(0)],
 }
+
+
+def test_homology_submodule_is_not_shadowed():
+    import torsionlab
+    import torsionlab.homology as homology_module
+
+    assert inspect.ismodule(torsionlab.homology)
+    assert inspect.ismodule(homology_module)
+    assert homology_module.homology is homology
+    assert torsionlab.all_homology is all_homology
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN))
