@@ -13,9 +13,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import bounds, constants, dehn, hyperbolic, nerve
 from .exact import AbelianGroupStructure, ExactArithmeticError
 from .homology import all_homology, all_relative_homology
 from .simplicial import MalformedComplexError, SimplicialPair, read_complex_or_pair
@@ -103,6 +100,8 @@ def cmd_homology(args) -> int:
 # --- constants ----------------------------------------------------------------
 
 def cmd_constants(args) -> int:
+    from . import constants
+
     if args.d < 2:
         raise UsageError("--d must be at least 2")
     try:
@@ -138,7 +137,10 @@ def cmd_constants(args) -> int:
 
 # --- dehn filling --------------------------------------------------------------
 
-def _peripheral_from_args(args) -> dehn.PeripheralData:
+def _peripheral_from_args(args):
+    from . import dehn
+    from .exact import IntegerMatrix
+
     mu = _parse_int_vector(args.mu)
     lam = _parse_int_vector(args.lam)
     if len(mu) != len(lam):
@@ -152,7 +154,6 @@ def _peripheral_from_args(args) -> dehn.PeripheralData:
             if len(col) != n:
                 raise UsageError("every relation must have one entry per generator")
     rows = [[col[i] for col in columns] for i in range(n)]
-    from .exact import IntegerMatrix
     try:
         return dehn.PeripheralData(
             core_presentation=IntegerMatrix.from_rows(rows, len(columns)),
@@ -162,6 +163,8 @@ def _peripheral_from_args(args) -> dehn.PeripheralData:
 
 
 def cmd_dehn_fill(args) -> int:
+    from . import dehn
+
     data = _peripheral_from_args(args)
     try:
         slope = dehn.FillingSlope(args.p, args.q)
@@ -176,6 +179,8 @@ def cmd_dehn_fill(args) -> int:
 
 
 def cmd_dehn_table(args) -> int:
+    from . import dehn
+
     p_range = _parse_range(args.p)
     q_range = _parse_range(args.q)
     for row in dehn.figure_eight_family(p_range, q_range):
@@ -186,6 +191,8 @@ def cmd_dehn_table(args) -> int:
 # --- verification suites --------------------------------------------------------
 
 def _verify_soule(args) -> int:
+    from . import bounds
+
     summary = bounds.batch_verify_soule(args.count, args.seed)
     for record in summary.records:
         _emit(record)
@@ -195,6 +202,8 @@ def _verify_soule(args) -> int:
 
 
 def _verify_dv(args) -> int:
+    from . import bounds
+
     summary = bounds.batch_verify_dv(args.count, args.seed)
     for record in summary.records:
         _emit(record)
@@ -204,6 +213,8 @@ def _verify_dv(args) -> int:
 
 
 def _verify_nerve(args) -> int:
+    from . import nerve
+
     z = AbelianGroupStructure
     failures = 0
 
@@ -232,6 +243,8 @@ def _verify_nerve(args) -> int:
 
 
 def _verify_obtuse(args) -> int:
+    from . import hyperbolic
+
     failures = 0
     g = hyperbolic.standard_loxodromic(args.d, 0.2)
     rep = hyperbolic.obtuse_angle_check(g, g.power(2), 0.5, 0.9,
@@ -255,6 +268,10 @@ def _verify_obtuse(args) -> int:
 
 
 def _verify_orbit(args) -> int:
+    import numpy as np
+
+    from . import hyperbolic
+
     rng = np.random.default_rng(args.seed)
     failures = 0
     for index in range(args.count):
@@ -276,6 +293,8 @@ def _verify_orbit(args) -> int:
 
 
 def _verify_commutator(args) -> int:
+    from . import constants
+
     checks = constants.commutator_inequality_check(args.d)
     failures = 0
     for c in checks:
@@ -349,6 +368,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _loaded(module: str, *names: str) -> tuple[type[Exception], ...]:
+    """The named exception classes of a submodule, if a handler imported it.
+
+    Subcommand modules are imported lazily; one that was never imported
+    raised nothing, and an empty tuple catches nothing.
+    """
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(mod, name) for name in names) if mod else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -366,10 +395,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         sys.stderr.write(f"torsionlab: input error: {exc}\n")
         return EXIT_INPUT
-    except (hyperbolic.GeometryError, hyperbolic.SamplingError) as exc:
+    except _loaded("hyperbolic", "GeometryError", "SamplingError") as exc:
         sys.stderr.write(f"torsionlab: input error: {exc}\n")
         return EXIT_INPUT
-    except (ExactArithmeticError, nerve.IndeterminateIntersectionError) as exc:
+    except (ExactArithmeticError, *_loaded("nerve", "IndeterminateIntersectionError")) as exc:
         sys.stderr.write(f"torsionlab: internal error: {exc}\n")
         return EXIT_INTERNAL
 

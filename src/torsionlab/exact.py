@@ -155,6 +155,26 @@ def determinant(mat: IntegerMatrix) -> int:
     return sign * last if len(pivots) == mat.rows else 0
 
 
+def solve_scaled(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:
+    """Fraction-free solve of the square system rows · x = rhs.
+
+    Returns (d, y) with rows · y = d · rhs, where d = ±det(rows) is the last
+    Bareiss pivot, so x = y / d; (0, []) when the matrix is singular.  The
+    back-substitution divides exactly, since each d · x_i is a Cramer
+    determinant up to the same sign.
+    """
+    n = len(rows)
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    pivots, _, d = _echelon(aug, n + 1)
+    if pivots != list(range(n)):
+        return 0, []
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = aug[i]
+        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return d, y
+
+
 @dataclass(frozen=True)
 class AbelianGroupStructure:
     """A finitely generated abelian group: Z^betti plus a divisibility chain.

@@ -12,6 +12,7 @@ certify a hyperbolic one, or raise when they straddle the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hyperbolic as hyp
-from .exact import AbelianGroupStructure, IntegerMatrix, determinant
+from .exact import AbelianGroupStructure, solve_scaled
 from .homology import all_homology
 from .precision import working_precision
 from .simplicial import SimplicialComplex, SimplicialPair, build_complex
@@ -78,10 +79,13 @@ class BallCover:
     @classmethod
     def of(cls, space, balls: Sequence[tuple[Sequence[float], float]]) -> "BallCover":
         elems = []
-        for center, radius in balls:
+        for index, (center, radius) in enumerate(balls):
+            center, radius = np.asarray(center, dtype=float), float(radius)
+            if not (math.isfinite(radius) and np.isfinite(center).all()):
+                raise ValueError(f"ball {index}: centre and radius must be finite")
             if radius <= 0:
-                raise ValueError("ball radii must be positive")
-            elems.append((space.check_point(np.asarray(center, dtype=float)), float(radius)))
+                raise ValueError(f"ball {index}: radius must be positive")
+            elems.append((space.check_point(center), radius))
         return cls(space=space, elements=tuple(elems))
 
     def __len__(self) -> int:
@@ -99,20 +103,33 @@ def _copositive(a: list[list[int]]) -> bool:
     """Whether l^T a l >= 0 for every l >= 0 (Kaplan, Linear Algebra Appl. 313, 2000).
 
     A minimiser over the simplex of least support S has a_SS nonsingular
-    and a_SS l = m 1, so a fails iff some a_SS^-1 1 < 0: by Cramer's rule,
-    iff each det(a_SS with column i replaced by ones) has the sign opposite
-    to det a_SS.  For |S| = 1 that is a negative diagonal entry.
+    and a_SS l = m 1, so a fails iff some a_SS^-1 1 < 0.  One fraction-free
+    solve a_SS y = d 1 gives x = y / d: a_SS^-1 1 < 0 iff d != 0 and every
+    y_i d < 0.  For |S| = 1 that is a negative diagonal entry.
     """
-    if any(a[i][i] < 0 for i in range(len(a))):
+    n = len(a)
+    if any(a[i][i] < 0 for i in range(n)):
         return False
-    for size in range(2, len(a) + 1):
-        for s in combinations(range(len(a)), size):
-            sub = [[a[i][j] for j in s] for i in s]
-            det = determinant(IntegerMatrix.from_rows(sub))
-            if det and all(det * determinant(IntegerMatrix.from_rows(
-                    [row[:c] + [1] + row[c + 1:] for row in sub])) < 0 for c in range(size)):
+    for size in range(2, n + 1):
+        for s in combinations(range(n), size):
+            d, y = solve_scaled([[a[i][j] for j in s] for i in s], [1] * size)
+            if d and all(x * d < 0 for x in y):
                 return False
     return True
+
+
+def _context(bits: int) -> Context:
+    # six correctly rounded Decimal operations at bits // 3 + 3 digits stay
+    # far below a relative 2**-bits
+    return Context(prec=bits // 3 + 3, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+@functools.lru_cache(maxsize=1024)
+def _cosh(r: float, bits: int) -> Decimal:
+    """cosh r as (e^r + e^-r) / 2 in the enclosure's context: one per radius."""
+    with localcontext(_context(bits)):
+        x = Decimal(r).exp()
+        return (x + 1 / x) / 2
 
 
 def _common_point(space, balls: Sequence[tuple[np.ndarray, float]],
@@ -123,13 +140,10 @@ def _common_point(space, balls: Sequence[tuple[np.ndarray, float]],
                              for v in rows] for u in rows])
     rows = _dyadic([list(c) for c, _ in balls])
     gram = [[sum(x * y for x, y in zip(u[1:], v[1:])) - u[0] * v[0] for v in rows] for u in rows]
-    # A's entries are O(r^2) differences of O(1) terms: 2 more bits per halving
-    # of r.  Six correctly rounded Decimal operations at bits // 3 + 3 digits
-    # stay far below a relative 2**-bits
+    # A's entries are O(r^2) differences of O(1) terms: 2 more bits per halving of r
     bits = working_precision() + 2 * max(0, -math.frexp(min(r for _, r in balls))[1])
-    with localcontext(Context(prec=bits // 3 + 3, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        e = [Decimal(r).exp() for _, r in balls]
-        h = [Fraction((x + 1 / x) / 2 * Decimal(-gram[i][i]).sqrt()) for i, x in enumerate(e)]
+    with localcontext(_context(bits)):
+        h = [Fraction(_cosh(r, bits) * Decimal(-gram[i][i]).sqrt()) for i, (_, r) in enumerate(balls)]
     den = math.lcm(*(x.denominator for x in h))
     # h (1 -+ 2**-bits) brackets the exact h and A grows with h: copositive at
     # the lower end certifies a common point, failing at the upper end none
@@ -215,6 +229,11 @@ def relative_nerve(cover: BallCover, subfamily: Sequence[int],
     originals to meet).
     """
     indices = list(subfamily)
+    for k, j in enumerate(indices):
+        if not 0 <= j < len(cover):
+            raise ValueError(f"subfamily index {j} is not a ball of the cover (0..{len(cover) - 1})")
+        if j in indices[:k]:
+            raise ValueError(f"subfamily index {j} is repeated")
     if len(shrink) != len(indices):
         raise ValueError("one shrink radius per subfamily index required")
     for j, r in zip(indices, shrink):
@@ -277,7 +296,12 @@ def read_cover(text: str) -> BallCover:
         if parts[0] == "space":
             if len(parts) != 3 or parts[1] not in ("E", "H"):
                 raise ValueError(f"line {lineno}: expected 'space E <d>' or 'space H <d>'")
-            d = int(parts[2])
+            try:
+                d = int(parts[2])
+            except ValueError:
+                d = 0
+            if d < 1:
+                raise ValueError(f"line {lineno}: space dimension must be a positive integer")
             space = EuclideanSpace(d) if parts[1] == "E" else HyperbolicSpace(d)
         elif parts[0] == "ball":
             if space is None:

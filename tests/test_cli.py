@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from torsionlab import cli, complexes, nerve
+from torsionlab import cli, complexes, hyperbolic, nerve
 from torsionlab.cli import main
 from torsionlab.exact import ExactArithmeticError
 from torsionlab.simplicial import build_complex, write_complex, write_pair
@@ -192,6 +192,19 @@ def test_nerve_import_does_not_load_mpmath():
     assert proc.stdout.strip() == "False"
 
 
+def test_homology_loads_neither_numpy_nor_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys; from torsionlab.cli import main; "
+             "code = main(['homology', 'demos/files/torus.cplx']); "
+             "print(code, sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == '{"degree": 0, "betti": 1, "torsion": []}'
+    assert lines[-1] == "0 []"
+
+
 def test_verify_orbit_defaults_run_every_record(capsys):
     # the default seed reaches translation lengths whose powers have
     # entries near 1e4; the Lorentz check must scale with them
@@ -252,3 +265,14 @@ def test_uncertified_intersection_is_an_internal_error(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error" in err and "(0, 1)" in err
+
+
+def test_geometry_error_is_an_input_error(capsys, monkeypatch):
+    def bad(*args, **kwargs):
+        raise hyperbolic.GeometryError("coordinates are not timelike")
+
+    monkeypatch.setattr(hyperbolic, "orbit_count_check", bad)
+    code, out, err = run_cli(capsys, "verify", "orbit", "--count", "1")
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "not timelike" in err

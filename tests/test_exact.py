@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from torsionlab.exact import (
     rank_mod_p,
     rational_rank,
     smith_normal_form,
+    solve_scaled,
     unit_reduce,
 )
 from torsionlab.homology import ORACLE_PRIMES
@@ -119,6 +121,46 @@ def test_elimination_agrees_with_snf(mat, data):
         before = rational_rank(columns_of(mat, order[:k]))
         raises = rational_rank(columns_of(mat, order[:k + 1])) > before
         assert raises == (j in chosen)
+
+
+def fraction_solve(rows, rhs):
+    """x with rows x = rhs by Gauss-Jordan over the rationals; None if singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c] / aug[c][c]
+                aug[i] = [u - f * v for u, v in zip(aug[i], aug[c])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(degenerate_matrices(), st.data())
+def test_solve_scaled_agrees_with_determinant_and_rationals(mat, data):
+    n = min(mat.rows, mat.cols)
+    rows = [list(row[:n]) for row in mat.entries[:n]]
+    rhs = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    square = IntegerMatrix.from_rows(rows, n)
+    d, y = solve_scaled(rows, rhs)
+    x = fraction_solve(rows, rhs)
+    assert abs(d) == abs(determinant(square))
+    if x is None:
+        assert (d, y) == (0, [])
+    else:
+        assert [Fraction(v, d) for v in y] == x
+
+
+def test_solve_scaled_known():
+    assert solve_scaled([[2, 1], [1, 3]], [1, 1]) == (5, [2, 1])
+    d, y = solve_scaled([[0, 1], [1, 0]], [3, 4])
+    assert [Fraction(v, d) for v in y] == [4, 3]
+    assert solve_scaled([[1, 2], [2, 4]], [1, 1]) == (0, [])
+    assert solve_scaled([], []) == (1, [])
 
 
 @st.composite

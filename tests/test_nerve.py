@@ -1,15 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsionlab import nerve as nerve_module
 from torsionlab.exact import AbelianGroupStructure as G
+from torsionlab.exact import IntegerMatrix, determinant
 from torsionlab.homology import all_homology, all_relative_homology
 from torsionlab.nerve import (
     BallCover,
@@ -138,6 +140,13 @@ def test_relative_nerve_validates_shrink():
         relative_nerve(cover, [0, 1], [0.4])
 
 
+@pytest.mark.parametrize("subfamily, bad", [([9], "index 9 is not"), ([0, 0], "index 0 is repeated"),
+                                             ([-1, 0], "index -1 is not")])
+def test_relative_nerve_validates_subfamily(subfamily, bad):
+    with pytest.raises(ValueError, match=bad):
+        relative_nerve(circle_cover(), subfamily, [0.5] * len(subfamily))
+
+
 def test_nerve_pair_subcomplex_validated():
     cover = circle_cover(4, 0.45)
     total = nerve(cover)
@@ -240,6 +249,80 @@ def test_straddling_pair_names_its_cover_indices(monkeypatch):
     assert err.value.indices == (1, 2)
 
 
+@pytest.mark.parametrize("shift, meets", [(1e-6, True), (-1e-6, False)])
+def test_enclosure_follows_the_working_precision(monkeypatch, shift, meets):
+    # cosh r is computed once per (radius, bits): an enclosure made at 8 bits
+    # must not stand in for the default precision afterwards, nor the reverse
+    cover = _hyperbolic_triple(0.5 * (1 + shift))
+    with monkeypatch.context() as patch:
+        patch.setattr(nerve_module, "working_precision", lambda: 8)
+        with pytest.raises(IndeterminateIntersectionError):
+            common_point_exists(cover.space, cover.elements, (0, 1, 2))
+    assert common_point_exists(cover.space, cover.elements, (0, 1, 2)) == meets
+    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
+    with pytest.raises(IndeterminateIntersectionError):
+        common_point_exists(cover.space, cover.elements, (0, 1, 2))
+
+
+def cramer_certificate(a):
+    """Some l = -a_SS^-1 1 > 0 over a nonsingular principal a_SS, by Cramer's rule,
+    or None: then a is copositive.  Any such l has l^T a_SS l = -sum(l) < 0."""
+    for size in range(1, len(a) + 1):
+        for s in combinations(range(len(a)), size):
+            sub = [[a[i][j] for j in s] for i in s]
+            det = determinant(IntegerMatrix.from_rows(sub))
+            if not det:
+                continue
+            l = [-Fraction(determinant(IntegerMatrix.from_rows(
+                [row[:c] + [1] + row[c + 1:] for row in sub])), det) for c in range(size)]
+            if all(x > 0 for x in l):
+                return s, l
+    return None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(st.one_of(st.integers(0, 6), st.integers(-6, 6)))
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(st.integers(-6, 6))
+    return a
+
+
+HORN = [[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1], [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(symmetric_matrices())
+@example(HORN)  # copositive, though neither positive semidefinite nor nonnegative
+@example([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]])  # only the full set certifies failure
+def test_copositivity_agrees_with_cramer_and_certifies_failure(a):
+    certificate = cramer_certificate(a)
+    assert nerve_module._copositive(a) == (certificate is None)
+    if certificate:
+        s, l = certificate
+        assert sum(x * a[i][j] * y for x, i in zip(l, s) for y, j in zip(l, s)) < 0
+
+
+def test_seeded_covers_decide_four_and_five_tuples():
+    # f-vectors pinned from the Cramer-determinant decision
+    rng = random.Random(12)
+    flat = BallCover.of(EuclideanSpace(3),
+                        [([rng.uniform(-1, 1) for _ in range(3)], 0.8) for _ in range(12)])
+    assert nerve(flat, max_dim=4).f_vector() == (12, 49, 109, 151, 135)
+    rng = random.Random(12)
+    balls = []
+    for _ in range(12):
+        v = [rng.gauss(0, 1) for _ in range(3)]
+        norm = math.sqrt(sum(x * x for x in v))
+        t = rng.uniform(0, 1.0)
+        balls.append(([math.cosh(t), *(math.sinh(t) * x / norm for x in v)], 0.6))
+    curved = BallCover.of(HyperbolicSpace(3), balls)
+    assert nerve(curved, max_dim=3).f_vector() == (12, 55, 135, 201)
+
+
 dyadic = st.integers(-48, 48).map(lambda n: n / 8)
 radius = st.integers(1, 40).map(lambda n: n / 8)
 
@@ -328,3 +411,20 @@ def test_cover_file_errors():
         read_cover("# nothing\n")
     with pytest.raises(ValueError, match="line 2"):
         read_cover("space E 2\nball 0 0\n")
+    for bad in ("x", "0", "-2"):
+        with pytest.raises(ValueError, match="line 2: space dimension"):
+            read_cover(f"# dimension {bad}\nspace E {bad}\n")
+
+
+@pytest.mark.parametrize("ball, index", [("0 0 nan", 1), ("0 0 inf", 1), ("inf 0 1", 1),
+                                         ("nan 0 1", 1), ("0 0 -inf", 1)])
+def test_cover_file_rejects_non_finite_balls(ball, index):
+    with pytest.raises(ValueError, match=f"ball {index}: centre and radius must be finite"):
+        read_cover(f"space E 2\nball 0 0 1\nball {ball}\n")
+
+
+def test_cover_file_rejects_non_finite_hyperbolic_centres():
+    with pytest.raises(ValueError, match="ball 0: centre and radius must be finite"):
+        read_cover("space H 2\nball nan 0 0 0.5\n")
+    with pytest.raises(ValueError, match="ball 0: radius must be positive"):
+        read_cover("space H 2\nball 1 0 0 0\n")
