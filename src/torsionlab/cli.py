@@ -99,11 +99,15 @@ def cmd_homology(args) -> int:
 
 # --- constants ----------------------------------------------------------------
 
+def _require_hyperbolic_dimension(d: int) -> None:
+    if d < 2:
+        raise UsageError("--d must be at least 2")
+
+
 def cmd_constants(args) -> int:
     from . import constants
 
-    if args.d < 2:
-        raise UsageError("--d must be at least 2")
+    _require_hyperbolic_dimension(args.d)
     try:
         eps = Fraction(args.margulis_eps)
     except (ValueError, ZeroDivisionError):
@@ -245,6 +249,7 @@ def _verify_nerve(args) -> int:
 def _verify_obtuse(args) -> int:
     from . import hyperbolic
 
+    _require_hyperbolic_dimension(args.d)
     failures = 0
     g = hyperbolic.standard_loxodromic(args.d, 0.2)
     rep = hyperbolic.obtuse_angle_check(g, g.power(2), 0.5, 0.9,
@@ -272,6 +277,7 @@ def _verify_orbit(args) -> int:
 
     from . import hyperbolic
 
+    _require_hyperbolic_dimension(args.d)
     rng = np.random.default_rng(args.seed)
     failures = 0
     for index in range(args.count):
@@ -295,6 +301,7 @@ def _verify_orbit(args) -> int:
 def _verify_commutator(args) -> int:
     from . import constants
 
+    _require_hyperbolic_dimension(args.d)
     checks = constants.commutator_inequality_check(args.d)
     failures = 0
     for c in checks:

@@ -28,9 +28,15 @@ class ExactArithmeticError(Exception):
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Dense integer matrix, stored row-major as nested tuples.
+    """Integer matrix, read row-major as nested tuples (``entries``) or as
+    sparse columns (``columns``: one row -> value dict per column, without
+    zeros).
 
-    Immutable; all operations return new matrices.
+    A matrix built by ``from_columns`` keeps its columns and builds the
+    dense rows x cols tuples the first time something reads ``entries``; a
+    matrix built from entries scans its columns from them.  Immutable: all
+    operations return new matrices, and the dicts of ``columns`` must not
+    be changed.
     """
 
     rows: int
@@ -54,6 +60,41 @@ class IntegerMatrix:
                 raise ValueError("column count required for a matrix with no rows")
             cols = len(data[0])
         return cls(len(data), cols, data)
+
+    @classmethod
+    def from_columns(cls, rows: int, cols: int, columns: Sequence[dict[int, int]]) -> "IntegerMatrix":
+        """Matrix from sparse columns: row -> value dicts holding no zeros."""
+        if rows < 0:
+            raise ValueError("negative matrix dimensions")
+        if len(columns) != cols:
+            raise ValueError("column count does not match columns")
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "_columns", tuple(columns))
+        return mat
+
+    def __getattr__(self, name: str):
+        # reached only for ``entries`` of a matrix built by from_columns,
+        # before its first dense read
+        if name != "entries":
+            raise AttributeError(name)
+        entries = tuple(tuple(col.get(i, 0) for col in self._columns) for i in range(self.rows))
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+    @property
+    def columns(self) -> tuple[dict[int, int], ...]:
+        """One row -> value dict per column, without zeros; read-only.
+
+        A matrix built dense scans its entries on each read, so one that
+        lives long holds no second copy.
+        """
+        if "_columns" in self.__dict__:
+            return self._columns
+        row_ids = range(self.rows)
+        dense = zip(*self.entries) if self.rows else [()] * self.cols
+        return tuple(dict(zip(compress(row_ids, col), compress(col, col))) for col in dense)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -367,7 +408,7 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
 def unit_reduce(mat: IntegerMatrix) -> tuple[int, IntegerMatrix]:
     """Eliminate every +-1 pivot; return their number and the residual.
 
-    The matrix is held as sparse columns (row -> value) with the set of
+    Works on a copy of mat.columns (row -> value dicts) with the set of
     columns met by each row.  Pivots go in Markowitz order: the column
     with the fewest entries that holds a unit, then its unit in the row
     with the fewest entries.  Column operations clear the pivot row, and
@@ -377,8 +418,7 @@ def unit_reduce(mat: IntegerMatrix) -> tuple[int, IntegerMatrix]:
     mat has rank units + rank(residual), and the invariant factors above 1
     of both agree.
     """
-    row_ids = range(mat.rows)
-    cols = [dict(zip(compress(row_ids, col), compress(col, col))) for col in zip(*mat.entries)]
+    cols = [dict(col) for col in mat.columns]
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
     for j, col in enumerate(cols):
         for i in col:

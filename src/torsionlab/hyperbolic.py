@@ -48,9 +48,19 @@ def make_point(coords: Sequence[float]) -> np.ndarray:
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise GeometryError("a point needs at least 2 coordinates")
+    # x_0 is the largest coordinate of a timelike vector; far from 1 its
+    # square over- or underflows.  Scaling by a power of two is exact and
+    # cancels in x / sqrt(-q).  Near 1 it is skipped, as it would cost more
+    # than the rest of the function.
+    e = math.frexp(x[0])[1]
+    if abs(e) > 500:
+        x = np.ldexp(x, -e)
+    else:
+        e = 0
     q = lorentz_inner(x, x)
     if q >= 0:
-        raise GeometryError(f"coordinates are not timelike (form value {q})")
+        scaled = f" of the coordinates times 2^{-e}" if e else ""
+        raise GeometryError(f"coordinates are not timelike (form value {q}{scaled})")
     x = x / math.sqrt(-q)
     if x[0] < 0:
         x = -x

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -64,9 +65,16 @@ class SimplicialComplex:
     def used_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
 
+    @cached_property
+    def _sorted_by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
+        groups: list[list[Simplex]] = [[] for _ in range(self.dimension + 1)]
+        for s in self.simplices:
+            groups[len(s) - 1].append(s)
+        return tuple(tuple(sorted(g)) for g in groups)
+
     def simplices_of_dim(self, k: int) -> list[Simplex]:
         """k-simplices in the canonical (lexicographic) order."""
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+        return list(self._sorted_by_dim[k]) if 0 <= k < len(self._sorted_by_dim) else []
 
     def f_vector(self) -> tuple[int, ...]:
         if not self.simplices:
@@ -77,12 +85,10 @@ class SimplicialComplex:
         return tuple(counts)
 
     def maximal_simplices(self) -> list[Simplex]:
-        out = []
-        for s in self.simplices:
-            sset = set(s)
-            if not any(sset < set(t) for t in self.simplices if len(t) == len(s) + 1):
-                out.append(s)
-        return sorted(out)
+        """Simplices that are no facet of a simplex one dimension up; in a
+        downward-closed set these are the ones in no larger simplex."""
+        facets = {s[:i] + s[i + 1:] for s in self.simplices if len(s) > 1 for i in range(len(s))}
+        return sorted(self.simplices - facets)
 
     def contains(self, vertices: Sequence[int]) -> bool:
         return as_simplex(vertices) in self.simplices
@@ -162,15 +168,17 @@ def complexity_profile(complex_: SimplicialComplex) -> ComplexityProfile:
 def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex]) -> IntegerMatrix:
     """Boundary columns of k_simplices in the basis lower; other faces are dropped."""
     index = {s: i for i, s in enumerate(lower)}
-    data = [[0] * len(k_simplices) for _ in lower]
-    for j, s in enumerate(k_simplices):
+    columns = []
+    for s in k_simplices:
+        col = {}
         sign = 1
         for drop in range(len(s)):
             i = index.get(s[:drop] + s[drop + 1:])
             if i is not None:
-                data[i][j] = sign
+                col[i] = sign
             sign = -sign
-    return IntegerMatrix(len(lower), len(k_simplices), tuple(map(tuple, data)))
+        columns.append(col)
+    return IntegerMatrix.from_columns(len(lower), len(k_simplices), columns)
 
 
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:

@@ -276,3 +276,11 @@ def test_geometry_error_is_an_input_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "input error" in err and "not timelike" in err
+
+
+@pytest.mark.parametrize("suite", ["orbit", "obtuse", "commutator"])
+def test_verify_hyperbolic_suites_reject_dimension_one(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--d", "1")
+    assert code == 64
+    assert out == ""
+    assert "--d must be at least 2" in err

@@ -272,3 +272,34 @@ def test_independent_columns_spans():
 def test_matmul_shape_check():
     with pytest.raises(ValueError):
         IntegerMatrix.zeros(2, 3) @ IntegerMatrix.zeros(2, 3)
+
+
+def sparse_copy(mat):
+    """The same matrix built from row -> value dicts, as a boundary matrix is."""
+    columns = [{i: row[j] for i, row in enumerate(mat.entries) if row[j]} for j in range(mat.cols)]
+    return IntegerMatrix.from_columns(mat.rows, mat.cols, columns)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(sparse_matrices(UNIT_RICH), degenerate_matrices()))
+def test_matrix_from_columns_agrees_with_from_rows(mat):
+    sparse = sparse_copy(mat)
+    # reduce before anything reads entries: a reduction that edited the
+    # columns in place would change the second reduction and the entries
+    first = unit_reduce(sparse)
+    assert unit_reduce(sparse) == first == unit_reduce(mat)
+    assert sparse.entries == mat.entries
+    assert sparse == mat and mat == sparse
+    assert hash(sparse) == hash(mat)
+    assert sparse.columns == mat.columns
+    assert cokernel(sparse_copy(mat)) == cokernel(mat)
+
+
+def test_matrix_from_columns_validates_its_shape():
+    with pytest.raises(ValueError):
+        IntegerMatrix.from_columns(2, 3, [{0: 1}, {}])
+    with pytest.raises(ValueError):
+        IntegerMatrix.from_columns(-1, 0, [])
+    empty = IntegerMatrix.from_columns(0, 3, [{}, {}, {}])
+    assert empty == IntegerMatrix.zeros(0, 3)
+    assert IntegerMatrix.zeros(0, 3).columns == ({}, {}, {})

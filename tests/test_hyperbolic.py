@@ -21,6 +21,12 @@ def test_point_normalization():
         hyp.make_point([1.0, 2.0, 0.0])  # spacelike
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_spacelike_points_beyond_the_float_range_of_the_form_are_rejected(scale):
+    with pytest.raises(hyp.GeometryError, match="not timelike"):
+        hyp.make_point([scale, 2 * scale, 0.0])
+
+
 def test_distance_to_self_zero():
     x = hyp.make_point([1.3, 0.2, 0.7])
     assert hyp.distance(x, x) == 0.0

@@ -380,6 +380,17 @@ def test_cover_file_hyperbolic():
     assert nerve(cover).f_vector() == (2, 1)
 
 
+@pytest.mark.parametrize("scaled, twin", [("1.25e200 0.75e200 0", "1.25 0.75 0"),
+                                           ("1e200 0 0", "1 0 0"),
+                                           ("1.25e-200 0.75e-200 0", "1.25 0.75 0")])
+def test_extreme_hyperbolic_centres_match_their_unscaled_twins(scaled, twin):
+    # the Lorentz form of the raw coordinates over- or underflows
+    covers = [read_cover(f"space H 2\nball {c} 0.3\nball 1 0 0 0.3\n") for c in (scaled, twin)]
+    np.testing.assert_allclose(covers[0].elements[0][0], covers[1].elements[0][0],
+                               rtol=1e-15, atol=0)
+    assert nerve(covers[0]).simplices == nerve(covers[1]).simplices
+
+
 def test_demo_cover_file_reads_the_circle_cover():
     path = Path(__file__).resolve().parent.parent / "demos" / "files" / "circle_cover.cover"
     assert nerve(read_cover(path.read_text())).f_vector() == (8, 16, 8)

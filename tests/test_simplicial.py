@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionlab import complexes
+from torsionlab.exact import IntegerMatrix
 from torsionlab.simplicial import (
     MalformedComplexError,
     SimplicialComplex,
@@ -194,3 +195,60 @@ def test_empty_complex_is_legal():
     assert k.dimension == -1
     assert k.f_vector() == ()
     assert k.euler_characteristic() == 0
+
+
+def dense_boundary(k_simplices, lower):
+    """Reference assembler: a rows x cols grid of zeros, filled face by face."""
+    data = [[0] * len(k_simplices) for _ in lower]
+    for j, s in enumerate(k_simplices):
+        for drop in range(len(s)):
+            face = s[:drop] + s[drop + 1:]
+            if face in lower:
+                data[lower.index(face)][j] = (-1) ** drop
+    return IntegerMatrix(len(lower), len(k_simplices), tuple(map(tuple, data)))
+
+
+def sorted_of_dim(simplices, k):
+    return sorted(s for s in simplices if len(s) == k + 1)
+
+
+def fixture_pairs():
+    for seed, (name, fixture) in enumerate(complexes.FIXTURES.items()):
+        k = fixture()
+        yield name, SimplicialPair(total=k, sub=random_subcomplex(k, seed=seed))
+    yield "annulus-inner", complexes.annulus_inner_circle_pair()
+    yield "disk-boundary", complexes.disk_boundary_pair()
+
+
+@pytest.mark.parametrize("name, pair", list(fixture_pairs()))
+def test_boundary_matrices_match_a_dense_reference(name, pair):
+    total, sub = pair.total.simplices, pair.sub.simplices
+    for deg in range(pair.total.dimension + 2):
+        want = dense_boundary(sorted_of_dim(total, deg), sorted_of_dim(total, deg - 1))
+        got = boundary_matrix(pair.total, deg)
+        assert got == want and got.entries == want.entries and got.columns == want.columns
+        want = dense_boundary(sorted_of_dim(total - sub, deg), sorted_of_dim(total - sub, deg - 1))
+        got = relative_boundary_matrix(pair, deg)
+        assert got == want and got.entries == want.entries and got.columns == want.columns
+
+
+def test_simplices_of_dim_returns_a_fresh_list():
+    k = complexes.torus_7()
+    edges = k.simplices_of_dim(1)
+    assert edges == sorted_of_dim(k.simplices, 1)
+    edges.reverse()
+    edges.pop()
+    k.simplices_of_dim(1).clear()
+    assert k.simplices_of_dim(1) == sorted_of_dim(k.simplices, 1)
+    assert k.simplices_of_dim(-1) == [] == k.simplices_of_dim(k.dimension + 1)
+
+
+def brute_force_maximal(k):
+    return sorted(s for s in k.simplices if not any(set(s) < set(t) for t in k.simplices))
+
+
+@pytest.mark.parametrize("k", [fixture() for fixture in complexes.FIXTURES.values()]
+                         + [random_dv_complex(6, 30, 3, seed=seed) for seed in range(4)]
+                         + [empty_complex(3)])
+def test_maximal_simplices_match_brute_force(k):
+    assert k.maximal_simplices() == brute_force_maximal(k)
