@@ -8,17 +8,27 @@ the half-space -<x, c_i> <= h_i = cosh(r_i) sqrt(-<c_i, c_i>) of the upper
 sheet, A_ij = h_i h_j + <c_i, c_j>.  Floats are dyadic rationals, so a
 Euclidean decision is exact.  A grows with h, so rational enclosures of h
 certify a hyperbolic one, or raise when they straddle the boundary.
+
+A nerve builds A once for the whole cover: in E^d from one dyadic scaling
+of every centre and radius; in H^d from one Gram matrix and one enclosure
+of each h_i, at a precision set by the cover's least radius, which gives A
+at the lower and at the upper h.  Of A it keeps the diagonal and the
+entries of the pairs that meet.  A pair meets iff its 2x2 A is copositive,
+a closed form.  A larger tuple is tested only when every facet spans a
+simplex: then each proper principal submatrix of its A is copositive at
+the lower h, and so, A growing with h, at the upper h, and one solve on
+the full support decides the tuple at each end.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +36,7 @@ from . import hyperbolic as hyp
 from .exact import AbelianGroupStructure, solve_scaled
 from .homology import all_homology
 from .precision import working_precision
-from .simplicial import SimplicialComplex, SimplicialPair, build_complex
+from .simplicial import SimplicialComplex, SimplicialPair
 
 
 class IndeterminateIntersectionError(RuntimeError):
@@ -95,27 +105,46 @@ class BallCover:
 def _dyadic(rows: list[list[float]]) -> list[list[int]]:
     """The rows times the least power of two that makes every entry an integer."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    shift = max(d.bit_length() for row in ratios for _, d in row)
+    shift = max((d.bit_length() for row in ratios for _, d in row), default=1)
     return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios]
+
+
+def _inverse_sum_negative(a: list[list[int]]) -> bool:
+    """Whether a is nonsingular with a^-1 1 < 0, read off one fraction-free
+    solve a y = d 1 (x = y / d): then l = -a^-1 1 > 0 has l^T a l = -sum(l) < 0,
+    so a is not copositive, and when every proper principal submatrix of a
+    is copositive that is the only way a can fail."""
+    d, y = solve_scaled(a, [1] * len(a))
+    return bool(d) and all(x * d < 0 for x in y)
+
+
+def _copositive_pair(a_ii: int, a_jj: int, a_ij: int) -> bool:
+    """The 2x2 case of _copositive in closed form: a_ij >= -sqrt(a_ii a_jj)."""
+    return a_ii >= 0 and a_jj >= 0 and (a_ij >= 0 or a_ij * a_ij <= a_ii * a_jj)
 
 
 def _copositive(a: list[list[int]]) -> bool:
     """Whether l^T a l >= 0 for every l >= 0 (Kaplan, Linear Algebra Appl. 313, 2000).
 
     A minimiser over the simplex of least support S has a_SS nonsingular
-    and a_SS l = m 1, so a fails iff some a_SS^-1 1 < 0.  One fraction-free
-    solve a_SS y = d 1 gives x = y / d: a_SS^-1 1 < 0 iff d != 0 and every
-    y_i d < 0.  For |S| = 1 that is a negative diagonal entry.
+    and a_SS l = m 1, so a fails iff some a_SS^-1 1 < 0.  For |S| = 1 that
+    is a negative diagonal entry.
     """
     n = len(a)
     if any(a[i][i] < 0 for i in range(n)):
         return False
-    for size in range(2, n + 1):
-        for s in combinations(range(n), size):
-            d, y = solve_scaled([[a[i][j] for j in s] for i in s], [1] * size)
-            if d and all(x * d < 0 for x in y):
-                return False
-    return True
+    return not any(_inverse_sum_negative([[a[i][j] for j in s] for i in s])
+                   for size in range(2, n + 1) for s in combinations(range(n), size))
+
+
+def _certify(copositive, lower, upper, indices: tuple[int, ...]) -> bool:
+    """Copositive at the lower A certifies a common point, failing at the
+    upper A certifies none; upper is None when A is exact (E^d)."""
+    if copositive(lower):
+        return True
+    if upper is None or not copositive(upper):
+        return False
+    raise IndeterminateIntersectionError(indices)
 
 
 def _context(bits: int) -> Context:
@@ -132,31 +161,107 @@ def _cosh(r: float, bits: int) -> Decimal:
         return (x + 1 / x) / 2
 
 
-def _common_point(space, balls: Sequence[tuple[np.ndarray, float]],
-                  indices: tuple[int, ...]) -> bool:
-    if space.kind == "E":
-        rows = _dyadic([[*c, r] for c, r in balls])
-        return _copositive([[u[-1] ** 2 + v[-1] ** 2 - sum((x - y) ** 2 for x, y in zip(u[:-1], v[:-1]))
-                             for v in rows] for u in rows])
-    rows = _dyadic([list(c) for c, _ in balls])
-    gram = [[sum(x * y for x, y in zip(u[1:], v[1:])) - u[0] * v[0] for v in rows] for u in rows]
-    # A's entries are O(r^2) differences of O(1) terms: 2 more bits per halving of r
-    bits = working_precision() + 2 * max(0, -math.frexp(min(r for _, r in balls))[1])
-    with localcontext(_context(bits)):
-        h = [Fraction(_cosh(r, bits) * Decimal(-gram[i][i]).sqrt()) for i, (_, r) in enumerate(balls)]
-    den = math.lcm(*(x.denominator for x in h))
-    # h (1 -+ 2**-bits) brackets the exact h and A grows with h: copositive at
-    # the lower end certifies a common point, failing at the upper end none
-    for sign, meets in ((-1, True), (1, False)):
-        b = [x.numerator * (den // x.denominator) * ((1 << bits) + sign) for x in h]
-        if _copositive([[x * y + (g * den * den << 2 * bits) for y, g in zip(b, row)]
-                        for x, row in zip(b, gram)]) == meets:
-            return meets
-    raise IndeterminateIntersectionError(indices)
+class _CoverMatrix:
+    """A of a family of balls at one scale, built once from the floats.
+
+    Every entry is the true A times one positive factor, which copositivity
+    ignores.  In H^d, the rows lower and upper hold A at the lower and upper
+    enclosure of h; in E^d there is one exact A and upper is None.  The rows
+    keep the diagonal and the entries of the pairs pair_meets() accepts.
+    """
+
+    def __init__(self, space, balls: Sequence[tuple[np.ndarray, float]]):
+        self.balls = balls
+        if space.kind == "E":
+            rows = _dyadic([[*c, r] for c, r in balls])
+            self._points = self._duals = [row[:-1] for row in rows]
+            # A_ij = o_i + o_j + 2 c_i.c_j with o_i = r_i^2 - |c_i|^2
+            self._offsets = [row[-1] ** 2 - sum(x * x for x in row[:-1]) for row in rows]
+            self._lower_h = None
+        else:
+            self._points = _dyadic([list(c) for c, _ in balls])
+            self._duals = [[-p[0], *p[1:]] for p in self._points]  # <u, v> = dual(u) . v
+            # A's entries are O(r^2) differences of O(1) terms: 2 more bits per
+            # halving of r, so the least radius of the family sets the precision
+            least = min((r for _, r in balls), default=1.0)
+            bits = working_precision() + 2 * max(0, -math.frexp(least)[1])
+            with localcontext(_context(bits)):
+                h = [Fraction(_cosh(r, bits) * Decimal(-self._gram(i, i)).sqrt())
+                     for i, (_, r) in enumerate(balls)]
+            den = math.lcm(*(x.denominator for x in h))
+            # h (1 -+ 2**-bits) brackets the exact h, and A grows with h
+            self._scale = den * den << 2 * bits
+            self._lower_h, self._upper_h = (
+                [x.numerator * (den // x.denominator) * ((1 << bits) + sign) for x in h]
+                for sign in (-1, 1))
+        diagonal = [self.entries(i, i) for i in range(len(balls))]
+        self.lower = [{i: lo} for i, (lo, _) in enumerate(diagonal)]
+        self.upper = None if self._lower_h is None else [
+            {i: hi} for i, (_, hi) in enumerate(diagonal)]
+
+    def _gram(self, i: int, j: int) -> int:
+        return sum(x * y for x, y in zip(self._duals[i], self._points[j]))
+
+    def entries(self, i: int, j: int) -> tuple[int, int | None]:
+        """A_ij at the lower and the upper h (None in E^d)."""
+        if self._lower_h is None:
+            return self._offsets[i] + self._offsets[j] + 2 * self._gram(i, j), None
+        g = self._scale * self._gram(i, j)
+        return self._lower_h[i] * self._lower_h[j] + g, self._upper_h[i] * self._upper_h[j] + g
+
+    def full(self) -> tuple[list[list[int]], list[list[int]] | None]:
+        """Both whole matrices."""
+        n = len(self.balls)
+        cells = [[self.entries(i, j) for j in range(n)] for i in range(n)]
+        lower = [[lo for lo, _ in row] for row in cells]
+        return lower, None if self.upper is None else [[hi for _, hi in row] for row in cells]
+
+    def pair_meets(self, i: int, j: int) -> bool:
+        """Whether balls i and j meet, from the closed 2x2 form; their entries
+        are kept when they do."""
+        lo, hi = self.entries(i, j)
+        meets = _certify(lambda a: _copositive_pair(*a), (self.lower[i][i], self.lower[j][j], lo),
+                         None if hi is None else (self.upper[i][i], self.upper[j][j], hi), (i, j))
+        if meets:
+            self.lower[i][j] = self.lower[j][i] = lo
+            if hi is not None:
+                self.upper[i][j] = self.upper[j][i] = hi
+        return meets
+
+    def tuple_meets(self, s: tuple[int, ...], indices: tuple[int, ...]) -> bool:
+        """Whether the balls s meet, given that every facet of s meets at the
+        lower A: then, A growing with h, also at the upper A, so one solve on
+        the full support decides each."""
+        def principal(rows):
+            return [[rows[i][j] for j in s] for i in s]
+
+        return _certify(lambda a: not _inverse_sum_negative(a), principal(self.lower),
+                        None if self.upper is None else principal(self.upper), indices)
+
+
+class _CoverTuple(Sequence):
+    """The balls of a cover at a tuple of its indices, carrying the cover's
+    matrix, whose rows hold every entry among them."""
+
+    __slots__ = ("matrix", "indices")
+
+    def __init__(self, matrix: _CoverMatrix, indices: tuple[int, ...]):
+        self.matrix, self.indices = matrix, indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, float]:
+        return self.matrix.balls[self.indices[k]]
+
+
+def _meets(space, balls: Sequence[tuple[np.ndarray, float]], indices: tuple[int, ...]) -> bool:
+    lower, upper = _CoverMatrix(space, balls).full()
+    return _certify(_copositive, lower, upper, indices)
 
 
 def balls_intersect(space, a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> bool:
-    return _common_point(space, (a, b), (0, 1))
+    return _meets(space, (a, b), (0, 1))
 
 
 def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
@@ -166,7 +271,9 @@ def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
     A hyperbolic tuple whose enclosure of h at working_precision() bits
     straddles the boundary raises IndeterminateIntersectionError(indices).
     """
-    return _common_point(space, balls, indices)
+    if isinstance(balls, _CoverTuple):
+        return balls.matrix.tuple_meets(balls.indices, indices)
+    return _meets(space, balls, indices)
 
 
 def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
@@ -181,28 +288,24 @@ def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
     if max_dim < 1:
         raise ValueError("dimension cap must be at least 1")
     n = len(cover)
-    space = cover.space
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    frontier = []
-    for i, j in combinations(range(n), 2):
-        try:
-            met = balls_intersect(space, cover.elements[i], cover.elements[j])
-        except IndeterminateIntersectionError:
-            raise IndeterminateIntersectionError((i, j)) from None
-        if met:
-            frontier.append((i, j))
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+    matrix = _CoverMatrix(cover.space, cover.elements)
+    frontier = [(i, j) for i, j in combinations(range(n), 2) if matrix.pair_meets(i, j)]
+    above: list[list[int]] = [[] for _ in range(n)]  # ascending later neighbours
+    for i, j in frontier:
+        above[i].append(j)
     simplices = {(i,) for i in range(n)} | set(frontier)
     for _ in range(2, max_dim + 1):
         next_frontier = []
         for s in frontier:
-            for w in sorted(set.intersection(*(adjacency[v] for v in s))):
-                if w > s[-1] and common_point_exists(space, [cover.elements[i] for i in s + (w,)], s + (w,)):
-                    next_frontier.append(s + (w,))
+            for w in above[s[-1]]:
+                t = s + (w,)
+                # s is a facet of t; the others drop one vertex of s
+                if (all(t[:k] + t[k + 1:] in simplices for k in range(len(s)))
+                        and common_point_exists(cover.space, _CoverTuple(matrix, t), t)):
+                    next_frontier.append(t)
         frontier = next_frontier
         simplices.update(frontier)
-    return build_complex(simplices, vertex_count=n)
+    return SimplicialComplex(vertex_count=n, simplices=frozenset(simplices))
 
 
 @dataclass(frozen=True)

@@ -50,13 +50,17 @@ class SimplicialComplex:
     simplices: frozenset[Simplex]
 
     def __post_init__(self):
+        # by induction on dimension, a set holding every facet of each of
+        # its simplices holds every face
         for s in self.simplices:
             if s[-1] >= self.vertex_count:
                 raise MalformedComplexError(
                     f"vertex {s[-1]} outside declared range {self.vertex_count}")
-            for f in faces(s):
-                if f not in self.simplices:
-                    raise MalformedComplexError(f"missing face {f} of {s}")
+            if len(s) > 1:
+                for i in range(len(s)):
+                    f = s[:i] + s[i + 1:]
+                    if f not in self.simplices:
+                        raise MalformedComplexError(f"missing face {f} of {s}")
 
     @property
     def dimension(self) -> int:

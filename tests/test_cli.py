@@ -284,3 +284,22 @@ def test_verify_hyperbolic_suites_reject_dimension_one(capsys, suite):
     assert code == 64
     assert out == ""
     assert "--d must be at least 2" in err
+
+
+# stdout checked in under tests/expected/; regenerate a file only for a
+# deliberate change of output
+EXPECTED = ROOT / "tests" / "expected"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos" / "files").glob("*.cplx")),
+                         ids=lambda p: p.name)
+def test_homology_of_demo_files_is_byte_identical(capsys, path):
+    code, out, _ = run_cli(capsys, "homology", str(path))
+    assert code == 0
+    assert out == (EXPECTED / f"homology_{path.stem}.out").read_text(encoding="utf-8")
+
+
+def test_verify_nerve_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "nerve")
+    assert code == 0
+    assert out == (EXPECTED / "verify_nerve.out").read_text(encoding="utf-8")

@@ -7,6 +7,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+# stdout that a demo must reproduce byte for byte, where a file is checked in
+EXPECTED = ROOT / "tests" / "expected"
 
 
 def test_demos_found():
@@ -20,3 +22,6 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    expected = EXPECTED / f"{script.stem}.out"
+    if expected.exists():
+        assert proc.stdout == expected.read_text(encoding="utf-8")

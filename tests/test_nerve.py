@@ -439,3 +439,97 @@ def test_cover_file_rejects_non_finite_hyperbolic_centres():
         read_cover("space H 2\nball nan 0 0 0.5\n")
     with pytest.raises(ValueError, match="ball 0: radius must be positive"):
         read_cover("space H 2\nball 1 0 0 0\n")
+
+
+RADII = {"equal": lambda rng, k: 0.7, "mixed": lambda rng, k: rng.uniform(0.3, 1.0),
+         "tiny": lambda rng, k: 1e-20 if k == 4 else 0.7}
+
+
+def seeded_cover(kind, seed, radii, count=11):
+    # E3: centres uniform in [-1, 1]^3; H3: within distance 1.8 of the base point
+    rng = random.Random(seed)
+    balls = []
+    for k in range(count):
+        if kind == "E":
+            centre = [rng.uniform(-1, 1) for _ in range(3)]
+        else:
+            v = [rng.gauss(0, 1) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in v))
+            t = rng.uniform(0, 1.8)
+            centre = [math.cosh(t), *(math.sinh(t) * x / norm for x in v)]
+        balls.append((centre, RADII[radii](rng, k)))
+    return BallCover.of(EuclideanSpace(3) if kind == "E" else HyperbolicSpace(3), balls)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind, radii", [("E", "equal"), ("E", "mixed"), ("H", "equal"),
+                                         ("H", "mixed"), ("H", "tiny")])
+def test_nerve_agrees_with_every_tuple_decided_alone(kind, radii, seed):
+    # the nerve decides from one matrix of the whole cover (in H3 at the
+    # precision its least radius sets); each plain-list call builds its own
+    cover = seeded_cover(kind, seed, radii)
+    brute = {t for size in range(1, 5) for t in combinations(range(len(cover)), size)
+             if size == 1 or common_point_exists(cover.space, [cover.elements[i] for i in t], t)}
+    assert nerve(cover, max_dim=3).simplices == brute
+
+
+def test_straddling_triangle_names_its_cover_indices(monkeypatch):
+    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
+    far = ([math.cosh(5.0), math.sinh(5.0), 0.0], 0.5)
+    triple = _hyperbolic_triple(0.5 * (1 + 1e-6)).elements
+    cover = BallCover.of(HyperbolicSpace(2), [far, *triple])
+    with pytest.raises(IndeterminateIntersectionError) as err:
+        nerve(cover)
+    assert err.value.indices == (1, 2, 3)
+
+
+@pytest.mark.parametrize("kind, seed", [("E", 3), ("H", 7)])
+def test_candidates_with_a_facet_outside_the_nerve_are_never_decided(monkeypatch, kind, seed):
+    cover = seeded_cover(kind, seed, "equal")
+    seen = []
+    decide = nerve_module.common_point_exists
+
+    def counting(space, balls, indices):
+        seen.append(indices)
+        return decide(space, balls, indices)
+
+    monkeypatch.setattr(nerve_module, "common_point_exists", counting)
+    simplices = nerve(cover, max_dim=3).simplices
+
+    def facets(t):
+        return [t[:k] + t[k + 1:] for k in range(len(t))]
+
+    # 4-tuples built from a triangle and a vertex joined to each of its
+    # vertices, yet with another facet outside the nerve
+    pruned = {s + (w,) for s in simplices if len(s) == 3 for w in range(s[-1] + 1, len(cover))
+              if all((v, w) in simplices for v in s)
+              and not all(f in simplices for f in facets(s + (w,)))}
+    assert pruned
+    assert not pruned & set(seen)
+    assert all(f in simplices for t in seen for f in facets(t))
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_pair_decisions_need_no_solve(monkeypatch, kind):
+    calls = []
+    solve = nerve_module.solve_scaled
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(nerve_module, "solve_scaled", counting)
+    cover = seeded_cover(kind, 1, "mixed")
+    assert nerve(cover, max_dim=1).f_vector()[1] > 0
+    assert not calls
+    nerve(cover, max_dim=2)
+    assert calls and min(calls) == 3
+
+
+def test_closed_pair_form_agrees_with_the_solve():
+    # every 2x2 integer matrix with diagonal in [0, 6] and off-diagonal in [-8, 8]
+    for a_ii in range(7):
+        for a_jj in range(7):
+            for a_ij in range(-8, 9):
+                want = nerve_module._copositive([[a_ii, a_ij], [a_ij, a_jj]])
+                assert nerve_module._copositive_pair(a_ii, a_jj, a_ij) == want

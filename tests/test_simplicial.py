@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,13 @@ def test_build_accepts_unsorted_input():
 def test_downward_closure_validated():
     with pytest.raises(MalformedComplexError):
         SimplicialComplex(vertex_count=3, simplices=frozenset({(0, 1, 2)}))
+
+
+@pytest.mark.parametrize("missing", [(2,), (1, 2)])
+def test_closure_check_rejects_a_triangle_missing_a_vertex_or_an_edge(missing):
+    full = build_complex([[0, 1, 2]]).simplices
+    with pytest.raises(MalformedComplexError, match=re.escape(f"missing face {missing} of")):
+        SimplicialComplex(vertex_count=3, simplices=full - {missing})
 
 
 def test_profile_values():
