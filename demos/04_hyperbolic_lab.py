@@ -30,7 +30,7 @@ print()
 # coaxial tubes (powers of one loxodromic) are the cleanest example
 report = hyp.obtuse_angle_check(g, g.power(2), eps_a=0.5, eps_b=0.9, samples=300, seed=0)
 print(f"loxodromic powers: min gradient inner product {report.min_inner_product:+.2e}"
-      f"  (>= 0 up to tolerance: {report.passed})")
+      f"  (every sign certified >= 0: {report.passed})")
 
 fixed = [1.0, 1.0, 0.0, 0.0]
 pa = hyp.parabolic(fixed, [1.0, 0.0])

@@ -66,6 +66,11 @@ def _parse_int_vector(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer vector {text!r}") from None
 
 
+def _require_at_least(value: int, least: int, flag: str) -> None:
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}")
+
+
 # --- homology ----------------------------------------------------------------
 
 def cmd_homology(args) -> int:
@@ -99,15 +104,10 @@ def cmd_homology(args) -> int:
 
 # --- constants ----------------------------------------------------------------
 
-def _require_hyperbolic_dimension(d: int) -> None:
-    if d < 2:
-        raise UsageError("--d must be at least 2")
-
-
 def cmd_constants(args) -> int:
     from . import constants
 
-    _require_hyperbolic_dimension(args.d)
+    _require_at_least(args.d, 2, "--d")
     try:
         eps = Fraction(args.margulis_eps)
     except (ValueError, ZeroDivisionError):
@@ -197,6 +197,7 @@ def cmd_dehn_table(args) -> int:
 def _verify_soule(args) -> int:
     from . import bounds
 
+    _require_at_least(args.count, 1, "--count")
     summary = bounds.batch_verify_soule(args.count, args.seed)
     for record in summary.records:
         _emit(record)
@@ -208,6 +209,7 @@ def _verify_soule(args) -> int:
 def _verify_dv(args) -> int:
     from . import bounds
 
+    _require_at_least(args.count, 1, "--count")
     summary = bounds.batch_verify_dv(args.count, args.seed)
     for record in summary.records:
         _emit(record)
@@ -249,7 +251,8 @@ def _verify_nerve(args) -> int:
 def _verify_obtuse(args) -> int:
     from . import hyperbolic
 
-    _require_hyperbolic_dimension(args.d)
+    _require_at_least(args.d, 2, "--d")
+    _require_at_least(args.samples, 1, "--samples")
     failures = 0
     g = hyperbolic.standard_loxodromic(args.d, 0.2)
     rep = hyperbolic.obtuse_angle_check(g, g.power(2), 0.5, 0.9,
@@ -277,7 +280,8 @@ def _verify_orbit(args) -> int:
 
     from . import hyperbolic
 
-    _require_hyperbolic_dimension(args.d)
+    _require_at_least(args.d, 2, "--d")
+    _require_at_least(args.count, 1, "--count")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for index in range(args.count):
@@ -301,7 +305,7 @@ def _verify_orbit(args) -> int:
 def _verify_commutator(args) -> int:
     from . import constants
 
-    _require_hyperbolic_dimension(args.d)
+    _require_at_least(args.d, 2, "--d")
     checks = constants.commutator_inequality_check(args.d)
     failures = 0
     for c in checks:

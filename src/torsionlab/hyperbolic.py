@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 LORENTZ_FORM_TOL = 1e-9
 COMMUTE_TOL = 1e-9
-FD_STEP = 1e-5
 
 
 class GeometryError(ValueError):
@@ -106,26 +106,6 @@ def geodesic_through(x: np.ndarray, y: np.ndarray) -> Callable[[float], np.ndarr
         raise GeometryError("geodesic requires distinct points")
     v = (y - math.cosh(dxy) * x) / math.sinh(dxy)
     return lambda t: exp_map(x, v, t)
-
-
-def tangent_basis(x: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the tangent space at x (Lorentz Gram-Schmidt)."""
-    d = x.shape[0] - 1
-    basis: list[np.ndarray] = []
-    for i in range(d + 1):
-        v = np.zeros(d + 1)
-        v[i] = 1.0
-        v = tangent_projection(x, v)
-        for b in basis:
-            v = v - lorentz_inner(v, b) * b
-        n = tangent_norm(v)
-        if n > 1e-8:
-            basis.append(v / n)
-        if len(basis) == d:
-            break
-    if len(basis) != d:
-        raise GeometryError("failed to build a tangent basis")
-    return basis
 
 
 @dataclass(frozen=True)
@@ -389,15 +369,12 @@ class SublevelSet:
                     f"sub-level set is empty: epsilon {epsilon} <= translation length {length}")
             radius = math.acosh(math.sinh(epsilon / 2) / math.sinh(length / 2))
             return cls(g, epsilon, "tube", {"frame": params["frame"], "radius": radius})
-        # parabolic horoball: cosh(displacement) = 1 + c * w^2 with
-        # w(x) = -<x, n>; calibrate c at a probe point
+        # parabolic horoball: cosh(displacement) = 1 + c w^2 with w(x) = -<x, n>
+        # and c = |v|^2 / (2 n_0^2), read off the standard parabolic in the
+        # frame sending e0 + e1 to n / n_0; displacement eps is reached at
+        # w = sqrt((cosh(eps) - 1) / c) = 2 n_0 sinh(eps / 2) / |v|
         n = params["fixed"]
-        d = g.dimension
-        probe = base_point(d)
-        w0 = -lorentz_inner(probe, n)
-        disp = displacement(g, probe)
-        cal = (math.cosh(disp) - 1.0) / (w0 * w0)
-        w_eps = math.sqrt((math.cosh(epsilon) - 1.0) / cal)
+        w_eps = 2.0 * float(n[0]) * math.sinh(epsilon / 2) / math.hypot(*params["v"])
         return cls(g, epsilon, "horoball", {"fixed": n, "w_eps": w_eps})
 
     def axis_distance(self, x: np.ndarray) -> float:
@@ -419,15 +396,108 @@ class SublevelSet:
         return self.distance_from(x) == 0.0
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                step: float = FD_STEP) -> np.ndarray:
-    """Riemannian gradient estimate by central differences on the hyperboloid."""
-    grad = np.zeros_like(x)
-    for v in tangent_basis(x):
-        plus = f(make_point(exp_map(x, v, step)))
-        minus = f(make_point(exp_map(x, v, -step)))
-        grad = grad + ((plus - minus) / (2 * step)) * v
-    return grad
+def _lorentz(x: Sequence, y: Sequence, sign: int):
+    """sign * x_0 y_0 + sum_{i>0} x_i y_i: the Lorentz form for sign -1."""
+    total = sign * x[0] * y[0]
+    for xi, yi in zip(x[1:], y[1:]):
+        total += xi * yi
+    return total
+
+
+def _gram(columns_a: list, columns_b: list, sign: int) -> list[list]:
+    return [[_lorentz(ca, cb, sign) for cb in columns_b] for ca in columns_a]
+
+
+def _normal(x: Sequence, columns: list, sign: int) -> tuple[tuple, object]:
+    """Coefficients of N on the set's columns, and s = <x, N>.
+
+    N is a positive multiple of the ambient gradient of the distance to
+    the set: for a tube with frame columns (p, u), N = -(a p + b u) with
+    a = -<x, p> and b = <x, u>, so s = a^2 - b^2 = cosh^2 of the axis
+    distance; for a horoball, N = -n and s = w = -<x, n>.  With sign +1
+    and |x|, |columns| this is the sum of the absolute values of the terms.
+    """
+    if len(columns) == 2:
+        q_p, q_u = _lorentz(x, columns[0], sign), _lorentz(x, columns[1], sign)
+        return (q_p, sign * q_u), q_p * q_p + sign * q_u * q_u
+    return (sign,), sign * _lorentz(x, columns[0], sign)
+
+
+def _polynomial(normal_a, normal_b, gram) -> object:
+    """P = <N_a, N_b> + <x, N_a> <x, N_b>, the Riemannian inner product of
+    the tangent projections of N_a and N_b, given <x, x> = -1."""
+    (coeffs_a, s_a), (coeffs_b, s_b) = normal_a, normal_b
+    total = 0
+    for ca, row in zip(coeffs_a, gram):
+        for cb, g in zip(coeffs_b, row):
+            total += ca * cb * g
+    return total + s_a * s_b
+
+
+def _exact_polynomial(x: Sequence[float], columns_a: list, columns_b: list) -> Fraction:
+    """P over the rationals, at the stored floats."""
+    x = [Fraction(v) for v in x]
+    columns_a = [[Fraction(v) for v in c] for c in columns_a]
+    columns_b = [[Fraction(v) for v in c] for c in columns_b]
+    return _polynomial(_normal(x, columns_a, -1), _normal(x, columns_b, -1),
+                       _gram(columns_a, columns_b, -1))
+
+
+class _GradientPair:
+    """Decides the sign of the inner product of the distance gradients of
+    two sub-level sets at sample points outside both.
+
+    The Riemannian gradient of the distance to a tube is N / (c sqrt(c^2 - 1))
+    and to a horoball N / w (see _normal); both scale factors are positive
+    outside the sets, so the sign of the inner product is the sign of P.
+    Evaluated in floats, P takes at most k = 4d + 10 roundings along any
+    path (d + 1 in each Lorentz product; s_a s_b multiplies two squares of
+    them), so |fl(P) - P| <= gamma_k Pbar, where Pbar is P with every term
+    replaced by its absolute value.  The float sign stands when |fl(P)|
+    exceeds error_factor fl(Pbar): error_factor = k 2^-52 is about twice
+    gamma_k, which also covers the rounding of fl(Pbar) and of the product.
+    Otherwise, and when Pbar is not finite or so small that underflow could
+    spoil the relative bound, P is evaluated over the rationals.
+    """
+
+    _TINY = 2.0 ** -960
+
+    def __init__(self, set_a: SublevelSet, set_b: SublevelSet):
+        self.columns_a = self._columns(set_a)
+        self.columns_b = self._columns(set_b)
+        self.gram = _gram(self.columns_a, self.columns_b, -1)
+        self.abs_a = [[abs(v) for v in c] for c in self.columns_a]
+        self.abs_b = [[abs(v) for v in c] for c in self.columns_b]
+        self.abs_gram = _gram(self.abs_a, self.abs_b, 1)
+        self.error_factor = (4 * set_a.gamma.dimension + 10) * 2.0 ** -52
+
+    @staticmethod
+    def _columns(s: SublevelSet) -> list[list[float]]:
+        if s.geometry == "tube":
+            frame = s.data["frame"]
+            return [frame[:, 0].tolist(), frame[:, 1].tolist()]
+        return [s.data["fixed"].tolist()]
+
+    @staticmethod
+    def _norm(normal, columns: list) -> float:
+        """|projection of N| = sqrt(s (s - 1)) for a tube, w for a horoball."""
+        s = normal[1]
+        return math.sqrt(s * (s - 1.0)) if len(columns) == 2 else s
+
+    def decide(self, x: Sequence[float]) -> tuple[bool, float]:
+        """(P >= 0 exactly, the float inner product of the unit gradients)."""
+        normal_a = _normal(x, self.columns_a, -1)
+        normal_b = _normal(x, self.columns_b, -1)
+        p = _polynomial(normal_a, normal_b, self.gram)
+        abs_x = [abs(v) for v in x]
+        bound = _polynomial(_normal(abs_x, self.abs_a, 1), _normal(abs_x, self.abs_b, 1),
+                            self.abs_gram)
+        if self._TINY <= bound < math.inf and abs(p) > self.error_factor * bound:
+            nonnegative = p > 0
+        else:
+            nonnegative = _exact_polynomial(x, self.columns_a, self.columns_b) >= 0
+        ip = p / (self._norm(normal_a, self.columns_a) * self._norm(normal_b, self.columns_b))
+        return nonnegative, ip
 
 
 @dataclass(frozen=True)
@@ -439,26 +509,33 @@ class ObtuseAngleReport:
 
 def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
                        eps_a: float, eps_b: float,
-                       samples: int = 200, seed: int = 0,
-                       tolerance: float = 1e-6) -> ObtuseAngleReport:
+                       samples: int = 200, seed: int = 0) -> ObtuseAngleReport:
     """Gradients of the distances to two commuting sub-level sets never
     point against each other.
 
-    Sample points are drawn outside both sets; at each the two gradient
-    fields are estimated by central differences and their inner product
-    recorded.  Passes when the minimum stays above -tolerance.
+    Sample points are drawn outside both sets.  At each, the gradients are
+    taken in closed form: -(a p + b u) / (c sqrt(c^2 - 1)) for a tube with
+    frame columns (p, u), a = -<x, p>, b = <x, u>, c = sqrt(a^2 - b^2), and
+    -n / w for a horoball at the null vector n, w = -<x, n>.  The sign of
+    their Riemannian inner product <G_a, G_b> + <x, G_a> <x, G_b> is decided
+    exactly for the stored floats: a float evaluation with a rounding bound
+    settles it, and rational arithmetic the rest.  Passes when every sign
+    is >= 0.  min_inner_product is the float inner product of the unit
+    gradients, for display.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if not a.commutes_with(b):
         raise GeometryError("isometries do not commute within tolerance")
     set_a = SublevelSet.of(a, eps_a)
     set_b = SublevelSet.of(b, eps_b)
+    pair = _GradientPair(set_a, set_b)
     d = a.dimension
     rng = np.random.default_rng(seed)
 
-    clearance = 10 * FD_STEP
-    base = base_point(d)
     collected = 0
     min_ip = math.inf
+    passed = True
     attempts = 0
     max_attempts = 200 * samples
     while collected < samples:
@@ -467,20 +544,18 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
                 f"could only place {collected}/{samples} samples outside both sub-level sets")
         attempts += 1
         direction = rng.standard_normal(d)
-        direction /= np.linalg.norm(direction)
-        tangent = np.zeros(d + 1)
-        tangent[1:] = direction
+        direction /= math.sqrt(direction @ direction)  # np.linalg.norm, bit for bit
         radius = rng.uniform(0.05, 3.0)
-        x = make_point(exp_map(base, tangent, radius))
-        if set_a.distance_from(x) < clearance or set_b.distance_from(x) < clearance:
+        # exp_map(base_point(d), (0, direction), radius) in the same float operations
+        sinh_r = math.sinh(radius)
+        x = make_point([math.cosh(radius), *(sinh_r * t for t in direction.tolist())])
+        if set_a.contains(x) or set_b.contains(x):
             continue
-        grad_a = fd_gradient(set_a.distance_from, x)
-        grad_b = fd_gradient(set_b.distance_from, x)
-        ip = lorentz_inner(grad_a, grad_b)
+        nonnegative, ip = pair.decide(x.tolist())
+        passed = passed and nonnegative
         min_ip = min(min_ip, ip)
         collected += 1
-    return ObtuseAngleReport(samples=samples, min_inner_product=min_ip,
-                             passed=min_ip >= -tolerance)
+    return ObtuseAngleReport(samples=samples, min_inner_product=min_ip, passed=passed)
 
 
 @dataclass(frozen=True)

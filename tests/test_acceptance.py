@@ -168,12 +168,12 @@ def test_criterion_9_hyperbolic_lab():
     # obtuse angles, 1000 samples for each commuting pair type
     g = hyp.standard_loxodromic(d, 0.2)
     rep = hyp.obtuse_angle_check(g, g.power(2), 0.5, 0.9, samples=1000, seed=0)
-    ok &= rep.passed and rep.min_inner_product >= -1e-6
+    ok &= rep.passed and rep.min_inner_product >= 1 - 1e-12
     fixed = [1.0, 1.0, 0.0, 0.0]
     pa = hyp.parabolic(fixed, [1.0, 0.0])
     pb = hyp.parabolic(fixed, [0.3, 0.7])
     rep = hyp.obtuse_angle_check(pa, pb, 0.4, 0.7, samples=1000, seed=1)
-    ok &= rep.passed and rep.min_inner_product >= -1e-6
+    ok &= rep.passed and rep.min_inner_product >= 1 - 1e-12
     # orbit counts against the volume ratio across a randomized suite
     for _ in range(30):
         dim = int(rng.integers(2, 4))

@@ -286,6 +286,20 @@ def test_verify_hyperbolic_suites_reject_dimension_one(capsys, suite):
     assert "--d must be at least 2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("obtuse", "--samples", "0"), "--samples must be at least 1"),
+    (("obtuse", "--samples", "-3"), "--samples must be at least 1"),
+    (("soule", "--count", "0"), "--count must be at least 1"),
+    (("dv-bound", "--count", "0"), "--count must be at least 1"),
+    (("orbit", "--count", "-2"), "--count must be at least 1"),
+])
+def test_verify_rejects_empty_runs(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 64
+    assert out == ""
+    assert message in err
+
+
 # stdout checked in under tests/expected/; regenerate a file only for a
 # deliberate change of output
 EXPECTED = ROOT / "tests" / "expected"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ def test_obtuse_angle_commuting_loxodromic_powers():
     g = hyp.standard_loxodromic(3, 0.2)
     report = hyp.obtuse_angle_check(g, g.power(2), 0.5, 0.9, samples=100, seed=0)
     assert report.passed
-    assert report.min_inner_product >= -1e-6
+    assert report.min_inner_product >= 1 - 1e-12
 
 
 def test_obtuse_angle_commuting_parabolics():
@@ -219,12 +220,13 @@ def test_obtuse_angle_commuting_parabolics():
     b = hyp.parabolic(fixed, [0.3, 0.7])
     report = hyp.obtuse_angle_check(a, b, 0.4, 0.7, samples=100, seed=1)
     assert report.passed
+    assert report.min_inner_product >= 1 - 1e-12
 
 
 def test_obtuse_angle_identical_gradients():
     g = hyp.standard_loxodromic(3, 0.2)
     report = hyp.obtuse_angle_check(g, g, 0.5, 0.5, samples=30, seed=2)
-    assert report.min_inner_product == pytest.approx(1.0, abs=1e-6)
+    assert report.min_inner_product == pytest.approx(1.0, abs=1e-12)
 
 
 def test_obtuse_angle_rejects_noncommuting():
@@ -233,6 +235,233 @@ def test_obtuse_angle_rejects_noncommuting():
     assert not g.commutes_with(other)
     with pytest.raises(hyp.GeometryError):
         hyp.obtuse_angle_check(g, other, 0.5, 0.5, samples=10, seed=0)
+
+
+def lorentz(x, y):
+    return -x[0] * y[0] + sum(xi * yi for xi, yi in zip(x[1:], y[1:]))
+
+
+def fd_gradient(f, x, step=1e-5):
+    """Riemannian gradient of f at x by central differences along a
+    Lorentz-orthonormal tangent basis (the oracle for the closed forms)."""
+    d = x.shape[0] - 1
+    basis = []
+    for i in range(1, d + 1):
+        v = np.zeros(d + 1)
+        v[i] = 1.0
+        v = hyp.tangent_projection(x, v)
+        for b in basis:
+            v = v - hyp.lorentz_inner(v, b) * b
+        basis.append(v / hyp.tangent_norm(v))
+    grad = np.zeros(d + 1)
+    for v in basis:
+        plus = f(hyp.make_point(hyp.exp_map(x, v, step)))
+        minus = f(hyp.make_point(hyp.exp_map(x, v, -step)))
+        grad += (plus - minus) / (2 * step) * v
+    return grad
+
+
+def closed_form_gradient(s, x):
+    columns = hyp._GradientPair._columns(s)
+    normal = hyp._normal(x.tolist(), columns, -1)
+    n = sum(c * np.array(col) for c, col in zip(normal[0], columns))
+    return hyp.tangent_projection(x, n) / hyp._GradientPair._norm(normal, columns)
+
+
+def generic_parabolic(d, v):
+    fixed = np.zeros(d + 1)
+    fixed[1:] = np.arange(1.0, d + 1)
+    fixed[0] = np.linalg.norm(fixed[1:])
+    return hyp.parabolic(0.7 * fixed, v)
+
+
+@pytest.mark.parametrize("kind", ["tube", "horoball", "generic-horoball"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_closed_form_gradient_matches_central_differences(kind, d):
+    if kind == "tube":
+        s = hyp.SublevelSet.of(hyp.loxodromic([1.0, 0.6, 0.8] + [0.0] * (d - 2),
+                                              [1.0, -0.8, 0.6] + [0.0] * (d - 2), 0.3), 0.5)
+    elif kind == "horoball":
+        s = hyp.SublevelSet.of(hyp.parabolic([1.0, 1.0] + [0.0] * (d - 1),
+                                             [1.5] + [0.5] * (d - 2)), 0.4)
+    else:
+        s = hyp.SublevelSet.of(generic_parabolic(d, [0.8] + [-0.3] * (d - 2)), 0.4)
+    assert s.geometry == kind.removeprefix("generic-")
+    rng = np.random.default_rng(d)
+    checked = 0
+    while checked < 12:
+        x = random_point(rng, d, spread=3.0)
+        if s.distance_from(x) < 1e-3:
+            continue
+        grad = closed_form_gradient(s, x)
+        assert hyp.tangent_norm(grad) == pytest.approx(1.0, abs=1e-12)
+        assert abs(hyp.lorentz_inner(x, grad)) < 1e-12
+        oracle = fd_gradient(s.distance_from, x)
+        assert hyp.tangent_norm(grad - oracle) < 1e-7
+        checked += 1
+
+
+def exact_p(s_a, s_b, x):
+    """<N_a, N_b> + <x, N_a> <x, N_b> over the rationals, straight from the
+    gradient formulas: N = -(a p + b u) for a tube, -n for a horoball."""
+    x = [Fraction(v) for v in x]
+
+    def normal(s):
+        if s.geometry == "horoball":
+            return [-Fraction(v) for v in s.data["fixed"]]
+        p = [Fraction(v) for v in s.data["frame"][:, 0]]
+        u = [Fraction(v) for v in s.data["frame"][:, 1]]
+        a, b = -lorentz(x, p), lorentz(x, u)
+        return [-(a * pi + b * ui) for pi, ui in zip(p, u)]
+
+    n_a, n_b = normal(s_a), normal(s_b)
+    return lorentz(n_a, n_b) + lorentz(x, n_a) * lorentz(x, n_b)
+
+
+def skew_tubes():
+    """Thin tubes around the e1 axis and around an e2-direction axis at
+    distance 2: between them the gradients point against each other."""
+    c, s = math.cosh(2.0), math.sinh(2.0)
+    g = hyp.standard_loxodromic(3, 0.2)
+    h = hyp.loxodromic([c, 0.0, -1.0, s], [c, 0.0, 1.0, s], 0.3)
+    assert not g.commutes_with(h)
+    return g, h, hyp.SublevelSet.of(g, 0.25), hyp.SublevelSet.of(h, 0.35)
+
+
+def outside_both(s_a, s_b, x):
+    return not s_a.contains(x) and not s_b.contains(x)
+
+
+def near_ties(s_a, s_b, points):
+    """Points outside both sets on either side of a sign change of P, found
+    by bisecting the geodesic between a point with P > 0 and one with P < 0
+    down to adjacent float parameters."""
+    positive = [x for x in points if exact_p(s_a, s_b, x) > 0]
+    negative = [x for x in points if exact_p(s_a, s_b, x) < 0]
+    ties = []
+    for x_pos, x_neg in zip(positive, negative):
+        path = hyp.geodesic_through(x_pos, x_neg)
+        lo, hi = 0.0, hyp.distance(x_pos, x_neg)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if exact_p(s_a, s_b, hyp.make_point(path(mid))) > 0:
+                lo = mid
+            else:
+                hi = mid
+        ends = [hyp.make_point(path(t)) for t in (lo, hi)]
+        if all(outside_both(s_a, s_b, x) for x in ends):
+            ties.extend(ends)
+    return ties
+
+
+def test_sign_decision_matches_rational_evaluation_and_goes_exact_only_on_near_ties(
+        monkeypatch):
+    _, _, s_a, s_b = skew_tubes()
+    pair = hyp._GradientPair(s_a, s_b)
+    rng = np.random.default_rng(0)
+    points = [x for x in (random_point(rng, 3, spread=3.0) for _ in range(600))
+              if outside_both(s_a, s_b, x)]
+    exact_calls = []
+    exact = hyp._exact_polynomial
+
+    def counting(*args):
+        exact_calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(hyp, "_exact_polynomial", counting)
+    signs = [pair.decide(x.tolist())[0] for x in points]
+    assert signs == [exact_p(s_a, s_b, x) >= 0 for x in points]
+    assert not all(signs) and any(signs)
+    assert exact_calls == []
+
+    ties = near_ties(s_a, s_b, points)
+    assert len(ties) >= 8
+    for x in ties:
+        before = len(exact_calls)
+        nonnegative, ip = pair.decide(x.tolist())
+        assert len(exact_calls) == before + 1
+        assert nonnegative == (exact_p(s_a, s_b, x) >= 0)
+        assert abs(ip) < 1e-12
+    assert {pair.decide(x.tolist())[0] for x in ties} == {True, False}
+
+
+def test_verdict_is_the_exact_sign(monkeypatch):
+    g, h, s_a, s_b = skew_tubes()
+    seen = []
+    decide = hyp._GradientPair.decide
+
+    def recording(self, x):
+        seen.append(x)
+        return decide(self, x)
+
+    monkeypatch.setattr(hyp.LorentzIsometry, "commutes_with", lambda self, other: True)
+    monkeypatch.setattr(hyp._GradientPair, "decide", recording)
+    report = hyp.obtuse_angle_check(g, h, 0.25, 0.35, samples=60, seed=0)
+    assert len(seen) == 60
+    assert report.passed == all(exact_p(s_a, s_b, x) >= 0 for x in seen)
+    assert not report.passed and report.min_inner_product < 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_coaxial_tubes_and_concentric_horoballs_meet_at_angle_zero(d):
+    g = hyp.standard_loxodromic(d, 0.2)
+    minus, plus = np.zeros(d + 1), np.zeros(d + 1)
+    minus[:2], plus[:2] = (3.0, -3.0), (0.5, 0.5)
+    same_axis = hyp.loxodromic(minus, plus, 0.35)  # another point of the axis as frame origin
+    for other, eps in ((g.power(2), 0.9), (same_axis, 0.8)):
+        report = hyp.obtuse_angle_check(g, other, 0.5, eps, samples=50, seed=d)
+        assert report.passed
+        assert abs(report.min_inner_product - 1) <= 1e-12
+    a = generic_parabolic(d, [1.0] + [0.0] * (d - 2))
+    b = generic_parabolic(d, [0.3] + [0.7] * (d - 2))
+    report = hyp.obtuse_angle_check(a, b, 0.4, 0.7, samples=50, seed=d)
+    assert report.passed
+    assert abs(report.min_inner_product - 1) <= 1e-12
+
+
+def test_obtuse_check_makes_one_point_per_attempt(monkeypatch):
+    calls = {"make_point": 0, "inside": 0}
+    make_point, contains = hyp.make_point, hyp.SublevelSet.contains
+
+    def counting_make_point(coords):
+        calls["make_point"] += 1
+        return make_point(coords)
+
+    def counting_contains(self, x):
+        inside = contains(self, x)
+        calls["inside"] += inside
+        return inside
+
+    monkeypatch.setattr(hyp, "make_point", counting_make_point)
+    monkeypatch.setattr(hyp.SublevelSet, "contains", counting_contains)
+    g = hyp.standard_loxodromic(3, 0.2)
+    g2 = g.power(2)
+    calls["make_point"] = 0
+    hyp.obtuse_angle_check(g, g2, 0.5, 0.9, samples=40, seed=3)
+    # every attempt makes one point and is either rejected or kept
+    assert calls["inside"] > 0
+    assert calls["make_point"] == 40 + calls["inside"]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_obtuse_check_needs_a_sample(samples):
+    g = hyp.standard_loxodromic(3, 0.2)
+    with pytest.raises(ValueError, match="at least 1"):
+        hyp.obtuse_angle_check(g, g.power(2), 0.5, 0.9, samples=samples)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_horoball_constant_matches_probe_calibration(d):
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        direction = rng.standard_normal(d)
+        fixed = np.concatenate([[1.0], direction / np.linalg.norm(direction)])
+        p = hyp.parabolic(rng.uniform(0.3, 3.0) * fixed, rng.standard_normal(d - 1))
+        s = hyp.SublevelSet.of(p, 0.4)
+        probe = hyp.base_point(d)
+        w0 = -hyp.lorentz_inner(probe, s.data["fixed"])
+        cal = (math.cosh(hyp.displacement(p, probe)) - 1.0) / (w0 * w0)
+        assert s.data["w_eps"] == pytest.approx(
+            math.sqrt((math.cosh(0.4) - 1.0) / cal), rel=1e-12)
 
 
 def test_orbit_count_on_axis():
