@@ -12,11 +12,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import mpmath
-
 from .exact import IntegerMatrix, cokernel, independent_columns
 from .homology import relative_homology
-from .precision import working_precision
 from .simplicial import (
     SimplicialPair,
     complexity_profile,
@@ -24,6 +21,24 @@ from .simplicial import (
     random_dv_complex,
     random_subcomplex,
 )
+
+
+def _sqrt_float(n: int) -> float:
+    """The double nearest to sqrt(n) for an integer n >= 0; inf past the float range.
+
+    n is scaled by an even power of two into [2^108, 2^110), plus a sticky
+    bit for any bits shifted out, so its integer root s has 55 bits and
+    sqrt = 2^k (s + f), 0 <= f < 1.  The rounding points of 2s + 2f to 53
+    bits are even integers, so 2s + (1 if f else 0) rounds the same.
+    """
+    k = (n.bit_length() - 109) // 2
+    m = n >> 2 * k if k >= 0 else n << -2 * k
+    s = math.isqrt(m)
+    inexact = s * s != m or (k > 0 and m << 2 * k != n)
+    try:
+        return math.ldexp(float(2 * s + inexact), k - 1)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -62,12 +77,9 @@ def soule_bound(mat: IntegerMatrix, prefer_small_norms: bool = False) -> SouleBo
         bound_sq *= norms_sq[j]
     torsion = cokernel(mat).torsion_order
 
-    with mpmath.workprec(working_precision()):
-        bound_float = float(mpmath.sqrt(bound_sq))
-
     return SouleBoundReport(
         chosen_columns=tuple(chosen),
-        bound=bound_float,
+        bound=_sqrt_float(bound_sq),
         bound_squared=bound_sq,
         exact_torsion=torsion,
         holds=torsion * torsion <= bound_sq,

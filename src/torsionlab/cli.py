@@ -108,10 +108,13 @@ def cmd_constants(args) -> int:
     from . import constants
 
     _require_at_least(args.d, 2, "--d")
+    _require_at_least(args.margulis_m, 1, "--margulis-m")
     try:
         eps = Fraction(args.margulis_eps)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad --margulis-eps {args.margulis_eps!r}") from None
+    if eps <= 0:
+        raise UsageError("--margulis-eps must be positive")
     params = constants.ThickThinParams(d=args.d, margulis_eps=eps, margulis_index=args.margulis_m)
     table = constants.thick_thin_constants(params)
     checks = constants.commutator_inequality_check(args.d)
@@ -391,12 +394,6 @@ def _loaded(module: str, *names: str) -> tuple[type[Exception], ...]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        from .precision import working_precision
-        working_precision()  # fail fast on a bad TORSIONLAB_PRECISION
-    except ValueError as exc:
-        sys.stderr.write(f"torsionlab: usage error: {exc}\n")
-        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
         return args.func(args)

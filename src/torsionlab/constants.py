@@ -4,10 +4,11 @@ Covers Euclidean and hyperbolic ball volumes, the packing ratio
 N(d, r, R) bounding r-discrete sets in R-balls, the unit-vector packing
 number b(d), the thick-thin epsilon assignment with its commutator chain,
 the covering constants c and D, and the figure-eight knot complement
-volume.  The integrals are evaluated in closed form by mpmath at the
-working precision: 2F1 for ball volumes, the incomplete beta function for
-caps (DLMF 15.4, 8.17), and 3 Cl_2(2 pi/3) for the figure-eight volume
-(Milnor).  Independent tanh-sinh quadratures cross-check the first and last.
+volume.  The integrals are evaluated in closed form by mpmath at 96 bits,
+far past the double each is rounded to: 2F1 for ball volumes, the
+incomplete beta function for caps (DLMF 15.4, 8.17), and 3 Cl_2(2 pi/3)
+for the figure-eight volume (Milnor).  Independent tanh-sinh quadratures
+cross-check the first and last.
 
 Thick-thin quantities are exact rationals (fractions of the configured
 Margulis epsilon); only genuinely transcendental values are floats.
@@ -23,7 +24,8 @@ from typing import NamedTuple
 
 import mpmath
 
-from .precision import working_precision
+# The bits of every mpmath evaluation here.
+MPMATH_BITS = 96
 
 
 # --- ball volumes and the packing ratio -------------------------------------
@@ -75,7 +77,7 @@ def hyperbolic_ball_volume(d: int, R: float) -> float:
                 total += term
             return math.pi * total
         return math.pi * (math.sinh(2 * R) - 2 * R)
-    with mpmath.workprec(working_precision()):
+    with mpmath.workprec(MPMATH_BITS):
         a, v = mpmath.mpf(d) / 2, mpmath.sinh(mpmath.mpf(R) / 2) ** 2
         integral = 2 ** (d - 1) * v ** a / a * mpmath.hyp2f1(1 - a, a, a + 1, -v)
     return sphere_surface_area(d) * float(integral)
@@ -85,7 +87,7 @@ def hyperbolic_ball_volume_mp(d: int, R: float) -> float:
     """Independent tanh-sinh quadrature of the same volume (cross-check)."""
     if d == 1:
         return 2.0 * R
-    with mpmath.workprec(working_precision()):
+    with mpmath.workprec(MPMATH_BITS):
         scale = mpmath.sinh(R)  # the integrand peaks at 1: a relative error test for small R
         integral = mpmath.quad(lambda t: (mpmath.sinh(t) / scale) ** (d - 1), [0, R])
         surface = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
@@ -129,7 +131,7 @@ def spherical_cap_area(d: int, theta: float) -> float:
         raise ValueError("dimension must be at least 2")
     if not 0 < theta <= math.pi:
         raise ValueError("cap radius must lie in (0, pi]")
-    with mpmath.workprec(working_precision()):
+    with mpmath.workprec(MPMATH_BITS):
         half, x = mpmath.mpf(d - 1) / 2, mpmath.sin(mpmath.mpf(theta) / 2) ** 2
         integral = 2 ** (d - 2) * mpmath.betainc(half, half, 0, x)
     return sphere_surface_area(d - 1) * float(integral)
@@ -297,22 +299,22 @@ def covering_constants(d: int, eps: float, eps0: float, delta: float, b: int) ->
 # --- figure-eight volume -----------------------------------------------------
 
 @functools.cache
-def _figure_eight_closed_form(bits: int) -> float:
-    with mpmath.workprec(bits):
+def _figure_eight_closed_form() -> float:
+    with mpmath.workprec(MPMATH_BITS):
         return float(3 * mpmath.clsin(2, 2 * mpmath.pi / 3))
 
 
 def figure_eight_volume(refinement: int = 0) -> float:
     """6 * integral_0^(pi/3) of -log(2 sin theta) dtheta = 3 Cl_2(2 pi/3).
 
-    refinement 0 evaluates the Clausen function, once per working
-    precision; refinement 1 uses tanh-sinh quadrature on the integrand,
-    whose log singularity at 0 it absorbs.  The two agree to well below 1e-9.
+    refinement 0 evaluates the Clausen function, once; refinement 1 uses
+    tanh-sinh quadrature on the integrand, whose log singularity at 0 it
+    absorbs.  The two agree to well below 1e-9.
     """
     if refinement == 0:
-        return _figure_eight_closed_form(working_precision())
+        return _figure_eight_closed_form()
     if refinement == 1:
-        with mpmath.workprec(working_precision()):
+        with mpmath.workprec(MPMATH_BITS):
             value = mpmath.quad(lambda t: -mpmath.log(2 * mpmath.sin(t)), [0, mpmath.pi / 3])
             return float(6 * value)
     raise ValueError("refinement must be 0 or 1")

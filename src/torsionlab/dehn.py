@@ -158,16 +158,13 @@ def figure_eight_family(p_range: Sequence[int], q_range: Sequence[int]) -> list[
     return table
 
 
-def ray_singer(tors_order: int, volume: float, rational_homology_sphere: bool = True) -> float:
+def ray_singer(tors_order: int, volume: float) -> float:
     """Analytic torsion of a rational homology sphere:
     -log(torsion order) + log(volume).
 
     The regulator term of the general formula vanishes exactly in the
     rational-homology-sphere case, which is the only one implemented.
     """
-    if not rational_homology_sphere:
-        raise NotImplementedError("regulator computation is out of scope; "
-                                  "only rational homology spheres are supported")
     if tors_order < 1:
         raise ValueError("torsion order must be a positive integer")
     if volume <= 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,15 +99,6 @@ def exp_map(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return math.cosh(t) * x + math.sinh(t) * v
 
 
-def geodesic_through(x: np.ndarray, y: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Unit-speed geodesic c with c(0) = x and c(d(x,y)) = y."""
-    dxy = distance(x, y)
-    if dxy == 0:
-        raise GeometryError("geodesic requires distinct points")
-    v = (y - math.cosh(dxy) * x) / math.sinh(dxy)
-    return lambda t: exp_map(x, v, t)
-
-
 @dataclass(frozen=True)
 class LorentzIsometry:
     """Matrix in O+(d,1), optionally tagged with how it was constructed.
@@ -157,10 +148,10 @@ class LorentzIsometry:
         base = self if k > 0 else self.inverse()
         return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)))
 
-    def commutes_with(self, other: "LorentzIsometry", tol: float = COMMUTE_TOL) -> bool:
+    def commutes_with(self, other: "LorentzIsometry") -> bool:
         ab = self.matrix @ other.matrix
         ba = other.matrix @ self.matrix
-        return float(np.max(np.abs(ab - ba))) <= tol
+        return float(np.max(np.abs(ab - ba))) <= COMMUTE_TOL
 
 
 def identity(d: int) -> LorentzIsometry:

@@ -7,17 +7,20 @@ A_ij = r_i^2 + r_j^2 - |c_i - c_j|^2; on the hyperboloid, where the ball is
 the half-space -<x, c_i> <= h_i = cosh(r_i) sqrt(-<c_i, c_i>) of the upper
 sheet, A_ij = h_i h_j + <c_i, c_j>.  Floats are dyadic rationals, so a
 Euclidean decision is exact.  A grows with h, so rational enclosures of h
-certify a hyperbolic one, or raise when they straddle the boundary.
+certify a hyperbolic one; when they straddle the boundary the decision is
+rerun at doubled bits, and raises only past MAX_ENCLOSURE_BITS.
 
 A nerve builds A once for the whole cover: in E^d from one dyadic scaling
 of every centre and radius; in H^d from one Gram matrix and one enclosure
-of each h_i, at a precision set by the cover's least radius, which gives A
-at the lower and at the upper h.  Of A it keeps the diagonal and the
-entries of the pairs that meet.  A pair meets iff its 2x2 A is copositive,
-a closed form.  A larger tuple is tested only when every facet spans a
-simplex: then each proper principal submatrix of its A is copositive at
-the lower h, and so, A growing with h, at the upper h, and one solve on
-the full support decides the tuple at each end.
+of each h_i, at ENCLOSURE_BITS plus 2 bits per halving of the cover's
+least radius, which gives A at the lower and at the upper h.  Of A it
+keeps the diagonal and the entries of the pairs that meet.  A pair meets
+iff its 2x2 A is copositive, a closed form.  A larger tuple is tested only
+when every facet spans a simplex: then each proper principal submatrix of
+its A is copositive at the lower h, and so, A growing with h, at the upper
+h, and one solve on the full support decides the tuple at each end.  That
+needs every facet certified at the same lower A, so a straddle reruns the
+whole cover, not the one tuple.
 """
 
 from __future__ import annotations
@@ -35,8 +38,12 @@ import numpy as np
 from . import hyperbolic as hyp
 from .exact import AbelianGroupStructure, solve_scaled
 from .homology import all_homology
-from .precision import working_precision
 from .simplicial import SimplicialComplex, SimplicialPair
+
+
+# Bits of the first enclosure of h, and the most that refinement doubles them to.
+ENCLOSURE_BITS = 96
+MAX_ENCLOSURE_BITS = ENCLOSURE_BITS << 6
 
 
 class IndeterminateIntersectionError(RuntimeError):
@@ -166,11 +173,12 @@ class _CoverMatrix:
 
     Every entry is the true A times one positive factor, which copositivity
     ignores.  In H^d, the rows lower and upper hold A at the lower and upper
-    enclosure of h; in E^d there is one exact A and upper is None.  The rows
+    enclosure of h, made at bits plus 2 per halving of the least radius; in
+    E^d there is one exact A, upper is None and bits is unused.  The rows
     keep the diagonal and the entries of the pairs pair_meets() accepts.
     """
 
-    def __init__(self, space, balls: Sequence[tuple[np.ndarray, float]]):
+    def __init__(self, space, balls: Sequence[tuple[np.ndarray, float]], bits: int):
         self.balls = balls
         if space.kind == "E":
             rows = _dyadic([[*c, r] for c, r in balls])
@@ -184,7 +192,7 @@ class _CoverMatrix:
             # A's entries are O(r^2) differences of O(1) terms: 2 more bits per
             # halving of r, so the least radius of the family sets the precision
             least = min((r for _, r in balls), default=1.0)
-            bits = working_precision() + 2 * max(0, -math.frexp(least)[1])
+            bits += 2 * max(0, -math.frexp(least)[1])
             with localcontext(_context(bits)):
                 h = [Fraction(_cosh(r, bits) * Decimal(-self._gram(i, i)).sqrt())
                      for i, (_, r) in enumerate(balls)]
@@ -255,9 +263,25 @@ class _CoverTuple(Sequence):
         return self.matrix.balls[self.indices[k]]
 
 
+def _refined(decide):
+    """decide(bits) from ENCLOSURE_BITS on, doubling the bits while its
+    enclosures straddle; a straddle past MAX_ENCLOSURE_BITS is raised."""
+    bits = ENCLOSURE_BITS
+    while True:
+        try:
+            return decide(bits)
+        except IndeterminateIntersectionError:
+            if bits >= MAX_ENCLOSURE_BITS:
+                raise
+            bits *= 2
+
+
 def _meets(space, balls: Sequence[tuple[np.ndarray, float]], indices: tuple[int, ...]) -> bool:
-    lower, upper = _CoverMatrix(space, balls).full()
-    return _certify(_copositive, lower, upper, indices)
+    def decide(bits):
+        lower, upper = _CoverMatrix(space, balls, bits).full()
+        return _certify(_copositive, lower, upper, indices)
+
+    return _refined(decide)
 
 
 def balls_intersect(space, a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> bool:
@@ -268,8 +292,10 @@ def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
                         indices: tuple[int, ...]) -> bool:
     """Whether the closed balls meet: exact in E^d, certified in H^d.
 
-    A hyperbolic tuple whose enclosure of h at working_precision() bits
-    straddles the boundary raises IndeterminateIntersectionError(indices).
+    A hyperbolic tuple whose enclosure of h straddles the boundary is
+    decided again at doubled bits; past MAX_ENCLOSURE_BITS it raises
+    IndeterminateIntersectionError(indices).  A tuple that nerve() passes
+    is decided at its cover's bits: a straddle there reruns the cover.
     """
     if isinstance(balls, _CoverTuple):
         return balls.matrix.tuple_meets(balls.indices, indices)
@@ -281,14 +307,19 @@ def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
 
     A tuple of indices spans a simplex exactly when the closed balls have
     a common point.  The default cap is the space dimension + 1; homology
-    below the cap is unaffected by it.
+    below the cap is unaffected by it.  A straddling enclosure reruns the
+    whole cover at doubled bits.
     """
     if max_dim is None:
         max_dim = cover.space.dimension + 1
     if max_dim < 1:
         raise ValueError("dimension cap must be at least 1")
+    return _refined(lambda bits: _nerve(cover, max_dim, bits))
+
+
+def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     n = len(cover)
-    matrix = _CoverMatrix(cover.space, cover.elements)
+    matrix = _CoverMatrix(cover.space, cover.elements, bits)
     frontier = [(i, j) for i, j in combinations(range(n), 2) if matrix.pair_meets(i, j)]
     above: list[list[int]] = [[] for _ in range(n)]  # ascending later neighbours
     for i, j in frontier:

@@ -1,11 +1,14 @@
 import math
 import random
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from torsionlab import complexes
 from torsionlab.bounds import (
+    _sqrt_float,
     batch_verify_dv,
     batch_verify_soule,
     dv_torsion_check,
@@ -22,6 +25,55 @@ def test_soule_diagonal_equality():
     assert report.exact_torsion == 6
     assert report.holds
     assert report.bound_squared == report.exact_torsion ** 2
+
+
+def assert_nearest_root(n, x):
+    # x is the double nearest to sqrt(n): n lies between the squares of the
+    # midpoints from x to its neighbours
+    top = Fraction(sys.float_info.max)
+    if x == math.inf:
+        assert n >= ((top + 2 ** 1024) / 2) ** 2
+        return
+    below = Fraction(math.nextafter(x, 0.0))
+    above = Fraction(2 ** 1024) if x == top else Fraction(math.nextafter(x, math.inf))
+    assert ((below + Fraction(x)) / 2) ** 2 <= n <= ((Fraction(x) + above) / 2) ** 2
+
+
+def test_sqrt_float_of_small_values_and_perfect_squares():
+    assert _sqrt_float(0) == 0.0
+    assert _sqrt_float(1) == 1.0
+    for n in range(2, 5000):
+        assert _sqrt_float(n) == math.sqrt(n)
+    rng = random.Random(0)
+    # (2^54 + 2) << 10 puts the root of k*k + 1 just past a tie, with the
+    # only inexact bits among those the scaling shifts out
+    for k in [2 ** 53 + 1, 2 ** 54 + 1, (2 ** 54 + 2) << 10, 3 ** 200,
+              *(1 + rng.getrandbits(rng.randint(1, 1023)) for _ in range(500))]:
+        assert _sqrt_float(k * k) == float(k)  # int -> float rounds correctly
+        assert_nearest_root(k * k + 1, _sqrt_float(k * k + 1))
+        assert_nearest_root(k * k - 1, _sqrt_float(k * k - 1))
+
+
+def test_sqrt_float_of_seeded_norm_products():
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = math.prod(rng.randint(1, 250) for _ in range(rng.randint(1, 40)))
+        assert_nearest_root(n, _sqrt_float(n))
+
+
+def test_sqrt_float_past_two_to_the_1024():
+    top = int(sys.float_info.max)
+    rng = random.Random(5)
+    for n in [2 ** 1024, 2 ** 1024 + 1, 2 ** 2047 - 1, top * top,
+              (top + 2 ** 970) ** 2 - 1, *(rng.getrandbits(2047) for _ in range(200))]:
+        x = _sqrt_float(n)
+        assert x < math.inf
+        assert_nearest_root(n, x)
+    assert _sqrt_float(top * top) == sys.float_info.max
+    # the midpoint to 2^1024 rounds to even, past the float range
+    for n in [(top + 2 ** 970) ** 2, 2 ** 2048, 7 ** 5000]:
+        assert _sqrt_float(n) == math.inf
+        assert_nearest_root(n, math.inf)
 
 
 @pytest.mark.parametrize("diag", [[1, 1], [2, 5, 9], [3], [4, 4, 4, 4]])

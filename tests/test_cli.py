@@ -94,6 +94,19 @@ def test_constants_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--margulis-m", "0", "--margulis-m must be at least 1"),
+    ("--margulis-m", "-2", "--margulis-m must be at least 1"),
+    ("--margulis-eps", "0", "--margulis-eps must be positive"),
+    ("--margulis-eps", "-1", "--margulis-eps must be positive"),
+])
+def test_constants_bad_margulis_arguments_are_usage_errors(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "constants", "--d", "3", flag, value)
+    assert code == 64
+    assert out == ""
+    assert err == f"torsionlab: usage error: {message}\n"
+
+
 def test_dehn_fill_figure_eight(capsys):
     code, out, _ = run_cli(capsys, "dehn-fill", "--mu", "1", "--lambda", "0",
                            "--relations", "none", "--p", "5", "--q", "1")
@@ -190,6 +203,20 @@ def test_nerve_import_does_not_load_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("suite", ["soule", "dv-bound"])
+def test_bound_suites_do_not_load_mpmath(suite):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys; from torsionlab.cli import main; "
+             f"code = main(['verify', '{suite}', '--count', '3']); "
+             "print(code, 'mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *_, summary, last = proc.stdout.splitlines()
+    assert json.loads(summary)["suite"] == suite
+    assert last == "0 False"
 
 
 def test_homology_loads_neither_numpy_nor_mpmath():

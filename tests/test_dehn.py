@@ -132,8 +132,6 @@ def test_knot_complement_data_shape():
 def test_ray_singer_values():
     assert ray_singer(1, math.e) == pytest.approx(1.0)
     assert ray_singer(5, 2.0) == pytest.approx(math.log(2 / 5))
-    with pytest.raises(NotImplementedError):
-        ray_singer(5, 2.0, rational_homology_sphere=False)
     with pytest.raises(ValueError):
         ray_singer(0, 1.0)
 

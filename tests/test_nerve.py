@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -229,37 +230,96 @@ def test_duplicate_hyperbolic_balls_meet():
     assert nerve(cover).f_vector() == (4, 6, 4, 1)
 
 
+def start_at_eight_bits(patch, cap=False):
+    # an 8-bit enclosure of cosh(r) cannot place balls 1e-6 from tangency;
+    # with the cap at 8 too there are no bits left to refine to
+    patch.setattr(nerve_module, "ENCLOSURE_BITS", 8)
+    if cap:
+        patch.setattr(nerve_module, "MAX_ENCLOSURE_BITS", 8)
+
+
+def count_matrices(monkeypatch):
+    """The (bits, ball count) of every cover matrix built from now on."""
+    built = []
+
+    class Counting(nerve_module._CoverMatrix):
+        def __init__(self, space, balls, bits):
+            built.append((bits, len(balls)))
+            super().__init__(space, balls, bits)
+
+    monkeypatch.setattr(nerve_module, "_CoverMatrix", Counting)
+    return built
+
+
+def assert_refined(built, balls):
+    # a straddle at 8 bits, then doubled bits on the same balls until decided
+    assert len(built) > 1
+    assert built == [(8 << k, balls) for k in range(len(built))]
+
+
+def straddling_pair_cover():
+    d = 1.0 + 1e-6
+    far = [math.cosh(5.0), math.sinh(5.0), 0.0]
+    tangent = [math.cosh(d), math.sinh(d), 0.0]
+    return BallCover.of(HyperbolicSpace(2), [(far, 0.5), ([1.0, 0.0, 0.0], 0.5), (tangent, 0.5)])
+
+
+def straddling_triangle_cover(shift=1e-6):
+    far = ([math.cosh(5.0), math.sinh(5.0), 0.0], 0.5)
+    triple = _hyperbolic_triple(0.5 * (1 + shift)).elements
+    return BallCover.of(HyperbolicSpace(2), [far, *triple])
+
+
 def test_straddling_hyperbolic_enclosure_raises_with_names(monkeypatch):
-    # an 8-bit enclosure of cosh(r) cannot place a triple 1e-6 from tangency
-    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
+    start_at_eight_bits(monkeypatch, cap=True)
+    built = count_matrices(monkeypatch)
     cover = _hyperbolic_triple(0.5 * (1 + 1e-6))
     with pytest.raises(IndeterminateIntersectionError) as err:
         common_point_exists(cover.space, cover.elements, (3, 5, 8))
     assert err.value.indices == (3, 5, 8)
-
-
-def test_straddling_pair_names_its_cover_indices(monkeypatch):
-    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
-    d = 1.0 + 1e-6
-    far = [math.cosh(5.0), math.sinh(5.0), 0.0]
-    tangent = [math.cosh(d), math.sinh(d), 0.0]
-    cover = BallCover.of(HyperbolicSpace(2), [(far, 0.5), ([1.0, 0.0, 0.0], 0.5), (tangent, 0.5)])
-    with pytest.raises(IndeterminateIntersectionError) as err:
-        nerve(cover)
-    assert err.value.indices == (1, 2)
+    assert built == [(8, 3)]  # nothing past the cap is tried
 
 
 @pytest.mark.parametrize("shift, meets", [(1e-6, True), (-1e-6, False)])
-def test_enclosure_follows_the_working_precision(monkeypatch, shift, meets):
+def test_straddling_triple_is_refined_to_the_exact_answer(monkeypatch, shift, meets):
+    cover = _hyperbolic_triple(0.5 * (1 + shift))
+    assert common_point_exists(cover.space, cover.elements, (0, 1, 2)) == meets
+    start_at_eight_bits(monkeypatch)
+    built = count_matrices(monkeypatch)
+    assert common_point_exists(cover.space, cover.elements, (0, 1, 2)) == meets
+    assert_refined(built, 3)
+    assert nerve(cover).f_vector() == ((3, 3, 1) if meets else (3, 3))
+
+
+def test_straddling_pair_names_its_cover_indices(monkeypatch):
+    start_at_eight_bits(monkeypatch, cap=True)
+    with pytest.raises(IndeterminateIntersectionError) as err:
+        nerve(straddling_pair_cover())
+    assert err.value.indices == (1, 2)
+
+
+def test_straddling_pair_is_refined_to_the_exact_answer(monkeypatch):
+    cover = straddling_pair_cover()
+    want = nerve(cover).simplices
+    assert (1, 2) not in want
+    start_at_eight_bits(monkeypatch)
+    assert not balls_intersect(cover.space, cover.elements[1], cover.elements[2])
+    built = count_matrices(monkeypatch)
+    assert nerve(cover).simplices == want
+    assert_refined(built, 3)
+
+
+@pytest.mark.parametrize("shift, meets", [(1e-6, True), (-1e-6, False)])
+def test_enclosure_follows_the_enclosure_bits(monkeypatch, shift, meets):
     # cosh r is computed once per (radius, bits): an enclosure made at 8 bits
-    # must not stand in for the default precision afterwards, nor the reverse
+    # must not stand in for the default bits afterwards, nor the reverse
     cover = _hyperbolic_triple(0.5 * (1 + shift))
     with monkeypatch.context() as patch:
-        patch.setattr(nerve_module, "working_precision", lambda: 8)
+        start_at_eight_bits(patch, cap=True)
         with pytest.raises(IndeterminateIntersectionError):
             common_point_exists(cover.space, cover.elements, (0, 1, 2))
     assert common_point_exists(cover.space, cover.elements, (0, 1, 2)) == meets
-    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
+    start_at_eight_bits(monkeypatch, cap=True)
     with pytest.raises(IndeterminateIntersectionError):
         common_point_exists(cover.space, cover.elements, (0, 1, 2))
 
@@ -474,13 +534,47 @@ def test_nerve_agrees_with_every_tuple_decided_alone(kind, radii, seed):
 
 
 def test_straddling_triangle_names_its_cover_indices(monkeypatch):
-    monkeypatch.setattr(nerve_module, "working_precision", lambda: 8)
-    far = ([math.cosh(5.0), math.sinh(5.0), 0.0], 0.5)
-    triple = _hyperbolic_triple(0.5 * (1 + 1e-6)).elements
-    cover = BallCover.of(HyperbolicSpace(2), [far, *triple])
+    start_at_eight_bits(monkeypatch, cap=True)
     with pytest.raises(IndeterminateIntersectionError) as err:
-        nerve(cover)
+        nerve(straddling_triangle_cover())
     assert err.value.indices == (1, 2, 3)
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_straddling_triangle_reruns_its_whole_cover(monkeypatch, shift):
+    # the triangle's pairs are decided at 8 bits, but its test needs every
+    # facet certified at the same lower A: each rerun rebuilds all four balls
+    cover = straddling_triangle_cover(shift)
+    want = nerve(cover).simplices
+    assert ((1, 2, 3) in want) == (shift > 0)
+    start_at_eight_bits(monkeypatch)
+    built = count_matrices(monkeypatch)
+    assert nerve(cover).simplices == want
+    assert_refined(built, 4)
+
+
+def bench_workloads():
+    """perfbench/workloads.py, which draws the nerve-cover benchmark's covers."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_covers_that_never_straddle_are_built_once(monkeypatch, seed):
+    # six E3 and six H3 covers, each moved by the seed
+    workloads = bench_workloads()
+    rng = random.Random(seed)
+    built = count_matrices(monkeypatch)
+    for (kind, centres, radius), f_vector in zip(workloads.cover_family(),
+                                                 workloads.NERVE_F_VECTORS):
+        space = EuclideanSpace(3) if kind == "E" else HyperbolicSpace(3)
+        cover = BallCover.of(space, workloads.moved_copy(kind, centres, radius, rng))
+        built.clear()
+        assert nerve(cover, max_dim=2).f_vector() == f_vector
+        assert built == [(nerve_module.ENCLOSURE_BITS, len(cover))]
 
 
 @pytest.mark.parametrize("kind, seed", [("E", 3), ("H", 7)])
