@@ -3,7 +3,7 @@
 Modules by theme:
 
 - simplicial / complexes: finite complexes, pairs, boundary matrices
-- exact / homology: Smith normal form, cokernels, integer homology
+- exact / homology: rank and invariant factors, cokernels, integer homology
 - bounds: the column-norm cokernel bound and the (D, V) torsion bound
 - nerve: nerves of ball covers and the nerve-lemma checks
 - hyperbolic: hyperboloid-model geometry and displacement checks

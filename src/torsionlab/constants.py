@@ -241,6 +241,12 @@ class CommutatorCheck:
     passes: bool
 
 
+def _commutator_pair(rank_a: int, rank_c: int) -> CommutatorCheck:
+    lhs = Fraction(16, 4 * 17 ** rank_a)
+    rhs = Fraction(1, 4 * 17 ** rank_c)
+    return CommutatorCheck(rank_a, rank_c, lhs, rhs, lhs < rhs)
+
+
 def commutator_inequality_check(d: int) -> list[CommutatorCheck]:
     """Exact check of 16/(4*17^i_a) < 1/(4*17^i_c) for all admissible ranks.
 
@@ -250,20 +256,23 @@ def commutator_inequality_check(d: int) -> list[CommutatorCheck]:
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    checks = []
-    for rank_a in range(1, d):
-        for rank_c in range(rank_a):
-            lhs = Fraction(16, 4 * 17 ** rank_a)
-            rhs = Fraction(1, 4 * 17 ** rank_c)
-            checks.append(CommutatorCheck(rank_a, rank_c, lhs, rhs, lhs < rhs))
-    return checks
+    return [_commutator_pair(rank_a, rank_c) for rank_a in range(1, d) for rank_c in range(rank_a)]
+
+
+def commutator_chain_passes(d: int) -> bool:
+    """Whether every pair of ``commutator_inequality_check(d)`` passes.
+
+    1/(4*17^i_c) falls as i_c grows, so for each i_a the pair with
+    i_c = i_a - 1 is the tightest: d - 1 comparisons, not d(d-1)/2.
+    """
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    return all(_commutator_pair(rank_a, rank_a - 1).passes for rank_a in range(1, d))
 
 
 def commutator_inequality_violation(rank: int) -> CommutatorCheck:
     """The same inequality without the rank drop (i_c = i_a): always fails."""
-    lhs = Fraction(16, 4 * 17 ** rank)
-    rhs = Fraction(1, 4 * 17 ** rank)
-    return CommutatorCheck(rank, rank, lhs, rhs, lhs < rhs)
+    return _commutator_pair(rank, rank)
 
 
 # --- covering constants ------------------------------------------------------

@@ -6,12 +6,9 @@ n_k - rank(d_k) - rank(d_{k+1}) and the torsion is read off the invariant
 factors of d_{k+1}.  The convention is unreduced homology: H_0 of a
 connected complex is Z.
 
-Each boundary matrix is reduced in two stages.  ``exact.unit_reduce``
-eliminates its +-1 pivots on sparse columns; unimodular row and column
-operations do not change the Smith form, and each unit pivot splits off a
-diagonal 1, so the rank is the unit count plus the residual's rank and the
-torsion is the residual's.  ``smith_normal_form`` then runs on the residual
-alone, which on the boundary matrices of surfaces and nerves is tiny.
+Both boundary matrices go through ``exact.smith_normal_form``, the sparse
+elimination that returns the rank and the invariant factors above 1.  On
+the boundary matrices of surfaces and nerves nearly every pivot is +-1.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from .exact import (
     rank_mod_p,
     rational_rank,
     smith_normal_form,
-    unit_reduce,
 )
 from .simplicial import (
     SimplicialComplex,
@@ -37,20 +33,13 @@ from .simplicial import (
 ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _rank_and_torsion(mat: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors above 1: unit pivots, then SNF of the residual."""
-    units, residual = unit_reduce(mat)
-    snf = smith_normal_form(residual)
-    return units + snf.rank, snf.invariant_factors()
-
-
 def _homology_from_boundaries(d_k: IntegerMatrix, d_k1: IntegerMatrix) -> AbelianGroupStructure:
-    rank_out, _ = _rank_and_torsion(d_k)
-    rank_in, torsion = _rank_and_torsion(d_k1)
-    betti = d_k.cols - rank_out - rank_in
+    rank_out = smith_normal_form(d_k).rank
+    snf_in = smith_normal_form(d_k1)
+    betti = d_k.cols - rank_out - snf_in.rank
     if betti < 0:
         raise ExactArithmeticError("negative Betti number: boundary maps are inconsistent")
-    return AbelianGroupStructure(betti=betti, invariant_factors=torsion)
+    return AbelianGroupStructure(betti=betti, invariant_factors=snf_in.invariant_factors())
 
 
 def homology(complex_: SimplicialComplex, k: int) -> AbelianGroupStructure:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,23 @@ def test_constants_document(capsys):
     assert doc["eps"]["fraction"] == "1/668168"
     assert doc["commutator_chain_passes"] is True
     assert "figure_eight_volume" not in doc
+
+
+def test_constants_past_the_int_string_limit(capsys):
+    # 4 * 17^3599 has 4430 digits, past the 4300 that str(int) accepts;
+    # the defaults are --margulis-eps 0.1 --margulis-m 2
+    code, out, err = run_cli(capsys, "constants", "--d", "3600")
+    assert code == 0, err
+    doc = json.loads(out)
+
+    def exact(text):
+        num, den = text.split("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
+
+    assert exact(doc["eps"]["fraction"]) == Fraction(1, 10 * 4 * 2 * 17 ** 3600)
+    assert len(doc["epsilon_by_rank"]) == 3600
+    assert exact(doc["epsilon_by_rank"][3599]["fraction"]) == Fraction(1, 10 * 4 * 17 ** 3599)
+    assert doc["commutator_chain_passes"] is True
 
 
 def test_constants_m8_flag_gates_volume(capsys):

@@ -9,6 +9,7 @@ from torsionlab.constants import (
     CommutatorCheck,
     EpsilonAssignment,
     ThickThinParams,
+    commutator_chain_passes,
     commutator_inequality_check,
     commutator_inequality_violation,
     covering_constants,
@@ -185,6 +186,13 @@ def test_commutator_chain_exhaustive():
         checks = commutator_inequality_check(d)
         assert len(checks) == d * (d - 1) // 2
         assert all(c.passes for c in checks)
+
+
+def test_commutator_chain_passes_agrees_with_every_pair():
+    for d in range(2, 41):
+        assert commutator_chain_passes(d) is all(c.passes for c in commutator_inequality_check(d)) is True
+    with pytest.raises(ValueError):
+        commutator_chain_passes(1)
 
 
 def test_commutator_first_case():

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,47 +17,87 @@ from torsionlab.exact import (
     rational_rank,
     smith_normal_form,
     solve_scaled,
-    unit_reduce,
 )
 from torsionlab.homology import ORACLE_PRIMES
+from torsionlab.simplicial import boundary_matrix, build_complex
+
+
+def smith_diagonal(snf):
+    """The nonzero diagonal of the Smith form: 1s, then the invariant factors."""
+    factors = snf.invariant_factors()
+    return [1] * (snf.rank - len(factors)) + list(factors)
+
+
+def determinantal_divisors(mat):
+    """D_k = gcd of all k x k minors for k = 1 .. min(rows, cols)."""
+    divisors = []
+    for k in range(1, min(mat.rows, mat.cols) + 1):
+        g = 0
+        for rows in combinations(mat.entries, k):
+            for cols in combinations(range(mat.cols), k):
+                g = math.gcd(g, determinant(IntegerMatrix.from_rows([[row[j] for j in cols] for row in rows], k)))
+        divisors.append(g)
+    return divisors
 
 
 def assert_valid_snf(mat):
+    """Check the kernel against the Bareiss ranks and determinant, and up to
+    5 x 5 against the determinantal divisors: D_k = d_1 ... d_k."""
     snf = smith_normal_form(mat)
-    assert (snf.U @ mat @ snf.V).entries == snf.S.entries
-    assert abs(determinant(snf.U)) == 1
-    assert abs(determinant(snf.V)) == 1
-    diag = snf.S.diagonal_entries()
-    for i in range(min(mat.rows, mat.cols)):
-        for j in range(mat.cols):
-            if i != j and i < snf.S.rows:
-                assert snf.S.entries[i][j] == 0 or i == j
-    nonzero = [d for d in diag if d != 0]
-    assert all(d > 0 for d in nonzero)
-    assert len(nonzero) == snf.rank
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-    # zeros come after the nonzero invariant factors
-    assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))
+    diag = smith_diagonal(snf)
+    assert all(d > 1 for d in snf.invariant_factors())
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert snf.rank == rational_rank(mat)
+    for p in ORACLE_PRIMES:
+        assert rank_mod_p(mat, p) == sum(1 for d in diag if d % p)
+    if mat.rows == mat.cols:
+        assert abs(determinant(mat)) == (math.prod(diag) if snf.rank == mat.rows else 0)
+    if mat.rows <= 5 and mat.cols <= 5:
+        divisors = determinantal_divisors(mat)
+        assert divisors == [math.prod(diag[:k]) if k <= snf.rank else 0
+                            for k in range(1, len(divisors) + 1)]
+    assert cokernel(mat) == AbelianGroupStructure(mat.rows - snf.rank, snf.invariant_factors())
     return snf
 
 
 def test_snf_diagonal_2_3():
     snf = assert_valid_snf(IntegerMatrix.diagonal([2, 3]))
-    assert snf.S.diagonal_entries() == (1, 6)
+    assert (snf.rank, snf.invariant_factors()) == (2, (6,))
+
+
+@pytest.mark.parametrize("diag, factors", [
+    ([4, 6], (2, 12)),
+    ([2, 2, 3, 3], (6, 6)),  # each factor must meet every later one, not just the next
+    ([2, 3, 5, 7, 4], (2, 420)),
+])
+def test_snf_of_diagonal_matrices(diag, factors):
+    snf = assert_valid_snf(IntegerMatrix.diagonal(diag))
+    assert (snf.rank, snf.invariant_factors()) == (len(diag), factors)
 
 
 def test_snf_zero_matrix():
     snf = assert_valid_snf(IntegerMatrix.zeros(3, 2))
-    assert snf.rank == 0
-    assert snf.S.is_zero()
+    assert (snf.rank, snf.invariant_factors()) == (0, ())
 
 
 def test_snf_empty_shapes():
-    for rows, cols in [(0, 0), (0, 3), (3, 0)]:
-        snf = smith_normal_form(IntegerMatrix.zeros(rows, cols))
-        assert snf.rank == 0
-        assert snf.S.rows == rows and snf.S.cols == cols
+    for rows, cols in [(0, 0), (0, 4), (4, 0)]:
+        for mat in (IntegerMatrix.zeros(rows, cols), IntegerMatrix.from_columns(rows, cols, [{}] * cols)):
+            snf = smith_normal_form(mat)
+            assert (snf.rank, snf.invariant_factors()) == (0, ())
+            assert cokernel(mat) == AbelianGroupStructure(rows)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
+def test_unit_reduce_empty_shapes(rows, cols):
+    """The kernel's ±1-pivot phase finds no unit in an empty shape, and every
+    rank oracle agrees that nothing is eliminated."""
+    mat = IntegerMatrix.zeros(rows, cols)
+    snf = smith_normal_form(mat)
+    assert (snf.rank, snf.factors) == (0, ())
+    assert rational_rank(mat) == 0
+    assert all(rank_mod_p(mat, p) == 0 for p in ORACLE_PRIMES)
+    assert cokernel(mat) == AbelianGroupStructure(rows)
 
 
 def test_snf_random_batch_exact():
@@ -66,8 +107,7 @@ def test_snf_random_batch_exact():
         cols = rng.randint(1, 8)
         mat = IntegerMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols)
-        snf = assert_valid_snf(mat)
-        assert snf.rank == rational_rank(mat)
+        assert_valid_snf(mat)
 
 
 @st.composite
@@ -108,12 +148,7 @@ def columns_of(mat, cols):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(degenerate_matrices(), st.data())
 def test_elimination_agrees_with_snf(mat, data):
-    diag = smith_normal_form(mat).S.diagonal_entries()
-    assert rational_rank(mat) == sum(1 for d in diag if d)
-    for p in ORACLE_PRIMES:
-        assert rank_mod_p(mat, p) == sum(1 for d in diag if d % p)
-    if mat.rows == mat.cols:
-        assert abs(determinant(mat)) == math.prod(diag)
+    assert_valid_snf(mat)
 
     order = data.draw(st.permutations(range(mat.cols)))
     chosen = independent_columns(mat, order)
@@ -176,42 +211,58 @@ UNIT_RICH = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3])
 NON_UNIT = st.one_of(st.just(0), st.integers(2, 40), st.integers(-40, -2))
 
 
-def check_unit_reduce(mat):
-    units, residual = unit_reduce(mat)
-    snf = smith_normal_form(mat)
-    residual_snf = smith_normal_form(residual)
-    assert units + residual_snf.rank == snf.rank == rational_rank(mat)
-    assert residual_snf.invariant_factors() == snf.invariant_factors()
-    assert cokernel(mat) == AbelianGroupStructure(mat.rows - snf.rank, snf.invariant_factors())
-    # every unit is eliminated, and no zero row or column survives
-    assert all(abs(v) != 1 for row in residual.entries for v in row)
-    assert all(any(row) for row in residual.entries)
-    assert all(any(col) for col in zip(*residual.entries))
-    return units, residual
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(sparse_matrices(UNIT_RICH), degenerate_matrices()))
-def test_unit_reduce_agrees_with_snf(mat):
-    check_unit_reduce(mat)
+def test_snf_of_sparse_and_degenerate_matrices(mat):
+    assert_valid_snf(mat)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sparse_matrices(NON_UNIT))
-def test_unit_reduce_without_units_keeps_the_nonzero_part(mat):
-    units, residual = check_unit_reduce(mat)
-    assert units == 0
-    nonzero_rows = [row for row in mat.entries if any(row)]
-    nonzero_cols = [j for j in range(mat.cols) if any(row[j] for row in mat.entries)]
-    assert residual.entries == tuple(tuple(row[j] for j in nonzero_cols) for row in nonzero_rows)
+def test_snf_without_units(mat):
+    assert_valid_snf(mat)
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
-def test_unit_reduce_empty_shapes(rows, cols):
-    units, residual = unit_reduce(IntegerMatrix.zeros(rows, cols))
-    assert units == 0
-    assert (residual.rows, residual.cols) == (0, 0)
-    assert cokernel(IntegerMatrix.zeros(rows, cols)) == AbelianGroupStructure(rows)
+def grid_klein_bottle(n):
+    """n x n grid with the i = n edge glued back by j -> -j, squares cut diagonally."""
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, -j
+        return i * n + j % n
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
+            triangles += [(a, b, d), (a, c, d)]
+    return build_complex(triangles, vertex_count=n * n)
+
+
+@pytest.mark.parametrize("scale", [2, 6])
+def test_snf_of_scaled_klein_bottle_boundaries(scale):
+    # no entry is a unit; the Smith form of d_1 is 1 (35 times) and of
+    # d_2 is 1 (71 times) then 2, each scaled
+    klein = grid_klein_bottle(6)
+    for k, factors in [(1, (scale,) * 35), (2, (scale,) * 71 + (2 * scale,))]:
+        d = boundary_matrix(klein, k)
+        scaled = IntegerMatrix.from_columns(
+            d.rows, d.cols, [{i: scale * v for i, v in col.items()} for col in d.columns])
+        snf = smith_normal_form(scaled)
+        assert (snf.rank, snf.invariant_factors()) == (len(factors), factors)
+        assert snf.rank == rational_rank(scaled)
+        assert rank_mod_p(scaled, 3) == (len(factors) if scale == 2 else 0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_snf_of_a_bidiagonal_presentation_of_a_large_cyclic_group(reverse):
+    # column i is 2 e_i - e_{i+1}, the last one 2 e_n: e_{i+1} = 2 e_i and
+    # 2^n e_1 = 0 present Z/2^n
+    n = 200
+    columns = [{i: 2, i + 1: -1} for i in range(n - 1)] + [{n - 1: 2}]
+    mat = IntegerMatrix.from_columns(n, n, columns[::-1] if reverse else columns)
+    snf = smith_normal_form(mat)
+    assert (snf.rank, snf.invariant_factors()) == (n, (2 ** n,))
+    assert cokernel(mat) == AbelianGroupStructure(0, (2 ** n,))
 
 
 def test_cokernel_diag():
@@ -286,8 +337,8 @@ def test_matrix_from_columns_agrees_with_from_rows(mat):
     sparse = sparse_copy(mat)
     # reduce before anything reads entries: a reduction that edited the
     # columns in place would change the second reduction and the entries
-    first = unit_reduce(sparse)
-    assert unit_reduce(sparse) == first == unit_reduce(mat)
+    first = smith_normal_form(sparse)
+    assert smith_normal_form(sparse) == first == smith_normal_form(mat)
     assert sparse.entries == mat.entries
     assert sparse == mat and mat == sparse
     assert hash(sparse) == hash(mat)
