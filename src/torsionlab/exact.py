@@ -15,6 +15,7 @@ solve.  The two share no code, so each is an oracle for the other.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
@@ -35,7 +36,7 @@ class IntegerMatrix:
     dense rows x cols tuples the first time something reads ``entries``; a
     matrix built from entries scans its columns from them.  Immutable: all
     operations return new matrices, and the dicts of ``columns`` must not
-    be changed.
+    be changed: ``smith_normal_form`` keeps its result on the matrix.
     """
 
     rows: int
@@ -273,18 +274,61 @@ class SNFResult:
         return self.factors
 
 
-def _divisibility_chain(d: list[int]) -> tuple[int, ...]:
-    """The entries above 1 of the Smith form of diag(d), ascending: diag(a, b)
-    and diag(gcd, lcm) have the same Smith form.  Works in place."""
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return tuple(x for x in d if x > 1)
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers above 1 of which every value is a product.
+
+    Two members with a common factor g are split into g, b / g and x / g;
+    each split lowers the sum of the logarithms, so the refinement ends.
+    """
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _divisibility_chain(d: Sequence[int]) -> tuple[int, ...]:
+    """The entries above 1 of the Smith form of diag(d), ascending.
+
+    Over a pairwise coprime base b, each entry is a product of powers
+    b^e, and Z/d splits into the Z/b^e (Chinese remainder theorem).  The
+    i-th largest invariant factor is then the product over b of b raised
+    to the i-th largest exponent of b.  The base is built from the
+    distinct entries, so repeated pivots cost no gcds.
+    """
+    counts = Counter(d)
+    exponents: dict[int, list[int]] = {}
+    for b in _coprime_base(counts):
+        es = exponents[b] = []
+        for v, n in counts.items():
+            e = 0
+            while v % b == 0:
+                v //= b
+                e += 1
+            if e:
+                es += [e] * n
+    chain = [1] * max(map(len, exponents.values()), default=0)
+    for b, es in exponents.items():
+        es.sort(reverse=True)
+        for i, e in enumerate(es):
+            chain[i] *= b ** e
+    return tuple(reversed(chain))
 
 
 def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     """Rank and invariant factors above 1, by elimination on sparse columns.
+
+    The result is kept on ``mat``, so a second call on the same matrix
+    returns it without eliminating again; this is why the matrix and the
+    dicts of its ``columns`` must not be changed.
 
     A pivot p at (r, c) is eliminated by column operations that clear row
     r; once the rest of column c is a multiple of p, row r and column c are
@@ -297,13 +341,34 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     small; taking over at the first remainder runs for minutes on some
     dense 20 x 20 matrices with entries up to 1000.
     """
+    snf = mat.__dict__.get("_snf")
+    if snf is None:
+        snf = _smith_kernel(mat)
+        object.__setattr__(mat, "_snf", snf)
+    return snf
+
+
+def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
     cols = [dict(col) for col in mat.columns]
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
     for j, col in enumerate(cols):
         for i in col:
             row_cols[i].add(j)
+    # unit pivots: (column size, column); every change to a column pushes
+    # it again, and an entry whose size is out of date is skipped
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
+    # other pivots: (least magnitude, column size, column), the order of a
+    # full scan.  A changed column is pushed on ``heap``, and the unit loop
+    # moves each live column it passes over into ``changed``; so at each
+    # non-unit pivot every live column has its current key in ``least``,
+    # and an entry whose key is out of date is skipped.
+    least: list[tuple[int, int, int]] = []
+    changed = set(range(len(cols)))
+
+    def key(j: int) -> tuple[int, int, int]:
+        col = cols[j]
+        return min(map(abs, col.values())), len(col), j
 
     def clear_row(r: int, c: int) -> int | None:
         """Reduce row r by column c; the column of least remainder, if any."""
@@ -344,16 +409,24 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
                 continue  # a stale entry: the column changed or was eliminated
             unit_rows = [i for i, v in pivot_col.items() if v == 1 or v == -1]
             if not unit_rows:
+                changed.add(c)
                 continue
             r = min(unit_rows, key=lambda i: (len(row_cols[i]), i))
             clear_row(r, c)
             drop(c)
             rank += 1
-        live = [(min(map(abs, col.values())), len(col), j) for j, col in enumerate(cols) if col]
-        if not live:
+        for j in changed:
+            if cols[j]:
+                heapq.heappush(least, key(j))
+        changed.clear()
+        while least:
+            entry = heapq.heappop(least)
+            if cols[entry[2]] and key(entry[2]) == entry:
+                break
+        else:
             break
-        least, _, c = min(live)
-        r = min((i for i, v in cols[c].items() if abs(v) == least),
+        smallest, _, c = entry
+        r = min((i for i, v in cols[c].items() if abs(v) == smallest),
                 key=lambda i: (len(row_cols[i]), i))
         while True:
             j = clear_row(r, c)

@@ -9,6 +9,9 @@ connected complex is Z.
 Both boundary matrices go through ``exact.smith_normal_form``, the sparse
 elimination that returns the rank and the invariant factors above 1.  On
 the boundary matrices of surfaces and nerves nearly every pivot is +-1.
+A complex keeps its boundary matrices and each matrix its Smith form, so
+``all_homology`` builds and eliminates every d_k once although degrees
+k - 1 and k both ask for it.
 """
 
 from __future__ import annotations

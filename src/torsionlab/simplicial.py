@@ -76,6 +76,11 @@ class SimplicialComplex:
             groups[len(s) - 1].append(s)
         return tuple(tuple(sorted(g)) for g in groups)
 
+    @cached_property
+    def _boundaries(self) -> dict[int, IntegerMatrix]:
+        """``boundary_matrix`` results by degree."""
+        return {}
+
     def simplices_of_dim(self, k: int) -> list[Simplex]:
         """k-simplices in the canonical (lexicographic) order."""
         return list(self._sorted_by_dim[k]) if 0 <= k < len(self._sorted_by_dim) else []
@@ -112,6 +117,11 @@ class SimplicialPair:
         if not self.sub.simplices <= self.total.simplices:
             raise MalformedComplexError("subcomplex is not contained in the total complex")
 
+    @cached_property
+    def _boundaries(self) -> dict[int, IntegerMatrix]:
+        """``relative_boundary_matrix`` results by degree."""
+        return {}
+
 
 @dataclass(frozen=True)
 class ComplexityProfile:
@@ -140,10 +150,14 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
     Input sequences need not be sorted, but repeated vertices inside one
     simplex are rejected.
     """
+    return _closure((as_simplex(raw) for raw in maximal_simplices), vertex_count)
+
+
+def _closure(simplices: Iterable[Simplex], vertex_count: int | None) -> SimplicialComplex:
+    """Downward closure of simplices that are canonical already."""
     closed: set[Simplex] = set()
     max_vertex = -1
-    for raw in maximal_simplices:
-        s = as_simplex(raw)
+    for s in simplices:
         max_vertex = max(max_vertex, s[-1])
         closed.add(s)
         closed.update(faces(s))
@@ -189,11 +203,17 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:
     """Matrix of the boundary map from k-chains to (k-1)-chains.
 
     Signs alternate over the sorted vertex order; every column of a
-    nonempty matrix has exactly k+1 entries equal to +-1.
+    nonempty matrix has exactly k+1 entries equal to +-1.  The matrix is
+    kept on the complex and returned again by later calls in degree k, so
+    it must not be changed.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return _assemble_boundary(complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1))
+    mat = complex_._boundaries.get(k)
+    if mat is None:
+        mat = complex_._boundaries[k] = _assemble_boundary(
+            complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1))
+    return mat
 
 
 def relative_boundary_matrix(pair: SimplicialPair, k: int) -> IntegerMatrix:
@@ -201,13 +221,18 @@ def relative_boundary_matrix(pair: SimplicialPair, k: int) -> IntegerMatrix:
 
     Basis: k-simplices of the total complex that are not in the
     subcomplex; boundary faces falling into the subcomplex are dropped.
+    The matrix is kept on the pair and returned again by later calls in
+    degree k, so it must not be changed.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    sub = pair.sub.simplices
-    return _assemble_boundary(
-        [s for s in pair.total.simplices_of_dim(k) if s not in sub],
-        [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub])
+    mat = pair._boundaries.get(k)
+    if mat is None:
+        sub = pair.sub.simplices
+        mat = pair._boundaries[k] = _assemble_boundary(
+            [s for s in pair.total.simplices_of_dim(k) if s not in sub],
+            [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub])
+    return mat
 
 
 def random_dv_complex(max_degree: int, max_vertices: int, dim: int, seed: int) -> SimplicialComplex:
@@ -310,10 +335,7 @@ def _parse_block(lines: list[tuple[int, str]]) -> SimplicialComplex:
             simplices.append(as_simplex(vs))
         except MalformedComplexError as exc:
             raise MalformedComplexError(f"line {lineno}: {exc}") from None
-    try:
-        return build_complex(simplices, vertex_count=n)
-    except MalformedComplexError as exc:
-        raise MalformedComplexError(str(exc)) from None
+    return _closure(simplices, n)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -333,7 +355,10 @@ def read_complex(text: str) -> SimplicialComplex:
 
 
 def read_pair(text: str) -> SimplicialPair:
-    lines = _content_lines(text)
+    return _pair_from_lines(_content_lines(text))
+
+
+def _pair_from_lines(lines: list[tuple[int, str]]) -> SimplicialPair:
     split_at = [i for i, (_, line) in enumerate(lines) if line == "pair-sub"]
     if len(split_at) != 1:
         raise MalformedComplexError("pair file must contain exactly one 'pair-sub' separator")
@@ -347,5 +372,5 @@ def read_pair(text: str) -> SimplicialPair:
 def read_complex_or_pair(text: str) -> SimplicialComplex | SimplicialPair:
     lines = _content_lines(text)
     if any(line == "pair-sub" for _, line in lines):
-        return read_pair(text)
-    return read_complex(text)
+        return _pair_from_lines(lines)
+    return _parse_block(lines)

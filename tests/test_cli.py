@@ -363,3 +363,9 @@ def test_verify_nerve_is_byte_identical(capsys):
     code, out, _ = run_cli(capsys, "verify", "nerve")
     assert code == 0
     assert out == (EXPECTED / "verify_nerve.out").read_text(encoding="utf-8")
+
+
+def test_verify_dv_bound_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "dv-bound")
+    assert code == 0
+    assert out == (EXPECTED / "verify_dv_bound.out").read_text(encoding="utf-8")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from torsionlab.exact import (
     AbelianGroupStructure,
     IntegerMatrix,
+    _divisibility_chain,
     cokernel,
     determinant,
     independent_columns,
@@ -251,6 +252,45 @@ def test_snf_of_scaled_klein_bottle_boundaries(scale):
         assert (snf.rank, snf.invariant_factors()) == (len(factors), factors)
         assert snf.rank == rational_rank(scaled)
         assert rank_mod_p(scaled, 3) == (len(factors) if scale == 2 else 0)
+
+
+def test_snf_of_a_large_scaled_klein_bottle_boundary():
+    # 800 non-unit pivots: the pivot search and the chain must not be
+    # quadratic in them (this took 0.3 s with a rescan per pivot)
+    d = boundary_matrix(grid_klein_bottle(20), 2)
+    scaled = IntegerMatrix.from_columns(
+        d.rows, d.cols, [{i: 2 * v for i, v in col.items()} for col in d.columns])
+    snf = smith_normal_form(scaled)
+    assert (d.rows, d.cols) == (1200, 800)
+    assert (snf.rank, snf.invariant_factors()) == (800, (2,) * 799 + (4,))
+
+
+def test_snf_is_kept_on_the_matrix_and_leaves_its_columns_unchanged():
+    columns = [{0: 4, 1: 6}, {0: 6, 2: 9}, {1: 2, 2: -3}, {0: 1}]
+    mat = IntegerMatrix.from_columns(3, 4, [dict(col) for col in columns])
+    snf = smith_normal_form(mat)
+    assert mat.columns == tuple(columns)
+    assert smith_normal_form(mat) is snf
+    assert snf == smith_normal_form(IntegerMatrix.from_rows(mat.entries, mat.cols))
+
+
+def all_pairs_chain(d):
+    """The former chain: replace every pair by (gcd, lcm), O(k^2) gcds."""
+    d = list(d)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(x for x in d if x > 1)
+
+
+PIVOTS = st.one_of(st.integers(2, 60), st.sampled_from([2, 4, 6, 12, 2 ** 70, 3 ** 40 * 2]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(PIVOTS, max_size=14))
+def test_divisibility_chain_agrees_with_all_pairs_gcds(pivots):
+    assert _divisibility_chain(pivots) == all_pairs_chain(pivots)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

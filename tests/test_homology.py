@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from torsionlab import complexes
+from torsionlab import complexes, exact, simplicial
 from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.exact import ExactArithmeticError
 from torsionlab.homology import (
@@ -15,10 +15,12 @@ from torsionlab.homology import (
 )
 from torsionlab.simplicial import (
     SimplicialPair,
+    boundary_matrix,
     build_complex,
     empty_complex,
     random_dv_complex,
     random_subcomplex,
+    relative_boundary_matrix,
 )
 
 KNOWN = {
@@ -147,3 +149,41 @@ def test_klein_bottle_is_a_closed_surface():
     for edge in k.simplices_of_dim(1):
         incident = [t for t in triangles if set(edge) <= set(t)]
         assert len(incident) == 2
+
+
+@pytest.mark.parametrize("build, run, shapes", [
+    (complexes.torus_7, all_homology, [(0, 7), (7, 21), (21, 14), (14, 0)]),
+    (complexes.disk_boundary_pair, all_relative_homology, [(0, 0), (0, 0), (0, 1), (1, 0)]),
+], ids=["torus", "disk-pair"])
+def test_each_boundary_matrix_is_assembled_and_eliminated_once(monkeypatch, build, run, shapes):
+    assembled, eliminated = [], []
+    assemble, kernel = simplicial._assemble_boundary, exact._smith_kernel
+
+    def counting_assemble(k_simplices, lower):
+        assembled.append(assemble(k_simplices, lower))
+        return assembled[-1]
+
+    def counting_kernel(mat):
+        eliminated.append(mat)
+        return kernel(mat)
+
+    monkeypatch.setattr(simplicial, "_assemble_boundary", counting_assemble)
+    monkeypatch.setattr(exact, "_smith_kernel", counting_kernel)
+    run(build())
+    assert [(m.rows, m.cols) for m in assembled] == shapes  # d_0 .. d_3, once each
+    assert sorted(map(id, eliminated)) == sorted(map(id, assembled))
+
+
+def test_elimination_leaves_the_kept_boundary_matrices_unchanged():
+    klein = complexes.klein_bottle_9()
+    pair = complexes.annulus_inner_circle_pair()
+    all_homology(klein)
+    all_relative_homology(pair)
+    sub = pair.sub.simplices
+    for k in range(4):
+        fresh = simplicial._assemble_boundary(klein.simplices_of_dim(k), klein.simplices_of_dim(k - 1))
+        assert boundary_matrix(klein, k).columns == fresh.columns
+        fresh = simplicial._assemble_boundary(
+            [s for s in pair.total.simplices_of_dim(k) if s not in sub],
+            [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub])
+        assert relative_boundary_matrix(pair, k).columns == fresh.columns

@@ -121,6 +121,13 @@ def test_relative_boundary_squared_zero():
         assert product.is_zero()
 
 
+def test_boundary_matrices_are_kept_on_the_complex_and_the_pair():
+    pair = complexes.annulus_inner_circle_pair()
+    for deg in range(4):
+        assert boundary_matrix(pair.total, deg) is boundary_matrix(pair.total, deg)
+        assert relative_boundary_matrix(pair, deg) is relative_boundary_matrix(pair, deg)
+
+
 def test_pair_containment_enforced():
     with pytest.raises(MalformedComplexError):
         SimplicialPair(total=complexes.hollow_triangle(),
