@@ -18,9 +18,15 @@ keeps the diagonal and the entries of the pairs that meet.  A pair meets
 iff its 2x2 A is copositive, a closed form.  A larger tuple is tested only
 when every facet spans a simplex: then each proper principal submatrix of
 its A is copositive at the lower h, and so, A growing with h, at the upper
-h, and one solve on the full support decides the tuple at each end.  That
-needs every facet certified at the same lower A, so a straddle reruns the
-whole cover, not the one tuple.
+h, and the sign vector of A_SS^-1 1 on the full support decides the tuple
+at each end.  The nerve gathers each level's candidates and a float filter
+decides them together first: from one float copy of A (each copy over
+2^top, its largest entry's bit length), it takes the signs of det A_SS
+and of the Cramer determinants, and keeps a sign only when it exceeds
+c_k 2^-52 times the permanent, c_k = k (k + 3) / 2 for k balls.  A tuple
+it cannot certify, a near-tie, gets one fraction-free solve.  Both need
+every facet certified at the same lower A, so a straddle reruns the whole
+cover, not the one tuple.
 """
 
 from __future__ import annotations
@@ -125,6 +131,87 @@ def _inverse_sum_negative(a: list[list[int]]) -> bool:
     return bool(d) and all(x * d < 0 for x in y)
 
 
+def _float_copy(rows: Sequence[dict[int, int]]) -> np.ndarray:
+    """The kept entries of rows over 2^top, top the bit length of the
+    largest, as an n x n float array with zeros elsewhere: each entry is
+    the correctly rounded int / int, of magnitude below 1."""
+    top = max((abs(v).bit_length() for row in rows for v in row.values()), default=0)
+    scale = 1 << top
+    out = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i, j] = v / scale
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index arrays for the minors of rows 0..j-1 of a k x (k + 1) matrix
+    over every j-subset of its columns, for j = 1..k: at level j, subset C
+    (in combinations order) is the sum over p of signs[C, p] times entry
+    (j - 1, columns[C, p]) times the level j - 1 minor at parents[C, p],
+    which drops column p of C (Laplace expansion along the last row)."""
+    plan = []
+    previous = {(): 0}
+    for j in range(1, k + 1):
+        subsets = list(combinations(range(k + 1), j))
+        plan.append((np.array(subsets),
+                     np.array([[previous[c[:p] + c[p + 1:]] for p in range(j)] for c in subsets]),
+                     np.array([[(-1.0) ** (j - 1 + p) for p in range(j)] for _ in subsets])))
+        previous = {c: n for n, c in enumerate(subsets)}
+    return plan
+
+
+# Below this a permanent could be dominated by underflow (see _inverse_sum_signs).
+_TINY = 2.0 ** -960
+# The largest tuple the float filter decides (its work grows as (k + 1) 2^k),
+# and the most tuples it expands at once.
+_FILTERED = 8
+_CHUNK = 2048
+
+
+def _inverse_sum_signs(a: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(certified, negative): for each row S of the (m, k) index array, whether
+    the float filter certifies the sign vector of a_SS^-1 1, and if so
+    whether a_SS^-1 1 < 0, as _inverse_sum_negative decides it exactly.
+
+    a is a _float_copy, every entry below 1.  With M = [1 | a_SS], the k + 1
+    k x k minors of M give det a_SS (drop column 0) and, up to the sign
+    (-1)^i, the Cramer determinant D_i of a_SS with column i set to 1 (drop
+    column i + 1); a_SS^-1 1 = D / det, and any positive constant column
+    gives the same signs.  Each minor and its permanent over |M| come from
+    one Laplace expansion along the rows.  A term of a k x k minor carries
+    n_k = k (k + 3) / 2 roundings along any path: one per entry converted
+    (k), per product (k) and per addition (at most j - 1 at row j), so
+    |fl(v) - v| <= gamma_n_k per, per the exact permanent.  The sign of v
+    stands when |fl(v)| > c_k 2^-52 fl(per) with c_k = n_k: about twice
+    gamma_n_k, which also covers the rounding of fl(per) and of the product.
+    Underflow breaks the relative bound: a subnormal entry or product is off
+    by up to 2^-1075 absolutely, and with every entry at most 1 the at most
+    2 (k + 1)! such errors sum below 2^-1050 for k <= _FILTERED.  So a sign
+    also needs fl(per) >= 2^-960, where the margin c_k 2^-53 fl(per) dwarfs
+    them.  The vector is certified when det and every D_i are: negative iff
+    every D_i has the sign opposite to det's.  Otherwise the caller solves
+    exactly.
+    """
+    m, k = tuples.shape
+    entries = np.ones((m, k, k + 1))
+    entries[:, :, 1:] = a[tuples[:, :, None], tuples[:, None, :]]
+    magnitudes = np.abs(entries)
+    minors = permanents = np.ones((m, 1))
+    for j, (columns, parents, signs) in enumerate(_laplace_plan(k)):
+        row, row_magnitudes = entries[:, j, columns], magnitudes[:, j, columns]
+        minors = (signs * row * minors[:, parents]).sum(axis=2)
+        permanents = (row_magnitudes * permanents[:, parents]).sum(axis=2)
+    # combinations order: the last minor drops column 0, the one before it column 1, ...
+    minors, permanents = minors[:, ::-1], permanents[:, ::-1]
+    bound = (k * (k + 3) // 2) * 2.0 ** -52
+    known = (permanents >= _TINY) & (np.abs(minors) > bound * permanents)
+    alternating = (-1.0) ** np.arange(k)
+    det, cramer = minors[:, :1], minors[:, 1:] * alternating
+    return known.all(axis=1), (np.sign(cramer) == -np.sign(det)).all(axis=1)
+
+
 def _copositive_pair(a_ii: int, a_jj: int, a_ij: int) -> bool:
     """The 2x2 case of _copositive in closed form: a_ij >= -sqrt(a_ii a_jj)."""
     return a_ii >= 0 and a_jj >= 0 and (a_ij >= 0 or a_ij * a_ij <= a_ii * a_jj)
@@ -206,6 +293,8 @@ class _CoverMatrix:
         self.lower = [{i: lo} for i, (lo, _) in enumerate(diagonal)]
         self.upper = None if self._lower_h is None else [
             {i: hi} for i, (_, hi) in enumerate(diagonal)]
+        self._floats: list[np.ndarray] = []
+        self._verdicts: dict[tuple[int, ...], bool] = {}
 
     def _gram(self, i: int, j: int) -> int:
         return sum(x * y for x, y in zip(self._duals[i], self._points[j]))
@@ -236,10 +325,37 @@ class _CoverMatrix:
                 self.upper[i][j] = self.upper[j][i] = hi
         return meets
 
+    def certify(self, tuples: Sequence[tuple[int, ...]]) -> None:
+        """Decide by the float filter what it can of one nerve level: tuples
+        of one size, each with every facet meeting, gathered after every pair
+        is decided.  A certified a_SS^-1 1 not < 0 at the lower A means the
+        tuple meets; < 0 at the lower A, and at the upper A or in E^d, means
+        it does not.  tuple_meets() reads these verdicts until the next call."""
+        self._verdicts = {}
+        if not tuples or len(tuples[0]) > _FILTERED:
+            return
+        if not self._floats:
+            self._floats = [_float_copy(rows) for rows in (self.lower, self.upper)
+                            if rows is not None]
+        for start in range(0, len(tuples), _CHUNK):
+            chunk = np.array(tuples[start:start + _CHUNK])
+            known, negative = _inverse_sum_signs(self._floats[0], chunk)
+            fails = np.flatnonzero(known & negative)
+            if self.upper is not None and fails.size:
+                at_upper = _inverse_sum_signs(self._floats[1], chunk[fails])
+                known[fails] = at_upper[0] & at_upper[1]
+            for n in np.flatnonzero(known).tolist():
+                self._verdicts[tuples[start + n]] = not negative[n]
+
     def tuple_meets(self, s: tuple[int, ...], indices: tuple[int, ...]) -> bool:
         """Whether the balls s meet, given that every facet of s meets at the
         lower A: then, A growing with h, also at the upper A, so one solve on
-        the full support decides each."""
+        the full support decides each.  The verdict of certify() stands when
+        it gave one."""
+        verdict = self._verdicts.get(s)
+        if verdict is not None:
+            return verdict
+
         def principal(rows):
             return [[rows[i][j] for j in s] for i in s]
 
@@ -296,6 +412,10 @@ def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
     decided again at doubled bits; past MAX_ENCLOSURE_BITS it raises
     IndeterminateIntersectionError(indices).  A tuple that nerve() passes
     is decided at its cover's bits: a straddle there reruns the cover.
+    There the float filter's verdict stands when it gave one, with signs
+    kept only above c_k 2^-52 times their permanents; an exact solve
+    decides the tuples it abstains on.  A plain list of balls is always
+    decided exactly, every principal subset by its own solve.
     """
     if isinstance(balls, _CoverTuple):
         return balls.matrix.tuple_meets(balls.indices, indices)
@@ -325,16 +445,13 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     for i, j in frontier:
         above[i].append(j)
     simplices = {(i,) for i in range(n)} | set(frontier)
-    for _ in range(2, max_dim + 1):
-        next_frontier = []
-        for s in frontier:
-            for w in above[s[-1]]:
-                t = s + (w,)
-                # s is a facet of t; the others drop one vertex of s
-                if (all(t[:k] + t[k + 1:] in simplices for k in range(len(s)))
-                        and common_point_exists(cover.space, _CoverTuple(matrix, t), t)):
-                    next_frontier.append(t)
-        frontier = next_frontier
+    for size in range(3, max_dim + 2):
+        # s is a facet of s + (w,); the others drop one vertex of s
+        candidates = [s + (w,) for s in frontier for w in above[s[-1]]
+                      if all(s[:k] + s[k + 1:] + (w,) in simplices for k in range(size - 1))]
+        matrix.certify(candidates)
+        frontier = [t for t in candidates
+                    if common_point_exists(cover.space, _CoverTuple(matrix, t), t)]
         simplices.update(frontier)
     return SimplicialComplex(vertex_count=n, simplices=frozenset(simplices))
 

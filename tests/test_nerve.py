@@ -230,6 +230,11 @@ def test_duplicate_hyperbolic_balls_meet():
     assert nerve(cover).f_vector() == (4, 6, 4, 1)
 
 
+def filter_abstains(patch):
+    """Send every nerve tuple to the exact solve."""
+    patch.setattr(nerve_module._CoverMatrix, "certify", lambda self, tuples: None)
+
+
 def start_at_eight_bits(patch, cap=False):
     # an 8-bit enclosure of cosh(r) cannot place balls 1e-6 from tangency;
     # with the cap at 8 too there are no bits left to refine to
@@ -603,8 +608,8 @@ def test_candidates_with_a_facet_outside_the_nerve_are_never_decided(monkeypatch
     assert all(f in simplices for t in seen for f in facets(t))
 
 
-@pytest.mark.parametrize("kind", ["E", "H"])
-def test_pair_decisions_need_no_solve(monkeypatch, kind):
+def count_solves(monkeypatch):
+    """The size of every exact solve made from now on."""
     calls = []
     solve = nerve_module.solve_scaled
 
@@ -613,9 +618,17 @@ def test_pair_decisions_need_no_solve(monkeypatch, kind):
         return solve(rows, rhs)
 
     monkeypatch.setattr(nerve_module, "solve_scaled", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_pair_decisions_need_no_solve(monkeypatch, kind):
+    calls = count_solves(monkeypatch)
     cover = seeded_cover(kind, 1, "mixed")
     assert nerve(cover, max_dim=1).f_vector()[1] > 0
     assert not calls
+    # the exact path, which the float filter leaves to near-ties
+    filter_abstains(monkeypatch)
     nerve(cover, max_dim=2)
     assert calls and min(calls) == 3
 
@@ -627,3 +640,125 @@ def test_closed_pair_form_agrees_with_the_solve():
             for a_ij in range(-8, 9):
                 want = nerve_module._copositive([[a_ii, a_ij], [a_ij, a_jj]])
                 assert nerve_module._copositive_pair(a_ii, a_jj, a_ij) == want
+
+
+def filter_verdict(a):
+    """(certified, a^-1 1 < 0) from the float filter on the whole of a."""
+    floats = nerve_module._float_copy([dict(enumerate(row)) for row in a])
+    certified, negative = nerve_module._inverse_sum_signs(floats, np.array([range(len(a))]))
+    return bool(certified[0]), bool(negative[0])
+
+
+def near_singular(rng, k):
+    """A rank k - 1 matrix of ~60-bit integers, off by 1 in one entry, times 2^300."""
+    u = [[rng.randint(-2 ** 30, 2 ** 30) for _ in range(k - 1)] for _ in range(k)]
+    v = [[rng.randint(-2 ** 30, 2 ** 30) for _ in range(k)] for _ in range(k - 1)]
+    a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v)] for row in u]
+    a[rng.randrange(k)][rng.randrange(k)] += rng.choice((-1, 1))
+    return [[x << 300 for x in row] for row in a]
+
+
+@st.composite
+def filter_matrices(draw, kind):
+    k = draw(st.integers(2, 6))
+    if kind == "near-singular":
+        return near_singular(random.Random(draw(st.integers(0, 2 ** 32))), k)
+    if kind == "small":
+        return [[draw(st.integers(-9, 9)) for _ in range(k)] for _ in range(k)]
+    # entries of 1100 to 1150 bits; "mixed" sets one to about 2^-1100 of the largest
+    wide = st.integers(2 ** 1100, 2 ** 1150).flatmap(lambda x: st.sampled_from([x, -x]))
+    a = [[draw(wide) for _ in range(k)] for _ in range(k)]
+    if kind == "mixed":
+        a[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(
+            st.integers(-2 ** 50, 2 ** 50))
+    return a
+
+
+@pytest.mark.parametrize("kind", ["small", "near-singular", "wide", "mixed"])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_float_filter_agrees_with_the_exact_solve(kind, data):
+    a = data.draw(filter_matrices(kind))
+    certified, negative = filter_verdict(a)
+    if certified:
+        assert negative == nerve_module._inverse_sum_negative(a)
+
+
+def test_float_filter_needs_a_normal_permanent():
+    # singular, with a subnormal corner: fl(det) is nonzero, so only the
+    # permanent's underflow guard keeps the filter from certifying it
+    certified, _ = filter_verdict([[3 ** 691, -3 ** 360], [-3 ** 360, 3 ** 29]])
+    assert not certified
+
+
+def test_float_filter_abstains_near_singular():
+    rng = random.Random(0)
+    verdicts = [filter_verdict(near_singular(rng, k)) for k in range(2, 7) for _ in range(4)]
+    assert not all(certified for certified, _ in verdicts)
+
+
+def h4_cover():
+    """60 balls of radius 0.5 within distance 2.5 of the base point of H^4."""
+    rng = random.Random(5)
+    balls = []
+    for _ in range(60):
+        v = [rng.gauss(0, 1) for _ in range(4)]
+        norm = math.sqrt(sum(x * x for x in v))
+        t = rng.uniform(0, 2.5)
+        balls.append(([math.cosh(t), *(math.sinh(t) * x / norm for x in v)], 0.5))
+    return BallCover.of(HyperbolicSpace(4), balls)
+
+
+def tiny_coordinate_cover():
+    """The first nerve-cover family cover with one centre coordinate set to 1e-300,
+    which widens every integer entry of its A by about 1000 bits."""
+    _, centres, radius = bench_workloads().cover_family()[0]
+    balls = [(list(c), radius) for c in centres]
+    balls[0][0][0] = 1e-300
+    return BallCover.of(EuclideanSpace(3), balls)
+
+
+def circumradius_13_6_cover(ulps):
+    # equal disks on (0,0), (4,0), (2,3) meet iff r >= 13/6 (see above)
+    radius = 2.1666666666666665
+    for _ in range(abs(ulps)):
+        radius = math.nextafter(radius, 3 if ulps > 0 else 0)
+    return BallCover.of(EuclideanSpace(2), [(c, radius) for c in ((0, 0), (4, 0), (2, 3))])
+
+
+DIFFERENTIAL_COVERS = {
+    "13/6-below": lambda: circumradius_13_6_cover(-1),
+    "13/6-at": lambda: circumradius_13_6_cover(0),
+    "13/6-above": lambda: circumradius_13_6_cover(1),
+    "H-circumradius-above": lambda: _hyperbolic_triple(0.5 * (1 + 1e-12)),
+    "H-circumradius-below": lambda: _hyperbolic_triple(0.5 * (1 - 1e-12)),
+    "H-tiny-above": lambda: _hyperbolic_triple(1e-20 * (1 + 1e-6), spread=1e-20),
+    "H-tiny-below": lambda: _hyperbolic_triple(1e-20 * (1 - 1e-6), spread=1e-20),
+    "E3-1e-300": tiny_coordinate_cover,
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_COVERS)
+def test_float_filter_changes_no_simplex(monkeypatch, name):
+    cover = DIFFERENTIAL_COVERS[name]()
+    want = nerve(cover, max_dim=2).simplices
+    filter_abstains(monkeypatch)
+    assert nerve(cover, max_dim=2).simplices == want
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_near_tie_reaches_the_exact_solve(monkeypatch, ulps):
+    calls = count_solves(monkeypatch)
+    nerve(circumradius_13_6_cover(ulps), max_dim=2)
+    assert calls == [3]
+
+
+def test_float_filter_decides_a_generic_cover_alone(monkeypatch):
+    # tuples of 3, 4 and 5 balls, every one certified by the filter
+    calls = count_solves(monkeypatch)
+    want = nerve(h4_cover(), max_dim=4)
+    assert want.f_vector() == (60, 123, 235, 306, 250)
+    assert not calls
+    filter_abstains(monkeypatch)
+    assert nerve(h4_cover(), max_dim=4).simplices == want.simplices
+    assert calls and max(calls) == 5
