@@ -15,18 +15,25 @@ of every centre and radius; in H^d from one Gram matrix and one enclosure
 of each h_i, at ENCLOSURE_BITS plus 2 bits per halving of the cover's
 least radius, which gives A at the lower and at the upper h.  Of A it
 keeps the diagonal and the entries of the pairs that meet.  A pair meets
-iff its 2x2 A is copositive, a closed form.  A larger tuple is tested only
-when every facet spans a simplex: then each proper principal submatrix of
-its A is copositive at the lower h, and so, A growing with h, at the upper
-h, and the sign vector of A_SS^-1 1 on the full support decides the tuple
-at each end.  The nerve gathers each level's candidates and a float filter
-decides them together first: from one float copy of A (each copy over
-2^top, its largest entry's bit length), it takes the signs of det A_SS
-and of the Cramer determinants, and keeps a sign only when it exceeds
-c_k 2^-52 times the permanent, c_k = k (k + 3) / 2 for k balls.  A tuple
-it cannot certify, a near-tie, gets one fraction-free solve.  Both need
-every facet certified at the same lower A, so a straddle reruns the whole
-cover, not the one tuple.
+iff its 2x2 A is copositive, a closed form.  A float filter first decides
+every pair of the cover at once from the float centres, radii and upper h:
+a pair whose disjointness it certifies, with a margin above (L + 3) 2^-52
+times the sum of the absolute terms (L coordinates), is never built in big
+integers; every other pair gets the exact closed form.
+A larger tuple is a candidate only when every facet spans a simplex, and
+the candidates come from joining the simplices one level down that share
+all but their last vertex.  Then each proper principal submatrix of its A
+is copositive at the lower h, and so, A growing with h, at the upper h, and
+the sign vector of A_SS^-1 1 on the full support decides the tuple at each
+end.  Past d + 1 balls Helly's theorem decides a candidate: its facets
+meet, so it does.  The nerve gathers each level's candidates and a second
+float filter decides them together first: from one float copy of A (each
+copy over 2^top, its largest entry's bit length), it takes the signs of
+det A_SS and of the Cramer determinants, and keeps a sign only when it
+exceeds c_k 2^-52 times the permanent, c_k = k (k + 3) / 2 for k balls.  A
+tuple it cannot certify, a near-tie, gets one fraction-free solve.  Both
+need every facet certified at the same lower A, so a straddle reruns the
+whole cover, not the one tuple.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -115,11 +122,12 @@ class BallCover:
         return len(self.elements)
 
 
-def _dyadic(rows: list[list[float]]) -> list[list[int]]:
-    """The rows times the least power of two that makes every entry an integer."""
+def _dyadic(rows: list[list[float]]) -> tuple[list[list[int]], int]:
+    """The rows times 2^e, the least power of two that makes every entry an
+    integer, and e."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     shift = max((d.bit_length() for row in ratios for _, d in row), default=1)
-    return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios]
+    return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios], shift - 1
 
 
 def _inverse_sum_negative(a: list[list[int]]) -> bool:
@@ -135,12 +143,11 @@ def _float_copy(rows: Sequence[dict[int, int]]) -> np.ndarray:
     """The kept entries of rows over 2^top, top the bit length of the
     largest, as an n x n float array with zeros elsewhere: each entry is
     the correctly rounded int / int, of magnitude below 1."""
-    top = max((abs(v).bit_length() for row in rows for v in row.values()), default=0)
-    scale = 1 << top
+    values = [v for row in rows for v in row.values()]
+    scale = 1 << max(max(values, default=0), -min(values, default=0)).bit_length()
     out = np.zeros((len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            out[i, j] = v / scale
+    out[[i for i, row in enumerate(rows) for _ in row], [j for row in rows for j in row]] = [
+        v / scale for v in values]
     return out
 
 
@@ -212,6 +219,78 @@ def _inverse_sum_signs(a: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, n
     return known.all(axis=1), (np.sign(cramer) == -np.sign(det)).all(axis=1)
 
 
+# Float cells the pair filter forms at once: a block of rows against every ball.
+_BLOCK = 1 << 16
+
+
+def _stands(margin: np.ndarray, per: np.ndarray, bound: float) -> np.ndarray:
+    """Where margin > 0 is certified: finite, above bound times a finite per,
+    and per >= 2^-960 (see _inverse_sum_signs and _apart)."""
+    return (np.isfinite(margin) & np.isfinite(per) & (per >= _TINY)
+            & (margin > bound * per))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # shown by a margin or per not finite
+def _apart(points: np.ndarray, sizes: np.ndarray, hyperbolic: bool, rows: slice) -> np.ndarray:
+    """(rows, n) mask of the pairs of balls the float filter certifies do not
+    meet, as pair_meets() decides it exactly.
+
+    points holds the float centres, L coordinates each.  In E^d sizes holds
+    the radii, and the balls are disjoint iff q = |c_i|^2 + |c_j|^2 - 2 c_i.c_j
+    - (r_i + r_j)^2 > 0.  Every term of q carries at most L + 3 roundings
+    (a dot product of L terms, then three additions; the sum and square of the
+    radii, then one), so |fl(q) - q| <= gamma_(L+3) per, per the same sum over
+    absolute values, the dot products taken over |c|.
+    In H^d sizes holds the upper h, each the correctly rounded quotient of its
+    enclosure, and the filter certifies that the 2x2 A, A_ij = h_i h_j +
+    <c_i, c_j>, is not copositive at the upper h: A_ij < 0 and q = A_ij^2 -
+    A_ii A_jj > 0.  Then it is not copositive at the lower h either, A growing
+    with h, so pair_meets() says no and never raises.  Each entry of A carries
+    at most L + 1 roundings (the Lorentz dot product, then one addition; the
+    conversion of h, the product and the addition on the other side), so
+    |fl(A_ij) - A_ij| <= gamma_(L+1) m_ij, m_ij = h_i h_j + |c_i|.|c_j|, and
+    with two products and a subtraction more |fl(q) - q| <= ((L + 2) 2^-52
+    + O(2^-104)) per, per = m_ij^2 + m_ii m_jj.
+    A sign stands when it exceeds (L + 3) 2^-52 times the float per, which
+    covers both bounds with room for the rounding of per itself.  Underflow
+    breaks the relative bounds: each subnormal product is off by up to 2^-1075
+    absolutely.  In E^d they add at most (4L + 1) 2^-1075 to q, far below the
+    margin once per >= 2^-960.  In H^d the centres lie on the hyperboloid, so
+    every h_i and m is about 1 or more: per is never tiny, and it bounds each
+    factor an error of A is multiplied by in q.  Overflow shows as a margin or
+    per that is not finite, every partial result being at most per.  Every
+    pair not certified goes to pair_meets().
+    """
+    def gram(u, v):
+        # einsum's own loop: a BLAS matmul would raise the peak RSS for no gain here
+        return np.einsum("ik,jk->ij", u, v)
+
+    block = points[rows]
+    bound = (points.shape[1] + 3) * 2.0 ** -52
+    magnitude = gram(np.abs(block), np.abs(points))
+    squares = (points * points).sum(axis=1)
+    if not hyperbolic:
+        reach = np.square(sizes[rows, None] + sizes)
+        near = squares[rows, None] + squares
+        return _stands(near - 2 * gram(block, points) - reach, near + 2 * magnitude + reach, bound)
+    signs = np.ones(points.shape[1])
+    signs[0] = -1.0
+    products = sizes[rows, None] * sizes
+    a, m = products + gram(block * signs, points), products + magnitude
+    a_diagonal = sizes * sizes + (points * signs * points).sum(axis=1)
+    m_diagonal = sizes * sizes + squares
+    return _stands(-a, m, bound) & _stands(a * a - a_diagonal[rows, None] * a_diagonal,
+                                           m * m + m_diagonal[rows, None] * m_diagonal, bound)
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded, or inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
 def _copositive_pair(a_ii: int, a_jj: int, a_ij: int) -> bool:
     """The 2x2 case of _copositive in closed form: a_ij >= -sqrt(a_ii a_jj)."""
     return a_ii >= 0 and a_jj >= 0 and (a_ij >= 0 or a_ij * a_ij <= a_ii * a_jj)
@@ -268,13 +347,13 @@ class _CoverMatrix:
     def __init__(self, space, balls: Sequence[tuple[np.ndarray, float]], bits: int):
         self.balls = balls
         if space.kind == "E":
-            rows = _dyadic([[*c, r] for c, r in balls])
+            rows, _ = _dyadic([[*c, r] for c, r in balls])
             self._points = self._duals = [row[:-1] for row in rows]
             # A_ij = o_i + o_j + 2 c_i.c_j with o_i = r_i^2 - |c_i|^2
             self._offsets = [row[-1] ** 2 - sum(x * x for x in row[:-1]) for row in rows]
             self._lower_h = None
         else:
-            self._points = _dyadic([list(c) for c, _ in balls])
+            self._points, exponent = _dyadic([list(c) for c, _ in balls])
             self._duals = [[-p[0], *p[1:]] for p in self._points]  # <u, v> = dual(u) . v
             # A's entries are O(r^2) differences of O(1) terms: 2 more bits per
             # halving of r, so the least radius of the family sets the precision
@@ -289,6 +368,8 @@ class _CoverMatrix:
             self._lower_h, self._upper_h = (
                 [x.numerator * (den // x.denominator) * ((1 << bits) + sign) for x in h]
                 for sign in (-1, 1))
+            # the upper h over this is h for the float centres: A up to a factor
+            self._h_unit = (den << bits) << exponent
         diagonal = [self.entries(i, i) for i in range(len(balls))]
         self.lower = [{i: lo} for i, (lo, _) in enumerate(diagonal)]
         self.upper = None if self._lower_h is None else [
@@ -312,6 +393,26 @@ class _CoverMatrix:
         cells = [[self.entries(i, j) for j in range(n)] for i in range(n)]
         lower = [[lo for lo, _ in row] for row in cells]
         return lower, None if self.upper is None else [[hi for _, hi in row] for row in cells]
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The pairs i < j, in lexicographic order, that the float filter
+        (_apart) does not certify disjoint: only these need pair_meets()."""
+        n = len(self.balls)
+        if n < 2:
+            return []
+        points = np.array([c for c, _ in self.balls])
+        if self._lower_h is None:
+            sizes = np.array([r for _, r in self.balls])
+        else:
+            sizes = np.array([_quotient(h, self._h_unit) for h in self._upper_h])
+        found: list[tuple[int, int]] = []
+        step = max(1, _BLOCK // max(1, n))
+        for start in range(0, n, step):
+            i, j = np.nonzero(~_apart(points, sizes, self._lower_h is not None,
+                                      slice(start, start + step)))
+            i += start
+            found += zip(i[i < j].tolist(), j[i < j].tolist())
+        return found
 
     def pair_meets(self, i: int, j: int) -> bool:
         """Whether balls i and j meet, from the closed 2x2 form; their entries
@@ -440,20 +541,25 @@ def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
 def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     n = len(cover)
     matrix = _CoverMatrix(cover.space, cover.elements, bits)
-    frontier = [(i, j) for i, j in combinations(range(n), 2) if matrix.pair_meets(i, j)]
-    above: list[list[int]] = [[] for _ in range(n)]  # ascending later neighbours
-    for i, j in frontier:
-        above[i].append(j)
+    frontier = [(i, j) for i, j in matrix.pairs() if matrix.pair_meets(i, j)]
     simplices = {(i,) for i in range(n)} | set(frontier)
     for size in range(3, max_dim + 2):
-        # s is a facet of s + (w,); the others drop one vertex of s
-        candidates = [s + (w,) for s in frontier for w in above[s[-1]]
-                      if all(s[:k] + s[k + 1:] + (w,) in simplices for k in range(size - 1))]
-        matrix.certify(candidates)
-        frontier = [t for t in candidates
-                    if common_point_exists(cover.space, _CoverTuple(matrix, t), t)]
+        # s and t, sorted and sharing all but their last vertex, are two facets
+        # of s + t[-1:]; the others drop a vertex of the shared prefix
+        joined = (s + t[-1:] for _, level in groupby(frontier, key=lambda u: u[:-1])
+                  for s, t in combinations(level, 2))
+        candidates = [c for c in joined if all(c[:k] + c[k + 1:] in simplices
+                                               for k in range(size - 2))]
+        if size > cover.space.dimension + 1:
+            # Helly: convex sets in E^d or H^d meet when every d + 1 of them
+            # do, and every d + 1 of these lie in a facet, which meets
+            frontier = candidates
+        else:
+            matrix.certify(candidates)
+            frontier = [t for t in candidates
+                        if common_point_exists(cover.space, _CoverTuple(matrix, t), t)]
         simplices.update(frontier)
-    return SimplicialComplex(vertex_count=n, simplices=frozenset(simplices))
+    return SimplicialComplex._closed(n, frozenset(simplices))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ def faces(simplex: Simplex) -> Iterable[Simplex]:
         yield from combinations(simplex, k)
 
 
+def _outside_range(s: Simplex, vertex_count: int) -> MalformedComplexError:
+    return MalformedComplexError(f"vertex {s[-1]} outside declared range {vertex_count}")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Downward-closed set of simplices over vertices 0..vertex_count-1."""
@@ -54,13 +58,25 @@ class SimplicialComplex:
         # its simplices holds every face
         for s in self.simplices:
             if s[-1] >= self.vertex_count:
-                raise MalformedComplexError(
-                    f"vertex {s[-1]} outside declared range {self.vertex_count}")
+                raise _outside_range(s, self.vertex_count)
             if len(s) > 1:
                 for i in range(len(s)):
                     f = s[:i] + s[i + 1:]
                     if f not in self.simplices:
                         raise MalformedComplexError(f"missing face {f} of {s}")
+
+    @classmethod
+    def _closed(cls, vertex_count: int, simplices: frozenset[Simplex]) -> "SimplicialComplex":
+        """The complex of a set built downward closed: of __post_init__'s
+        checks only the vertex range can fail, so only it is made, over the
+        same iteration and with the same error."""
+        for s in simplices:
+            if s[-1] >= vertex_count:
+                raise _outside_range(s, vertex_count)
+        complex_ = object.__new__(cls)
+        object.__setattr__(complex_, "vertex_count", vertex_count)
+        object.__setattr__(complex_, "simplices", simplices)
+        return complex_
 
     @property
     def dimension(self) -> int:
@@ -162,7 +178,7 @@ def _closure(simplices: Iterable[Simplex], vertex_count: int | None) -> Simplici
         closed.add(s)
         closed.update(faces(s))
     n = max_vertex + 1 if vertex_count is None else vertex_count
-    return SimplicialComplex(vertex_count=n, simplices=frozenset(closed))
+    return SimplicialComplex._closed(n, frozenset(closed))
 
 
 def empty_complex(vertex_count: int = 0) -> SimplicialComplex:

@@ -30,6 +30,7 @@ from torsionlab.nerve import (
     relative_nerve,
     write_cover,
 )
+from torsionlab.simplicial import SimplicialComplex
 
 
 def test_two_disjoint_balls():
@@ -231,8 +232,24 @@ def test_duplicate_hyperbolic_balls_meet():
 
 
 def filter_abstains(patch):
-    """Send every nerve tuple to the exact solve."""
+    """Send every nerve pair to the exact 2x2 form and every larger tuple to
+    the exact solve: both float filters abstain."""
     patch.setattr(nerve_module._CoverMatrix, "certify", lambda self, tuples: None)
+    patch.setattr(nerve_module._CoverMatrix, "pairs",
+                  lambda self: list(combinations(range(len(self.balls)), 2)))
+
+
+def count_pair_decisions(patch):
+    """The pairs decided exactly from now on."""
+    seen = []
+    decide = nerve_module._CoverMatrix.pair_meets
+
+    def counting(self, i, j):
+        seen.append((i, j))
+        return decide(self, i, j)
+
+    patch.setattr(nerve_module._CoverMatrix, "pair_meets", counting)
+    return seen
 
 
 def start_at_eight_bits(patch, cap=False):
@@ -310,8 +327,11 @@ def test_straddling_pair_is_refined_to_the_exact_answer(monkeypatch):
     start_at_eight_bits(monkeypatch)
     assert not balls_intersect(cover.space, cover.elements[1], cover.elements[2])
     built = count_matrices(monkeypatch)
+    decided = count_pair_decisions(monkeypatch)
     assert nerve(cover).simplices == want
     assert_refined(built, 3)
+    # the float filter cannot place the pair at 8 bits, so the exact form straddles
+    assert decided.count((1, 2)) >= 2
 
 
 @pytest.mark.parametrize("shift, meets", [(1e-6, True), (-1e-6, False)])
@@ -762,3 +782,172 @@ def test_float_filter_decides_a_generic_cover_alone(monkeypatch):
     filter_abstains(monkeypatch)
     assert nerve(h4_cover(), max_dim=4).simplices == want.simplices
     assert calls and max(calls) == 5
+
+
+def float_copy_by_entry(rows):
+    """_float_copy one entry at a time: the reference for its single pass."""
+    top = max((abs(v).bit_length() for row in rows for v in row.values()), default=0)
+    out = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i, j] = v / (1 << top)
+    return out
+
+
+@pytest.mark.parametrize("bits", [3, 60, 1100])
+def test_float_copy_matches_the_entrywise_copy(bits):
+    rng = random.Random(bits)
+    rows = [{j: rng.randint(-2 ** bits, 2 ** bits) for j in rng.sample(range(6), 3)}
+            for _ in range(6)]
+    rows[2][4] = -2 ** bits  # the largest magnitude, negative
+    np.testing.assert_array_equal(nerve_module._float_copy(rows), float_copy_by_entry(rows))
+
+
+def unit(draw, d):
+    v = draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d)
+             .filter(lambda v: sum(x * x for x in v) > 1e-6))
+    norm = math.sqrt(sum(x * x for x in v))
+    return [x / norm for x in v]
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0)
+    return x
+
+
+@st.composite
+def euclidean_pairs(draw):
+    # centres and radii at one scale, from subnormal to where |c_i - c_j|^2 overflows
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([5e-324, 1e-300, 1.0, 1e200, 1e300]))
+    coordinate = st.floats(-4, 4).map(lambda x: x * scale)
+    size = st.floats(1 / 16, 2).map(lambda r: max(r * scale, scale))
+    balls = [([draw(coordinate) for _ in range(d)], draw(size))
+             for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        # ball 1 at distance r0 + r1 from ball 0, give or take a few ulps
+        (c0, r0), (_, r1) = balls[:2]
+        reach = nudged(r0 + r1, draw(st.integers(-3, 3)))
+        balls[1] = ([a + reach * x for a, x in zip(c0, unit(draw, d))], r1)
+    return EuclideanSpace(d), balls
+
+
+@st.composite
+def hyperbolic_pairs(draw):
+    # H3 balls from radius 2^-30 up; centres out to distance 3, or 1e-300 and
+    # subnormal distances from the base point
+    radius = st.sampled_from([2.0 ** -30, 0.1, 0.5, 1.3])
+    distance = st.one_of(st.floats(0, 3), st.sampled_from([1e-300, 5e-324]))
+
+    def point(t, u):
+        return [math.cosh(t), *(math.sinh(t) * x for x in u)]
+
+    balls = [(point(draw(distance), unit(draw, 3)), draw(radius))
+             for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        # ball 0 at the base point, ball 1 at distance r0 + r1 give or take a few ulps
+        r0, r1 = balls[0][1], balls[1][1]
+        balls[0] = ([1.0, 0.0, 0.0, 0.0], r0)
+        balls[1] = (point(nudged(r0 + r1, draw(st.integers(-3, 3))), unit(draw, 3)), r1)
+    return HyperbolicSpace(3), balls
+
+
+# two disks whose squared distance and squared radius sum are single subnormal
+# ulps: they meet, yet fl(|c_0 - c_1|^2) exceeds fl((r_0 + r_1)^2)
+SUBNORMAL_TANGENCY = (EuclideanSpace(2), [
+    ([0.0, 0.0], math.ldexp(math.sqrt(1.04) / 2, -537)),
+    ([math.ldexp(math.sqrt(0.51), -537)] * 2, math.ldexp(math.sqrt(1.04) / 2, -537))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.one_of(euclidean_pairs(), hyperbolic_pairs()),
+       bits=st.sampled_from([8, nerve_module.ENCLOSURE_BITS]))
+@example(case=SUBNORMAL_TANGENCY, bits=8)
+def test_pair_filter_certifies_only_pairs_the_exact_form_rejects(case, bits):
+    # at 8 bits (cf. start_at_eight_bits) the upper A of a hyperbolic pair is
+    # far above the exact one: a pair certified there must still be rejected
+    space, balls = case
+    matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, bits)
+    kept = matrix.pairs()
+    assert kept == sorted(set(kept))
+    for i, j in set(combinations(range(len(balls)), 2)) - set(kept):
+        assert not matrix.pair_meets(i, j)
+
+
+def test_pair_filter_needs_a_normal_per():
+    space, balls = SUBNORMAL_TANGENCY
+    matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, 96)
+    assert matrix.pair_meets(0, 1)
+    assert matrix.pairs() == [(0, 1)]
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_pairs_decided_exactly_are_the_edges(monkeypatch, kind):
+    # the float filter certifies every pair that does not meet
+    cover = seeded_cover(kind, 4, "mixed", count=40)
+    decided = count_pair_decisions(monkeypatch)
+    edges = nerve(cover, max_dim=1).f_vector()[1]
+    assert len(decided) == edges < 40 * 39 // 2
+
+
+def test_helly_decides_candidates_of_more_than_d_plus_one_balls(monkeypatch):
+    # ten unit disks within 0.1 of the origin: every tuple meets, and only
+    # triangles are tested
+    rng = random.Random(9)
+    cover = BallCover.of(EuclideanSpace(2), [([rng.uniform(-0.07, 0.07) for _ in range(2)], 1.0)
+                                             for _ in range(10)])
+    calls = count_solves(monkeypatch)
+    sizes = []
+    decide = nerve_module.common_point_exists
+
+    def counting(space, balls, indices):
+        sizes.append(len(balls))
+        return decide(space, balls, indices)
+
+    monkeypatch.setattr(nerve_module, "common_point_exists", counting)
+    got = nerve(cover, max_dim=9)
+    assert got.f_vector() == tuple(math.comb(10, k) for k in range(1, 11))
+    assert not calls
+    assert set(sizes) == {3}
+
+
+def nerve_without_helly(cover, max_dim):
+    """Every candidate decided by the exact 2x2 form or the exact solve."""
+    n = len(cover)
+    matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
+    simplices = {(i,) for i in range(n)}
+    for size in range(2, max_dim + 2):
+        for t in combinations(range(n), size):
+            if all(t[:k] + t[k + 1:] in simplices for k in range(size)) and (
+                    matrix.pair_meets(*t) if size == 2 else matrix.tuple_meets(t, t)):
+                simplices.add(t)
+    return simplices
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_helly_changes_no_simplex(kind):
+    cover = seeded_cover(kind, 6, "equal", count=14)
+    got = nerve(cover, max_dim=5)
+    assert len(got.f_vector()) == 6  # the 5- and 6-ball levels are reached
+    assert got.simplices == nerve_without_helly(cover, 5)
+    assert SimplicialComplex(vertex_count=14, simplices=got.simplices) == got
+
+
+def test_pair_filter_in_blocks_of_rows(monkeypatch):
+    cover = seeded_cover("H", 4, "mixed", count=40)
+    matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
+    whole = matrix.pairs()
+    monkeypatch.setattr(nerve_module, "_BLOCK", 100)  # two rows at a time
+    assert matrix.pairs() == whole
+
+
+def test_radius_past_the_float_range_of_cosh():
+    # cosh 800 overflows a float: the pair filter abstains on its pairs, and
+    # still certifies the other one
+    far = [math.cosh(3.0), math.sinh(3.0), 0.0]
+    cover = BallCover.of(HyperbolicSpace(2), [([1.0, 0.0, 0.0], 800.0), (far, 0.5),
+                                              ([1.0, 0.0, 0.0], 0.5)])
+    matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
+    assert matrix.pairs() == [(0, 1), (0, 2)]
+    assert nerve(cover).simplices == {(0,), (1,), (2,), (0, 1), (0, 2)}

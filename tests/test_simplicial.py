@@ -61,6 +61,30 @@ def test_closure_check_rejects_a_triangle_missing_a_vertex_or_an_edge(missing):
         SimplicialComplex(vertex_count=3, simplices=full - {missing})
 
 
+def test_closure_builds_without_the_face_check(monkeypatch):
+    # a closure is downward closed by construction, so the public
+    # constructor's facet check is skipped, not weakened
+    full = build_complex([[0, 1, 2], [2, 3]])
+    monkeypatch.setattr(SimplicialComplex, "__post_init__", lambda self: pytest.fail("checked"))
+    assert build_complex([[0, 1, 2], [2, 3]]) == full
+    assert read_complex(write_complex(full)) == full
+    monkeypatch.undo()
+    with pytest.raises(MalformedComplexError, match="missing face"):
+        SimplicialComplex(vertex_count=4, simplices=full.simplices - {(1, 2)})
+
+
+def test_closure_reports_the_same_out_of_range_vertex():
+    # several vertices past the range: the first met in the set is reported
+    maximal = [[0, 5], [1, 7], [2, 6], [3, 9, 11]]
+    closed = build_complex(maximal).simplices
+    with pytest.raises(MalformedComplexError) as public:
+        SimplicialComplex(vertex_count=4, simplices=closed)
+    with pytest.raises(MalformedComplexError) as closure:
+        build_complex(maximal, vertex_count=4)
+    assert str(closure.value) == str(public.value)
+    assert str(public.value).startswith("vertex ")
+
+
 def test_profile_values():
     assert complexity_profile(complexes.hollow_triangle()).V == 3
     assert complexity_profile(complexes.hollow_triangle()).D == 2
