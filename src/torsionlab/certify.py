@@ -1,0 +1,154 @@
+"""Filtered-exact predicates (Shewchuk, DCG 18, 1997; Brönnimann–Burnikel–Pion,
+DAM 109, 2001): stands() is the one rule by which a float sign is kept,
+inverse_sum_signs() filters the sign vector of A^-1 1 that
+inverse_sum_negative() decides exactly, and cosh_roots() encloses cosh r
+sqrt(n).  The standard library and numpy only: no mpmath.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from collections.abc import Iterable, Sequence
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+
+from .exact import solve_scaled
+
+# The unit of the rounding bound, twice the unit roundoff 2^-53, and the
+# least per for which underflow cannot spoil it (see stands).
+_UNIT = 2.0 ** -52
+_FLOOR = 2.0 ** -960
+
+
+def stands(value, per, roundings: int):
+    """Whether the sign of value, a float evaluation of some v, is v's sign:
+    n 2^-52 per < |value| < inf, n = roundings, and per >= 2^-960.
+
+    per is the same evaluation over the absolute values of the terms.  If
+    every term meets at most n roundings along any path, |value - v| <=
+    gamma_n per, gamma_n ~ n 2^-53: the margin is about twice that, which
+    covers the rounding of per and of the product too.  An underflowed
+    result is off by up to 2^-1075 absolutely; a caller keeps their sum,
+    times what multiplies them later, below 2^-1000, which the margin
+    dwarfs once per >= 2^-960.  A finite value above the margin has a
+    finite per (every partial result of value is at most per's), so
+    overflow abstains, as does a NaN.  Elementwise on numpy arrays and on
+    plain floats alike, by comparisons alone.
+    """
+    size = abs(value)
+    return (per >= _FLOOR) & (size < math.inf) & (size > roundings * _UNIT * per)
+
+
+def inverse_sum_negative(a: list[list[int]]) -> bool:
+    """Whether a is nonsingular with a^-1 1 < 0, read off one fraction-free
+    solve a y = d 1 (x = y / d): then l = -a^-1 1 > 0 has l^T a l = -sum(l) < 0,
+    so a is not copositive, and when every proper principal submatrix of a
+    is copositive that is the only way a can fail."""
+    d, y = solve_scaled(a, [1] * len(a))
+    return bool(d) and all(x * d < 0 for x in y)
+
+
+def float_copy(rows: Sequence[dict[int, int]]) -> np.ndarray:
+    """The kept entries of rows over 2^top, top the bit length of the
+    largest, as an n x n float array with zeros elsewhere: each entry is
+    the correctly rounded int / int, of magnitude below 1."""
+    values = [v for row in rows for v in row.values()]
+    scale = 1 << max(max(values, default=0), -min(values, default=0)).bit_length()
+    out = np.zeros((len(rows), len(rows)))
+    out[[i for i, row in enumerate(rows) for _ in row], [j for row in rows for j in row]] = [
+        v / scale for v in values]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index arrays for the minors of rows 0..j-1 of a k x (k + 1) matrix
+    over every j-subset of its columns, for j = 1..k: at level j, subset C
+    (in combinations order) is the sum over p of signs[C, p] times entry
+    (j - 1, columns[C, p]) times the level j - 1 minor at parents[C, p],
+    which drops column p of C (Laplace expansion along the last row)."""
+    plan = []
+    previous = {(): 0}
+    for j in range(1, k + 1):
+        subsets = list(combinations(range(k + 1), j))
+        plan.append((np.array(subsets),
+                     np.array([[previous[c[:p] + c[p + 1:]] for p in range(j)] for c in subsets]),
+                     np.array([[(-1.0) ** (j - 1 + p) for p in range(j)] for _ in subsets])))
+        previous = {c: n for n, c in enumerate(subsets)}
+    return plan
+
+
+# The largest submatrix the float filter signs (its work grows as (k + 1) 2^k),
+# and the most it expands at once.
+_FILTERED = 8
+_CHUNK = 2048
+
+
+def inverse_sum_signs(a: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(certified, negative): for each row S of the (m, k) index array, whether
+    the float filter certifies the sign vector of a_SS^-1 1, and if so
+    whether a_SS^-1 1 < 0, as inverse_sum_negative decides it exactly.  It
+    certifies nothing past k = _FILTERED.
+
+    a is a float_copy, every entry below 1.  With M = [1 | a_SS], the k + 1
+    k x k minors of M give det a_SS (drop column 0) and, up to the sign
+    (-1)^i, the Cramer determinant D_i of a_SS with column i set to 1 (drop
+    column i + 1); a_SS^-1 1 = D / det, and any positive constant column
+    gives the same signs.  Each minor and its permanent over |M| come from
+    one Laplace expansion along the rows.  A term of a k x k minor carries
+    k (k + 3) / 2 roundings along any path: one per entry converted (k), per
+    product (k) and per addition (at most j - 1 at row j); stands() decides
+    each sign against the permanent.  With every entry at most 1, the at most
+    2 (k + 1)! subnormal errors sum below 2^-1050 for k <= _FILTERED.  The
+    vector is certified when det and every D_i are: negative iff every D_i
+    has the sign opposite to det's.  Otherwise the caller solves exactly.
+    """
+    m, k = tuples.shape
+    if k > _FILTERED:
+        return np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    known, negative = np.hstack([_chunk_signs(a, tuples[start:start + _CHUNK])
+                                 for start in range(0, max(m, 1), _CHUNK)])
+    return known, negative
+
+
+def _chunk_signs(a: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    m, k = tuples.shape
+    entries = np.ones((m, k, k + 1))
+    entries[:, :, 1:] = a[tuples[:, :, None], tuples[:, None, :]]
+    magnitudes = np.abs(entries)
+    minors = permanents = np.ones((m, 1))
+    for j, (columns, parents, signs) in enumerate(_laplace_plan(k)):
+        row, row_magnitudes = entries[:, j, columns], magnitudes[:, j, columns]
+        minors = (signs * row * minors[:, parents]).sum(axis=2)
+        permanents = (row_magnitudes * permanents[:, parents]).sum(axis=2)
+    # combinations order: the last minor drops column 0, the one before it column 1, ...
+    minors, permanents = minors[:, ::-1], permanents[:, ::-1]
+    known = stands(minors, permanents, k * (k + 3) // 2)
+    alternating = (-1.0) ** np.arange(k)
+    det, cramer = minors[:, :1], minors[:, 1:] * alternating
+    return np.array([known.all(axis=1), (np.sign(cramer) == -np.sign(det)).all(axis=1)])
+
+
+def _context(bits: int) -> Context:
+    # six correctly rounded Decimal operations at bits // 3 + 3 digits stay
+    # far below a relative 2**-bits
+    return Context(prec=bits // 3 + 3, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+@functools.lru_cache(maxsize=1024)
+def _cosh(r: float, bits: int) -> Decimal:
+    """cosh r as (e^r + e^-r) / 2 in the enclosure's context: one per radius."""
+    with localcontext(_context(bits)):
+        x = Decimal(r).exp()
+        return (x + 1 / x) / 2
+
+
+def cosh_roots(terms: Iterable[tuple[float, int]], bits: int) -> list[Fraction]:
+    """cosh(r) sqrt(n) for each (r, n), within a relative 2^-bits, as exact
+    rationals: times 1 -+ 2^-bits each brackets the true value."""
+    with localcontext(_context(bits)):
+        return [Fraction(_cosh(r, bits) * Decimal(n).sqrt()) for r, n in terms]

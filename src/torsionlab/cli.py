@@ -52,17 +52,11 @@ def _fraction_doc(value: Fraction) -> dict:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            return range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise UsageError(f"bad range {text!r}") from None
+    lo, dots, hi = text.partition("..")
     try:
-        v = int(text)
+        return range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise UsageError(f"bad range {text!r}") from None
-    return range(v, v + 1)
 
 
 def _parse_int_vector(text: str) -> tuple[int, ...]:
@@ -202,26 +196,15 @@ def cmd_dehn_table(args) -> int:
 
 # --- verification suites --------------------------------------------------------
 
-def _verify_soule(args) -> int:
+def _verify_bound(args) -> int:
     from . import bounds
 
     _require_at_least(args.count, 1, "--count")
-    summary = bounds.batch_verify_soule(args.count, args.seed)
+    batch = bounds.batch_verify_soule if args.suite == "soule" else bounds.batch_verify_dv
+    summary = batch(args.count, args.seed)
     for record in summary.records:
         _emit(record)
-    _emit({"suite": "soule", "count": summary.count, "seed": summary.seed,
-           "failures": len(summary.failures), "max_ratio": summary.max_ratio})
-    return EXIT_OK if summary.all_hold else EXIT_VERIFICATION
-
-
-def _verify_dv(args) -> int:
-    from . import bounds
-
-    _require_at_least(args.count, 1, "--count")
-    summary = bounds.batch_verify_dv(args.count, args.seed)
-    for record in summary.records:
-        _emit(record)
-    _emit({"suite": "dv-bound", "count": summary.count, "seed": summary.seed,
+    _emit({"suite": args.suite, "count": summary.count, "seed": summary.seed,
            "failures": len(summary.failures), "max_ratio": summary.max_ratio})
     return EXIT_OK if summary.all_hold else EXIT_VERIFICATION
 
@@ -261,24 +244,19 @@ def _verify_obtuse(args) -> int:
 
     _require_at_least(args.d, 2, "--d")
     _require_at_least(args.samples, 1, "--samples")
-    failures = 0
     g = hyperbolic.standard_loxodromic(args.d, 0.2)
-    rep = hyperbolic.obtuse_angle_check(g, g.power(2), 0.5, 0.9,
-                                        samples=args.samples, seed=args.seed)
-    failures += 0 if rep.passed else 1
-    _emit({"check": "loxodromic-powers", "min_inner_product": rep.min_inner_product,
-           "samples": rep.samples, "passed": rep.passed})
-
-    fixed = [1.0] + [0.0] * args.d
-    fixed[1] = 1.0
+    fixed = [1.0, 1.0] + [0.0] * (args.d - 1)
     pa = hyperbolic.parabolic(fixed, [1.0] + [0.0] * (args.d - 2))
     pb = hyperbolic.parabolic(fixed, [0.3] + [0.7] * (args.d - 2))
-    rep = hyperbolic.obtuse_angle_check(pa, pb, 0.4, 0.7,
-                                        samples=args.samples, seed=args.seed + 1)
-    failures += 0 if rep.passed else 1
-    _emit({"check": "parabolic-pair", "min_inner_product": rep.min_inner_product,
-           "samples": rep.samples, "passed": rep.passed})
-
+    failures = 0
+    cases = [("loxodromic-powers", g, g.power(2), 0.5, 0.9),
+             ("parabolic-pair", pa, pb, 0.4, 0.7)]
+    for offset, (check, a, b, eps_a, eps_b) in enumerate(cases):
+        rep = hyperbolic.obtuse_angle_check(a, b, eps_a, eps_b, samples=args.samples,
+                                            seed=args.seed + offset)
+        failures += 0 if rep.passed else 1
+        _emit({"check": check, "min_inner_product": rep.min_inner_product,
+               "samples": rep.samples, "passed": rep.passed})
     _emit({"suite": "obtuse", "failures": failures})
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
@@ -326,8 +304,8 @@ def _verify_commutator(args) -> int:
 
 
 _SUITES = {
-    "soule": _verify_soule,
-    "dv-bound": _verify_dv,
+    "soule": _verify_bound,
+    "dv-bound": _verify_bound,
     "nerve": _verify_nerve,
     "obtuse": _verify_obtuse,
     "orbit": _verify_orbit,

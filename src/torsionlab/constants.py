@@ -153,12 +153,6 @@ def unit_vector_packing_bound(d: int) -> int:
 
 # --- thick-thin assignment ---------------------------------------------------
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(value)  # exact binary expansion
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class ThickThinParams:
     """Margulis configuration and the derived epsilon pair.
@@ -173,7 +167,7 @@ class ThickThinParams:
     margulis_index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "margulis_eps", _as_fraction(self.margulis_eps))
+        object.__setattr__(self, "margulis_eps", Fraction(self.margulis_eps))
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
         if self.margulis_eps <= 0:

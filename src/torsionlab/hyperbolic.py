@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .certify import stands
+
 LORENTZ_FORM_TOL = 1e-9
 COMMUTE_TOL = 1e-9
 
@@ -441,17 +443,12 @@ class _GradientPair:
     The Riemannian gradient of the distance to a tube is N / (c sqrt(c^2 - 1))
     and to a horoball N / w (see _normal); both scale factors are positive
     outside the sets, so the sign of the inner product is the sign of P.
-    Evaluated in floats, P takes at most k = 4d + 10 roundings along any
-    path (d + 1 in each Lorentz product; s_a s_b multiplies two squares of
-    them), so |fl(P) - P| <= gamma_k Pbar, where Pbar is P with every term
-    replaced by its absolute value.  The float sign stands when |fl(P)|
-    exceeds error_factor fl(Pbar): error_factor = k 2^-52 is about twice
-    gamma_k, which also covers the rounding of fl(Pbar) and of the product.
-    Otherwise, and when Pbar is not finite or so small that underflow could
-    spoil the relative bound, P is evaluated over the rationals.
+    Evaluated in floats, P takes at most 4d + 10 roundings along any path
+    (d + 1 in each Lorentz product; s_a s_b multiplies two squares of them).
+    The float sign stands where certify.stands() certifies it against Pbar,
+    P with every term replaced by its absolute value; elsewhere P is
+    evaluated over the rationals.
     """
-
-    _TINY = 2.0 ** -960
 
     def __init__(self, set_a: SublevelSet, set_b: SublevelSet):
         self.columns_a = self._columns(set_a)
@@ -460,7 +457,7 @@ class _GradientPair:
         self.abs_a = [[abs(v) for v in c] for c in self.columns_a]
         self.abs_b = [[abs(v) for v in c] for c in self.columns_b]
         self.abs_gram = _gram(self.abs_a, self.abs_b, 1)
-        self.error_factor = (4 * set_a.gamma.dimension + 10) * 2.0 ** -52
+        self.roundings = 4 * set_a.gamma.dimension + 10
 
     @staticmethod
     def _columns(s: SublevelSet) -> list[list[float]]:
@@ -483,10 +480,8 @@ class _GradientPair:
         abs_x = [abs(v) for v in x]
         bound = _polynomial(_normal(abs_x, self.abs_a, 1), _normal(abs_x, self.abs_b, 1),
                             self.abs_gram)
-        if self._TINY <= bound < math.inf and abs(p) > self.error_factor * bound:
-            nonnegative = p > 0
-        else:
-            nonnegative = _exact_polynomial(x, self.columns_a, self.columns_b) >= 0
+        nonnegative = (p > 0 if stands(p, bound, self.roundings)
+                       else _exact_polynomial(x, self.columns_a, self.columns_b) >= 0)
         ip = p / (self._norm(normal_a, self.columns_a) * self._norm(normal_b, self.columns_b))
         return nonnegative, ip
 

@@ -17,9 +17,8 @@ least radius, which gives A at the lower and at the upper h.  Of A it
 keeps the diagonal and the entries of the pairs that meet.  A pair meets
 iff its 2x2 A is copositive, a closed form.  A float filter first decides
 every pair of the cover at once from the float centres, radii and upper h:
-a pair whose disjointness it certifies, with a margin above (L + 3) 2^-52
-times the sum of the absolute terms (L coordinates), is never built in big
-integers; every other pair gets the exact closed form.
+a pair whose disjointness it certifies is never built in big integers;
+every other pair gets the exact closed form.
 A larger tuple is a candidate only when every facet spans a simplex, and
 the candidates come from joining the simplices one level down that share
 all but their last vertex.  Then each proper principal submatrix of its A
@@ -27,29 +26,26 @@ is copositive at the lower h, and so, A growing with h, at the upper h, and
 the sign vector of A_SS^-1 1 on the full support decides the tuple at each
 end.  Past d + 1 balls Helly's theorem decides a candidate: its facets
 meet, so it does.  The nerve gathers each level's candidates and a second
-float filter decides them together first: from one float copy of A (each
-copy over 2^top, its largest entry's bit length), it takes the signs of
-det A_SS and of the Cramer determinants, and keeps a sign only when it
-exceeds c_k 2^-52 times the permanent, c_k = k (k + 3) / 2 for k balls.  A
-tuple it cannot certify, a near-tie, gets one fraction-free solve.  Both
-need every facet certified at the same lower A, so a straddle reruns the
-whole cover, not the one tuple.
+float filter decides them together first, from the signs of det A_SS and
+of the Cramer determinants in one float copy of A.  A tuple it cannot
+certify, a near-tie, gets one fraction-free solve; the filter and the
+solve both need every facet certified at the same lower A, so a straddle
+reruns the whole cover, not the one tuple.  Both filters keep a float
+sign only where certify.stands() certifies it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from fractions import Fraction
 from itertools import combinations, groupby
 
 import numpy as np
 
 from . import hyperbolic as hyp
-from .exact import AbelianGroupStructure, solve_scaled
+from .certify import cosh_roots, float_copy, inverse_sum_negative, inverse_sum_signs, stands
+from .exact import AbelianGroupStructure
 from .homology import all_homology
 from .simplicial import SimplicialComplex, SimplicialPair
 
@@ -130,117 +126,22 @@ def _dyadic(rows: list[list[float]]) -> tuple[list[list[int]], int]:
     return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios], shift - 1
 
 
-def _inverse_sum_negative(a: list[list[int]]) -> bool:
-    """Whether a is nonsingular with a^-1 1 < 0, read off one fraction-free
-    solve a y = d 1 (x = y / d): then l = -a^-1 1 > 0 has l^T a l = -sum(l) < 0,
-    so a is not copositive, and when every proper principal submatrix of a
-    is copositive that is the only way a can fail."""
-    d, y = solve_scaled(a, [1] * len(a))
-    return bool(d) and all(x * d < 0 for x in y)
-
-
-def _float_copy(rows: Sequence[dict[int, int]]) -> np.ndarray:
-    """The kept entries of rows over 2^top, top the bit length of the
-    largest, as an n x n float array with zeros elsewhere: each entry is
-    the correctly rounded int / int, of magnitude below 1."""
-    values = [v for row in rows for v in row.values()]
-    scale = 1 << max(max(values, default=0), -min(values, default=0)).bit_length()
-    out = np.zeros((len(rows), len(rows)))
-    out[[i for i, row in enumerate(rows) for _ in row], [j for row in rows for j in row]] = [
-        v / scale for v in values]
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _laplace_plan(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Index arrays for the minors of rows 0..j-1 of a k x (k + 1) matrix
-    over every j-subset of its columns, for j = 1..k: at level j, subset C
-    (in combinations order) is the sum over p of signs[C, p] times entry
-    (j - 1, columns[C, p]) times the level j - 1 minor at parents[C, p],
-    which drops column p of C (Laplace expansion along the last row)."""
-    plan = []
-    previous = {(): 0}
-    for j in range(1, k + 1):
-        subsets = list(combinations(range(k + 1), j))
-        plan.append((np.array(subsets),
-                     np.array([[previous[c[:p] + c[p + 1:]] for p in range(j)] for c in subsets]),
-                     np.array([[(-1.0) ** (j - 1 + p) for p in range(j)] for _ in subsets])))
-        previous = {c: n for n, c in enumerate(subsets)}
-    return plan
-
-
-# Below this a permanent could be dominated by underflow (see _inverse_sum_signs).
-_TINY = 2.0 ** -960
-# The largest tuple the float filter decides (its work grows as (k + 1) 2^k),
-# and the most tuples it expands at once.
-_FILTERED = 8
-_CHUNK = 2048
-
-
-def _inverse_sum_signs(a: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(certified, negative): for each row S of the (m, k) index array, whether
-    the float filter certifies the sign vector of a_SS^-1 1, and if so
-    whether a_SS^-1 1 < 0, as _inverse_sum_negative decides it exactly.
-
-    a is a _float_copy, every entry below 1.  With M = [1 | a_SS], the k + 1
-    k x k minors of M give det a_SS (drop column 0) and, up to the sign
-    (-1)^i, the Cramer determinant D_i of a_SS with column i set to 1 (drop
-    column i + 1); a_SS^-1 1 = D / det, and any positive constant column
-    gives the same signs.  Each minor and its permanent over |M| come from
-    one Laplace expansion along the rows.  A term of a k x k minor carries
-    n_k = k (k + 3) / 2 roundings along any path: one per entry converted
-    (k), per product (k) and per addition (at most j - 1 at row j), so
-    |fl(v) - v| <= gamma_n_k per, per the exact permanent.  The sign of v
-    stands when |fl(v)| > c_k 2^-52 fl(per) with c_k = n_k: about twice
-    gamma_n_k, which also covers the rounding of fl(per) and of the product.
-    Underflow breaks the relative bound: a subnormal entry or product is off
-    by up to 2^-1075 absolutely, and with every entry at most 1 the at most
-    2 (k + 1)! such errors sum below 2^-1050 for k <= _FILTERED.  So a sign
-    also needs fl(per) >= 2^-960, where the margin c_k 2^-53 fl(per) dwarfs
-    them.  The vector is certified when det and every D_i are: negative iff
-    every D_i has the sign opposite to det's.  Otherwise the caller solves
-    exactly.
-    """
-    m, k = tuples.shape
-    entries = np.ones((m, k, k + 1))
-    entries[:, :, 1:] = a[tuples[:, :, None], tuples[:, None, :]]
-    magnitudes = np.abs(entries)
-    minors = permanents = np.ones((m, 1))
-    for j, (columns, parents, signs) in enumerate(_laplace_plan(k)):
-        row, row_magnitudes = entries[:, j, columns], magnitudes[:, j, columns]
-        minors = (signs * row * minors[:, parents]).sum(axis=2)
-        permanents = (row_magnitudes * permanents[:, parents]).sum(axis=2)
-    # combinations order: the last minor drops column 0, the one before it column 1, ...
-    minors, permanents = minors[:, ::-1], permanents[:, ::-1]
-    bound = (k * (k + 3) // 2) * 2.0 ** -52
-    known = (permanents >= _TINY) & (np.abs(minors) > bound * permanents)
-    alternating = (-1.0) ** np.arange(k)
-    det, cramer = minors[:, :1], minors[:, 1:] * alternating
-    return known.all(axis=1), (np.sign(cramer) == -np.sign(det)).all(axis=1)
-
-
 # Float cells the pair filter forms at once: a block of rows against every ball.
 _BLOCK = 1 << 16
 
 
-def _stands(margin: np.ndarray, per: np.ndarray, bound: float) -> np.ndarray:
-    """Where margin > 0 is certified: finite, above bound times a finite per,
-    and per >= 2^-960 (see _inverse_sum_signs and _apart)."""
-    return (np.isfinite(margin) & np.isfinite(per) & (per >= _TINY)
-            & (margin > bound * per))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # shown by a margin or per not finite
+@np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
 def _apart(points: np.ndarray, sizes: np.ndarray, hyperbolic: bool, rows: slice) -> np.ndarray:
     """(rows, n) mask of the pairs of balls the float filter certifies do not
-    meet, as pair_meets() decides it exactly.
+    meet, as pair_meets() decides it exactly: certify.stands() keeps each
+    sign with L + 3 roundings, L coordinates per centre, against per, the
+    same sum over absolute values.  Every other pair goes to pair_meets().
 
-    points holds the float centres, L coordinates each.  In E^d sizes holds
-    the radii, and the balls are disjoint iff q = |c_i|^2 + |c_j|^2 - 2 c_i.c_j
-    - (r_i + r_j)^2 > 0.  Every term of q carries at most L + 3 roundings
-    (a dot product of L terms, then three additions; the sum and square of the
-    radii, then one), so |fl(q) - q| <= gamma_(L+3) per, per the same sum over
-    absolute values, the dot products taken over |c|.
+    In E^d sizes holds the radii, and the balls are disjoint iff q = |c_i|^2
+    + |c_j|^2 - 2 c_i.c_j - (r_i + r_j)^2 > 0.  Every term of q carries at
+    most L + 3 roundings (a dot product of L terms, then three additions;
+    the sum and square of the radii, then one), and subnormal products add
+    at most (4L + 1) 2^-1075 to it.
     In H^d sizes holds the upper h, each the correctly rounded quotient of its
     enclosure, and the filter certifies that the 2x2 A, A_ij = h_i h_j +
     <c_i, c_j>, is not copositive at the upper h: A_ij < 0 and q = A_ij^2 -
@@ -249,38 +150,33 @@ def _apart(points: np.ndarray, sizes: np.ndarray, hyperbolic: bool, rows: slice)
     at most L + 1 roundings (the Lorentz dot product, then one addition; the
     conversion of h, the product and the addition on the other side), so
     |fl(A_ij) - A_ij| <= gamma_(L+1) m_ij, m_ij = h_i h_j + |c_i|.|c_j|, and
-    with two products and a subtraction more |fl(q) - q| <= ((L + 2) 2^-52
-    + O(2^-104)) per, per = m_ij^2 + m_ii m_jj.
-    A sign stands when it exceeds (L + 3) 2^-52 times the float per, which
-    covers both bounds with room for the rounding of per itself.  Underflow
-    breaks the relative bounds: each subnormal product is off by up to 2^-1075
-    absolutely.  In E^d they add at most (4L + 1) 2^-1075 to q, far below the
-    margin once per >= 2^-960.  In H^d the centres lie on the hyperboloid, so
-    every h_i and m is about 1 or more: per is never tiny, and it bounds each
-    factor an error of A is multiplied by in q.  Overflow shows as a margin or
-    per that is not finite, every partial result being at most per.  Every
-    pair not certified goes to pair_meets().
+    with two products and a subtraction more |fl(q) - q| <= (2 gamma_(L+2)
+    + O(2^-104)) per, per = m_ij^2 + m_ii m_jj.  The centres lie on the
+    hyperboloid, so every h_i and m is about 1 or more: per, which bounds
+    each factor an error of A is multiplied by in q, is never tiny.
     """
     def gram(u, v):
         # einsum's own loop: a BLAS matmul would raise the peak RSS for no gain here
         return np.einsum("ik,jk->ij", u, v)
 
+    def positive(margin, per):
+        return stands(margin, per, points.shape[1] + 3) & (margin > 0)
+
     block = points[rows]
-    bound = (points.shape[1] + 3) * 2.0 ** -52
     magnitude = gram(np.abs(block), np.abs(points))
     squares = (points * points).sum(axis=1)
     if not hyperbolic:
         reach = np.square(sizes[rows, None] + sizes)
         near = squares[rows, None] + squares
-        return _stands(near - 2 * gram(block, points) - reach, near + 2 * magnitude + reach, bound)
+        return positive(near - 2 * gram(block, points) - reach, near + 2 * magnitude + reach)
     signs = np.ones(points.shape[1])
     signs[0] = -1.0
     products = sizes[rows, None] * sizes
     a, m = products + gram(block * signs, points), products + magnitude
     a_diagonal = sizes * sizes + (points * signs * points).sum(axis=1)
     m_diagonal = sizes * sizes + squares
-    return _stands(-a, m, bound) & _stands(a * a - a_diagonal[rows, None] * a_diagonal,
-                                           m * m + m_diagonal[rows, None] * m_diagonal, bound)
+    return positive(-a, m) & positive(a * a - a_diagonal[rows, None] * a_diagonal,
+                                      m * m + m_diagonal[rows, None] * m_diagonal)
 
 
 def _quotient(num: int, den: int) -> float:
@@ -306,7 +202,7 @@ def _copositive(a: list[list[int]]) -> bool:
     n = len(a)
     if any(a[i][i] < 0 for i in range(n)):
         return False
-    return not any(_inverse_sum_negative([[a[i][j] for j in s] for i in s])
+    return not any(inverse_sum_negative([[a[i][j] for j in s] for i in s])
                    for size in range(2, n + 1) for s in combinations(range(n), size))
 
 
@@ -318,20 +214,6 @@ def _certify(copositive, lower, upper, indices: tuple[int, ...]) -> bool:
     if upper is None or not copositive(upper):
         return False
     raise IndeterminateIntersectionError(indices)
-
-
-def _context(bits: int) -> Context:
-    # six correctly rounded Decimal operations at bits // 3 + 3 digits stay
-    # far below a relative 2**-bits
-    return Context(prec=bits // 3 + 3, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
-@functools.lru_cache(maxsize=1024)
-def _cosh(r: float, bits: int) -> Decimal:
-    """cosh r as (e^r + e^-r) / 2 in the enclosure's context: one per radius."""
-    with localcontext(_context(bits)):
-        x = Decimal(r).exp()
-        return (x + 1 / x) / 2
 
 
 class _CoverMatrix:
@@ -359,9 +241,7 @@ class _CoverMatrix:
             # halving of r, so the least radius of the family sets the precision
             least = min((r for _, r in balls), default=1.0)
             bits += 2 * max(0, -math.frexp(least)[1])
-            with localcontext(_context(bits)):
-                h = [Fraction(_cosh(r, bits) * Decimal(-self._gram(i, i)).sqrt())
-                     for i, (_, r) in enumerate(balls)]
+            h = cosh_roots([(r, -self._gram(i, i)) for i, (_, r) in enumerate(balls)], bits)
             den = math.lcm(*(x.denominator for x in h))
             # h (1 -+ 2**-bits) brackets the exact h, and A grows with h
             self._scale = den * den << 2 * bits
@@ -433,20 +313,18 @@ class _CoverMatrix:
         tuple meets; < 0 at the lower A, and at the upper A or in E^d, means
         it does not.  tuple_meets() reads these verdicts until the next call."""
         self._verdicts = {}
-        if not tuples or len(tuples[0]) > _FILTERED:
+        if not tuples:
             return
         if not self._floats:
-            self._floats = [_float_copy(rows) for rows in (self.lower, self.upper)
+            self._floats = [float_copy(rows) for rows in (self.lower, self.upper)
                             if rows is not None]
-        for start in range(0, len(tuples), _CHUNK):
-            chunk = np.array(tuples[start:start + _CHUNK])
-            known, negative = _inverse_sum_signs(self._floats[0], chunk)
-            fails = np.flatnonzero(known & negative)
-            if self.upper is not None and fails.size:
-                at_upper = _inverse_sum_signs(self._floats[1], chunk[fails])
-                known[fails] = at_upper[0] & at_upper[1]
-            for n in np.flatnonzero(known).tolist():
-                self._verdicts[tuples[start + n]] = not negative[n]
+        level = np.array(tuples)
+        known, negative = inverse_sum_signs(self._floats[0], level)
+        fails = np.flatnonzero(known & negative)
+        if self.upper is not None and fails.size:
+            at_upper = inverse_sum_signs(self._floats[1], level[fails])
+            known[fails] = at_upper[0] & at_upper[1]
+        self._verdicts = {tuples[n]: not negative[n] for n in np.flatnonzero(known).tolist()}
 
     def tuple_meets(self, s: tuple[int, ...], indices: tuple[int, ...]) -> bool:
         """Whether the balls s meet, given that every facet of s meets at the
@@ -460,7 +338,7 @@ class _CoverMatrix:
         def principal(rows):
             return [[rows[i][j] for j in s] for i in s]
 
-        return _certify(lambda a: not _inverse_sum_negative(a), principal(self.lower),
+        return _certify(lambda a: not inverse_sum_negative(a), principal(self.lower),
                         None if self.upper is None else principal(self.upper), indices)
 
 
@@ -513,9 +391,9 @@ def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
     decided again at doubled bits; past MAX_ENCLOSURE_BITS it raises
     IndeterminateIntersectionError(indices).  A tuple that nerve() passes
     is decided at its cover's bits: a straddle there reruns the cover.
-    There the float filter's verdict stands when it gave one, with signs
-    kept only above c_k 2^-52 times their permanents; an exact solve
-    decides the tuples it abstains on.  A plain list of balls is always
+    There the float filter's verdict stands when it gave one, each sign
+    kept by certify.stands(); an exact solve decides the tuples it
+    abstains on.  A plain list of balls is always
     decided exactly, every principal subset by its own solve.
     """
     if isinstance(balls, _CoverTuple):

@@ -215,9 +215,11 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_nerve_import_does_not_load_mpmath():
+@pytest.mark.parametrize("module", ["torsionlab.certify", "torsionlab.hyperbolic",
+                                    "torsionlab.nerve"])
+def test_import_does_not_load_mpmath(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    probe = "import sys, torsionlab.nerve; print('mpmath' in sys.modules)"
+    probe = f"import sys, {module}; print('mpmath' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

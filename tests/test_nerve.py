@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from torsionlab import certify
 from torsionlab import nerve as nerve_module
 from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.exact import IntegerMatrix, determinant
@@ -631,13 +632,13 @@ def test_candidates_with_a_facet_outside_the_nerve_are_never_decided(monkeypatch
 def count_solves(monkeypatch):
     """The size of every exact solve made from now on."""
     calls = []
-    solve = nerve_module.solve_scaled
+    solve = certify.solve_scaled
 
     def counting(rows, rhs):
         calls.append(len(rows))
         return solve(rows, rhs)
 
-    monkeypatch.setattr(nerve_module, "solve_scaled", counting)
+    monkeypatch.setattr(certify, "solve_scaled", counting)
     return calls
 
 
@@ -664,8 +665,8 @@ def test_closed_pair_form_agrees_with_the_solve():
 
 def filter_verdict(a):
     """(certified, a^-1 1 < 0) from the float filter on the whole of a."""
-    floats = nerve_module._float_copy([dict(enumerate(row)) for row in a])
-    certified, negative = nerve_module._inverse_sum_signs(floats, np.array([range(len(a))]))
+    floats = certify.float_copy([dict(enumerate(row)) for row in a])
+    certified, negative = certify.inverse_sum_signs(floats, np.array([range(len(a))]))
     return bool(certified[0]), bool(negative[0])
 
 
@@ -701,7 +702,7 @@ def test_float_filter_agrees_with_the_exact_solve(kind, data):
     a = data.draw(filter_matrices(kind))
     certified, negative = filter_verdict(a)
     if certified:
-        assert negative == nerve_module._inverse_sum_negative(a)
+        assert negative == certify.inverse_sum_negative(a)
 
 
 def test_float_filter_needs_a_normal_permanent():
@@ -785,7 +786,7 @@ def test_float_filter_decides_a_generic_cover_alone(monkeypatch):
 
 
 def float_copy_by_entry(rows):
-    """_float_copy one entry at a time: the reference for its single pass."""
+    """float_copy one entry at a time: the reference for its single pass."""
     top = max((abs(v).bit_length() for row in rows for v in row.values()), default=0)
     out = np.zeros((len(rows), len(rows)))
     for i, row in enumerate(rows):
@@ -800,7 +801,7 @@ def test_float_copy_matches_the_entrywise_copy(bits):
     rows = [{j: rng.randint(-2 ** bits, 2 ** bits) for j in rng.sample(range(6), 3)}
             for _ in range(6)]
     rows[2][4] = -2 ** bits  # the largest magnitude, negative
-    np.testing.assert_array_equal(nerve_module._float_copy(rows), float_copy_by_entry(rows))
+    np.testing.assert_array_equal(certify.float_copy(rows), float_copy_by_entry(rows))
 
 
 def unit(draw, d):
