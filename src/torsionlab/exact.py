@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
@@ -265,10 +265,16 @@ class AbelianGroupStructure:
 @dataclass(frozen=True)
 class SNFResult:
     """Rank and the invariant factors above 1, a chain d_1 | d_2 | ... ;
-    the other nonzero entries of the Smith form are 1."""
+    the other nonzero entries of the Smith form are 1.
+
+    ``unit_rows`` are the rows of the unit pivots taken before the first
+    remainder step; they are a by-product of the elimination that found the
+    form, not part of it, so equality ignores them.
+    """
 
     rank: int
     factors: tuple[int, ...]
+    unit_rows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
     def invariant_factors(self) -> tuple[int, ...]:
         return self.factors
@@ -323,12 +329,17 @@ def _divisibility_chain(d: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
-def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
+def smith_normal_form(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFResult:
     """Rank and invariant factors above 1, by elimination on sparse columns.
 
     The result is kept on ``mat``, so a second call on the same matrix
-    returns it without eliminating again; this is why the matrix and the
-    dicts of its ``columns`` must not be changed.
+    returns it without eliminating again, whatever ``retired`` is; this is
+    why the matrix and the dicts of its ``columns`` must not be changed.
+
+    ``retired`` names columns that the caller guarantees lie in the Z-span
+    of the others, so dropping them changes neither the rank nor the
+    invariant factors; the elimination never reads them.  ``homology``
+    retires the columns of d_k at the unit rows of d_{k+1}'s result.
 
     A pivot p at (r, c) is eliminated by column operations that clear row
     r; once the rest of column c is a multiple of p, row r and column c are
@@ -343,13 +354,14 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     """
     snf = mat.__dict__.get("_snf")
     if snf is None:
-        snf = _smith_kernel(mat)
+        snf = _smith_kernel(mat, retired)
         object.__setattr__(mat, "_snf", snf)
     return snf
 
 
-def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
-    cols = [dict(col) for col in mat.columns]
+def _smith_kernel(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFResult:
+    retired = frozenset(retired)
+    cols = [{} if j in retired else dict(col) for j, col in enumerate(mat.columns)]
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
     for j, col in enumerate(cols):
         for i in col:
@@ -364,7 +376,7 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
     # non-unit pivot every live column has its current key in ``least``,
     # and an entry whose key is out of date is skipped.
     least: list[tuple[int, int, int]] = []
-    changed = set(range(len(cols)))
+    changed = {j for _, j in heap}
 
     def key(j: int) -> tuple[int, int, int]:
         col = cols[j]
@@ -401,17 +413,26 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
 
     rank = 0
     diagonal: list[int] = []
+    # rows of the unit pivots taken before the first remainder step: each is
+    # reached by column operations alone and clears its row in every live
+    # column, so the reduced pivot columns restricted to these rows form a
+    # unit triangular matrix.  A remainder step is a row operation, after
+    # which the columns are no longer images in the original row basis.
+    unit_rows: list[int] = []
+    rows_moved = False
     while True:
         while heap:
             size, c = heapq.heappop(heap)
             pivot_col = cols[c]
             if len(pivot_col) != size:
                 continue  # a stale entry: the column changed or was eliminated
-            unit_rows = [i for i, v in pivot_col.items() if v == 1 or v == -1]
-            if not unit_rows:
+            units = [i for i, v in pivot_col.items() if v == 1 or v == -1]
+            if not units:
                 changed.add(c)
                 continue
-            r = min(unit_rows, key=lambda i: (len(row_cols[i]), i))
+            r = min(units, key=lambda i: (len(row_cols[i]), i))
+            if not rows_moved:
+                unit_rows.append(r)
             clear_row(r, c)
             drop(c)
             rank += 1
@@ -439,12 +460,13 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
             if not rems:
                 break
             cols[c].update(rems)
+            rows_moved = True
             r = min(rems, key=lambda i: (abs(rems[i]), i))
         if abs(cols[c][r]) > 1:
             diagonal.append(abs(cols[c][r]))
         drop(c)
         rank += 1
-    return SNFResult(rank, _divisibility_chain(diagonal))
+    return SNFResult(rank, _divisibility_chain(diagonal), frozenset(unit_rows))
 
 
 def cokernel(mat: IntegerMatrix) -> AbelianGroupStructure:

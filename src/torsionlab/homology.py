@@ -12,6 +12,22 @@ the boundary matrices of surfaces and nerves nearly every pivot is +-1.
 A complex keeps its boundary matrices and each matrix its Smith form, so
 ``all_homology`` builds and eliminates every d_k once although degrees
 k - 1 and k both ask for it.
+
+d_{k+1} is eliminated before d_k, and the rows of its unit pivots retire
+the matching columns of d_k, which are then never read (clearing:
+Chen-Kerber, "Persistent homology computation with a twist", EuroCG 2011;
+Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).  This is sound over Z.
+Up to each unit-loop pivot the kernel has done column operations only, and
+every earlier pivot row is zero in every live column; so the reduced pivot
+columns are in im d_{k+1} and, restricted to their pivot rows, form a unit
+triangular matrix.  As d_k d_{k+1} = 0, each retired column of d_k is then
+an integer combination of the columns that are not retired, and dropping
+it changes neither the rank nor the invariant factors of d_k.  The
+argument holds for relative boundaries too.  A non-unit pivot is not
+recorded, nor is any pivot after the first remainder step: that step is a
+row operation, after which the columns are images in another basis.
+So ``all_homology`` and ``all_relative_homology`` walk the degrees from
+the top down, and every d_k below the top one is eliminated cleared.
 """
 
 from __future__ import annotations
@@ -37,8 +53,8 @@ ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _homology_from_boundaries(d_k: IntegerMatrix, d_k1: IntegerMatrix) -> AbelianGroupStructure:
-    rank_out = smith_normal_form(d_k).rank
     snf_in = smith_normal_form(d_k1)
+    rank_out = smith_normal_form(d_k, retired=snf_in.unit_rows).rank
     betti = d_k.cols - rank_out - snf_in.rank
     if betti < 0:
         raise ExactArithmeticError("negative Betti number: boundary maps are inconsistent")
@@ -47,27 +63,27 @@ def _homology_from_boundaries(d_k: IntegerMatrix, d_k1: IntegerMatrix) -> Abelia
 
 def homology(complex_: SimplicialComplex, k: int) -> AbelianGroupStructure:
     """H_k of the complex with integer coefficients."""
-    d_k = boundary_matrix(complex_, k)
     d_k1 = boundary_matrix(complex_, k + 1)
+    d_k = boundary_matrix(complex_, k)
     return _homology_from_boundaries(d_k, d_k1)
 
 
 def relative_homology(pair: SimplicialPair, k: int) -> AbelianGroupStructure:
     """H_k of the quotient chain complex of the pair."""
-    d_k = relative_boundary_matrix(pair, k)
     d_k1 = relative_boundary_matrix(pair, k + 1)
+    d_k = relative_boundary_matrix(pair, k)
     return _homology_from_boundaries(d_k, d_k1)
 
 
 def all_homology(complex_: SimplicialComplex, up_to: int | None = None) -> list[AbelianGroupStructure]:
     """H_0 .. H_up_to as a list (default: up to the complex dimension)."""
     top = complex_.dimension if up_to is None else up_to
-    return [homology(complex_, k) for k in range(max(top, 0) + 1)]
+    return [homology(complex_, k) for k in reversed(range(max(top, 0) + 1))][::-1]
 
 
 def all_relative_homology(pair: SimplicialPair, up_to: int | None = None) -> list[AbelianGroupStructure]:
     top = pair.total.dimension if up_to is None else up_to
-    return [relative_homology(pair, k) for k in range(max(top, 0) + 1)]
+    return [relative_homology(pair, k) for k in reversed(range(max(top, 0) + 1))][::-1]
 
 
 def betti_euler_characteristic(complex_: SimplicialComplex) -> int:
