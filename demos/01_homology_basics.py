@@ -24,12 +24,12 @@ rp2 = complexes.projective_plane_6()
 d2 = boundary_matrix(rp2, 2)
 snf = smith_normal_form(d2)
 print("RP^2 boundary d_2 is", f"{d2.rows}x{d2.cols};",
-      f"rank {snf.rank};", "invariant factors above 1:", snf.invariant_factors())
+      f"rank {snf.rank};", "invariant factors above 1:", snf.factors)
 print("the lone factor 2 is the 2-torsion of H_1(RP^2)")
 
 print()
 
 # The same machinery on a bare matrix: diag(2, 3) presents Z/6.
 snf = smith_normal_form(IntegerMatrix.diagonal([2, 3]))
-print(f"SNF of diag(2,3): rank {snf.rank}; invariant factors above 1:", snf.invariant_factors(),
+print(f"SNF of diag(2,3): rank {snf.rank}; invariant factors above 1:", snf.factors,
       "- the cokernel is Z/6")

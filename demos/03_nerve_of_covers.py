@@ -6,7 +6,7 @@ blob, and an annulus pair with a shrunken subfamily.
 """
 
 from torsionlab.exact import AbelianGroupStructure as G
-from torsionlab.homology import all_homology, all_relative_homology
+from torsionlab.homology import all_homology
 from torsionlab.nerve import (
     BallCover,
     EuclideanSpace,
@@ -36,6 +36,6 @@ print("convex blob has point homology:", report.passed)
 # equivalence, so all relative groups vanish
 full, subfamily, shrink = annulus_cover()
 pair = relative_nerve(full, subfamily, shrink)
-rel = all_relative_homology(pair.as_pair(), up_to=2)
-print("annulus pair nerve:", pair.nerve.f_vector(), "sub:", pair.sub_nerve.f_vector())
+rel = all_homology(pair, up_to=2)
+print("annulus pair nerve:", pair.total.f_vector(), "sub:", pair.sub.f_vector())
 print("relative homology (all trivial):", [str(g) for g in rel])

@@ -20,7 +20,7 @@ from .exact import (
     cokernel,
     smith_normal_form,
 )
-from .homology import all_homology, all_relative_homology, relative_homology
+from .homology import all_homology
 from .simplicial import (
     SimplicialComplex,
     SimplicialPair,
@@ -28,7 +28,6 @@ from .simplicial import (
     build_complex,
     complexity_profile,
     random_dv_complex,
-    relative_boundary_matrix,
 )
 
 __all__ = [
@@ -38,14 +37,11 @@ __all__ = [
     "SimplicialComplex",
     "SimplicialPair",
     "all_homology",
-    "all_relative_homology",
     "boundary_matrix",
     "build_complex",
     "cokernel",
     "complexity_profile",
     "random_dv_complex",
-    "relative_boundary_matrix",
-    "relative_homology",
     "smith_normal_form",
 ]
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .exact import IntegerMatrix, cokernel, independent_columns
-from .homology import relative_homology
+from .homology import homology
 from .simplicial import (
     SimplicialPair,
     complexity_profile,
@@ -115,17 +115,21 @@ def dv_torsion_check(pair: SimplicialPair, p: int) -> DVBoundReport:
     (p+1)^e >= 2^e > torsion.
     """
     profile = complexity_profile(pair.total)
-    torsion = relative_homology(pair, p).torsion_order
+    torsion = homology(pair, p).torsion_order
     exponent = (profile.D ** p) * profile.V
     holds = ((p >= 1 and exponent >= torsion.bit_length())
              or torsion <= (p + 1) ** exponent)
+    try:
+        log_bound = exponent * math.log(p + 1)
+    except OverflowError:  # the exponent is past the float range
+        log_bound = math.inf
     return DVBoundReport(
         D=profile.D,
         V=profile.V,
         p=p,
         torsion_order=torsion,
         log_torsion=float(math.log(torsion)) if torsion > 1 else 0.0,
-        log_bound=exponent * math.log(p + 1),
+        log_bound=log_bound,
         holds=holds,
     )
 

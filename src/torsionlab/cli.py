@@ -15,8 +15,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .exact import AbelianGroupStructure, ExactArithmeticError
-from .homology import all_homology, all_relative_homology
-from .simplicial import MalformedComplexError, SimplicialPair, read_complex_or_pair
+from .homology import all_homology
+from .simplicial import MalformedComplexError, read_complex_or_pair
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -84,14 +84,8 @@ def cmd_homology(args) -> int:
     except MalformedComplexError as exc:
         raise InputError(f"{args.path}: {exc}") from None
 
-    if isinstance(obj, SimplicialPair):
-        top = obj.total.dimension
-        groups = all_relative_homology(obj, up_to=top)
-    else:
-        top = obj.dimension
-        groups = all_homology(obj, up_to=top)
-
-    degrees = list(range(max(top, 0) + 1))
+    groups = all_homology(obj)
+    degrees = list(range(len(groups)))
     if args.degrees is not None:
         degrees = [d for d in _parse_int_vector(args.degrees)]
     for k in degrees:
@@ -229,8 +223,8 @@ def _verify_nerve(args) -> int:
            "passed": rep.passed})
 
     cover, subfamily, shrink = nerve.annulus_cover()
-    pair = nerve.relative_nerve(cover, subfamily, shrink).as_pair()
-    rel = all_relative_homology(pair, up_to=2)
+    pair = nerve.relative_nerve(cover, subfamily, shrink)
+    rel = all_homology(pair, up_to=2)
     ok = all(g.is_trivial() for g in rel)
     failures += 0 if ok else 1
     _emit({"check": "annulus-pair", "computed": [str(g) for g in rel], "passed": ok})

@@ -276,9 +276,6 @@ class SNFResult:
     factors: tuple[int, ...]
     unit_rows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.factors
-
 
 def _coprime_base(values: Iterable[int]) -> list[int]:
     """Pairwise coprime integers above 1 of which every value is a product.
@@ -476,7 +473,7 @@ def cokernel(mat: IntegerMatrix) -> AbelianGroupStructure:
     free rank is rows - rank and the torsion is the Smith form's.
     """
     snf = smith_normal_form(mat)
-    return AbelianGroupStructure(betti=mat.rows - snf.rank, invariant_factors=snf.invariant_factors())
+    return AbelianGroupStructure(betti=mat.rows - snf.rank, invariant_factors=snf.factors)
 
 
 def rational_rank(mat: IntegerMatrix) -> int:

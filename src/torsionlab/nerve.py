@@ -440,24 +440,9 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     return SimplicialComplex._closed(n, frozenset(simplices))
 
 
-@dataclass(frozen=True)
-class NervePair:
-    """Nerve of a cover with the embedded nerve of a shrunken subfamily."""
-
-    nerve: SimplicialComplex
-    sub_nerve: SimplicialComplex
-
-    def __post_init__(self):
-        if not self.sub_nerve.simplices <= self.nerve.simplices:
-            raise ValueError("sub-nerve is not a subcomplex of the nerve")
-
-    def as_pair(self) -> SimplicialPair:
-        return SimplicialPair(total=self.nerve, sub=self.sub_nerve)
-
-
 def relative_nerve(cover: BallCover, subfamily: Sequence[int],
-                   shrink: Sequence[float], max_dim: int | None = None) -> NervePair:
-    """Nerve of the cover plus the nerve of the shrunken subfamily.
+                   shrink: Sequence[float], max_dim: int | None = None) -> SimplicialPair:
+    """The nerve of the cover over the nerve of the shrunken subfamily.
 
     The subfamily keeps its original indices, so its nerve is a genuine
     subcomplex of the full nerve (shrunken balls that meet force the
@@ -483,7 +468,7 @@ def relative_nerve(cover: BallCover, subfamily: Sequence[int],
     local = nerve(sub_cover, max_dim=max_dim)
     relabeled = {tuple(sorted(indices[v] for v in s)) for s in local.simplices}
     sub = SimplicialComplex(vertex_count=len(cover), simplices=frozenset(relabeled))
-    return NervePair(nerve=total, sub_nerve=sub)
+    return SimplicialPair(total=total, sub=sub)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ complex stores *all* of its simplices explicitly (not only maximal ones):
 at desk scale this is affordable and makes boundary-matrix assembly a
 straight read-off.  Bases of chain groups are always the lexicographically
 sorted simplex lists, so every matrix is bit-reproducible across runs.
+
+A pair (total, sub) is the chain complex of the quotient: its k-chains
+are spanned by the k-simplices of total that are not in sub.  It answers
+``dimension`` and ``simplices_of_dim`` as a complex does, so
+``boundary_matrix`` (and ``homology``) take either without a branch.
 """
 
 from __future__ import annotations
@@ -135,8 +140,17 @@ class SimplicialPair:
 
     @cached_property
     def _boundaries(self) -> dict[int, IntegerMatrix]:
-        """``relative_boundary_matrix`` results by degree."""
+        """``boundary_matrix`` results by degree."""
         return {}
+
+    @property
+    def dimension(self) -> int:
+        return self.total.dimension
+
+    def simplices_of_dim(self, k: int) -> list[Simplex]:
+        """The relative basis: k-simplices of total not in sub, in canonical order."""
+        sub = self.sub.simplices
+        return [s for s in self.total.simplices_of_dim(k) if s not in sub]
 
 
 @dataclass(frozen=True)
@@ -215,13 +229,15 @@ def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex]) -> Inte
     return IntegerMatrix.from_columns(len(lower), len(k_simplices), columns)
 
 
-def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:
+def boundary_matrix(complex_: SimplicialComplex | SimplicialPair, k: int) -> IntegerMatrix:
     """Matrix of the boundary map from k-chains to (k-1)-chains.
 
-    Signs alternate over the sorted vertex order; every column of a
-    nonempty matrix has exactly k+1 entries equal to +-1.  The matrix is
-    kept on the complex and returned again by later calls in degree k, so
-    it must not be changed.
+    The bases are ``simplices_of_dim(k)`` and ``simplices_of_dim(k - 1)``,
+    so of a pair the faces that fall into the subcomplex are dropped.
+    Signs alternate over the sorted vertex order; of a complex, every
+    column of a nonempty matrix has exactly k+1 entries equal to +-1.  The
+    matrix is kept on the complex or pair and returned again by later calls
+    in degree k, so it must not be changed.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -229,25 +245,6 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:
     if mat is None:
         mat = complex_._boundaries[k] = _assemble_boundary(
             complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1))
-    return mat
-
-
-def relative_boundary_matrix(pair: SimplicialPair, k: int) -> IntegerMatrix:
-    """Boundary of the quotient chain complex of the pair.
-
-    Basis: k-simplices of the total complex that are not in the
-    subcomplex; boundary faces falling into the subcomplex are dropped.
-    The matrix is kept on the pair and returned again by later calls in
-    degree k, so it must not be changed.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    mat = pair._boundaries.get(k)
-    if mat is None:
-        sub = pair.sub.simplices
-        mat = pair._boundaries[k] = _assemble_boundary(
-            [s for s in pair.total.simplices_of_dim(k) if s not in sub],
-            [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub])
     return mat
 
 
@@ -311,7 +308,8 @@ def random_subcomplex(complex_: SimplicialComplex, seed: int) -> SimplicialCompl
 #   s v0 v1 ... vk        (one line per maximal simplex, ascending ids)
 #   # comment lines are ignored
 #
-# Pair files hold two complex blocks separated by a line `pair-sub`.
+# Pair files hold two complex blocks separated by a line `pair-sub`; one
+# reader, read_complex_or_pair, takes both.
 
 
 def write_complex(complex_: SimplicialComplex) -> str:
@@ -336,6 +334,8 @@ def _parse_block(lines: list[tuple[int, str]]) -> SimplicialComplex:
         n = int(parts[1][2:])
     except ValueError:
         raise MalformedComplexError(f"line {lineno}: bad vertex count in {header!r}") from None
+    if n < 0:
+        raise MalformedComplexError(f"line {lineno}: negative vertex count in {header!r}")
     simplices = []
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -363,19 +363,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def read_complex(text: str) -> SimplicialComplex:
+def read_complex_or_pair(text: str) -> SimplicialComplex | SimplicialPair:
+    """The complex of a file with one block, the pair of one with two."""
     lines = _content_lines(text)
-    if any(line == "pair-sub" for _, line in lines):
-        raise MalformedComplexError("file contains a pair, not a single complex")
-    return _parse_block(lines)
-
-
-def read_pair(text: str) -> SimplicialPair:
-    return _pair_from_lines(_content_lines(text))
-
-
-def _pair_from_lines(lines: list[tuple[int, str]]) -> SimplicialPair:
     split_at = [i for i, (_, line) in enumerate(lines) if line == "pair-sub"]
+    if not split_at:
+        return _parse_block(lines)
     if len(split_at) != 1:
         raise MalformedComplexError("pair file must contain exactly one 'pair-sub' separator")
     total = _parse_block(lines[:split_at[0]])
@@ -383,10 +376,3 @@ def _pair_from_lines(lines: list[tuple[int, str]]) -> SimplicialPair:
     if sub.vertex_count < total.vertex_count:
         sub = SimplicialComplex(vertex_count=total.vertex_count, simplices=sub.simplices)
     return SimplicialPair(total=total, sub=sub)
-
-
-def read_complex_or_pair(text: str) -> SimplicialComplex | SimplicialPair:
-    lines = _content_lines(text)
-    if any(line == "pair-sub" for _, line in lines):
-        return _pair_from_lines(lines)
-    return _parse_block(lines)

@@ -165,16 +165,22 @@ def test_dv_check_self_pair_trivial():
         assert report.holds
 
 
-@pytest.mark.parametrize("leaves, p", [(50, 4), (200, 5)])
+@pytest.mark.parametrize("leaves, p", [(50, 4), (200, 5), (50, 200)])
 def test_dv_check_decides_huge_exponents_at_once(leaves, p):
-    # D^p * V is 3.2e8 and 6.4e13 here: (p+1)^(D^p * V) is never built
+    # D^p * V is 3.2e8, 6.4e13 and 3.2e341 here: (p+1)^(D^p * V) is never
+    # built, and the last exponent is past the float range
     star = build_complex([(0, leaf) for leaf in range(1, leaves + 1)])
     start = time.perf_counter()
     report = dv_torsion_check(SimplicialPair(total=star, sub=empty_complex(star.vertex_count)), p)
     assert time.perf_counter() - start < 2.0
     assert (report.D, report.V) == (leaves, leaves + 1)
     assert report.holds
-    assert report.log_bound == pytest.approx(leaves ** p * (leaves + 1) * math.log(p + 1))
+    exponent = leaves ** p * (leaves + 1)
+    if exponent > sys.float_info.max:
+        assert report.log_bound == math.inf
+        assert report.ratio() == 0.0
+    else:
+        assert report.log_bound == pytest.approx(exponent * math.log(p + 1))
 
 
 def test_dv_bound_monotone_in_budget():

@@ -11,7 +11,13 @@ import pytest
 from torsionlab import cli, complexes, hyperbolic, nerve
 from torsionlab.cli import main
 from torsionlab.exact import ExactArithmeticError
-from torsionlab.simplicial import build_complex, write_complex, write_pair
+from torsionlab.simplicial import (
+    SimplicialPair,
+    build_complex,
+    empty_complex,
+    write_complex,
+    write_pair,
+)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +59,17 @@ def test_homology_pair_file(capsys, tmp_path):
     assert json.loads(out) == {"degree": 2, "betti": 1, "torsion": []}
 
 
+@pytest.mark.parametrize("name", list(complexes.FIXTURES))
+def test_homology_of_a_complex_and_of_its_pair_over_nothing_print_alike(capsys, tmp_path, name):
+    k = complexes.FIXTURES[name]()
+    complex_file, pair_file = tmp_path / "complex.cplx", tmp_path / "pair.cplx"
+    complex_file.write_text(write_complex(k))
+    pair_file.write_text(write_pair(SimplicialPair(total=k, sub=empty_complex(k.vertex_count))))
+    code, out, _ = run_cli(capsys, "homology", str(complex_file))
+    assert code == 0
+    assert run_cli(capsys, "homology", str(pair_file)) == (0, out, "")
+
+
 def test_homology_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "homology", "/nonexistent/file.cplx")
     assert code == 2
@@ -72,6 +89,18 @@ def test_homology_parse_error_carries_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "homology", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("complex V=-3\n", 1),
+    ("complex V=3\ns 0 1\npair-sub\ncomplex V=-1\n", 4),
+], ids=["total", "sub"])
+def test_homology_negative_vertex_count_exit_2(capsys, tmp_path, text, line):
+    path = tmp_path / "negative.cplx"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert f"line {line}: negative vertex count" in err
 
 
 def test_constants_document(capsys):

@@ -25,7 +25,7 @@ from torsionlab.simplicial import boundary_matrix, build_complex
 
 def smith_diagonal(snf):
     """The nonzero diagonal of the Smith form: 1s, then the invariant factors."""
-    factors = snf.invariant_factors()
+    factors = snf.factors
     return [1] * (snf.rank - len(factors)) + list(factors)
 
 
@@ -46,7 +46,7 @@ def assert_valid_snf(mat):
     5 x 5 against the determinantal divisors: D_k = d_1 ... d_k."""
     snf = smith_normal_form(mat)
     diag = smith_diagonal(snf)
-    assert all(d > 1 for d in snf.invariant_factors())
+    assert all(d > 1 for d in snf.factors)
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
     assert snf.rank == rational_rank(mat)
     for p in ORACLE_PRIMES:
@@ -57,13 +57,13 @@ def assert_valid_snf(mat):
         divisors = determinantal_divisors(mat)
         assert divisors == [math.prod(diag[:k]) if k <= snf.rank else 0
                             for k in range(1, len(divisors) + 1)]
-    assert cokernel(mat) == AbelianGroupStructure(mat.rows - snf.rank, snf.invariant_factors())
+    assert cokernel(mat) == AbelianGroupStructure(mat.rows - snf.rank, snf.factors)
     return snf
 
 
 def test_snf_diagonal_2_3():
     snf = assert_valid_snf(IntegerMatrix.diagonal([2, 3]))
-    assert (snf.rank, snf.invariant_factors()) == (2, (6,))
+    assert (snf.rank, snf.factors) == (2, (6,))
 
 
 @pytest.mark.parametrize("diag, factors", [
@@ -73,19 +73,19 @@ def test_snf_diagonal_2_3():
 ])
 def test_snf_of_diagonal_matrices(diag, factors):
     snf = assert_valid_snf(IntegerMatrix.diagonal(diag))
-    assert (snf.rank, snf.invariant_factors()) == (len(diag), factors)
+    assert (snf.rank, snf.factors) == (len(diag), factors)
 
 
 def test_snf_zero_matrix():
     snf = assert_valid_snf(IntegerMatrix.zeros(3, 2))
-    assert (snf.rank, snf.invariant_factors()) == (0, ())
+    assert (snf.rank, snf.factors) == (0, ())
 
 
 def test_snf_empty_shapes():
     for rows, cols in [(0, 0), (0, 4), (4, 0)]:
         for mat in (IntegerMatrix.zeros(rows, cols), IntegerMatrix.from_columns(rows, cols, [{}] * cols)):
             snf = smith_normal_form(mat)
-            assert (snf.rank, snf.invariant_factors()) == (0, ())
+            assert (snf.rank, snf.factors) == (0, ())
             assert cokernel(mat) == AbelianGroupStructure(rows)
 
 
@@ -249,7 +249,7 @@ def test_snf_of_scaled_klein_bottle_boundaries(scale):
         scaled = IntegerMatrix.from_columns(
             d.rows, d.cols, [{i: scale * v for i, v in col.items()} for col in d.columns])
         snf = smith_normal_form(scaled)
-        assert (snf.rank, snf.invariant_factors()) == (len(factors), factors)
+        assert (snf.rank, snf.factors) == (len(factors), factors)
         assert snf.rank == rational_rank(scaled)
         assert rank_mod_p(scaled, 3) == (len(factors) if scale == 2 else 0)
 
@@ -262,7 +262,7 @@ def test_snf_of_a_large_scaled_klein_bottle_boundary():
         d.rows, d.cols, [{i: 2 * v for i, v in col.items()} for col in d.columns])
     snf = smith_normal_form(scaled)
     assert (d.rows, d.cols) == (1200, 800)
-    assert (snf.rank, snf.invariant_factors()) == (800, (2,) * 799 + (4,))
+    assert (snf.rank, snf.factors) == (800, (2,) * 799 + (4,))
 
 
 def test_snf_is_kept_on_the_matrix_and_leaves_its_columns_unchanged():
@@ -301,7 +301,7 @@ def test_snf_of_a_bidiagonal_presentation_of_a_large_cyclic_group(reverse):
     columns = [{i: 2, i + 1: -1} for i in range(n - 1)] + [{n - 1: 2}]
     mat = IntegerMatrix.from_columns(n, n, columns[::-1] if reverse else columns)
     snf = smith_normal_form(mat)
-    assert (snf.rank, snf.invariant_factors()) == (n, (2 ** n,))
+    assert (snf.rank, snf.factors) == (n, (2 ** n,))
     assert cokernel(mat) == AbelianGroupStructure(0, (2 ** n,))
 
 

@@ -8,11 +8,9 @@ from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.exact import ExactArithmeticError
 from torsionlab.homology import (
     all_homology,
-    all_relative_homology,
     betti_euler_characteristic,
     homology,
     homology_oracle_crosscheck,
-    relative_homology,
 )
 from torsionlab.simplicial import (
     SimplicialPair,
@@ -21,7 +19,6 @@ from torsionlab.simplicial import (
     empty_complex,
     random_dv_complex,
     random_subcomplex,
-    relative_boundary_matrix,
 )
 
 KNOWN = {
@@ -66,29 +63,45 @@ def test_empty_complex_trivial_homology():
 
 def test_relative_disk_boundary():
     pair = complexes.disk_boundary_pair()
-    assert relative_homology(pair, 2) == G(1)
-    assert relative_homology(pair, 1) == G(0)
-    assert relative_homology(pair, 0) == G(0)
+    assert homology(pair, 2) == G(1)
+    assert homology(pair, 1) == G(0)
+    assert homology(pair, 0) == G(0)
 
 
 def test_relative_empty_sub_equals_absolute():
     k = complexes.projective_plane_6()
     pair = SimplicialPair(total=k, sub=empty_complex(k.vertex_count))
     for deg in range(3):
-        assert relative_homology(pair, deg) == homology(k, deg)
+        assert homology(pair, deg) == homology(k, deg)
+
+
+OVER_NOTHING_CASES = {
+    **complexes.FIXTURES,
+    **{f"dv-{seed}": (lambda seed=seed: random_dv_complex(6, 20, 3, seed=seed)) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", OVER_NOTHING_CASES)
+def test_a_complex_and_its_pair_over_nothing_share_boundaries_and_homology(name):
+    k = OVER_NOTHING_CASES[name]()
+    pair = SimplicialPair(total=k, sub=empty_complex(k.vertex_count))
+    assert pair.dimension == k.dimension
+    assert all_homology(pair) == all_homology(k)
+    for deg in range(k.dimension + 2):
+        assert boundary_matrix(pair, deg).columns == boundary_matrix(k, deg).columns
 
 
 def test_relative_self_pair_trivial():
     k = complexes.torus_7()
     pair = SimplicialPair(total=k, sub=k)
     for deg in range(3):
-        assert relative_homology(pair, deg) == G(0)
+        assert homology(pair, deg) == G(0)
 
 
 def test_relative_annulus_inner_circle_all_trivial():
     # the inner circle is a deformation retract of the annulus
     pair = complexes.annulus_inner_circle_pair()
-    assert all_relative_homology(pair, up_to=2) == [G(0), G(0), G(0)]
+    assert all_homology(pair, up_to=2) == [G(0), G(0), G(0)]
 
 
 def test_euler_characteristic_consistency():
@@ -103,7 +116,7 @@ def test_euler_characteristic_pairs_additive():
         sub = random_subcomplex(total, seed=seed + 100)
         pair = SimplicialPair(total=total, sub=sub)
         chi_rel = sum((-1) ** k * g.betti
-                      for k, g in enumerate(all_relative_homology(pair, up_to=3)))
+                      for k, g in enumerate(all_homology(pair, up_to=3)))
         chi_total = betti_euler_characteristic(total)
         chi_sub = betti_euler_characteristic(sub) if sub.simplices else 0
         assert chi_total == chi_sub + chi_rel
@@ -154,7 +167,7 @@ def test_klein_bottle_is_a_closed_surface():
 
 @pytest.mark.parametrize("build, run, shapes", [
     (complexes.torus_7, all_homology, [(14, 0), (21, 14), (7, 21), (0, 7)]),
-    (complexes.disk_boundary_pair, all_relative_homology, [(1, 0), (0, 1), (0, 0), (0, 0)]),
+    (complexes.disk_boundary_pair, all_homology, [(1, 0), (0, 1), (0, 0), (0, 0)]),
 ], ids=["torus", "disk-pair"])
 def test_each_boundary_matrix_is_assembled_and_eliminated_once(monkeypatch, build, run, shapes):
     assembled, eliminated = [], []
@@ -179,7 +192,7 @@ def test_elimination_leaves_the_kept_boundary_matrices_unchanged():
     klein = complexes.klein_bottle_9()
     pair = complexes.annulus_inner_circle_pair()
     all_homology(klein)
-    all_relative_homology(pair)
+    all_homology(pair)
     sub = pair.sub.simplices
     for k in range(4):
         fresh = simplicial._assemble_boundary(klein.simplices_of_dim(k), klein.simplices_of_dim(k - 1))
@@ -187,7 +200,7 @@ def test_elimination_leaves_the_kept_boundary_matrices_unchanged():
         fresh = simplicial._assemble_boundary(
             [s for s in pair.total.simplices_of_dim(k) if s not in sub],
             [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub])
-        assert relative_boundary_matrix(pair, k).columns == fresh.columns
+        assert boundary_matrix(pair, k).columns == fresh.columns
 
 
 def grid_surface(n, twisted):
@@ -234,14 +247,13 @@ def test_cleared_smith_forms_match_the_uncleared_kernel(name):
     relative = isinstance(obj, SimplicialPair)
     total, sub = (obj.total, obj.sub.simplices) if relative else (obj, frozenset())
     top = total.dimension
-    groups = (all_relative_homology if relative else all_homology)(obj)
-    kept = relative_boundary_matrix if relative else boundary_matrix
+    groups = all_homology(obj)
     cells = [[s for s in total.simplices_of_dim(k) if s not in sub] for k in range(-1, top + 2)]
     reference = []
     for k in range(top + 2):
         fresh = simplicial._assemble_boundary(cells[k + 1], cells[k])
         uncleared = exact._smith_kernel(fresh)
-        cleared = exact.smith_normal_form(kept(obj, k))  # kept by the top-down walk
+        cleared = exact.smith_normal_form(boundary_matrix(obj, k))  # kept by the top-down walk
         assert (cleared.rank, cleared.factors) == (uncleared.rank, uncleared.factors), k
         assert uncleared.rank == exact.rational_rank(fresh), k
         reference.append(uncleared)

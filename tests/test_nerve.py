@@ -14,13 +14,12 @@ from torsionlab import certify
 from torsionlab import nerve as nerve_module
 from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.exact import IntegerMatrix, determinant
-from torsionlab.homology import all_homology, all_relative_homology
+from torsionlab.homology import all_homology
 from torsionlab.nerve import (
     BallCover,
     EuclideanSpace,
     HyperbolicSpace,
     IndeterminateIntersectionError,
-    NervePair,
     annulus_cover,
     balls_intersect,
     circle_cover,
@@ -114,14 +113,14 @@ def test_nerve_lemma_reference_must_stay_below_cap():
 def test_relative_nerve_empty_subfamily():
     cover = circle_cover(6, 0.9)
     pair = relative_nerve(cover, [], [])
-    assert pair.sub_nerve.f_vector() == ()
+    assert pair.sub.f_vector() == ()
 
 
 def test_relative_nerve_full_family_original_radii():
     cover = circle_cover(6, 0.9)
     pair = relative_nerve(cover, list(range(6)), [0.9] * 6)
-    assert pair.sub_nerve.simplices == pair.nerve.simplices
-    rel = all_relative_homology(pair.as_pair(), up_to=2)
+    assert pair.sub.simplices == pair.total.simplices
+    rel = all_homology(pair, up_to=2)
     assert all(g.is_trivial() for g in rel)
 
 
@@ -130,8 +129,8 @@ def test_relative_nerve_annulus_matches_hand_computation():
     # every relative group vanishes; the nerve pair must reproduce that
     cover, subfamily, shrink = annulus_cover()
     pair = relative_nerve(cover, subfamily, shrink)
-    assert pair.sub_nerve.f_vector() == (8, 8)
-    rel = all_relative_homology(pair.as_pair(), up_to=2)
+    assert pair.sub.f_vector() == (8, 8)
+    rel = all_homology(pair, up_to=2)
     assert rel == [G(0), G(0), G(0)]
 
 
@@ -153,10 +152,10 @@ def test_relative_nerve_validates_subfamily(subfamily, bad):
 def test_nerve_pair_subcomplex_validated():
     cover = circle_cover(4, 0.45)
     total = nerve(cover)
-    from torsionlab.simplicial import build_complex
+    from torsionlab.simplicial import SimplicialPair, build_complex
     bogus = build_complex([[0, 2]], vertex_count=4)
     with pytest.raises(ValueError):
-        NervePair(nerve=total, sub_nerve=bogus)
+        SimplicialPair(total=total, sub=bogus)
 
 
 def test_hyperbolic_cover_triple():
