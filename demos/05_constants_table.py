@@ -14,6 +14,7 @@ from torsionlab.constants import (
     covering_constants,
     euclidean_ball_volume,
     figure_eight_volume,
+    figure_eight_volume_quad,
     hyperbolic_ball_volume,
     unit_vector_packing_bound,
     volume_ratio_bound,
@@ -47,5 +48,5 @@ print(f"\ncovering constants at d=2, eps=0.01, eps0=0.1, b=6:"
       f"  c = {consts.c:.4g}, D = {consts.D:.4g}")
 
 print(f"\nfigure-eight complement volume:")
-print(f"  closed form 3·Cl₂(2π/3) {figure_eight_volume(0):.10f}")
-print(f"  tanh-sinh quadrature    {figure_eight_volume(1):.10f}   (both < 2.03)")
+print(f"  closed form 3·Cl₂(2π/3) {figure_eight_volume():.10f}")
+print(f"  tanh-sinh quadrature    {figure_eight_volume_quad():.10f}   (both < 2.03)")

@@ -66,7 +66,7 @@ def soule_bound(mat: IntegerMatrix, prefer_small_norms: bool = False) -> SouleBo
     not affect validity).  The inequality is decided on squared integers:
     torsion^2 <= prod ||col||^2.
     """
-    norms_sq = [sum(row[j] ** 2 for row in mat.entries) for j in range(mat.cols)]
+    norms_sq = [sum(v * v for v in col.values()) for col in mat.columns]
     order = None
     if prefer_small_norms:
         order = sorted(range(mat.cols), key=lambda j: (norms_sq[j], j))
@@ -150,14 +150,25 @@ class BatchSummary:
         return not self.failures
 
 
-def _random_matrix(rng: random.Random, max_size: int = 10, max_entry: int = 5) -> IntegerMatrix:
-    rows = rng.randint(1, max_size)
-    cols = rng.randint(1, max_size)
-    data = [[rng.randint(-max_entry, max_entry) for _ in range(cols)] for _ in range(rows)]
+# The batches' random instances: soule matrices up to SOULE_MAX_SIZE square
+# with entries in [-SOULE_MAX_ENTRY, SOULE_MAX_ENTRY], and (D, V) complexes
+# checked in the degrees DV_DEGREES.
+SOULE_MAX_SIZE = 10
+SOULE_MAX_ENTRY = 5
+DV_MAX_DEGREE = 6
+DV_MAX_VERTICES = 30
+DV_DIM = 3
+DV_DEGREES = (1, 2)
+
+
+def _random_matrix(rng: random.Random) -> IntegerMatrix:
+    rows = rng.randint(1, SOULE_MAX_SIZE)
+    cols = rng.randint(1, SOULE_MAX_SIZE)
+    data = [[rng.randint(-SOULE_MAX_ENTRY, SOULE_MAX_ENTRY) for _ in range(cols)] for _ in range(rows)]
     return IntegerMatrix.from_rows(data, cols)
 
 
-def batch_verify_soule(count: int, seed: int, max_size: int = 10, max_entry: int = 5) -> BatchSummary:
+def batch_verify_soule(count: int, seed: int) -> BatchSummary:
     """Run the column-norm bound on a deterministic batch of random matrices."""
     if count < 1:
         raise ValueError("count must be positive")
@@ -166,7 +177,7 @@ def batch_verify_soule(count: int, seed: int, max_size: int = 10, max_entry: int
     records: list[dict] = []
     max_ratio = 0.0
     for index in range(count):
-        mat = _random_matrix(rng, max_size, max_entry)
+        mat = _random_matrix(rng)
         report = soule_bound(mat)
         record = {
             "index": index,
@@ -184,9 +195,7 @@ def batch_verify_soule(count: int, seed: int, max_size: int = 10, max_entry: int
     return BatchSummary("soule", count, seed, failures, max_ratio, records)
 
 
-def batch_verify_dv(count: int, seed: int, max_degree: int = 6, max_vertices: int = 30,
-                    dim: int = 3, degrees: tuple[int, ...] = (1, 2),
-                    with_subcomplexes: bool = False) -> BatchSummary:
+def batch_verify_dv(count: int, seed: int, with_subcomplexes: bool = False) -> BatchSummary:
     """Run the (D, V) bound on a deterministic batch of random complexes.
 
     With `with_subcomplexes` every other instance is a genuine pair (the
@@ -199,13 +208,13 @@ def batch_verify_dv(count: int, seed: int, max_degree: int = 6, max_vertices: in
     records: list[dict] = []
     max_ratio = 0.0
     for index in range(count):
-        total = random_dv_complex(max_degree, max_vertices, dim, seed=seed * 1_000_003 + index)
+        total = random_dv_complex(DV_MAX_DEGREE, DV_MAX_VERTICES, DV_DIM, seed=seed * 1_000_003 + index)
         if with_subcomplexes and index % 2 == 1:
             sub = random_subcomplex(total, seed=seed * 1_000_033 + index)
         else:
             sub = empty_complex(total.vertex_count)
         pair = SimplicialPair(total=total, sub=sub)
-        for p in degrees:
+        for p in DV_DEGREES:
             report = dv_torsion_check(pair, p)
             record = {
                 "index": index,

@@ -153,10 +153,10 @@ def _peripheral_from_args(args):
         for col in columns:
             if len(col) != n:
                 raise UsageError("every relation must have one entry per generator")
-    rows = [[col[i] for col in columns] for i in range(n)]
     try:
         return dehn.PeripheralData(
-            core_presentation=IntegerMatrix.from_rows(rows, len(columns)),
+            core_presentation=IntegerMatrix(
+                n, len(columns), [{i: v for i, v in enumerate(col) if v} for col in columns]),
             mu_image=mu, lambda_image=lam)
     except dehn.FillingError as exc:
         raise InputError(str(exc)) from None

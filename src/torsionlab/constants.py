@@ -94,6 +94,17 @@ def hyperbolic_ball_volume_mp(d: int, R: float) -> float:
         return float(surface * integral * scale ** (d - 1))
 
 
+def figure_eight_volume_quad() -> float:
+    """Independent tanh-sinh quadrature of ``figure_eight_volume`` (cross-check).
+
+    The quadrature absorbs the log singularity of the integrand at 0; the
+    two agree to well below 1e-9.
+    """
+    with mpmath.workprec(MPMATH_BITS):
+        value = mpmath.quad(lambda t: -mpmath.log(2 * mpmath.sin(t)), [0, mpmath.pi / 3])
+        return float(6 * value)
+
+
 class VolumeRatio(NamedTuple):
     """The ratio N(d, r, R) together with its Euclidean lower bound."""
 
@@ -302,22 +313,8 @@ def covering_constants(d: int, eps: float, eps0: float, delta: float, b: int) ->
 # --- figure-eight volume -----------------------------------------------------
 
 @functools.cache
-def _figure_eight_closed_form() -> float:
+def figure_eight_volume() -> float:
+    """6 * integral_0^(pi/3) of -log(2 sin theta) dtheta = 3 Cl_2(2 pi/3),
+    from the Clausen function, evaluated once."""
     with mpmath.workprec(MPMATH_BITS):
         return float(3 * mpmath.clsin(2, 2 * mpmath.pi / 3))
-
-
-def figure_eight_volume(refinement: int = 0) -> float:
-    """6 * integral_0^(pi/3) of -log(2 sin theta) dtheta = 3 Cl_2(2 pi/3).
-
-    refinement 0 evaluates the Clausen function, once; refinement 1 uses
-    tanh-sinh quadrature on the integrand, whose log singularity at 0 it
-    absorbs.  The two agree to well below 1e-9.
-    """
-    if refinement == 0:
-        return _figure_eight_closed_form()
-    if refinement == 1:
-        with mpmath.workprec(MPMATH_BITS):
-            value = mpmath.quad(lambda t: -mpmath.log(2 * mpmath.sin(t)), [0, mpmath.pi / 3])
-            return float(6 * value)
-    raise ValueError("refinement must be 0 or 1")

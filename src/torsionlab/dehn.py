@@ -24,6 +24,11 @@ class FillingError(ValueError):
     """Invalid slope or peripheral data."""
 
 
+def _sparse(vector: Sequence[int]) -> dict[int, int]:
+    """A dense column as the row -> value dict of ``IntegerMatrix.columns``."""
+    return {i: v for i, v in enumerate(vector) if v}
+
+
 @dataclass(frozen=True)
 class PeripheralData:
     """H_1 presentation of a compact core plus the peripheral images.
@@ -43,11 +48,7 @@ class PeripheralData:
         if len(self.mu_image) != n or len(self.lambda_image) != n:
             raise FillingError("peripheral images must have one entry per core generator")
         if any(self.lambda_image):
-            with_lambda = IntegerMatrix.from_rows(
-                [list(row) + [lam] for row, lam in
-                 zip(self.core_presentation.entries, self.lambda_image)],
-                self.core_presentation.cols + 1)
-            if rational_rank(with_lambda) != rational_rank(self.core_presentation):
+            if rational_rank(self._with_image(self.lambda_image)) != rational_rank(self.core_presentation):
                 raise FillingError("longitude image must be a torsion class of the core")
 
     @property
@@ -58,11 +59,12 @@ class PeripheralData:
         """True when the meridian image generates an infinite cyclic subgroup."""
         if not any(self.mu_image):
             return False
-        with_mu = IntegerMatrix.from_rows(
-            [list(row) + [m] for row, m in
-             zip(self.core_presentation.entries, self.mu_image)],
-            self.core_presentation.cols + 1)
-        return rational_rank(with_mu) > rational_rank(self.core_presentation)
+        return rational_rank(self._with_image(self.mu_image)) > rational_rank(self.core_presentation)
+
+    def _with_image(self, image: Sequence[int]) -> IntegerMatrix:
+        """The core presentation with ``image`` appended as one more column."""
+        core = self.core_presentation
+        return IntegerMatrix(core.rows, core.cols + 1, core.columns + (_sparse(image),))
 
 
 def knot_complement_data() -> PeripheralData:
@@ -122,13 +124,9 @@ def fill_homology(data: PeripheralData, slope: FillingSlope) -> FillingResult:
     mu and lambda, then the core relations padded by zero on the
     solid-torus row.
     """
-    n = data.generators
-    r = data.core_presentation.cols
-    rows: list[list[int]] = [[slope.q, -slope.p] + [0] * r]
-    for i in range(n):
-        rows.append([data.mu_image[i], data.lambda_image[i]]
-                    + list(data.core_presentation.entries[i]))
-    group = cokernel(IntegerMatrix.from_rows(rows, 2 + r))
+    columns = [_sparse((slope.q, *data.mu_image)), _sparse((-slope.p, *data.lambda_image))]
+    columns += [{i + 1: v for i, v in col.items()} for col in data.core_presentation.columns]
+    group = cokernel(IntegerMatrix(data.generators + 1, len(columns), columns))
     return FillingResult(group=group, hyperbolic="unknown")
 
 

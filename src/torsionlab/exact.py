@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -28,118 +28,93 @@ class ExactArithmeticError(Exception):
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Integer matrix, read row-major as nested tuples (``entries``) or as
-    sparse columns (``columns``: one row -> value dict per column, without
-    zeros).
+    """Integer matrix stored as sparse columns: one row -> value dict per
+    column, without zeros.
 
-    A matrix built by ``from_columns`` keeps its columns and builds the
-    dense rows x cols tuples the first time something reads ``entries``; a
-    matrix built from entries scans its columns from them.  Immutable: all
-    operations return new matrices, and the dicts of ``columns`` must not
-    be changed: ``smith_normal_form`` keeps its result on the matrix.
+    ``entries``, the dense row-major tuples, is built from the columns the
+    first time something reads it.  Immutable: all operations return new
+    matrices, and the dicts of ``columns`` must not be changed:
+    ``smith_normal_form`` keeps its result on the matrix.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows in matrix entries")
+        object.__setattr__(self, "columns", tuple(self.columns))
+        if len(self.columns) != self.cols:
+            raise ValueError("column count does not match columns")
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, tuple(frozenset(col.items()) for col in self.columns)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        data = tuple(tuple(int(v) for v in row) for row in rows)
+        data = [[int(v) for v in row] for row in rows]
         if cols is None:
             if not data:
                 raise ValueError("column count required for a matrix with no rows")
             cols = len(data[0])
-        return cls(len(data), cols, data)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows in matrix entries")
+        return cls(len(data), cols, tuple({i: row[j] for i, row in enumerate(data) if row[j]}
+                                          for j in range(cols)))
 
-    @classmethod
-    def from_columns(cls, rows: int, cols: int, columns: Sequence[dict[int, int]]) -> "IntegerMatrix":
-        """Matrix from sparse columns: row -> value dicts holding no zeros."""
-        if rows < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(columns) != cols:
-            raise ValueError("column count does not match columns")
-        mat = object.__new__(cls)
-        object.__setattr__(mat, "rows", rows)
-        object.__setattr__(mat, "cols", cols)
-        object.__setattr__(mat, "_columns", tuple(columns))
-        return mat
-
-    def __getattr__(self, name: str):
-        # reached only for ``entries`` of a matrix built by from_columns,
-        # before its first dense read
-        if name != "entries":
-            raise AttributeError(name)
-        entries = tuple(tuple(col.get(i, 0) for col in self._columns) for i in range(self.rows))
-        object.__setattr__(self, "entries", entries)
-        return entries
-
-    @property
-    def columns(self) -> tuple[dict[int, int], ...]:
-        """One row -> value dict per column, without zeros; read-only.
-
-        A matrix built dense scans its entries on each read, so one that
-        lives long holds no second copy.
-        """
-        if "_columns" in self.__dict__:
-            return self._columns
-        row_ids = range(self.rows)
-        dense = zip(*self.entries) if self.rows else [()] * self.cols
-        return tuple(dict(zip(compress(row_ids, col), compress(col, col))) for col in dense)
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.to_lists()))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls(rows, cols, tuple({} for _ in range(cols)))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntegerMatrix":
         n = len(diag)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
-        data = [[0] * cols for _ in range(rows)]
-        for i, v in enumerate(diag):
-            data[i][i] = int(v)
-        return cls.from_rows(data, cols)
+        if n > min(rows, cols):
+            raise ValueError("diagonal longer than the matrix")
+        return cls(rows, cols, tuple({j: int(diag[j])} if j < n and diag[j] else {}
+                                     for j in range(cols)))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        return self.entries[i][j]
+        return self.columns[j].get(i, 0)
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             tuple(self.column(j) for j in range(self.cols)))
+        col = self.columns[j]
+        return tuple(col.get(i, 0) for i in range(self.rows))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        return IntegerMatrix(self.rows, other.cols, data)
+        columns = []
+        for col in other.columns:
+            out: dict[int, int] = {}
+            for k, b in col.items():
+                for i, a in self.columns[k].items():
+                    out[i] = out.get(i, 0) + a * b
+            columns.append({i: v for i, v in out.items() if v})
+        return IntegerMatrix(self.rows, other.cols, columns)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(self.columns)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+        """Fresh dense rows, which the caller may change."""
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                data[i][j] = v
+        return data
 
 
 def _echelon(rows: list[list[int]], cols: int, modulus: int | None = None) -> tuple[list[int], int, int]:
@@ -489,7 +464,7 @@ def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
     """Rank of the matrix over the prime field F_p."""
     if p < 2:
         raise ValueError("modulus must be a prime >= 2")
-    return len(_echelon([[x % p for x in row] for row in mat.entries], mat.cols, p)[0])
+    return len(_echelon([[x % p for x in row] for row in mat.to_lists()], mat.cols, p)[0])
 
 
 def independent_columns(mat: IntegerMatrix, order: Sequence[int] | None = None) -> list[int]:
@@ -499,5 +474,6 @@ def independent_columns(mat: IntegerMatrix, order: Sequence[int] | None = None) 
     selected set spans the column space over Q.
     """
     order = list(range(mat.cols) if order is None else order)
-    rows = [[row[j] for j in order] for row in mat.entries]
+    picked = [mat.columns[j] for j in order]
+    rows = [[col.get(i, 0) for col in picked] for i in range(mat.rows)]
     return sorted(order[c] for c in _echelon(rows, len(order))[0])

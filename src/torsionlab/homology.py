@@ -92,15 +92,15 @@ class OracleReport:
     agrees: bool
 
 
-def homology_oracle_crosscheck(complex_: SimplicialComplex, k: int) -> OracleReport:
-    """Recompute H_k by independent means and compare.
+def homology_oracle_crosscheck(complex_: SimplicialComplex | SimplicialPair, k: int) -> OracleReport:
+    """Recompute H_k of a complex or pair by independent means and compare.
 
     Betti number: rational-rank row reduction (no SNF involved).
     Torsion primes: p divides the torsion of H_k exactly when the rank of
     d_{k+1} drops modulo p; checked for the fixed prime list.  Disagreement
     raises, since it means one of the two pipelines is wrong.
     """
-    if len(complex_.simplices) > 500:
+    if sum(len(complex_.simplices_of_dim(j)) for j in range(complex_.dimension + 1)) > 500:
         raise ValueError("oracle cross-check is restricted to small complexes (<= 500 simplices)")
     d_k = boundary_matrix(complex_, k)
     d_k1 = boundary_matrix(complex_, k + 1)

@@ -226,7 +226,7 @@ def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex]) -> Inte
                 col[i] = sign
             sign = -sign
         columns.append(col)
-    return IntegerMatrix.from_columns(len(lower), len(k_simplices), columns)
+    return IntegerMatrix(len(lower), len(k_simplices), columns)
 
 
 def boundary_matrix(complex_: SimplicialComplex | SimplicialPair, k: int) -> IntegerMatrix:

@@ -22,6 +22,7 @@ from torsionlab.constants import (
     ThickThinParams,
     commutator_inequality_check,
     figure_eight_volume,
+    figure_eight_volume_quad,
 )
 from torsionlab.dehn import FIGURE_EIGHT, FillingSlope, fill_homology, figure_eight_filling
 from torsionlab.exact import AbelianGroupStructure as G
@@ -101,7 +102,7 @@ def test_criterion_3_soule_bound():
 
 def test_criterion_4_dv_bound():
     start = time.perf_counter()
-    summary = batch_verify_dv(100, seed=11, degrees=(1, 2))
+    summary = batch_verify_dv(100, seed=11)
     elapsed = time.perf_counter() - start
     ok = summary.all_hold and elapsed < 60.0
     report(4, f"(D,V) bound holds on 100 complexes, p in {{1,2}}, in {elapsed:.1f}s", ok)
@@ -122,8 +123,8 @@ def test_criterion_5_nerve_lemma():
 
 
 def test_criterion_6_figure_eight_volume():
-    a = figure_eight_volume(0)
-    b = figure_eight_volume(1)
+    a = figure_eight_volume()
+    b = figure_eight_volume_quad()
     ok = a < 2.03 and b < 2.03
     ok &= abs(a - 2.0298832128) <= 1e-8
     ok &= abs(b - 2.0298832128) <= 1e-8

@@ -15,6 +15,7 @@ from torsionlab.constants import (
     covering_constants,
     euclidean_ball_volume,
     figure_eight_volume,
+    figure_eight_volume_quad,
     hyperbolic_ball_volume,
     hyperbolic_ball_volume_mp,
     spherical_cap_area,
@@ -220,8 +221,8 @@ def test_covering_constants_delta_guard():
 
 
 def test_figure_eight_volume_value_and_agreement():
-    a = figure_eight_volume(0)
-    b = figure_eight_volume(1)
+    a = figure_eight_volume()
+    b = figure_eight_volume_quad()
     assert a < 2.03
     assert b < 2.03
     assert a == pytest.approx(2.0298832128, abs=1e-8)
@@ -230,4 +231,4 @@ def test_figure_eight_volume_value_and_agreement():
 
 
 def test_figure_eight_finite_despite_singularity():
-    assert math.isfinite(figure_eight_volume(0))
+    assert math.isfinite(figure_eight_volume())

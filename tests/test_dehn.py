@@ -104,6 +104,39 @@ def test_lower_bound_with_infinite_order_meridian():
         assert group.torsion_order >= p
 
 
+def row_built_presentation(data, slope):
+    """The filling presentation assembled as dense rows: the solid-torus
+    row, then one row per core generator."""
+    r = data.core_presentation.cols
+    rows = [[slope.q, -slope.p] + [0] * r]
+    for i in range(data.generators):
+        rows.append([data.mu_image[i], data.lambda_image[i]]
+                    + list(data.core_presentation.entries[i]))
+    return IntegerMatrix.from_rows(rows, 2 + r)
+
+
+def test_column_built_filling_presentation_matches_the_row_built_one():
+    rng = random.Random(19)
+    for _ in range(200):
+        n, r = rng.randint(1, 4), rng.randint(0, 4)
+        relations = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        # k e_t is a relation, so the longitude c e_t is a torsion class
+        t, k = rng.randrange(n), rng.randint(2, 6)
+        relations.append([k if i == t else 0 for i in range(n)])
+        data = PeripheralData(
+            core_presentation=IntegerMatrix.from_rows(
+                [[rel[i] for rel in relations] for i in range(n)], len(relations)),
+            mu_image=tuple(rng.randint(-3, 3) for _ in range(n)),
+            lambda_image=tuple(rng.randint(1, 3) if i == t else 0 for i in range(n)),
+        )
+        while True:
+            p, q = rng.randint(-9, 9), rng.randint(0, 9)
+            if gcd(p, q) == 1:
+                break
+        slope = FillingSlope(p, q)
+        assert fill_homology(data, slope).group == cokernel(row_built_presentation(data, slope))
+
+
 def test_lambda_must_be_torsion():
     with pytest.raises(FillingError):
         PeripheralData(

@@ -83,7 +83,7 @@ def test_snf_zero_matrix():
 
 def test_snf_empty_shapes():
     for rows, cols in [(0, 0), (0, 4), (4, 0)]:
-        for mat in (IntegerMatrix.zeros(rows, cols), IntegerMatrix.from_columns(rows, cols, [{}] * cols)):
+        for mat in (IntegerMatrix.zeros(rows, cols), IntegerMatrix(rows, cols, [{}] * cols)):
             snf = smith_normal_form(mat)
             assert (snf.rank, snf.factors) == (0, ())
             assert cokernel(mat) == AbelianGroupStructure(rows)
@@ -246,7 +246,7 @@ def test_snf_of_scaled_klein_bottle_boundaries(scale):
     klein = grid_klein_bottle(6)
     for k, factors in [(1, (scale,) * 35), (2, (scale,) * 71 + (2 * scale,))]:
         d = boundary_matrix(klein, k)
-        scaled = IntegerMatrix.from_columns(
+        scaled = IntegerMatrix(
             d.rows, d.cols, [{i: scale * v for i, v in col.items()} for col in d.columns])
         snf = smith_normal_form(scaled)
         assert (snf.rank, snf.factors) == (len(factors), factors)
@@ -258,7 +258,7 @@ def test_snf_of_a_large_scaled_klein_bottle_boundary():
     # 800 non-unit pivots: the pivot search and the chain must not be
     # quadratic in them (this took 0.3 s with a rescan per pivot)
     d = boundary_matrix(grid_klein_bottle(20), 2)
-    scaled = IntegerMatrix.from_columns(
+    scaled = IntegerMatrix(
         d.rows, d.cols, [{i: 2 * v for i, v in col.items()} for col in d.columns])
     snf = smith_normal_form(scaled)
     assert (d.rows, d.cols) == (1200, 800)
@@ -267,7 +267,7 @@ def test_snf_of_a_large_scaled_klein_bottle_boundary():
 
 def test_snf_is_kept_on_the_matrix_and_leaves_its_columns_unchanged():
     columns = [{0: 4, 1: 6}, {0: 6, 2: 9}, {1: 2, 2: -3}, {0: 1}]
-    mat = IntegerMatrix.from_columns(3, 4, [dict(col) for col in columns])
+    mat = IntegerMatrix(3, 4, [dict(col) for col in columns])
     snf = smith_normal_form(mat)
     assert mat.columns == tuple(columns)
     assert smith_normal_form(mat) is snf
@@ -299,7 +299,7 @@ def test_snf_of_a_bidiagonal_presentation_of_a_large_cyclic_group(reverse):
     # 2^n e_1 = 0 present Z/2^n
     n = 200
     columns = [{i: 2, i + 1: -1} for i in range(n - 1)] + [{n - 1: 2}]
-    mat = IntegerMatrix.from_columns(n, n, columns[::-1] if reverse else columns)
+    mat = IntegerMatrix(n, n, columns[::-1] if reverse else columns)
     snf = smith_normal_form(mat)
     assert (snf.rank, snf.factors) == (n, (2 ** n,))
     assert cokernel(mat) == AbelianGroupStructure(0, (2 ** n,))
@@ -360,6 +360,15 @@ def test_independent_columns_spans():
     assert len(chosen) == rational_rank(mat)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(integer_matrices(), st.data())
+def test_matmul_agrees_with_the_dense_product(a, data):
+    b = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                           min_size=a.cols, max_size=a.cols))
+    want = [[sum(row[k] * b[k][j] for k in range(a.cols)) for j in range(3)] for row in a.entries]
+    assert a @ IntegerMatrix.from_rows(b, 3) == IntegerMatrix.from_rows(want, 3)
+
+
 def test_matmul_shape_check():
     with pytest.raises(ValueError):
         IntegerMatrix.zeros(2, 3) @ IntegerMatrix.zeros(2, 3)
@@ -368,7 +377,7 @@ def test_matmul_shape_check():
 def sparse_copy(mat):
     """The same matrix built from row -> value dicts, as a boundary matrix is."""
     columns = [{i: row[j] for i, row in enumerate(mat.entries) if row[j]} for j in range(mat.cols)]
-    return IntegerMatrix.from_columns(mat.rows, mat.cols, columns)
+    return IntegerMatrix(mat.rows, mat.cols, columns)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -388,9 +397,9 @@ def test_matrix_from_columns_agrees_with_from_rows(mat):
 
 def test_matrix_from_columns_validates_its_shape():
     with pytest.raises(ValueError):
-        IntegerMatrix.from_columns(2, 3, [{0: 1}, {}])
+        IntegerMatrix(2, 3, [{0: 1}, {}])
     with pytest.raises(ValueError):
-        IntegerMatrix.from_columns(-1, 0, [])
-    empty = IntegerMatrix.from_columns(0, 3, [{}, {}, {}])
+        IntegerMatrix(-1, 0, [])
+    empty = IntegerMatrix(0, 3, [{}, {}, {}])
     assert empty == IntegerMatrix.zeros(0, 3)
     assert IntegerMatrix.zeros(0, 3).columns == ({}, {}, {})

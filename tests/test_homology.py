@@ -148,6 +148,15 @@ def test_oracle_random_complexes():
             assert homology_oracle_crosscheck(k, deg).agrees
 
 
+@pytest.mark.parametrize("pair", [complexes.disk_boundary_pair(), complexes.annulus_inner_circle_pair()],
+                         ids=["disk-boundary", "annulus-inner"])
+def test_oracle_cross_checks_relative_homology(pair):
+    for k in range(pair.dimension + 1):
+        report = homology_oracle_crosscheck(pair, k)
+        assert report.agrees
+        assert report.betti_snf == homology(pair, k).betti
+
+
 def test_oracle_size_guard():
     from itertools import combinations
     big = build_complex(combinations(range(20), 3))  # 20 + 190 + 1140 simplices

@@ -246,7 +246,7 @@ def dense_boundary(k_simplices, lower):
             face = s[:drop] + s[drop + 1:]
             if face in lower:
                 data[lower.index(face)][j] = (-1) ** drop
-    return IntegerMatrix(len(lower), len(k_simplices), tuple(map(tuple, data)))
+    return IntegerMatrix.from_rows(data, len(k_simplices))
 
 
 def sorted_of_dim(simplices, k):
