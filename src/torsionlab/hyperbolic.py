@@ -7,9 +7,10 @@ curvature cannot be realized numerically without choosing a metric, and
 hyperbolic space is the extremal witness for all inequalities verified
 here.
 
-Displacement sub-level sets are implemented in closed form for the two
-kinds an isometry constructor can produce: tubes around the axis of a
-rotation-free loxodromic, and horoballs for a parabolic translation.
+Displacement sub-level sets are implemented in closed form: tubes around
+the axis of a rotation-free loxodromic, read off its eigenvectors, and
+horoballs for a parabolic built by parabolic(), which keeps its fixed
+point and translation vector.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def make_point(coords: Sequence[float]) -> np.ndarray:
     else:
         e = 0
     q = lorentz_inner(x, x)
-    if q >= 0:
+    if not -math.inf < q < 0:  # also false for NaN, from non-finite coordinates
+        if not np.isfinite(np.asarray(coords, dtype=float)).all():
+            raise GeometryError("coordinates are not finite")
         scaled = f" of the coordinates times 2^{-e}" if e else ""
         raise GeometryError(f"coordinates are not timelike (form value {q}{scaled})")
     x = x / math.sqrt(-q)
@@ -103,16 +106,16 @@ def exp_map(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LorentzIsometry:
-    """Matrix in O+(d,1), optionally tagged with how it was constructed.
+    """Matrix in O+(d,1).
 
-    kind is one of "identity", "loxodromic", "parabolic" or None for
-    matrices of unknown provenance; params carries the constructor data
-    needed for closed-form sub-level geometry.
+    parabolic_data is (n, v) for a parabolic built by parabolic(): the
+    fixed null vector and the translation vector, which its Jordan block
+    gives back too unreliably for sub-level geometry.  A loxodromic needs
+    no such data, as its axis is read off the eigenvectors.
     """
 
     matrix: np.ndarray
-    kind: str | None = None
-    params: dict | None = None
+    parabolic_data: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -157,7 +160,7 @@ class LorentzIsometry:
 
 
 def identity(d: int) -> LorentzIsometry:
-    return LorentzIsometry(np.eye(d + 1), kind="identity", params={})
+    return LorentzIsometry(np.eye(d + 1))
 
 
 def displacement(g: LorentzIsometry, x: np.ndarray) -> float:
@@ -225,10 +228,7 @@ def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
     cosh_part = (math.cosh(length) - 1) * (np.outer(u, u) - np.outer(p, p))
     sinh_part = math.sinh(length) * (np.outer(p, u) - np.outer(u, p))
     matrix = np.eye(d + 1) + (cosh_part + sinh_part) @ lorentz_form_matrix(d)
-    return LorentzIsometry(
-        matrix, kind="loxodromic",
-        params={"length": float(length), "frame": frame},
-    )
+    return LorentzIsometry(matrix)
 
 
 def standard_loxodromic(d: int, length: float) -> LorentzIsometry:
@@ -281,10 +281,7 @@ def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
     frame = _frame_from_axis(mirror, n, d)
     j = lorentz_form_matrix(d)
     matrix = frame @ _standard_parabolic_matrix(d, vec) @ (j @ frame.T @ j)
-    return LorentzIsometry(
-        matrix, kind="parabolic",
-        params={"fixed": n, "v": vec, "frame": frame},
-    )
+    return LorentzIsometry(matrix, parabolic_data=(n, vec))
 
 
 # --- classification and sub-level geometry -----------------------------------
@@ -295,97 +292,86 @@ def translation_length(g: LorentzIsometry) -> float:
     return float(math.log(max(1.0, float(np.max(np.abs(eigvals))))))
 
 
-def _classify(g: LorentzIsometry) -> tuple[str, dict]:
-    """Recover (kind, params); needs metadata for parabolics.
+def _classify(g: LorentzIsometry) -> tuple[float, list[float], list[float]]:
+    """Translation length and axis frame columns (p, u) of a rotation-free
+    loxodromic.
 
-    Loxodromic data is recovered reliably from the eigen-decomposition
-    (the translation eigenvalues are well separated).  Parabolic Jordan
-    blocks are numerically fragile, so parabolic sub-level geometry is
-    only available for matrices built by the parabolic constructor.
+    They are read off the eigen-decomposition, whose translation
+    eigenvalues are well separated.  Parabolic Jordan blocks are
+    numerically fragile, so a parabolic is never classified here: its
+    sub-level geometry comes from the parabolic_data of parabolic().
     """
-    if g.kind == "parabolic":
-        return "parabolic", dict(g.params)
     if float(np.max(np.abs(g.matrix - np.eye(g.dimension + 1)))) < 1e-12:
-        return "identity", {}
+        raise GeometryError("sub-level set of the identity is the whole space")
     length = translation_length(g)
     # parabolic Jordan blocks smear eigenvalues by ~eps^(1/3), so only a
     # spectral radius clearly above that noise floor means loxodromic
-    if length > 1e-4:
-        eigvals, eigvecs = np.linalg.eig(g.matrix)
-        idx_plus = int(np.argmax(eigvals.real))
-        idx_minus = int(np.argmin(np.abs(eigvals - math.exp(-length))))
-        plus = np.real(eigvecs[:, idx_plus])
-        minus = np.real(eigvecs[:, idx_minus])
-        if plus[0] < 0:
-            plus = -plus
-        if minus[0] < 0:
-            minus = -minus
-        d = g.dimension
-        frame = _frame_from_axis(minus, plus, d)
-        # reject rotating loxodromics: the transverse block must be trivial
-        j = lorentz_form_matrix(d)
-        standard = (j @ frame.T @ j) @ g.matrix @ frame
-        if float(np.max(np.abs(standard[2:, 2:] - np.eye(d - 1)))) > 1e-7:
-            raise GeometryError("sub-level geometry needs a rotation-free loxodromic")
-        return "loxodromic", {"length": length, "frame": frame}
-    if g.kind == "identity":
-        return "identity", {}
-    raise GeometryError(
-        "cannot classify this matrix; build parabolic elements with the parabolic() constructor")
+    if length <= 1e-4:
+        raise GeometryError(
+            "cannot classify this matrix; build parabolic elements with the parabolic() constructor")
+    eigvals, eigvecs = np.linalg.eig(g.matrix)
+    idx_plus = int(np.argmax(eigvals.real))
+    idx_minus = int(np.argmin(np.abs(eigvals - math.exp(-length))))
+    plus = np.real(eigvecs[:, idx_plus])
+    minus = np.real(eigvecs[:, idx_minus])
+    if plus[0] < 0:
+        plus = -plus
+    if minus[0] < 0:
+        minus = -minus
+    d = g.dimension
+    frame = _frame_from_axis(minus, plus, d)
+    # reject rotating loxodromics: the transverse block must be trivial
+    j = lorentz_form_matrix(d)
+    standard = (j @ frame.T @ j) @ g.matrix @ frame
+    if float(np.max(np.abs(standard[2:, 2:] - np.eye(d - 1)))) > 1e-7:
+        raise GeometryError("sub-level geometry needs a rotation-free loxodromic")
+    return length, frame[:, 0].tolist(), frame[:, 1].tolist()
 
 
 @dataclass(frozen=True)
 class SublevelSet:
     """The region where the displacement of gamma stays below epsilon.
 
-    Convex; realized as a tube around the loxodromic axis or as a
-    horoball at the parabolic fixed point.  Distances to the set are
-    closed-form in both cases.
+    Convex, and closed-form in both cases.  For a loxodromic it is the tube
+    of radius reach around the axis, and columns holds the axis frame
+    columns (p, u); for a parabolic it is the horoball w(x) = -<x, n> <= reach
+    at the fixed null vector, and columns holds (n,).  Columns are plain
+    floats, and membership reads the products _normal takes for the obtuse
+    check's sign test: s = cosh^2 of the axis distance, or s = w.
     """
 
     gamma: LorentzIsometry
     epsilon: float
-    geometry: str
-    data: dict
+    columns: tuple[list[float], ...]
+    reach: float
 
     @classmethod
     def of(cls, g: LorentzIsometry, epsilon: float) -> "SublevelSet":
         if epsilon <= 0:
             raise GeometryError("epsilon must be positive")
-        kind, params = _classify(g)
-        if kind == "identity":
-            raise GeometryError("sub-level set of the identity is the whole space")
-        if kind == "loxodromic":
-            length = params["length"]
-            if epsilon <= length:
-                raise GeometryError(
-                    f"sub-level set is empty: epsilon {epsilon} <= translation length {length}")
-            radius = math.acosh(math.sinh(epsilon / 2) / math.sinh(length / 2))
-            return cls(g, epsilon, "tube", {"frame": params["frame"], "radius": radius})
-        # parabolic horoball: cosh(displacement) = 1 + c w^2 with w(x) = -<x, n>
-        # and c = |v|^2 / (2 n_0^2), read off the standard parabolic in the
-        # frame sending e0 + e1 to n / n_0; displacement eps is reached at
-        # w = sqrt((cosh(eps) - 1) / c) = 2 n_0 sinh(eps / 2) / |v|
-        n = params["fixed"]
-        w_eps = 2.0 * float(n[0]) * math.sinh(epsilon / 2) / math.hypot(*params["v"])
-        return cls(g, epsilon, "horoball", {"fixed": n, "w_eps": w_eps})
+        if g.parabolic_data is not None:
+            # horoball: cosh(displacement) = 1 + c w^2 with w(x) = -<x, n> and
+            # c = |v|^2 / (2 n_0^2), read off the standard parabolic in the
+            # frame sending e0 + e1 to n / n_0; displacement eps is reached at
+            # w = sqrt((cosh(eps) - 1) / c) = 2 n_0 sinh(eps / 2) / |v|
+            n, v = g.parabolic_data
+            w_eps = 2.0 * float(n[0]) * math.sinh(epsilon / 2) / math.hypot(*v)
+            return cls(g, epsilon, (n.tolist(),), w_eps)
+        length, p, u = _classify(g)
+        if epsilon <= length:
+            raise GeometryError(
+                f"sub-level set is empty: epsilon {epsilon} <= translation length {length}")
+        radius = math.acosh(math.sinh(epsilon / 2) / math.sinh(length / 2))
+        return cls(g, epsilon, (p, u), radius)
 
-    def axis_distance(self, x: np.ndarray) -> float:
-        frame = self.data["frame"]
-        a = -lorentz_inner(x, frame[:, 0])
-        b = lorentz_inner(x, frame[:, 1])
-        return math.acosh(max(1.0, math.sqrt(max(1.0, a * a - b * b))))
-
-    def distance_from(self, x: np.ndarray) -> float:
+    def distance_from(self, x: Sequence[float]) -> float:
         """Distance from x to the set, 0 inside."""
-        if self.geometry == "tube":
-            return max(0.0, self.axis_distance(x) - self.data["radius"])
-        w = -lorentz_inner(x, self.data["fixed"])
-        if w <= self.data["w_eps"]:
-            return 0.0
-        return math.log(w / self.data["w_eps"])
+        s = _normal(x, self.columns, -1)[1]
+        if len(self.columns) == 2:
+            return max(0.0, math.acosh(math.sqrt(max(1.0, s))) - self.reach)
+        return 0.0 if s <= self.reach else math.log(s / self.reach)
 
-    def contains(self, x: np.ndarray) -> bool:
+    def contains(self, x: Sequence[float]) -> bool:
         return self.distance_from(x) == 0.0
 
 
@@ -451,20 +437,13 @@ class _GradientPair:
     """
 
     def __init__(self, set_a: SublevelSet, set_b: SublevelSet):
-        self.columns_a = self._columns(set_a)
-        self.columns_b = self._columns(set_b)
+        self.columns_a = set_a.columns
+        self.columns_b = set_b.columns
         self.gram = _gram(self.columns_a, self.columns_b, -1)
         self.abs_a = [[abs(v) for v in c] for c in self.columns_a]
         self.abs_b = [[abs(v) for v in c] for c in self.columns_b]
         self.abs_gram = _gram(self.abs_a, self.abs_b, 1)
         self.roundings = 4 * set_a.gamma.dimension + 10
-
-    @staticmethod
-    def _columns(s: SublevelSet) -> list[list[float]]:
-        if s.geometry == "tube":
-            frame = s.data["frame"]
-            return [frame[:, 0].tolist(), frame[:, 1].tolist()]
-        return [s.data["fixed"].tolist()]
 
     @staticmethod
     def _norm(normal, columns: list) -> float:
@@ -534,10 +513,10 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
         radius = rng.uniform(0.05, 3.0)
         # exp_map(base_point(d), (0, direction), radius) in the same float operations
         sinh_r = math.sinh(radius)
-        x = make_point([math.cosh(radius), *(sinh_r * t for t in direction.tolist())])
+        x = make_point([math.cosh(radius), *(sinh_r * t for t in direction.tolist())]).tolist()
         if set_a.contains(x) or set_b.contains(x):
             continue
-        nonnegative, ip = pair.decide(x.tolist())
+        nonnegative, ip = pair.decide(x)
         passed = passed and nonnegative
         min_ip = min(min_ip, ip)
         collected += 1

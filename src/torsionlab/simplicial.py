@@ -60,11 +60,22 @@ class SimplicialComplex:
 
     def __post_init__(self):
         # by induction on dimension, a set holding every facet of each of
-        # its simplices holds every face
+        # its simplices holds every face; and as s[:-1] is a facet, every
+        # simplex is strictly increasing and nonnegative once each vertex is
+        # nonnegative and each simplex ends in an ascent
         for s in self.simplices:
+            if not s:
+                raise MalformedComplexError("empty simplex")
             if s[-1] >= self.vertex_count:
                 raise _outside_range(s, self.vertex_count)
-            if len(s) > 1:
+            if len(s) == 1:
+                if s[0] < 0:
+                    raise MalformedComplexError(f"negative vertex id in {s!r}")
+            else:
+                if s[-2] == s[-1]:
+                    raise MalformedComplexError(f"repeated vertex in simplex {s!r}")
+                if s[-2] > s[-1]:
+                    raise MalformedComplexError(f"simplex {s!r} is not strictly increasing")
                 for i in range(len(s)):
                     f = s[:i] + s[i + 1:]
                     if f not in self.simplices:

@@ -396,6 +396,18 @@ def test_verify_nerve_is_byte_identical(capsys):
     assert out == (EXPECTED / "verify_nerve.out").read_text(encoding="utf-8")
 
 
+def test_verify_obtuse_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "obtuse")
+    assert code == 0
+    assert out == (EXPECTED / "verify_obtuse.out").read_text(encoding="utf-8")
+
+
+def test_verify_orbit_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "orbit")
+    assert code == 0
+    assert out == (EXPECTED / "verify_orbit.out").read_text(encoding="utf-8")
+
+
 def test_verify_dv_bound_is_byte_identical(capsys):
     code, out, _ = run_cli(capsys, "verify", "dv-bound")
     assert code == 0

@@ -28,6 +28,14 @@ def test_spacelike_points_beyond_the_float_range_of_the_form_are_rejected(scale)
         hyp.make_point([scale, 2 * scale, 0.0])
 
 
+@pytest.mark.parametrize("coords", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
+                                    [2.0, math.nan, 0.0], [math.inf, math.inf, 0.0],
+                                    [-math.inf, 1.0, 0.0], [1e-200, math.inf, 0.0]])
+def test_non_finite_coordinates_are_rejected(coords):
+    with pytest.raises(hyp.GeometryError, match="not finite"):
+        hyp.make_point(coords)
+
+
 def test_distance_to_self_zero():
     x = hyp.make_point([1.3, 0.2, 0.7])
     assert hyp.distance(x, x) == 0.0
@@ -175,9 +183,9 @@ def test_parabolics_with_common_fixed_point_commute():
 def test_sublevel_set_tube_geometry():
     g = hyp.standard_loxodromic(3, 0.3)
     s = hyp.SublevelSet.of(g, 0.5)
-    assert s.geometry == "tube"
+    assert len(s.columns) == 2
     expected_radius = math.acosh(math.sinh(0.25) / math.sinh(0.15))
-    assert s.data["radius"] == pytest.approx(expected_radius, abs=1e-12)
+    assert s.reach == pytest.approx(expected_radius, abs=1e-12)
     # boundary consistency: a point at exactly the tube radius displaces by epsilon
     v = np.zeros(4)
     v[2] = 1.0
@@ -191,10 +199,29 @@ def test_sublevel_set_empty_when_epsilon_below_length():
         hyp.SublevelSet.of(g, 0.5)
 
 
+def rotating_loxodromic():
+    rotation = np.eye(4)
+    rotation[2:, 2:] = [[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]]
+    return hyp.standard_loxodromic(3, 0.3) @ hyp.LorentzIsometry(rotation)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: hyp.identity(3), "identity is the whole space"),
+    (lambda: hyp.standard_loxodromic(3, 0.3) @ hyp.standard_loxodromic(3, 0.3).inverse(),
+     "identity is the whole space"),
+    (lambda: hyp.LorentzIsometry(hyp.parabolic([1.0, 1.0, 0.0, 0.0], [1.0, 0.0]).matrix),
+     "build parabolic elements with the parabolic\\(\\) constructor"),
+    (rotating_loxodromic, "needs a rotation-free loxodromic"),
+], ids=["identity", "product-identity", "bare-parabolic-matrix", "rotating"])
+def test_sublevel_set_needs_closed_form_geometry(make, message):
+    with pytest.raises(hyp.GeometryError, match=message):
+        hyp.SublevelSet.of(make(), 1.0)
+
+
 def test_sublevel_set_horoball_distance():
     p = hyp.parabolic([1.0, 1.0, 0.0, 0.0], [2.0, 0.0])
     s = hyp.SublevelSet.of(p, 0.4)
-    assert s.geometry == "horoball"
+    assert len(s.columns) == 1
     rng = np.random.default_rng(11)
     for _ in range(50):
         x = random_point(rng, 3)
@@ -262,7 +289,7 @@ def fd_gradient(f, x, step=1e-5):
 
 
 def closed_form_gradient(s, x):
-    columns = hyp._GradientPair._columns(s)
+    columns = s.columns
     normal = hyp._normal(x.tolist(), columns, -1)
     n = sum(c * np.array(col) for c, col in zip(normal[0], columns))
     return hyp.tangent_projection(x, n) / hyp._GradientPair._norm(normal, columns)
@@ -286,7 +313,7 @@ def test_closed_form_gradient_matches_central_differences(kind, d):
                                              [1.5] + [0.5] * (d - 2)), 0.4)
     else:
         s = hyp.SublevelSet.of(generic_parabolic(d, [0.8] + [-0.3] * (d - 2)), 0.4)
-    assert s.geometry == kind.removeprefix("generic-")
+    assert len(s.columns) == (2 if kind == "tube" else 1)
     rng = np.random.default_rng(d)
     checked = 0
     while checked < 12:
@@ -307,10 +334,9 @@ def exact_p(s_a, s_b, x):
     x = [Fraction(v) for v in x]
 
     def normal(s):
-        if s.geometry == "horoball":
-            return [-Fraction(v) for v in s.data["fixed"]]
-        p = [Fraction(v) for v in s.data["frame"][:, 0]]
-        u = [Fraction(v) for v in s.data["frame"][:, 1]]
+        if len(s.columns) == 1:
+            return [-Fraction(v) for v in s.columns[0]]
+        p, u = ([Fraction(v) for v in c] for c in s.columns)
         a, b = -lorentz(x, p), lorentz(x, u)
         return [-(a * pi + b * ui) for pi, ui in zip(p, u)]
 
@@ -439,7 +465,7 @@ def test_obtuse_check_makes_one_point_per_attempt(monkeypatch):
     calls["make_point"] = 0
     hyp.obtuse_angle_check(g, g2, 0.5, 0.9, samples=40, seed=3)
     # every attempt makes one point and is either rejected or kept
-    assert calls["inside"] > 0
+    assert calls["inside"] == 63
     assert calls["make_point"] == 40 + calls["inside"]
 
 
@@ -459,10 +485,36 @@ def test_horoball_constant_matches_probe_calibration(d):
         p = hyp.parabolic(rng.uniform(0.3, 3.0) * fixed, rng.standard_normal(d - 1))
         s = hyp.SublevelSet.of(p, 0.4)
         probe = hyp.base_point(d)
-        w0 = -hyp.lorentz_inner(probe, s.data["fixed"])
+        w0 = -hyp.lorentz_inner(probe, s.columns[0])
         cal = (math.cosh(hyp.displacement(p, probe)) - 1.0) / (w0 * w0)
-        assert s.data["w_eps"] == pytest.approx(
+        assert s.reach == pytest.approx(
             math.sqrt((math.cosh(0.4) - 1.0) / cal), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["tube", "horoball"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_membership_follows_the_displacement(kind, d):
+    if kind == "tube":
+        g, eps = hyp.loxodromic([1.0, 0.6, 0.8] + [0.0] * (d - 2),
+                                [1.0, -0.8, 0.6] + [0.0] * (d - 2), 0.3), 0.5
+    else:
+        g, eps = generic_parabolic(d, [0.8] + [-0.3] * (d - 2)), 0.4
+    s = hyp.SublevelSet.of(g, eps)
+    rng = np.random.default_rng(d)
+    # aimed at the generic parabolic's fixed point, so both sides are met
+    toward = np.zeros(d + 1)
+    toward[1:] = np.arange(1.0, d + 1)
+    inside = 0
+    for _ in range(400):
+        v = toward + np.concatenate([[0.0], rng.standard_normal(d)])
+        v[1:] /= np.linalg.norm(v[1:])
+        x = hyp.make_point(hyp.exp_map(hyp.base_point(d), v, rng.uniform(0, 5.0)))
+        gap = hyp.displacement(g, x) - eps
+        assert abs(gap) > 1e-8
+        assert s.contains(x) == (gap < 0)
+        assert (s.distance_from(x) > 0) == (gap > 0)
+        inside += s.contains(x)
+    assert 40 < inside < 360
 
 
 def test_orbit_count_on_axis():

@@ -51,6 +51,17 @@ def test_downward_closure_validated():
         SimplicialComplex(vertex_count=3, simplices=frozenset({(0, 1, 2)}))
 
 
+@pytest.mark.parametrize("simplices, message", [
+    ({(0,), (1,), (0, 1), (1, 0)}, "simplex (1, 0) is not strictly increasing"),
+    ({(0,), (0, 0)}, "repeated vertex in simplex (0, 0)"),
+    ({(-1,), (0,)}, "negative vertex id in (-1,)"),
+    ({()}, "empty simplex"),
+], ids=["unsorted-edge", "repeated-vertex", "negative-vertex", "empty"])
+def test_malformed_simplices_are_rejected(simplices, message):
+    with pytest.raises(MalformedComplexError, match=re.escape(message)):
+        SimplicialComplex(vertex_count=2, simplices=frozenset(simplices))
+
+
 @pytest.mark.parametrize("missing", [(2,), (1, 2)])
 def test_closure_check_rejects_a_triangle_missing_a_vertex_or_an_edge(missing):
     full = build_complex([[0, 1, 2]]).simplices
