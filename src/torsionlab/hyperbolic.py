@@ -46,16 +46,24 @@ def lorentz_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(-x[0] * y[0] + np.dot(x[1:], y[1:]))
 
 
-def make_point(coords: Sequence[float]) -> np.ndarray:
-    """Normalize coordinates onto the upper hyperboloid sheet."""
+def make_point(coords: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Normalize coordinates onto the upper hyperboloid sheet.
+
+    coords is one point, or a (d + 1, m) array whose m columns are points,
+    each scaled, guarded and normalized by the same rule as one point.
+    """
     x = np.asarray(coords, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2:
+    if x.ndim not in (1, 2) or x.shape[0] < 2:
         raise GeometryError("a point needs at least 2 coordinates")
+    if x.ndim == 2:
+        return _make_columns(x)
     # x_0 is the largest coordinate of a timelike vector; far from 1 its
     # square over- or underflows.  Scaling by a power of two is exact and
     # cancels in x / sqrt(-q).  Near 1 it is skipped, as it would cost more
     # than the rest of the function.
-    e = math.frexp(x[0])[1]
+    mantissa, e = math.frexp(x[0])
+    if not abs(mantissa) < 1:  # x_0 is not finite; inf - inf in the form would warn
+        raise GeometryError("coordinates are not finite")
     if abs(e) > 500:
         x = np.ldexp(x, -e)
     else:
@@ -64,12 +72,31 @@ def make_point(coords: Sequence[float]) -> np.ndarray:
     if not -math.inf < q < 0:  # also false for NaN, from non-finite coordinates
         if not np.isfinite(np.asarray(coords, dtype=float)).all():
             raise GeometryError("coordinates are not finite")
-        scaled = f" of the coordinates times 2^{-e}" if e else ""
-        raise GeometryError(f"coordinates are not timelike (form value {q}{scaled})")
+        _not_timelike(q, e)
     x = x / math.sqrt(-q)
     if x[0] < 0:
         x = -x
     return x
+
+
+def _not_timelike(q: float, e: int):
+    scaled = f" of the coordinates times 2^{-e}" if e else ""
+    raise GeometryError(f"coordinates are not timelike (form value {q}{scaled})")
+
+
+def _make_columns(x: np.ndarray) -> np.ndarray:
+    """make_point for each column of x, in array operations."""
+    if not np.isfinite(x).all():
+        raise GeometryError("coordinates are not finite")
+    e = np.frexp(x[0])[1]
+    e = np.where(np.abs(e) > 500, e, 0)
+    x = np.ldexp(x, -e)
+    q = _lorentz(x, x, -1)
+    bad = np.flatnonzero(~(q < 0))
+    if bad.size:
+        _not_timelike(q[bad[0]], e[bad[0]])
+    x = x / np.sqrt(-q)
+    return np.where(x[0] < 0, -x, x)
 
 
 def base_point(d: int) -> np.ndarray:
@@ -104,14 +131,15 @@ def exp_map(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return math.cosh(t) * x + math.sinh(t) * v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LorentzIsometry:
     """Matrix in O+(d,1).
 
     parabolic_data is (n, v) for a parabolic built by parabolic(): the
     fixed null vector and the translation vector, which its Jordan block
     gives back too unreliably for sub-level geometry.  A loxodromic needs
-    no such data, as its axis is read off the eigenvectors.
+    no such data, as its axis is read off the eigenvectors.  Compared and
+    hashed by identity, as its fields are arrays.
     """
 
     matrix: np.ndarray
@@ -328,7 +356,7 @@ def _classify(g: LorentzIsometry) -> tuple[float, list[float], list[float]]:
     return length, frame[:, 0].tolist(), frame[:, 1].tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SublevelSet:
     """The region where the displacement of gamma stays below epsilon.
 
@@ -337,7 +365,8 @@ class SublevelSet:
     columns (p, u); for a parabolic it is the horoball w(x) = -<x, n> <= reach
     at the fixed null vector, and columns holds (n,).  Columns are plain
     floats, and membership reads the products _normal takes for the obtuse
-    check's sign test: s = cosh^2 of the axis distance, or s = w.
+    check's sign test: s = cosh^2 of the axis distance, or s = w, for one
+    point or for coordinate columns alike.  Compared and hashed by identity.
     """
 
     gamma: LorentzIsometry
@@ -364,19 +393,25 @@ class SublevelSet:
         radius = math.acosh(math.sinh(epsilon / 2) / math.sinh(length / 2))
         return cls(g, epsilon, (p, u), radius)
 
-    def distance_from(self, x: Sequence[float]) -> float:
-        """Distance from x to the set, 0 inside."""
+    def distance_from(self, x: Sequence[float] | np.ndarray):
+        """Distance from x to the set, 0 inside: a float for one point, an
+        array for the columns of a (d + 1, m) array, by the same operations
+        lane by lane."""
         s = _normal(x, self.columns, -1)[1]
         if len(self.columns) == 2:
-            return max(0.0, math.acosh(math.sqrt(max(1.0, s))) - self.reach)
-        return 0.0 if s <= self.reach else math.log(s / self.reach)
+            return np.maximum(0.0, np.arccosh(np.sqrt(np.maximum(1.0, s))) - self.reach)
+        return np.log(np.maximum(s / self.reach, 1.0))
 
-    def contains(self, x: Sequence[float]) -> bool:
+    def contains(self, x: Sequence[float] | np.ndarray):
         return self.distance_from(x) == 0.0
 
 
 def _lorentz(x: Sequence, y: Sequence, sign: int):
-    """sign * x_0 y_0 + sum_{i>0} x_i y_i: the Lorentz form for sign -1."""
+    """sign * x_0 y_0 + sum_{i>0} x_i y_i: the Lorentz form for sign -1.
+
+    x is one point, or a (d + 1, m) array of columns: then each x_i is a row
+    and every lane takes the float operations of one point, in this order.
+    """
     total = sign * x[0] * y[0]
     for xi, yi in zip(x[1:], y[1:]):
         total += xi * yi
@@ -446,22 +481,31 @@ class _GradientPair:
         self.roundings = 4 * set_a.gamma.dimension + 10
 
     @staticmethod
-    def _norm(normal, columns: list) -> float:
+    def _norm(normal, columns: list):
         """|projection of N| = sqrt(s (s - 1)) for a tube, w for a horoball."""
         s = normal[1]
-        return math.sqrt(s * (s - 1.0)) if len(columns) == 2 else s
+        return np.sqrt(s * (s - 1.0)) if len(columns) == 2 else s
 
-    def decide(self, x: Sequence[float]) -> tuple[bool, float]:
-        """(P >= 0 exactly, the float inner product of the unit gradients)."""
-        normal_a = _normal(x, self.columns_a, -1)
-        normal_b = _normal(x, self.columns_b, -1)
+    def decide(self, x: Sequence[float] | np.ndarray):
+        """(P >= 0 exactly, the float inner product of the unit gradients) at
+        one point, or as arrays over the columns of a (d + 1, m) array: each
+        lane takes the float operations of one point, and goes exact only
+        where stands() abstains."""
+        x = np.asarray(x, dtype=float)
+        lanes = x.reshape(x.shape[0], -1)
+        normal_a = _normal(lanes, self.columns_a, -1)
+        normal_b = _normal(lanes, self.columns_b, -1)
         p = _polynomial(normal_a, normal_b, self.gram)
-        abs_x = [abs(v) for v in x]
+        abs_x = np.abs(lanes)
         bound = _polynomial(_normal(abs_x, self.abs_a, 1), _normal(abs_x, self.abs_b, 1),
                             self.abs_gram)
-        nonnegative = (p > 0 if stands(p, bound, self.roundings)
-                       else _exact_polynomial(x, self.columns_a, self.columns_b) >= 0)
+        nonnegative = p > 0
+        for i in np.flatnonzero(~stands(p, bound, self.roundings)):
+            point = lanes[:, i].tolist()
+            nonnegative[i] = _exact_polynomial(point, self.columns_a, self.columns_b) >= 0
         ip = p / (self._norm(normal_a, self.columns_a) * self._norm(normal_b, self.columns_b))
+        if x.ndim == 1:
+            return bool(nonnegative[0]), float(ip[0])
         return nonnegative, ip
 
 
@@ -478,15 +522,22 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
     """Gradients of the distances to two commuting sub-level sets never
     point against each other.
 
-    Sample points are drawn outside both sets.  At each, the gradients are
-    taken in closed form: -(a p + b u) / (c sqrt(c^2 - 1)) for a tube with
-    frame columns (p, u), a = -<x, p>, b = <x, u>, c = sqrt(a^2 - b^2), and
-    -n / w for a horoball at the null vector n, w = -<x, n>.  The sign of
-    their Riemannian inner product <G_a, G_b> + <x, G_a> <x, G_b> is decided
-    exactly for the stored floats: a float evaluation with a rounding bound
-    settles it, and rational arithmetic the rest.  Passes when every sign
-    is >= 0.  min_inner_product is the float inner product of the unit
-    gradients, for display.
+    Sample points are drawn in batches from one generator: for each, a
+    direction (standard normal, normalized) and a radius (uniform in
+    [0.05, 3.0]) from the base point, placed as coordinate columns by
+    make_point.  The first samples draws, in draw order, that lie outside
+    both sets are kept; each batch holds a few times the samples still
+    needed, and every draw counts against a cap of 200 per sample.  At
+    each kept point, the gradients are taken in closed form:
+    -(a p + b u) / (c sqrt(c^2 - 1)) for a tube with frame columns (p, u),
+    a = -<x, p>, b = <x, u>, c = sqrt(a^2 - b^2), and -n / w for a horoball
+    at the null vector n, w = -<x, n>.  The sign of their Riemannian inner
+    product <G_a, G_b> + <x, G_a> <x, G_b> is decided exactly for the stored
+    floats, lane by lane: a float evaluation with a rounding bound settles
+    it, and rational arithmetic the lanes where that abstains.  Membership
+    and signs take the same float operations for a column as for one
+    point.  Passes when every sign is >= 0.  min_inner_product is the float
+    inner product of the unit gradients, for display.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -494,33 +545,34 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
         raise GeometryError("isometries do not commute within tolerance")
     set_a = SublevelSet.of(a, eps_a)
     set_b = SublevelSet.of(b, eps_b)
-    pair = _GradientPair(set_a, set_b)
     d = a.dimension
     rng = np.random.default_rng(seed)
 
+    kept = []
     collected = 0
-    min_ip = math.inf
-    passed = True
     attempts = 0
     max_attempts = 200 * samples
     while collected < samples:
         if attempts >= max_attempts:
             raise SamplingError(
                 f"could only place {collected}/{samples} samples outside both sub-level sets")
-        attempts += 1
-        direction = rng.standard_normal(d)
-        direction /= math.sqrt(direction @ direction)  # np.linalg.norm, bit for bit
-        radius = rng.uniform(0.05, 3.0)
-        # exp_map(base_point(d), (0, direction), radius) in the same float operations
-        sinh_r = math.sinh(radius)
-        x = make_point([math.cosh(radius), *(sinh_r * t for t in direction.tolist())]).tolist()
-        if set_a.contains(x) or set_b.contains(x):
-            continue
-        nonnegative, ip = pair.decide(x)
-        passed = passed and nonnegative
-        min_ip = min(min_ip, ip)
-        collected += 1
-    return ObtuseAngleReport(samples=samples, min_inner_product=min_ip, passed=passed)
+        m = min(4 * (samples - collected), max_attempts - attempts)
+        attempts += m
+        directions = rng.standard_normal((m, d)).T
+        radii = rng.uniform(0.05, 3.0, m)
+        # exp_map(base_point(d), (0, direction), radius) for each column
+        coords = np.empty((d + 1, m))
+        coords[0] = np.cosh(radii)
+        coords[1:] = directions * (np.sinh(radii) / np.sqrt((directions * directions).sum(axis=0)))
+        x = make_point(coords)
+        outside = ~set_a.contains(x)
+        outside[outside] = ~set_b.contains(x[:, outside])
+        x = x[:, outside][:, :samples - collected]
+        kept.append(x)
+        collected += x.shape[1]
+    nonnegative, ip = _GradientPair(set_a, set_b).decide(np.hstack(kept))
+    return ObtuseAngleReport(samples=samples, min_inner_product=float(ip.min()),
+                             passed=bool(nonnegative.all()))
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,8 @@ def test_obtuse_check_is_unchanged_when_every_float_sign_abstains(monkeypatch, c
     monkeypatch.setattr(hyp, "_exact_polynomial", counting)
     want = verify_obtuse(capsys, d)
     assert not exact_calls
-    monkeypatch.setattr(hyp, "stands", lambda value, per, roundings: False)
+    monkeypatch.setattr(hyp, "stands",
+                        lambda value, per, roundings: np.zeros(np.shape(value), dtype=bool))
     assert verify_obtuse(capsys, d) == want
     # every sample of both checks, 200 each, was decided over the rationals
     assert len(exact_calls) == 400

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -32,8 +33,10 @@ def test_spacelike_points_beyond_the_float_range_of_the_form_are_rejected(scale)
                                     [2.0, math.nan, 0.0], [math.inf, math.inf, 0.0],
                                     [-math.inf, 1.0, 0.0], [1e-200, math.inf, 0.0]])
 def test_non_finite_coordinates_are_rejected(coords):
-    with pytest.raises(hyp.GeometryError, match="not finite"):
-        hyp.make_point(coords)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hyp.GeometryError, match="not finite"):
+            hyp.make_point(coords)
 
 
 def test_distance_to_self_zero():
@@ -411,6 +414,31 @@ def test_sign_decision_matches_rational_evaluation_and_goes_exact_only_on_near_t
     assert {pair.decide(x.tolist())[0] for x in ties} == {True, False}
 
 
+@pytest.mark.parametrize("case", ["skew-tubes", "concentric-horoballs"])
+def test_columns_take_the_float_operations_of_one_point(case):
+    if case == "skew-tubes":
+        _, _, s_a, s_b = skew_tubes()
+    else:
+        s_a = hyp.SublevelSet.of(generic_parabolic(3, [1.0, 0.0]), 0.4)
+        s_b = hyp.SublevelSet.of(generic_parabolic(3, [0.3, 0.7]), 0.7)
+    rng = np.random.default_rng(4)
+    points = [random_point(rng, 3, spread=3.0) for _ in range(300)]
+    columns = np.column_stack(points)
+    for s in (s_a, s_b):
+        assert s.distance_from(columns).tolist() == [s.distance_from(x) for x in points]
+    pair = hyp._GradientPair(s_a, s_b)
+    # the loop reference: P in Python floats, one point at a time
+    want = [hyp._polynomial(hyp._normal(x.tolist(), s_a.columns, -1),
+                            hyp._normal(x.tolist(), s_b.columns, -1), pair.gram)
+            for x in points]
+    got = hyp._polynomial(hyp._normal(columns, s_a.columns, -1),
+                          hyp._normal(columns, s_b.columns, -1), pair.gram)
+    assert got.tolist() == want
+    outside = [x for x in points if outside_both(s_a, s_b, x)]
+    signs, ips = pair.decide(np.column_stack(outside))
+    assert list(zip(signs.tolist(), ips.tolist())) == [pair.decide(x) for x in outside]
+
+
 def test_verdict_is_the_exact_sign(monkeypatch):
     g, h, s_a, s_b = skew_tubes()
     seen = []
@@ -423,8 +451,10 @@ def test_verdict_is_the_exact_sign(monkeypatch):
     monkeypatch.setattr(hyp.LorentzIsometry, "commutes_with", lambda self, other: True)
     monkeypatch.setattr(hyp._GradientPair, "decide", recording)
     report = hyp.obtuse_angle_check(g, h, 0.25, 0.35, samples=60, seed=0)
-    assert len(seen) == 60
-    assert report.passed == all(exact_p(s_a, s_b, x) >= 0 for x in seen)
+    # one batch: the 60 kept samples as coordinate columns
+    [batch] = seen
+    assert batch.shape == (4, 60)
+    assert report.passed == all(exact_p(s_a, s_b, x) >= 0 for x in batch.T)
     assert not report.passed and report.min_inner_product < 0
 
 
@@ -446,27 +476,81 @@ def test_coaxial_tubes_and_concentric_horoballs_meet_at_angle_zero(d):
 
 
 def test_obtuse_check_makes_one_point_per_attempt(monkeypatch):
-    calls = {"make_point": 0, "inside": 0}
+    calls = {"batches": [], "inside": 0, "kept": 0}
     make_point, contains = hyp.make_point, hyp.SublevelSet.contains
+    decide = hyp._GradientPair.decide
 
     def counting_make_point(coords):
-        calls["make_point"] += 1
+        calls["batches"].append(np.shape(coords)[1])
         return make_point(coords)
 
     def counting_contains(self, x):
         inside = contains(self, x)
-        calls["inside"] += inside
+        calls["inside"] += int(np.count_nonzero(inside))
         return inside
+
+    def counting_decide(self, x):
+        calls["kept"] += x.shape[1]
+        return decide(self, x)
 
     monkeypatch.setattr(hyp, "make_point", counting_make_point)
     monkeypatch.setattr(hyp.SublevelSet, "contains", counting_contains)
+    monkeypatch.setattr(hyp._GradientPair, "decide", counting_decide)
     g = hyp.standard_loxodromic(3, 0.2)
     g2 = g.power(2)
-    calls["make_point"] = 0
+    calls["batches"] = []
     hyp.obtuse_angle_check(g, g2, 0.5, 0.9, samples=40, seed=3)
-    # every attempt makes one point and is either rejected or kept
-    assert calls["inside"] == 63
-    assert calls["make_point"] == 40 + calls["inside"]
+    # every draw makes one point column and is rejected, kept, or outside
+    # both sets after the last kept sample of the last batch
+    assert calls["inside"] == 105
+    assert calls["batches"] == [160]
+    assert calls["kept"] == 40
+    unused = sum(calls["batches"]) - 40 - calls["inside"]
+    assert 0 <= unused < calls["batches"][-1]
+
+
+def test_obtuse_check_stops_at_the_draw_cap():
+    g = hyp.standard_loxodromic(3, 0.2)
+    # both tube radii, ~4.8 and ~4.6, lie past the largest sample radius 3.0
+    with pytest.raises(hyp.SamplingError, match="could only place 0/20 samples"):
+        hyp.obtuse_angle_check(g, g.power(2), 5.0, 6.0, samples=20)
+
+
+def test_obtuse_check_is_reproducible():
+    g = hyp.standard_loxodromic(3, 0.2)
+    reports = [hyp.obtuse_angle_check(g, g.power(2), 0.5, 0.9, samples=50, seed=5)
+               for _ in range(2)]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_kept_samples_lie_outside_both_sets(monkeypatch, d):
+    g = hyp.standard_loxodromic(d, 0.2)
+    a = generic_parabolic(d, [1.0] + [0.0] * (d - 2))
+    b = generic_parabolic(d, [0.3] + [0.7] * (d - 2))
+    seen = []
+    decide = hyp._GradientPair.decide
+
+    def recording(self, x):
+        seen.append((self, x))
+        return decide(self, x)
+
+    monkeypatch.setattr(hyp._GradientPair, "decide", recording)
+    hyp.obtuse_angle_check(g, g.power(2), 0.5, 0.9, samples=50, seed=d)
+    hyp.obtuse_angle_check(a, b, 0.4, 0.7, samples=50, seed=d)
+    cases = [(hyp.SublevelSet.of(g, 0.5), hyp.SublevelSet.of(g.power(2), 0.9)),
+             (hyp.SublevelSet.of(a, 0.4), hyp.SublevelSet.of(b, 0.7))]
+    for (s_a, s_b), (pair, batch) in zip(cases, seen):
+        assert pair.columns_a == s_a.columns and pair.columns_b == s_b.columns
+        assert batch.shape == (d + 1, 50)
+        assert all(outside_both(s_a, s_b, x) for x in batch.T)
+
+
+def test_isometries_and_sublevel_sets_compare_by_identity():
+    g = hyp.identity(3)
+    assert g == g and g != hyp.identity(3)
+    s = hyp.SublevelSet.of(hyp.standard_loxodromic(3, 0.2), 0.5)
+    assert hash(s) == hash(s) and s != hyp.SublevelSet.of(s.gamma, 0.5)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
