@@ -57,12 +57,12 @@ def make_point(coords: Sequence[float] | np.ndarray) -> np.ndarray:
         raise GeometryError("a point needs at least 2 coordinates")
     if x.ndim == 2:
         return _make_columns(x)
-    # x_0 is the largest coordinate of a timelike vector; far from 1 its
-    # square over- or underflows.  Scaling by a power of two is exact and
+    # Far from 1 the square of the largest |coordinate|, x_0 for a timelike
+    # vector, over- or underflows.  Scaling by a power of two is exact and
     # cancels in x / sqrt(-q).  Near 1 it is skipped, as it would cost more
     # than the rest of the function.
-    mantissa, e = math.frexp(x[0])
-    if not abs(mantissa) < 1:  # x_0 is not finite; inf - inf in the form would warn
+    mantissa, e = math.frexp(max(map(abs, x.tolist())))
+    if not mantissa < 1:  # inf (or a leading NaN); inf - inf in the form would warn
         raise GeometryError("coordinates are not finite")
     if abs(e) > 500:
         x = np.ldexp(x, -e)
@@ -88,7 +88,7 @@ def _make_columns(x: np.ndarray) -> np.ndarray:
     """make_point for each column of x, in array operations."""
     if not np.isfinite(x).all():
         raise GeometryError("coordinates are not finite")
-    e = np.frexp(x[0])[1]
+    e = np.frexp(np.abs(x).max(axis=0))[1]
     e = np.where(np.abs(e) > 500, e, 0)
     x = np.ldexp(x, -e)
     q = _lorentz(x, x, -1)
@@ -331,13 +331,14 @@ def _classify(g: LorentzIsometry) -> tuple[float, list[float], list[float]]:
     """
     if float(np.max(np.abs(g.matrix - np.eye(g.dimension + 1)))) < 1e-12:
         raise GeometryError("sub-level set of the identity is the whole space")
-    length = translation_length(g)
-    # parabolic Jordan blocks smear eigenvalues by ~eps^(1/3), so only a
-    # spectral radius clearly above that noise floor means loxodromic
+    eigvals, eigvecs = np.linalg.eig(g.matrix)
+    # translation_length() from the same eigenvalues; parabolic Jordan blocks
+    # smear them by ~eps^(1/3), so only a spectral radius clearly above that
+    # noise floor means loxodromic
+    length = math.log(max(1.0, float(np.max(np.abs(eigvals)))))
     if length <= 1e-4:
         raise GeometryError(
             "cannot classify this matrix; build parabolic elements with the parabolic() constructor")
-    eigvals, eigvecs = np.linalg.eig(g.matrix)
     idx_plus = int(np.argmax(eigvals.real))
     idx_minus = int(np.argmin(np.abs(eigvals - math.exp(-length))))
     plus = np.real(eigvecs[:, idx_plus])

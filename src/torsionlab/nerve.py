@@ -25,13 +25,16 @@ all but their last vertex.  Then each proper principal submatrix of its A
 is copositive at the lower h, and so, A growing with h, at the upper h, and
 the sign vector of A_SS^-1 1 on the full support decides the tuple at each
 end.  Past d + 1 balls Helly's theorem decides a candidate: its facets
-meet, so it does.  The nerve gathers each level's candidates and a second
-float filter decides them together first, from the signs of det A_SS and
-of the Cramer determinants in one float copy of A.  A tuple it cannot
-certify, a near-tie, gets one fraction-free solve; the filter and the
-solve both need every facet certified at the same lower A, so a straddle
-reruns the whole cover, not the one tuple.  Both filters keep a float
-sign only where certify.stands() certifies it.
+meet, so it does.  Below that a second float filter signs all the
+candidates of a level at once, from det A_SS and the Cramer determinants
+in one float copy of A, and returns its verdicts; nerve() then decides
+each candidate through common_point_exists(), where a verdict stands and
+a tuple the filter cannot certify, a near-tie, gets one fraction-free
+solve.  The filter and the solve both need every facet certified at the
+same lower A, so a straddle reruns the whole cover, not the one tuple.
+Both filters keep a float sign only where certify.stands() certifies it.
+Given a plain list of balls, common_point_exists() uses neither filter:
+the reference the nerve is checked against.
 """
 
 from __future__ import annotations
@@ -255,7 +258,6 @@ class _CoverMatrix:
         self.upper = None if self._lower_h is None else [
             {i: hi} for i, (_, hi) in enumerate(diagonal)]
         self._floats: list[np.ndarray] = []
-        self._verdicts: dict[tuple[int, ...], bool] = {}
 
     def _gram(self, i: int, j: int) -> int:
         return sum(x * y for x, y in zip(self._duals[i], self._points[j]))
@@ -306,15 +308,14 @@ class _CoverMatrix:
                 self.upper[i][j] = self.upper[j][i] = hi
         return meets
 
-    def certify(self, tuples: Sequence[tuple[int, ...]]) -> None:
-        """Decide by the float filter what it can of one nerve level: tuples
-        of one size, each with every facet meeting, gathered after every pair
-        is decided.  A certified a_SS^-1 1 not < 0 at the lower A means the
-        tuple meets; < 0 at the lower A, and at the upper A or in E^d, means
-        it does not.  tuple_meets() reads these verdicts until the next call."""
-        self._verdicts = {}
+    def certify(self, tuples: Sequence[tuple[int, ...]]) -> list[bool | None]:
+        """The float filter's verdict on each tuple of one nerve level, in
+        order: tuples of one size, each with every facet meeting, gathered
+        after every pair is decided.  A certified a_SS^-1 1 not < 0 at the
+        lower A means the tuple meets (True); < 0 at the lower A, and at the
+        upper A or in E^d, means it does not (False); None where it abstains."""
         if not tuples:
-            return
+            return []
         if not self._floats:
             self._floats = [float_copy(rows) for rows in (self.lower, self.upper)
                             if rows is not None]
@@ -324,32 +325,29 @@ class _CoverMatrix:
         if self.upper is not None and fails.size:
             at_upper = inverse_sum_signs(self._floats[1], level[fails])
             known[fails] = at_upper[0] & at_upper[1]
-        self._verdicts = {tuples[n]: not negative[n] for n in np.flatnonzero(known).tolist()}
+        return [not below if certified else None
+                for certified, below in zip(known.tolist(), negative.tolist())]
 
-    def tuple_meets(self, s: tuple[int, ...], indices: tuple[int, ...]) -> bool:
+    def tuple_meets(self, s: tuple[int, ...]) -> bool:
         """Whether the balls s meet, given that every facet of s meets at the
         lower A: then, A growing with h, also at the upper A, so one solve on
-        the full support decides each.  The verdict of certify() stands when
-        it gave one."""
-        verdict = self._verdicts.get(s)
-        if verdict is not None:
-            return verdict
-
+        the full support decides each."""
         def principal(rows):
             return [[rows[i][j] for j in s] for i in s]
 
         return _certify(lambda a: not inverse_sum_negative(a), principal(self.lower),
-                        None if self.upper is None else principal(self.upper), indices)
+                        None if self.upper is None else principal(self.upper), s)
 
 
 class _CoverTuple(Sequence):
     """The balls of a cover at a tuple of its indices, carrying the cover's
-    matrix, whose rows hold every entry among them."""
+    matrix, whose rows hold every entry among them, and the float filter's
+    verdict on them (None where it abstained)."""
 
-    __slots__ = ("matrix", "indices")
+    __slots__ = ("matrix", "indices", "verdict")
 
-    def __init__(self, matrix: _CoverMatrix, indices: tuple[int, ...]):
-        self.matrix, self.indices = matrix, indices
+    def __init__(self, matrix: _CoverMatrix, indices: tuple[int, ...], verdict: bool | None):
+        self.matrix, self.indices, self.verdict = matrix, indices, verdict
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -371,34 +369,30 @@ def _refined(decide):
             bits *= 2
 
 
-def _meets(space, balls: Sequence[tuple[np.ndarray, float]], indices: tuple[int, ...]) -> bool:
+def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
+                        indices: tuple[int, ...]) -> bool:
+    """Whether the closed balls meet: exact in E^d, certified in H^d.
+
+    nerve() decides each candidate of three or more balls through this
+    function, passing the balls as a view of its cover's matrix with the
+    float filter's verdict, each sign kept by certify.stands(): the verdict
+    stands when there is one, and an exact solve at the cover's bits
+    decides the rest, where a straddle reruns the cover.  A plain list of
+    balls is the reference: every principal subset is decided by its own
+    solve, with no float filter, and a hyperbolic tuple whose enclosure of
+    h straddles the boundary is decided again at doubled bits; past
+    MAX_ENCLOSURE_BITS it raises IndeterminateIntersectionError(indices).
+    """
+    if isinstance(balls, _CoverTuple):
+        if balls.verdict is None:
+            return balls.matrix.tuple_meets(balls.indices)
+        return balls.verdict
+
     def decide(bits):
         lower, upper = _CoverMatrix(space, balls, bits).full()
         return _certify(_copositive, lower, upper, indices)
 
     return _refined(decide)
-
-
-def balls_intersect(space, a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> bool:
-    return _meets(space, (a, b), (0, 1))
-
-
-def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
-                        indices: tuple[int, ...]) -> bool:
-    """Whether the closed balls meet: exact in E^d, certified in H^d.
-
-    A hyperbolic tuple whose enclosure of h straddles the boundary is
-    decided again at doubled bits; past MAX_ENCLOSURE_BITS it raises
-    IndeterminateIntersectionError(indices).  A tuple that nerve() passes
-    is decided at its cover's bits: a straddle there reruns the cover.
-    There the float filter's verdict stands when it gave one, each sign
-    kept by certify.stands(); an exact solve decides the tuples it
-    abstains on.  A plain list of balls is always
-    decided exactly, every principal subset by its own solve.
-    """
-    if isinstance(balls, _CoverTuple):
-        return balls.matrix.tuple_meets(balls.indices, indices)
-    return _meets(space, balls, indices)
 
 
 def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
@@ -433,9 +427,8 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
             # do, and every d + 1 of these lie in a facet, which meets
             frontier = candidates
         else:
-            matrix.certify(candidates)
-            frontier = [t for t in candidates
-                        if common_point_exists(cover.space, _CoverTuple(matrix, t), t)]
+            frontier = [t for t, verdict in zip(candidates, matrix.certify(candidates))
+                        if common_point_exists(cover.space, _CoverTuple(matrix, t, verdict), t)]
         simplices.update(frontier)
     return SimplicialComplex._closed(n, frozenset(simplices))
 

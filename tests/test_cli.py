@@ -412,3 +412,14 @@ def test_verify_dv_bound_is_byte_identical(capsys):
     code, out, _ = run_cli(capsys, "verify", "dv-bound")
     assert code == 0
     assert out == (EXPECTED / "verify_dv_bound.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("verify", "soule"), "verify_soule"),
+    (("verify", "commutator"), "verify_commutator"),
+    (("dehn-table", "--p", "0..12", "--q", "1..3"), "dehn_table"),
+])
+def test_seeded_and_closed_form_output_is_byte_identical(capsys, argv, name):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (EXPECTED / f"{name}.out").read_text(encoding="utf-8")

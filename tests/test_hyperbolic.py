@@ -29,6 +29,13 @@ def test_spacelike_points_beyond_the_float_range_of_the_form_are_rejected(scale)
         hyp.make_point([scale, 2 * scale, 0.0])
 
 
+@pytest.mark.parametrize("coords", [[1e-200, 1e300, 0.0], [[1e-200], [1e300], [0.0]]])
+def test_spacelike_coordinates_far_from_one_are_scaled_without_overflow(coords):
+    # scaling by x_0 alone would push 1e300 past the float range
+    with pytest.raises(hyp.GeometryError, match="not timelike"):
+        hyp.make_point(coords)
+
+
 @pytest.mark.parametrize("coords", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
                                     [2.0, math.nan, 0.0], [math.inf, math.inf, 0.0],
                                     [-math.inf, 1.0, 0.0], [1e-200, math.inf, 0.0]])

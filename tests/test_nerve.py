@@ -21,7 +21,6 @@ from torsionlab.nerve import (
     HyperbolicSpace,
     IndeterminateIntersectionError,
     annulus_cover,
-    balls_intersect,
     circle_cover,
     common_point_exists,
     nerve,
@@ -234,7 +233,8 @@ def test_duplicate_hyperbolic_balls_meet():
 def filter_abstains(patch):
     """Send every nerve pair to the exact 2x2 form and every larger tuple to
     the exact solve: both float filters abstain."""
-    patch.setattr(nerve_module._CoverMatrix, "certify", lambda self, tuples: None)
+    patch.setattr(nerve_module, "inverse_sum_signs",
+                  lambda a, tuples: (np.zeros(len(tuples), dtype=bool),) * 2)
     patch.setattr(nerve_module._CoverMatrix, "pairs",
                   lambda self: list(combinations(range(len(self.balls)), 2)))
 
@@ -325,7 +325,7 @@ def test_straddling_pair_is_refined_to_the_exact_answer(monkeypatch):
     want = nerve(cover).simplices
     assert (1, 2) not in want
     start_at_eight_bits(monkeypatch)
-    assert not balls_intersect(cover.space, cover.elements[1], cover.elements[2])
+    assert not common_point_exists(cover.space, cover.elements[1:], (0, 1))
     built = count_matrices(monkeypatch)
     decided = count_pair_decisions(monkeypatch)
     assert nerve(cover).simplices == want
@@ -432,7 +432,7 @@ def test_euclidean_decision_is_exact_and_invariant(case, rng):
     (c1, r1), (c2, r2) = balls[:2]
     squared = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(c1, c2))
     pair = BallCover.of(space, balls[:2]).elements
-    assert balls_intersect(space, *pair) == (squared <= (Fraction(r1) + Fraction(r2)) ** 2)
+    assert common_point_exists(space, pair, (0, 1)) == (squared <= (Fraction(r1) + Fraction(r2)) ** 2)
 
     got = decide(balls)
     shuffled = list(balls)
@@ -920,7 +920,7 @@ def nerve_without_helly(cover, max_dim):
     for size in range(2, max_dim + 2):
         for t in combinations(range(n), size):
             if all(t[:k] + t[k + 1:] in simplices for k in range(size)) and (
-                    matrix.pair_meets(*t) if size == 2 else matrix.tuple_meets(t, t)):
+                    matrix.pair_meets(*t) if size == 2 else matrix.tuple_meets(t)):
                 simplices.add(t)
     return simplices
 
