@@ -58,19 +58,14 @@ class SouleBoundReport:
         return 2.0 * math.log(self.exact_torsion) / math.log(self.bound_squared)
 
 
-def soule_bound(mat: IntegerMatrix, prefer_small_norms: bool = False) -> SouleBoundReport:
+def soule_bound(mat: IntegerMatrix) -> SouleBoundReport:
     """Check |torsion of coker| <= product of norms over a column basis.
 
-    The column subset is picked greedily in column order (optionally in
-    order of increasing norm, which tightens the reported bound but does
-    not affect validity).  The inequality is decided on squared integers:
-    torsion^2 <= prod ||col||^2.
+    The column subset is picked greedily in column order.  The inequality
+    is decided on squared integers: torsion^2 <= prod ||col||^2.
     """
     norms_sq = [sum(v * v for v in col.values()) for col in mat.columns]
-    order = None
-    if prefer_small_norms:
-        order = sorted(range(mat.cols), key=lambda j: (norms_sq[j], j))
-    chosen = independent_columns(mat, order=order)
+    chosen = independent_columns(mat)
 
     bound_sq = 1
     for j in chosen:

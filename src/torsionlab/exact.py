@@ -312,6 +312,8 @@ def smith_normal_form(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFRes
     of the others, so dropping them changes neither the rank nor the
     invariant factors; the elimination never reads them.  ``homology``
     retires the columns of d_k at the unit rows of d_{k+1}'s result.
+    Zero entries of ``columns`` are skipped, and a row index outside
+    0..rows-1 raises ValueError.
 
     A pivot p at (r, c) is eliminated by column operations that clear row
     r; once the rest of column c is a multiple of p, row r and column c are
@@ -333,10 +335,13 @@ def smith_normal_form(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFRes
 
 def _smith_kernel(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFResult:
     retired = frozenset(retired)
-    cols = [{} if j in retired else dict(col) for j, col in enumerate(mat.columns)]
+    cols = [{} if j in retired else {i: v for i, v in col.items() if v}
+            for j, col in enumerate(mat.columns)]
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
     for j, col in enumerate(cols):
         for i in col:
+            if not 0 <= i < mat.rows:
+                raise ValueError(f"row index {i} of column {j} is outside 0..{mat.rows - 1}")
             row_cols[i].add(j)
     # unit pivots: (column size, column); every change to a column pushes
     # it again, and an entry whose size is out of date is skipped
@@ -467,13 +472,10 @@ def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
     return len(_echelon([[x % p for x in row] for row in mat.to_lists()], mat.cols, p)[0])
 
 
-def independent_columns(mat: IntegerMatrix, order: Sequence[int] | None = None) -> list[int]:
+def independent_columns(mat: IntegerMatrix) -> list[int]:
     """Greedy maximal set of Q-linearly-independent columns.
 
-    Columns are examined in the given order (default: left to right); the
-    selected set spans the column space over Q.
+    Columns are examined left to right; the selected set spans the column
+    space over Q.
     """
-    order = list(range(mat.cols) if order is None else order)
-    picked = [mat.columns[j] for j in order]
-    rows = [[col.get(i, 0) for col in picked] for i in range(mat.rows)]
-    return sorted(order[c] for c in _echelon(rows, len(order))[0])
+    return _echelon(mat.to_lists(), mat.cols)[0]

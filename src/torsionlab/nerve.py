@@ -434,7 +434,7 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
 
 
 def relative_nerve(cover: BallCover, subfamily: Sequence[int],
-                   shrink: Sequence[float], max_dim: int | None = None) -> SimplicialPair:
+                   shrink: Sequence[float]) -> SimplicialPair:
     """The nerve of the cover over the nerve of the shrunken subfamily.
 
     The subfamily keeps its original indices, so its nerve is a genuine
@@ -453,12 +453,12 @@ def relative_nerve(cover: BallCover, subfamily: Sequence[int],
         if not 0 < r <= cover.elements[j][1]:
             raise ValueError(f"shrink radius for index {j} must be in (0, original radius]")
 
-    total = nerve(cover, max_dim=max_dim)
+    total = nerve(cover)
     sub_cover = BallCover(
         space=cover.space,
         elements=tuple((cover.elements[j][0], float(r)) for j, r in zip(indices, shrink)),
     )
-    local = nerve(sub_cover, max_dim=max_dim)
+    local = nerve(sub_cover)
     relabeled = {tuple(sorted(indices[v] for v in s)) for s in local.simplices}
     sub = SimplicialComplex(vertex_count=len(cover), simplices=frozenset(relabeled))
     return SimplicialPair(total=total, sub=sub)
@@ -475,17 +475,15 @@ class NerveLemmaReport:
         return not self.mismatches
 
 
-def nerve_lemma_check(cover: BallCover, reference: Sequence[AbelianGroupStructure],
-                      max_dim: int | None = None) -> NerveLemmaReport:
+def nerve_lemma_check(cover: BallCover, reference: Sequence[AbelianGroupStructure]) -> NerveLemmaReport:
     """Compare nerve homology against known homology of the cover's union.
 
     Degrees checked run over the reference list, which must stay below
     the dimension cap (the cap skeleton distorts homology at the cap
     itself).  Simplices up to dimension len(reference) fix those degrees.
     """
-    cap = cover.space.dimension + 1 if max_dim is None else max_dim
-    if len(reference) > cap:
-        raise ValueError("reference list reaches the dimension cap; raise max_dim")
+    if len(reference) > cover.space.dimension + 1:
+        raise ValueError("reference list reaches the dimension cap")
     complex_ = nerve(cover, max_dim=max(1, len(reference)))
     computed = tuple(all_homology(complex_, up_to=len(reference) - 1))
     mismatches = tuple(k for k, (got, want) in enumerate(zip(computed, reference)) if got != want)

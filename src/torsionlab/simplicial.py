@@ -5,11 +5,14 @@ complex stores *all* of its simplices explicitly (not only maximal ones):
 at desk scale this is affordable and makes boundary-matrix assembly a
 straight read-off.  Bases of chain groups are always the lexicographically
 sorted simplex lists, so every matrix is bit-reproducible across runs.
+Each complex sorts its simplices into these lists once, by dimension, and
+the dimension, f-vector, used vertices and edge degrees read that index.
 
 A pair (total, sub) is the chain complex of the quotient: its k-chains
-are spanned by the k-simplices of total that are not in sub.  It answers
-``dimension`` and ``simplices_of_dim`` as a complex does, so
-``boundary_matrix`` (and ``homology``) take either without a branch.
+are spanned by the k-simplices of total that are not in sub.  It keeps
+the same kind of index, filtered once, and answers ``dimension`` and
+``simplices_of_dim`` from it as a complex does, so ``boundary_matrix``
+(and ``homology``) take either without a branch.
 """
 
 from __future__ import annotations
@@ -94,36 +97,34 @@ class SimplicialComplex:
         object.__setattr__(complex_, "simplices", simplices)
         return complex_
 
-    @property
-    def dimension(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
-
-    def used_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
-
     @cached_property
     def _sorted_by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
-        groups: list[list[Simplex]] = [[] for _ in range(self.dimension + 1)]
+        """The index every count and basis reads: the k-simplices, sorted,
+        at position k.  Downward closure leaves no dimension empty below
+        the top, so the sizes present are 1..len(groups)."""
+        groups: dict[int, list[Simplex]] = {}
         for s in self.simplices:
-            groups[len(s) - 1].append(s)
-        return tuple(tuple(sorted(g)) for g in groups)
+            groups.setdefault(len(s), []).append(s)
+        return tuple(tuple(sorted(groups[n])) for n in range(1, len(groups) + 1))
 
     @cached_property
     def _boundaries(self) -> dict[int, IntegerMatrix]:
         """``boundary_matrix`` results by degree."""
         return {}
 
+    @property
+    def dimension(self) -> int:
+        return len(self._sorted_by_dim) - 1
+
     def simplices_of_dim(self, k: int) -> list[Simplex]:
         """k-simplices in the canonical (lexicographic) order."""
         return list(self._sorted_by_dim[k]) if 0 <= k < len(self._sorted_by_dim) else []
 
+    def used_vertices(self) -> tuple[int, ...]:
+        return tuple(s[0] for s in self.simplices_of_dim(0))
+
     def f_vector(self) -> tuple[int, ...]:
-        if not self.simplices:
-            return ()
-        counts = [0] * (self.dimension + 1)
-        for s in self.simplices:
-            counts[len(s) - 1] += 1
-        return tuple(counts)
+        return tuple(map(len, self._sorted_by_dim))
 
     def maximal_simplices(self) -> list[Simplex]:
         """Simplices that are no facet of a simplex one dimension up; in a
@@ -135,7 +136,7 @@ class SimplicialComplex:
         return as_simplex(vertices) in self.simplices
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
+        return sum((-1) ** k * count for k, count in enumerate(self.f_vector()))
 
 
 @dataclass(frozen=True)
@@ -150,18 +151,15 @@ class SimplicialPair:
             raise MalformedComplexError("subcomplex is not contained in the total complex")
 
     @cached_property
-    def _boundaries(self) -> dict[int, IntegerMatrix]:
-        """``boundary_matrix`` results by degree."""
-        return {}
-
-    @property
-    def dimension(self) -> int:
-        return self.total.dimension
-
-    def simplices_of_dim(self, k: int) -> list[Simplex]:
-        """The relative basis: k-simplices of total not in sub, in canonical order."""
+    def _sorted_by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
+        """The relative basis by dimension: the total's index without sub."""
         sub = self.sub.simplices
-        return [s for s in self.total.simplices_of_dim(k) if s not in sub]
+        return tuple(tuple(s for s in group if s not in sub) for group in self.total._sorted_by_dim)
+
+    # read the index as a complex does
+    _boundaries = SimplicialComplex._boundaries
+    dimension = SimplicialComplex.dimension
+    simplices_of_dim = SimplicialComplex.simplices_of_dim
 
 
 @dataclass(frozen=True)
@@ -213,10 +211,9 @@ def empty_complex(vertex_count: int = 0) -> SimplicialComplex:
 def complexity_profile(complex_: SimplicialComplex) -> ComplexityProfile:
     """V = vertices actually used, D = max number of edges at a vertex."""
     degree: dict[int, int] = {v: 0 for v in complex_.used_vertices()}
-    for s in complex_.simplices:
-        if len(s) == 2:
-            degree[s[0]] += 1
-            degree[s[1]] += 1
+    for u, v in complex_.simplices_of_dim(1):
+        degree[u] += 1
+        degree[v] += 1
     return ComplexityProfile(
         V=len(degree),
         D=max(degree.values(), default=0),

@@ -115,14 +115,6 @@ def test_soule_verdict_is_column_permutation_invariant():
         assert soule_bound(mat).holds == soule_bound(permuted).holds
 
 
-def test_soule_small_norm_heuristic_tightens():
-    mat = IntegerMatrix.from_rows([[100, 1, 0], [0, 0, 1]], 3)
-    default = soule_bound(mat)
-    tight = soule_bound(mat, prefer_small_norms=True)
-    assert default.holds and tight.holds
-    assert tight.bound <= default.bound
-
-
 def test_soule_batch_holds():
     summary = batch_verify_soule(300, seed=7)
     assert summary.all_hold

@@ -152,7 +152,7 @@ def test_elimination_agrees_with_snf(mat, data):
     assert_valid_snf(mat)
 
     order = data.draw(st.permutations(range(mat.cols)))
-    chosen = independent_columns(mat, order)
+    chosen = [order[c] for c in independent_columns(columns_of(mat, order))]
     for k, j in enumerate(order):
         before = rational_rank(columns_of(mat, order[:k]))
         raises = rational_rank(columns_of(mat, order[:k + 1])) > before
@@ -327,6 +327,17 @@ def test_cokernel_wide_row():
 def test_cokernel_free_part():
     group = cokernel(IntegerMatrix.zeros(3, 1))
     assert group == AbelianGroupStructure(3)
+
+
+def test_kernel_skips_stored_zeros():
+    assert cokernel(IntegerMatrix(1, 1, [{0: 0}])) == AbelianGroupStructure(1)
+    assert cokernel(IntegerMatrix(2, 2, [{0: 0, 1: 3}, {0: 2, 1: 0}])) == AbelianGroupStructure(0, (6,))
+
+
+@pytest.mark.parametrize("row", [5, 2, -1])
+def test_kernel_rejects_rows_outside_the_matrix(row):
+    with pytest.raises(ValueError, match=f"row index {row} of column 0 is outside 0..1"):
+        smith_normal_form(IntegerMatrix(2, 1, [{row: 1}]))
 
 
 def test_group_structure_validation():

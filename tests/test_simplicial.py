@@ -295,6 +295,51 @@ def test_simplices_of_dim_returns_a_fresh_list():
     assert k.simplices_of_dim(-1) == [] == k.simplices_of_dim(k.dimension + 1)
 
 
+def rescan(k):
+    """dimension, f-vector, used vertices, Euler characteristic and (V, D)
+    by direct scans of the simplex set."""
+    dim = max((len(s) - 1 for s in k.simplices), default=-1)
+    f = tuple(sum(len(s) == n + 1 for s in k.simplices) for n in range(dim + 1))
+    used = tuple(sorted(s[0] for s in k.simplices if len(s) == 1))
+    degree = {v: sum(len(s) == 2 and v in s for s in k.simplices) for v in used}
+    euler = sum((-1) ** (len(s) - 1) for s in k.simplices)
+    return dim, f, used, euler, (len(used), max(degree.values(), default=0))
+
+
+def indexed(k):
+    prof = complexity_profile(k)
+    assert prof.p_simplex_counts == k.f_vector()
+    return k.dimension, k.f_vector(), k.used_vertices(), k.euler_characteristic(), (prof.V, prof.D)
+
+
+def rescan_cases():
+    for name, fixture in complexes.FIXTURES.items():
+        yield name, fixture()
+    yield "empty", empty_complex()
+    yield "empty-3", empty_complex(3)
+    for seed in range(12):
+        yield f"dv-{seed}", random_dv_complex(2 + seed % 5, 6 + 3 * seed, 1 + seed % 4, seed)
+
+
+@pytest.mark.parametrize("name, k", list(rescan_cases()))
+def test_index_matches_a_rescan_of_the_simplices(name, k):
+    assert indexed(k) == rescan(k)
+    for seed in range(3):
+        pair = SimplicialPair(total=k, sub=random_subcomplex(k, seed=seed))
+        assert indexed(pair.sub) == rescan(pair.sub)
+        assert pair.dimension == rescan(k)[0]
+        for deg in range(-1, pair.dimension + 2):
+            assert pair.simplices_of_dim(deg) == sorted_of_dim(k.simplices - pair.sub.simplices, deg)
+
+
+def test_a_pair_filters_its_basis_once(monkeypatch):
+    pair = complexes.disk_boundary_pair()
+    pair.simplices_of_dim(1)
+    monkeypatch.setattr(SimplicialPair, "sub", property(lambda self: pytest.fail("sub read again")),
+                        raising=False)
+    assert pair.simplices_of_dim(1) == [] and pair.simplices_of_dim(2) == [(0, 1, 2)]
+
+
 def brute_force_maximal(k):
     return sorted(s for s in k.simplices if not any(set(s) < set(t) for t in k.simplices))
 
