@@ -109,6 +109,8 @@ def cmd_constants(args) -> int:
         raise UsageError(f"bad --margulis-eps {args.margulis_eps!r}") from None
     if eps <= 0:
         raise UsageError("--margulis-eps must be positive")
+    if eps > sys.float_info.max:  # every field prints a float beside its fraction
+        raise UsageError("--margulis-eps must not exceed the largest float")
     params = constants.ThickThinParams(d=args.d, margulis_eps=eps, margulis_index=args.margulis_m)
     table = constants.thick_thin_constants(params)
 

@@ -28,7 +28,9 @@ argument holds for relative boundaries too.  A non-unit pivot is not
 recorded, nor is any pivot after the first remainder step: that step is a
 row operation, after which the columns are images in another basis.
 So ``all_homology`` walks the degrees from the top down, and every d_k
-below the top one is eliminated cleared.
+below the top one is assembled and eliminated cleared: its retired columns
+are left empty and never built.  ``boundary_matrix`` keeps that d_k apart
+from the whole one, which its other callers get.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .exact import (
     AbelianGroupStructure,
     ExactArithmeticError,
     IntegerMatrix,
+    SNFResult,
     rank_mod_p,
     rational_rank,
     smith_normal_form,
@@ -48,8 +51,8 @@ from .simplicial import SimplicialComplex, SimplicialPair, boundary_matrix
 ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _homology_from_boundaries(d_k: IntegerMatrix, d_k1: IntegerMatrix) -> AbelianGroupStructure:
-    snf_in = smith_normal_form(d_k1)
+def _group(d_k: IntegerMatrix, snf_in: SNFResult) -> AbelianGroupStructure:
+    """H_k from d_k and the Smith form of d_{k+1}."""
     rank_out = smith_normal_form(d_k, retired=snf_in.unit_rows).rank
     betti = d_k.cols - rank_out - snf_in.rank
     if betti < 0:
@@ -60,9 +63,9 @@ def _homology_from_boundaries(d_k: IntegerMatrix, d_k1: IntegerMatrix) -> Abelia
 def homology(complex_: SimplicialComplex | SimplicialPair, k: int) -> AbelianGroupStructure:
     """H_k of the complex, or of the quotient chain complex of the pair,
     with integer coefficients."""
-    d_k1 = boundary_matrix(complex_, k + 1)
-    d_k = boundary_matrix(complex_, k)
-    return _homology_from_boundaries(d_k, d_k1)
+    # retired=(): any d_{k+1} kept, cleared or whole, as only its Smith form is read
+    snf_in = smith_normal_form(boundary_matrix(complex_, k + 1, retired=()))
+    return _group(boundary_matrix(complex_, k, retired=snf_in.unit_rows), snf_in)
 
 
 def all_homology(complex_: SimplicialComplex | SimplicialPair,
@@ -105,7 +108,7 @@ def homology_oracle_crosscheck(complex_: SimplicialComplex | SimplicialPair, k: 
     d_k = boundary_matrix(complex_, k)
     d_k1 = boundary_matrix(complex_, k + 1)
 
-    group = _homology_from_boundaries(d_k, d_k1)
+    group = _group(d_k, smith_normal_form(d_k1))
     rk_q = rational_rank(d_k1)
     betti_rational = d_k.cols - rational_rank(d_k) - rk_q
     modular = tuple(p for p in ORACLE_PRIMES if rank_mod_p(d_k1, p) < rk_q)

@@ -19,20 +19,22 @@ iff its 2x2 A is copositive, a closed form.  A float filter first decides
 every pair of the cover at once from the float centres, radii and upper h:
 a pair whose disjointness it certifies is never built in big integers;
 every other pair gets the exact closed form.
-A larger tuple is a candidate only when every facet spans a simplex, and
-the candidates come from joining the simplices one level down that share
-all but their last vertex.  Then each proper principal submatrix of its A
-is copositive at the lower h, and so, A growing with h, at the upper h, and
-the sign vector of A_SS^-1 1 on the full support decides the tuple at each
-end.  Past d + 1 balls Helly's theorem decides a candidate: its facets
-meet, so it does.  Below that a second float filter signs all the
-candidates of a level at once, from det A_SS and the Cramer determinants
-in one float copy of A, and returns its verdicts; nerve() then decides
-each candidate through common_point_exists(), where a verdict stands and
-a tuple the filter cannot certify, a near-tie, gets one fraction-free
-solve.  The filter and the solve both need every facet certified at the
-same lower A, so a straddle reruns the whole cover, not the one tuple.
-Both filters keep a float sign only where certify.stands() certifies it.
+A larger tuple is a candidate only when every facet spans a simplex.  Each
+level keeps, for every tuple t one vertex smaller, the bitmask up[t] of the
+w > t[-1] with t + (w,) in the level, so the candidates s + (w,) from s
+are the w > s[-1] set in up[s minus v] for every vertex v of s.  Then each
+proper principal submatrix of its A is copositive at the lower h, and so,
+A growing with h, at the upper h, and the sign vector of A_SS^-1 1 on the
+full support decides the tuple at each end.  Past d + 1 balls Helly's
+theorem decides a candidate: its facets meet, so it does.  Below that a
+second float filter signs all the candidates of a level at once, from
+det A_SS and the Cramer determinants in one float copy of A, and returns
+its verdicts; nerve() then decides each candidate through
+common_point_exists(), where a verdict stands and a tuple the filter
+cannot certify, a near-tie, gets one fraction-free solve.  The filter
+and the solve both need every facet certified at the same lower A, so a
+straddle reruns the whole cover, not the one tuple.  Both filters keep a
+float sign only where certify.stands() certifies it.
 Given a plain list of balls, common_point_exists() uses neither filter:
 the reference the nerve is checked against.
 """
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -414,14 +416,9 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     n = len(cover)
     matrix = _CoverMatrix(cover.space, cover.elements, bits)
     frontier = [(i, j) for i, j in matrix.pairs() if matrix.pair_meets(i, j)]
-    simplices = {(i,) for i in range(n)} | set(frontier)
+    simplices = [(i,) for i in range(n)] + frontier
     for size in range(3, max_dim + 2):
-        # s and t, sorted and sharing all but their last vertex, are two facets
-        # of s + t[-1:]; the others drop a vertex of the shared prefix
-        joined = (s + t[-1:] for _, level in groupby(frontier, key=lambda u: u[:-1])
-                  for s, t in combinations(level, 2))
-        candidates = [c for c in joined if all(c[:k] + c[k + 1:] in simplices
-                                               for k in range(size - 2))]
+        candidates = _extensions(frontier)
         if size > cover.space.dimension + 1:
             # Helly: convex sets in E^d or H^d meet when every d + 1 of them
             # do, and every d + 1 of these lie in a facet, which meets
@@ -429,8 +426,36 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
         else:
             frontier = [t for t, verdict in zip(candidates, matrix.certify(candidates))
                         if common_point_exists(cover.space, _CoverTuple(matrix, t, verdict), t)]
-        simplices.update(frontier)
+        simplices += frontier
     return SimplicialComplex._closed(n, frozenset(simplices))
+
+
+def _extensions(level: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The tuples one vertex larger whose facets all lie in level, a list of
+    sorted tuples of one size in lexicographic order; in that order too.
+
+    up[t] holds bit w for each t + (w,) in level.  A candidate s + (w,),
+    w > s[-1], has the facet s, and its facet without s[k] is in level iff
+    bit w is set in up[s minus s[k]]; so its w are the bits above s[-1] of
+    the AND of those masks over every k.
+    """
+    up: dict[tuple[int, ...], int] = {}
+    for t in level:
+        head = t[:-1]
+        up[head] = up.get(head, 0) | 1 << t[-1]
+    out = []
+    for s in level:
+        above = s[-1] + 1
+        bits = up[s[:-1]] >> above
+        for k in range(len(s) - 1):
+            if not bits:
+                break
+            bits &= up.get(s[:k] + s[k + 1:], 0) >> above
+        while bits:
+            low = bits & -bits
+            out.append(s + (above + low.bit_length() - 1,))
+            bits ^= low
+    return out
 
 
 def relative_nerve(cover: BallCover, subfamily: Sequence[int],

@@ -109,7 +109,12 @@ class SimplicialComplex:
 
     @cached_property
     def _boundaries(self) -> dict[int, IntegerMatrix]:
-        """``boundary_matrix`` results by degree."""
+        """``boundary_matrix`` results by degree: the whole d_k."""
+        return {}
+
+    @cached_property
+    def _cleared(self) -> dict[int, IntegerMatrix]:
+        """``boundary_matrix`` results by degree: d_k with retired columns empty."""
         return {}
 
     @property
@@ -158,6 +163,7 @@ class SimplicialPair:
 
     # read the index as a complex does
     _boundaries = SimplicialComplex._boundaries
+    _cleared = SimplicialComplex._cleared
     dimension = SimplicialComplex.dimension
     simplices_of_dim = SimplicialComplex.simplices_of_dim
 
@@ -221,23 +227,27 @@ def complexity_profile(complex_: SimplicialComplex) -> ComplexityProfile:
     )
 
 
-def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex]) -> IntegerMatrix:
-    """Boundary columns of k_simplices in the basis lower; other faces are dropped."""
+def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex],
+                       retired: frozenset[int] = frozenset()) -> IntegerMatrix:
+    """Boundary columns of k_simplices in the basis lower; other faces are
+    dropped, and the columns at retired are left empty."""
     index = {s: i for i, s in enumerate(lower)}
     columns = []
-    for s in k_simplices:
+    for j, s in enumerate(k_simplices):
         col = {}
-        sign = 1
-        for drop in range(len(s)):
-            i = index.get(s[:drop] + s[drop + 1:])
-            if i is not None:
-                col[i] = sign
-            sign = -sign
+        if j not in retired:
+            sign = 1
+            for drop in range(len(s)):
+                i = index.get(s[:drop] + s[drop + 1:])
+                if i is not None:
+                    col[i] = sign
+                sign = -sign
         columns.append(col)
     return IntegerMatrix(len(lower), len(k_simplices), columns)
 
 
-def boundary_matrix(complex_: SimplicialComplex | SimplicialPair, k: int) -> IntegerMatrix:
+def boundary_matrix(complex_: SimplicialComplex | SimplicialPair, k: int,
+                    retired: Iterable[int] | None = None) -> IntegerMatrix:
     """Matrix of the boundary map from k-chains to (k-1)-chains.
 
     The bases are ``simplices_of_dim(k)`` and ``simplices_of_dim(k - 1)``,
@@ -246,13 +256,24 @@ def boundary_matrix(complex_: SimplicialComplex | SimplicialPair, k: int) -> Int
     column of a nonempty matrix has exactly k+1 entries equal to +-1.  The
     matrix is kept on the complex or pair and returned again by later calls
     in degree k, so it must not be changed.
+
+    ``homology`` passes ``retired``, columns in the Z-span of the others
+    (see ``smith_normal_form``), and reads only the Smith form.  It gets
+    the d_k kept already, the cleared one first, or else a new d_k whose
+    columns at retired are left empty ({}) and never assembled.  A new one
+    is kept as the cleared d_k, apart from the whole d_k that calls without
+    ``retired`` get, unless retired is empty: then it is the whole d_k.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     mat = complex_._boundaries.get(k)
+    if retired is not None:
+        mat = complex_._cleared.get(k, mat)
     if mat is None:
-        mat = complex_._boundaries[k] = _assemble_boundary(
-            complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1))
+        retired = frozenset(retired or ())
+        mat = _assemble_boundary(complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1),
+                                 retired)
+        (complex_._cleared if retired else complex_._boundaries)[k] = mat
     return mat
 
 

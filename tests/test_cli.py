@@ -155,6 +155,16 @@ def test_constants_bad_margulis_arguments_are_usage_errors(capsys, flag, value, 
     assert err == f"torsionlab: usage error: {message}\n"
 
 
+def test_constants_margulis_eps_past_the_float_range_is_a_usage_error(capsys):
+    # each field prints a float beside its fraction; 1e400 has none
+    code, out, err = run_cli(capsys, "constants", "--d", "2", "--margulis-eps", "1e400")
+    assert (code, out) == (64, "")
+    assert err == "torsionlab: usage error: --margulis-eps must not exceed the largest float\n"
+    code, out, _ = run_cli(capsys, "constants", "--d", "2", "--margulis-eps", repr(sys.float_info.max))
+    assert code == 0
+    assert json.loads(out)["margulis_eps"]["float"] == sys.float_info.max
+
+
 def test_dehn_fill_figure_eight(capsys):
     code, out, _ = run_cli(capsys, "dehn-fill", "--mu", "1", "--lambda", "0",
                            "--relations", "none", "--p", "5", "--q", "1")

@@ -174,16 +174,16 @@ def test_klein_bottle_is_a_closed_surface():
         assert len(incident) == 2
 
 
-@pytest.mark.parametrize("build, run, shapes", [
-    (complexes.torus_7, all_homology, [(14, 0), (21, 14), (7, 21), (0, 7)]),
-    (complexes.disk_boundary_pair, all_homology, [(1, 0), (0, 1), (0, 0), (0, 0)]),
+@pytest.mark.parametrize("build, run, shapes, live", [
+    (complexes.torus_7, all_homology, [(14, 0), (21, 14), (7, 21), (0, 7)], [0, 14, 8, 0]),
+    (complexes.disk_boundary_pair, all_homology, [(1, 0), (0, 1), (0, 0), (0, 0)], [0, 0, 0, 0]),
 ], ids=["torus", "disk-pair"])
-def test_each_boundary_matrix_is_assembled_and_eliminated_once(monkeypatch, build, run, shapes):
+def test_each_boundary_matrix_is_assembled_and_eliminated_once(monkeypatch, build, run, shapes, live):
     assembled, eliminated = [], []
     assemble, kernel = simplicial._assemble_boundary, exact._smith_kernel
 
-    def counting_assemble(k_simplices, lower):
-        assembled.append(assemble(k_simplices, lower))
+    def counting_assemble(k_simplices, lower, retired=frozenset()):
+        assembled.append(assemble(k_simplices, lower, retired))
         return assembled[-1]
 
     def counting_kernel(mat, retired=()):
@@ -194,7 +194,14 @@ def test_each_boundary_matrix_is_assembled_and_eliminated_once(monkeypatch, buil
     monkeypatch.setattr(exact, "_smith_kernel", counting_kernel)
     run(build())
     assert [(m.rows, m.cols) for m in assembled] == shapes  # d_3 .. d_0, once each
+    # on the torus 13 columns of d_1 are retired by d_2's unit pivots, never built
+    assert [sum(map(bool, m.columns)) for m in assembled] == live
     assert sorted(map(id, eliminated)) == sorted(map(id, assembled))
+
+
+def kept_retired(obj, k):
+    """The columns of d_k that the unit pivots of the kept d_{k+1} retire."""
+    return exact.smith_normal_form(boundary_matrix(obj, k + 1, retired=())).unit_rows
 
 
 def test_elimination_leaves_the_kept_boundary_matrices_unchanged():
@@ -204,12 +211,13 @@ def test_elimination_leaves_the_kept_boundary_matrices_unchanged():
     all_homology(pair)
     sub = pair.sub.simplices
     for k in range(4):
-        fresh = simplicial._assemble_boundary(klein.simplices_of_dim(k), klein.simplices_of_dim(k - 1))
-        assert boundary_matrix(klein, k).columns == fresh.columns
+        fresh = simplicial._assemble_boundary(klein.simplices_of_dim(k), klein.simplices_of_dim(k - 1),
+                                              kept_retired(klein, k))
+        assert boundary_matrix(klein, k, retired=()).columns == fresh.columns
         fresh = simplicial._assemble_boundary(
             [s for s in pair.total.simplices_of_dim(k) if s not in sub],
-            [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub])
-        assert boundary_matrix(pair, k).columns == fresh.columns
+            [s for s in pair.total.simplices_of_dim(k - 1) if s not in sub], kept_retired(pair, k))
+        assert boundary_matrix(pair, k, retired=()).columns == fresh.columns
 
 
 def grid_surface(n, twisted):
@@ -262,12 +270,34 @@ def test_cleared_smith_forms_match_the_uncleared_kernel(name):
     for k in range(top + 2):
         fresh = simplicial._assemble_boundary(cells[k + 1], cells[k])
         uncleared = exact._smith_kernel(fresh)
-        cleared = exact.smith_normal_form(boundary_matrix(obj, k))  # kept by the top-down walk
+        cleared = exact.smith_normal_form(boundary_matrix(obj, k, retired=()))  # kept by the walk
         assert (cleared.rank, cleared.factors) == (uncleared.rank, uncleared.factors), k
         assert uncleared.rank == exact.rational_rank(fresh), k
         reference.append(uncleared)
     assert groups == [G(len(cells[k + 1]) - reference[k].rank - reference[k + 1].rank,
                         reference[k + 1].factors) for k in range(top + 1)]
+
+
+@pytest.mark.parametrize("name", CLEARING_CASES)
+def test_cleared_boundary_matrices_keep_the_live_columns_of_the_whole(name):
+    obj = CLEARING_CASES[name]()
+    all_homology(obj)
+    retired_any = False
+    for k in range(obj.dimension + 2):
+        retired = kept_retired(obj, k)
+        cleared = boundary_matrix(obj, k, retired=())
+        whole = boundary_matrix(obj, k)  # assembled now, beside the cleared one
+        fresh = simplicial._assemble_boundary(obj.simplices_of_dim(k), obj.simplices_of_dim(k - 1))
+        assert whole.columns == fresh.columns
+        assert (cleared.rows, cleared.cols) == (whole.rows, whole.cols)
+        assert all(not cleared.columns[j] for j in retired)
+        assert [c for j, c in enumerate(cleared.columns) if j not in retired] == \
+            [c for j, c in enumerate(whole.columns) if j not in retired]
+        # the whole d_k is kept for the other callers; homology keeps reading the cleared one
+        assert boundary_matrix(obj, k) is whole
+        assert boundary_matrix(obj, k, retired=retired) is cleared
+        retired_any |= bool(retired)
+    assert retired_any or name == "disk-pair"
 
 
 @pytest.mark.parametrize("n", [6, 10])

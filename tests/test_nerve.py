@@ -934,6 +934,60 @@ def test_helly_changes_no_simplex(kind):
     assert SimplicialComplex(vertex_count=14, simplices=got.simplices) == got
 
 
+def facet_closed(simplices, n, size):
+    """[t for t in combinations(range(n), size) if every facet of t is in
+    simplices], in that order.  Such a t has every pair in simplices, so
+    its later vertices are neighbours of its first: only those are tried."""
+    later = [[w for w in range(v + 1, n) if (v, w) in simplices] for v in range(n)]
+    return [t for v in range(n) for rest in combinations(later[v], size - 1)
+            for t in [(v, *rest)] if all(f in simplices for f in combinations(t, size - 1))]
+
+
+def wide_cover(kind, seed):
+    """70 balls, more than one machine word of vertex bits, sparse enough
+    that every level up to 6 balls stays small."""
+    rng = random.Random(seed)
+    balls = []
+    for _ in range(70):
+        if kind == "E":
+            balls.append(([rng.uniform(-2, 2) for _ in range(3)], 0.7))
+        else:
+            v = [rng.gauss(0, 1) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in v))
+            t = rng.uniform(0, 3)
+            balls.append(([math.cosh(t), *(math.sinh(t) * x / norm for x in v)], 0.3))
+    return BallCover.of(EuclideanSpace(3) if kind == "E" else HyperbolicSpace(3), balls)
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_candidates_are_the_tuples_whose_facets_all_lie_in_the_nerve(monkeypatch, kind):
+    cover = wide_cover(kind, 1)
+    n = len(cover)
+    levels = []
+    certify = nerve_module._CoverMatrix.certify
+
+    def recording(self, tuples):
+        levels.append(list(tuples))
+        return certify(self, tuples)
+
+    monkeypatch.setattr(nerve_module._CoverMatrix, "certify", recording)
+    simplices = nerve(cover, max_dim=5).simplices
+    # sizes 3 and 4 are decided, in the order certify() was given them
+    assert [len(level[0]) for level in levels] == [3, 4]
+    for level in levels:
+        assert level == facet_closed(simplices, n, len(level[0]))
+        assert max(t[-1] for t in level) >= 64
+    # sizes 5 and 6 are Helly's: each candidate is a simplex, and the exact
+    # solve of nerve_without_helly agrees
+    matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
+    for size in (5, 6):
+        helly = facet_closed(simplices, n, size)
+        assert helly and helly == sorted(t for t in simplices if len(t) == size)
+        for t in helly:
+            assert all(matrix.pair_meets(i, j) for i, j in combinations(t, 2))
+            assert matrix.tuple_meets(t)
+
+
 def test_pair_filter_in_blocks_of_rows(monkeypatch):
     cover = seeded_cover("H", 4, "mixed", count=40)
     matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
