@@ -77,7 +77,7 @@ def cmd_homology(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.path}: {exc}") from None
     try:
         obj = read_complex_or_pair(text)

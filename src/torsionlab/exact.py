@@ -244,7 +244,8 @@ class SNFResult:
 
     ``unit_rows`` are the rows of the unit pivots taken before the first
     remainder step; they are a by-product of the elimination that found the
-    form, not part of it, so equality ignores them.
+    form, not part of it, so equality ignores them.  ``homology`` clears
+    the columns of d_k at the unit rows of d_{k+1}.
     """
 
     rank: int
@@ -301,19 +302,15 @@ def _divisibility_chain(d: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
-def smith_normal_form(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFResult:
+def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     """Rank and invariant factors above 1, by elimination on sparse columns.
 
     The result is kept on ``mat``, so a second call on the same matrix
-    returns it without eliminating again, whatever ``retired`` is; this is
-    why the matrix and the dicts of its ``columns`` must not be changed.
-
-    ``retired`` names columns that the caller guarantees lie in the Z-span
-    of the others, so dropping them changes neither the rank nor the
-    invariant factors; the elimination never reads them.  ``homology``
-    retires the columns of d_k at the unit rows of d_{k+1}'s result.
-    Zero entries of ``columns`` are skipped, and a row index outside
-    0..rows-1 raises ValueError.
+    returns it without eliminating again; this is why the matrix and the
+    dicts of its ``columns`` must not be changed.  Zero entries and empty
+    columns are skipped, so a cleared d_k costs nothing at the columns
+    ``boundary_matrix`` left empty.  A row index outside 0..rows-1 raises
+    ValueError.
 
     A pivot p at (r, c) is eliminated by column operations that clear row
     r; once the rest of column c is a multiple of p, row r and column c are
@@ -328,15 +325,13 @@ def smith_normal_form(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFRes
     """
     snf = mat.__dict__.get("_snf")
     if snf is None:
-        snf = _smith_kernel(mat, retired)
+        snf = _smith_kernel(mat)
         object.__setattr__(mat, "_snf", snf)
     return snf
 
 
-def _smith_kernel(mat: IntegerMatrix, retired: Iterable[int] = ()) -> SNFResult:
-    retired = frozenset(retired)
-    cols = [{} if j in retired else {i: v for i, v in col.items() if v}
-            for j, col in enumerate(mat.columns)]
+def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
+    cols = [{i: v for i, v in col.items() if v} for col in mat.columns]
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
     for j, col in enumerate(cols):
         for i in col:

@@ -15,7 +15,7 @@ form, so ``all_homology`` builds and eliminates every d_k once although
 degrees k - 1 and k both ask for it.
 
 d_{k+1} is eliminated before d_k, and the rows of its unit pivots retire
-the matching columns of d_k, which are then never read (clearing:
+the matching columns of d_k (clearing:
 Chen-Kerber, "Persistent homology computation with a twist", EuroCG 2011;
 Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).  This is sound over Z.
 Up to each unit-loop pivot the kernel has done column operations only, and
@@ -27,10 +27,13 @@ it changes neither the rank nor the invariant factors of d_k.  The
 argument holds for relative boundaries too.  A non-unit pivot is not
 recorded, nor is any pivot after the first remainder step: that step is a
 row operation, after which the columns are images in another basis.
-So ``all_homology`` walks the degrees from the top down, and every d_k
-below the top one is assembled and eliminated cleared: its retired columns
-are left empty and never built.  ``boundary_matrix`` keeps that d_k apart
-from the whole one, which its other callers get.
+Clearing happens once, at assembly: ``homology`` passes those rows to
+``boundary_matrix`` as ``retired``, which leaves the columns empty and
+never builds them; the Smith kernel has no notion of retired columns, it
+finds them empty.  So ``all_homology`` walks the degrees from the top
+down, and every d_k below the top one is assembled and eliminated
+cleared, once.  Only these matrices are kept; a caller without
+``retired`` gets a whole d_k.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 def _group(d_k: IntegerMatrix, snf_in: SNFResult) -> AbelianGroupStructure:
     """H_k from d_k and the Smith form of d_{k+1}."""
-    rank_out = smith_normal_form(d_k, retired=snf_in.unit_rows).rank
+    rank_out = smith_normal_form(d_k).rank
     betti = d_k.cols - rank_out - snf_in.rank
     if betti < 0:
         raise ExactArithmeticError("negative Betti number: boundary maps are inconsistent")
@@ -63,7 +66,7 @@ def _group(d_k: IntegerMatrix, snf_in: SNFResult) -> AbelianGroupStructure:
 def homology(complex_: SimplicialComplex | SimplicialPair, k: int) -> AbelianGroupStructure:
     """H_k of the complex, or of the quotient chain complex of the pair,
     with integer coefficients."""
-    # retired=(): any d_{k+1} kept, cleared or whole, as only its Smith form is read
+    # retired=(): the d_{k+1} kept, cleared or whole, as only its Smith form is read
     snf_in = smith_normal_form(boundary_matrix(complex_, k + 1, retired=()))
     return _group(boundary_matrix(complex_, k, retired=snf_in.unit_rows), snf_in)
 

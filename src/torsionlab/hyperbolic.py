@@ -597,9 +597,15 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
     matrix rule d(x, g^k x) <= R until d(x, g^k x) <= R < d(x, g^(k+1) x);
     there is no cap on k.  The count must not exceed the volume ratio
     N(d, eps, R) for any eps <= translation length.
+
+    A parabolic from parabolic() is refused: its translation length is 0,
+    but its Jordan-block eigenvalues read ~1e-6, and eps that small makes
+    the bound ~1e12 at d = 2 and the check vacuous.
     """
     from .constants import volume_ratio_bound
 
+    if g.parabolic_data is not None:
+        raise GeometryError("orbit counting requires a loxodromic isometry, not a parabolic")
     length = translation_length(g)
     if length <= 0:
         raise GeometryError("orbit counting requires a loxodromic isometry")

@@ -109,12 +109,7 @@ class SimplicialComplex:
 
     @cached_property
     def _boundaries(self) -> dict[int, IntegerMatrix]:
-        """``boundary_matrix`` results by degree: the whole d_k."""
-        return {}
-
-    @cached_property
-    def _cleared(self) -> dict[int, IntegerMatrix]:
-        """``boundary_matrix`` results by degree: d_k with retired columns empty."""
+        """The d_k that ``boundary_matrix`` keeps for ``homology``, by degree."""
         return {}
 
     @property
@@ -163,7 +158,6 @@ class SimplicialPair:
 
     # read the index as a complex does
     _boundaries = SimplicialComplex._boundaries
-    _cleared = SimplicialComplex._cleared
     dimension = SimplicialComplex.dimension
     simplices_of_dim = SimplicialComplex.simplices_of_dim
 
@@ -253,27 +247,22 @@ def boundary_matrix(complex_: SimplicialComplex | SimplicialPair, k: int,
     The bases are ``simplices_of_dim(k)`` and ``simplices_of_dim(k - 1)``,
     so of a pair the faces that fall into the subcomplex are dropped.
     Signs alternate over the sorted vertex order; of a complex, every
-    column of a nonempty matrix has exactly k+1 entries equal to +-1.  The
-    matrix is kept on the complex or pair and returned again by later calls
-    in degree k, so it must not be changed.
+    column of a nonempty matrix has exactly k+1 entries equal to +-1.
+    Without ``retired`` the whole d_k is assembled anew on every call.
 
-    ``homology`` passes ``retired``, columns in the Z-span of the others
-    (see ``smith_normal_form``), and reads only the Smith form.  It gets
-    the d_k kept already, the cleared one first, or else a new d_k whose
-    columns at retired are left empty ({}) and never assembled.  A new one
-    is kept as the cleared d_k, apart from the whole d_k that calls without
-    ``retired`` get, unless retired is empty: then it is the whole d_k.
+    ``homology`` passes ``retired``, columns in the Z-span of the others,
+    and reads only the Smith form.  It gets the d_k kept on the complex or
+    pair, or else a new d_k whose columns at retired are left empty ({})
+    and never assembled, which is then kept; so it must not be changed.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    if retired is None:
+        return _assemble_boundary(complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1))
     mat = complex_._boundaries.get(k)
-    if retired is not None:
-        mat = complex_._cleared.get(k, mat)
     if mat is None:
-        retired = frozenset(retired or ())
-        mat = _assemble_boundary(complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1),
-                                 retired)
-        (complex_._cleared if retired else complex_._boundaries)[k] = mat
+        mat = complex_._boundaries[k] = _assemble_boundary(
+            complex_.simplices_of_dim(k), complex_.simplices_of_dim(k - 1), frozenset(retired))
     return mat
 
 

@@ -76,6 +76,15 @@ def test_homology_missing_file_exit_2(capsys):
     assert "input error" in err
 
 
+def test_homology_non_utf8_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.cplx"
+    path.write_bytes(b"complex V=3\ns 0 \xff\n")
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"torsionlab: input error: cannot read {path}: ")
+    assert "0xff" in err
+
+
 def test_homology_empty_file_exit_2(capsys, tmp_path):
     path = tmp_path / "empty.cplx"
     path.write_text("")

@@ -186,9 +186,9 @@ def test_each_boundary_matrix_is_assembled_and_eliminated_once(monkeypatch, buil
         assembled.append(assemble(k_simplices, lower, retired))
         return assembled[-1]
 
-    def counting_kernel(mat, retired=()):
+    def counting_kernel(mat):
         eliminated.append(mat)
-        return kernel(mat, retired)
+        return kernel(mat)
 
     monkeypatch.setattr(simplicial, "_assemble_boundary", counting_assemble)
     monkeypatch.setattr(exact, "_smith_kernel", counting_kernel)
@@ -202,6 +202,12 @@ def test_each_boundary_matrix_is_assembled_and_eliminated_once(monkeypatch, buil
 def kept_retired(obj, k):
     """The columns of d_k that the unit pivots of the kept d_{k+1} retire."""
     return exact.smith_normal_form(boundary_matrix(obj, k + 1, retired=())).unit_rows
+
+
+def emptied(mat, retired):
+    """mat with its columns at retired left empty, as ``boundary_matrix`` clears them."""
+    return exact.IntegerMatrix(mat.rows, mat.cols,
+                               [{} if j in retired else c for j, c in enumerate(mat.columns)])
 
 
 def test_elimination_leaves_the_kept_boundary_matrices_unchanged():
@@ -286,18 +292,35 @@ def test_cleared_boundary_matrices_keep_the_live_columns_of_the_whole(name):
     for k in range(obj.dimension + 2):
         retired = kept_retired(obj, k)
         cleared = boundary_matrix(obj, k, retired=())
-        whole = boundary_matrix(obj, k)  # assembled now, beside the cleared one
+        whole = boundary_matrix(obj, k)  # assembled now, and not kept
         fresh = simplicial._assemble_boundary(obj.simplices_of_dim(k), obj.simplices_of_dim(k - 1))
         assert whole.columns == fresh.columns
         assert (cleared.rows, cleared.cols) == (whole.rows, whole.cols)
         assert all(not cleared.columns[j] for j in retired)
         assert [c for j, c in enumerate(cleared.columns) if j not in retired] == \
             [c for j, c in enumerate(whole.columns) if j not in retired]
-        # the whole d_k is kept for the other callers; homology keeps reading the cleared one
-        assert boundary_matrix(obj, k) is whole
+        # homology keeps reading the cleared d_k; other callers get a new whole one
+        assert obj._boundaries[k] is cleared
         assert boundary_matrix(obj, k, retired=retired) is cleared
+        assert boundary_matrix(obj, k) is not whole
         retired_any |= bool(retired)
     assert retired_any or name == "disk-pair"
+
+
+def test_callers_without_retired_get_the_whole_matrix_after_the_walk():
+    klein = complexes.klein_bottle_9()
+    all_homology(klein)
+    assert not all(klein._boundaries[1].columns)  # the walk kept a cleared d_1
+    for k in range(1, klein.dimension + 1):
+        whole = boundary_matrix(klein, k)
+        assert whole.cols == len(klein.simplices_of_dim(k))
+        assert all(len(col) == k + 1 for col in whole.columns), k
+        snf = exact.smith_normal_form(whole)
+        assert snf == exact.smith_normal_form(klein._boundaries[k])  # unit rows are not compared
+    for obj in (klein, complexes.disk_boundary_pair()):
+        all_homology(obj)
+        for k in range(obj.dimension + 1):
+            assert homology_oracle_crosscheck(obj, k).agrees
 
 
 @pytest.mark.parametrize("n", [6, 10])
@@ -308,9 +331,10 @@ def test_unit_pivots_of_d2_retire_all_but_n2_plus_1_columns_of_d1(monkeypatch, n
     calls = {}
     kernel = exact._smith_kernel
 
-    def recording_kernel(mat, retired=()):
-        calls[mat.rows, mat.cols] = frozenset(retired)
-        return kernel(mat, retired)
+    def recording_kernel(mat):
+        # every column of a grid's d_1 and d_2 is nonempty until cleared
+        calls[mat.rows, mat.cols] = frozenset(j for j, col in enumerate(mat.columns) if not col)
+        return kernel(mat)
 
     monkeypatch.setattr(exact, "_smith_kernel", recording_kernel)
     all_homology(grid_surface(n, twisted))
@@ -334,7 +358,7 @@ def test_pivots_after_a_remainder_step_retire_nothing(d_k, d_k1):
     assert (d_k @ d_k1).is_zero()
     snf_in = exact.smith_normal_form(d_k1)
     assert (snf_in.factors, snf_in.unit_rows) == ((), frozenset())
-    assert exact.smith_normal_form(d_k, retired=snf_in.unit_rows) == exact.SNFResult(1, ())
+    assert exact.smith_normal_form(emptied(d_k, snf_in.unit_rows)) == exact.SNFResult(1, ())
 
 
 def random_chain_pair(rng):
@@ -364,13 +388,5 @@ def test_clearing_keeps_the_smith_form_of_random_chain_pairs():
         d_k, d_k1 = random_chain_pair(rng)
         assert (d_k @ d_k1).is_zero()
         retired = exact.smith_normal_form(d_k1).unit_rows
-        assert exact.smith_normal_form(d_k, retired=retired) == exact._smith_kernel(d_k), \
+        assert exact.smith_normal_form(emptied(d_k, retired)) == exact._smith_kernel(d_k), \
             (d_k.entries, d_k1.entries)
-
-
-def test_a_kept_smith_form_is_returned_whatever_is_retired():
-    d2 = boundary_matrix(complexes.torus_7(), 2)
-    first = exact.smith_normal_form(d2)
-    assert exact.smith_normal_form(d2, retired=range(d2.cols)) is first
-    assert first == exact.SNFResult(first.rank, first.factors)  # unit rows are not compared
-    assert len(first.unit_rows) == first.rank == 13

@@ -622,6 +622,16 @@ def test_orbit_count_zero_below_length():
     assert report.passed
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_orbit_count_refuses_a_parabolic(d):
+    # translation_length reads Jordan-block noise (~5e-6 at d = 2), not 0,
+    # and N(d, eps, R) at that eps would pass any count
+    g = generic_parabolic(d, [0.5] + [0.2] * (d - 2))
+    assert hyp.translation_length(g) < 1e-4
+    with pytest.raises(hyp.GeometryError, match="not a parabolic"):
+        hyp.orbit_count_check(g, hyp.base_point(d), 2.0)
+
+
 def off_axis_point(d, r):
     v = np.zeros(d + 1)
     v[2] = 1.0

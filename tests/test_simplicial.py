@@ -156,8 +156,12 @@ def test_relative_boundary_squared_zero():
 def test_boundary_matrices_are_kept_on_the_complex_and_the_pair():
     pair = complexes.annulus_inner_circle_pair()
     for deg in range(4):
-        assert boundary_matrix(pair.total, deg) is boundary_matrix(pair.total, deg)
-        assert boundary_matrix(pair, deg) is boundary_matrix(pair, deg)
+        for obj in (pair.total, pair):
+            kept = boundary_matrix(obj, deg, retired=())
+            assert boundary_matrix(obj, deg, retired=()) is kept
+            # without retired the whole d_k is built anew, equal to the kept one
+            assert boundary_matrix(obj, deg) is not kept
+            assert boundary_matrix(obj, deg).columns == kept.columns
 
 
 def test_pair_containment_enforced():
