@@ -2,7 +2,7 @@
 DAM 109, 2001): stands() is the one rule by which a float sign is kept,
 inverse_sum_signs() filters the sign vector of A^-1 1 that
 inverse_sum_negative() decides exactly, and cosh_roots() encloses cosh r
-sqrt(n).  The standard library and numpy only: no mpmath.
+sqrt(n).  The standard library and numpy only.
 """
 
 from __future__ import annotations

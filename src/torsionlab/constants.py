@@ -4,11 +4,11 @@ Covers Euclidean and hyperbolic ball volumes, the packing ratio
 N(d, r, R) bounding r-discrete sets in R-balls, the unit-vector packing
 number b(d), the thick-thin epsilon assignment with its commutator chain,
 the covering constants c and D, and the figure-eight knot complement
-volume.  The integrals are evaluated in closed form by mpmath at 96 bits,
-far past the double each is rounded to: 2F1 for ball volumes, the
-incomplete beta function for caps (DLMF 15.4, 8.17), and 3 Cl_2(2 pi/3)
-for the figure-eight volume (Milnor).  Independent tanh-sinh quadratures
-cross-check the first and last.
+volume.  The standard library evaluates them in `decimal`, far past the
+double each is rounded to: the power integrals behind ball volumes
+(d >= 4) and cap areas by their reduction formula (Ratcliffe,
+Foundations of Hyperbolic Manifolds), and 3 Cl_2(2 pi/3) = 2 Cl_2(pi/3)
+by Clausen's Bernoulli series (Abramowitz-Stegun 27.8).
 
 Thick-thin quantities are exact rationals (fractions of the configured
 Margulis epsilon); only genuinely transcendental values are floats.
@@ -19,13 +19,41 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
+# pi to 60 digits, past every working precision that needs it
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
-# The bits of every mpmath evaluation here.
-MPMATH_BITS = 96
+
+def _sin(x: Decimal) -> Decimal:
+    """sin x by its Taylor series, at the context's precision."""
+    total, term, k = x, x, 1
+    while total + (term := -term * x * x / ((k + 1) * (k + 2))) != total:
+        total, k = total + term, k + 2
+    return total
+
+
+def _power_integral(n: int, x: float, sigma: int) -> float:
+    """integral_0^x f(t)^n dt for f = sinh (sigma = 1) or f = sin (sigma = -1).
+
+    Integration by parts gives F_n = sigma (f^(n-1) f' - (n-1) F_(n-2)) / n
+    from F_0 = x and F_1 = sigma (f' - 1).  Below x = 1 each step cancels
+    about 2 log10(1/x) digits, which the working precision adds back.
+    """
+    loss = math.ceil(-2 * math.log10(min(x, 1.0)))
+    with localcontext(Context(prec=40 + (n // 2 + 1) * loss)):
+        t = Decimal(x)
+        if sigma > 0:
+            e = t.exp()
+            f, df = (e - 1 / e) / 2, (e + 1 / e) / 2
+        else:
+            f, df = _sin(t), 1 - 2 * _sin(t / 2) ** 2
+        integral = t if n % 2 == 0 else sigma * (df - 1)
+        for k in range(2 + n % 2, n + 1, 2):
+            integral = sigma * (f ** (k - 1) * df - (k - 1) * integral) / k
+        return float(integral)
 
 
 # --- ball volumes and the packing ratio -------------------------------------
@@ -54,8 +82,8 @@ def sphere_surface_area(d: int) -> float:
 def hyperbolic_ball_volume(d: int, R: float) -> float:
     """Volume of the radius-R ball in hyperbolic d-space.
 
-    surface(S^(d-1)) * integral_0^R sinh(t)^(d-1) dt.  Above d = 3 the
-    integral is 2^(d-1) v^a / a * 2F1(1-a, a; a+1; -v), a = d/2, v = sinh(R/2)^2.
+    surface(S^(d-1)) * integral_0^R sinh(t)^(d-1) dt: closed forms in
+    floats up to d = 3, the reduction formula of _power_integral from d = 4.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
@@ -69,40 +97,14 @@ def hyperbolic_ball_volume(d: int, R: float) -> float:
         if R < BALL_SERIES_BELOW:
             # sinh x - x cancels for small x; sum its odd series x^(2n+1)/(2n+1)!
             # instead (x = 2R <= 1: nine terms reach double precision)
-            x = 2 * R
-            term = x
+            x = term = 2 * R
             total = 0.0
             for n in range(1, 10):
                 term *= x * x / ((2 * n) * (2 * n + 1))
                 total += term
             return math.pi * total
         return math.pi * (math.sinh(2 * R) - 2 * R)
-    with mpmath.workprec(MPMATH_BITS):
-        a, v = mpmath.mpf(d) / 2, mpmath.sinh(mpmath.mpf(R) / 2) ** 2
-        integral = 2 ** (d - 1) * v ** a / a * mpmath.hyp2f1(1 - a, a, a + 1, -v)
-    return sphere_surface_area(d) * float(integral)
-
-
-def hyperbolic_ball_volume_mp(d: int, R: float) -> float:
-    """Independent tanh-sinh quadrature of the same volume (cross-check)."""
-    if d == 1:
-        return 2.0 * R
-    with mpmath.workprec(MPMATH_BITS):
-        scale = mpmath.sinh(R)  # the integrand peaks at 1: a relative error test for small R
-        integral = mpmath.quad(lambda t: (mpmath.sinh(t) / scale) ** (d - 1), [0, R])
-        surface = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
-        return float(surface * integral * scale ** (d - 1))
-
-
-def figure_eight_volume_quad() -> float:
-    """Independent tanh-sinh quadrature of ``figure_eight_volume`` (cross-check).
-
-    The quadrature absorbs the log singularity of the integrand at 0; the
-    two agree to well below 1e-9.
-    """
-    with mpmath.workprec(MPMATH_BITS):
-        value = mpmath.quad(lambda t: -mpmath.log(2 * mpmath.sin(t)), [0, mpmath.pi / 3])
-        return float(6 * value)
+    return sphere_surface_area(d) * _power_integral(d - 1, R, 1)
 
 
 class VolumeRatio(NamedTuple):
@@ -135,17 +137,13 @@ def volume_ratio_bound(d: int, r: float, R: float) -> VolumeRatio:
 def spherical_cap_area(d: int, theta: float) -> float:
     """Area of a spherical cap of angular radius theta on S^(d-1).
 
-    surface(S^(d-2)) * integral_0^theta sin(t)^(d-2) dt, where the integral
-    is 2^(d-2) B(x; (d-1)/2, (d-1)/2) with x = sin(theta/2)^2.
+    surface(S^(d-2)) * integral_0^theta sin(t)^(d-2) dt.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not 0 < theta <= math.pi:
         raise ValueError("cap radius must lie in (0, pi]")
-    with mpmath.workprec(MPMATH_BITS):
-        half, x = mpmath.mpf(d - 1) / 2, mpmath.sin(mpmath.mpf(theta) / 2) ** 2
-        integral = 2 ** (d - 2) * mpmath.betainc(half, half, 0, x)
-    return sphere_surface_area(d - 1) * float(integral)
+    return sphere_surface_area(d - 1) * _power_integral(d - 2, theta, -1)
 
 
 def unit_vector_packing_bound(d: int) -> int:
@@ -314,7 +312,17 @@ def covering_constants(d: int, eps: float, eps0: float, delta: float, b: int) ->
 
 @functools.cache
 def figure_eight_volume() -> float:
-    """6 * integral_0^(pi/3) of -log(2 sin theta) dtheta = 3 Cl_2(2 pi/3),
-    from the Clausen function, evaluated once."""
-    with mpmath.workprec(MPMATH_BITS):
-        return float(3 * mpmath.clsin(2, 2 * mpmath.pi / 3))
+    """6 * integral_0^(pi/3) of -log(2 sin theta) dtheta = 3 Cl_2(2 pi/3) = 2 Cl_2(pi/3)
+    (duplication), from Cl_2(t) = t - t log t + sum_k |B_2k| t^(2k+1) / (2k (2k+1)!)."""
+    B = [Fraction(1)]  # Bernoulli numbers: B_m = -sum_(j<m) C(m+1, j) B_j / (m+1)
+    with localcontext(Context(prec=40)):
+        t = _PI / 3
+        total, k = t - t * t.ln(), 1
+        while True:
+            for m in range(len(B), 2 * k + 1):
+                B.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(B) if b) / (m + 1))
+            coeff = abs(B[2 * k]) / (2 * k * math.factorial(2 * k + 1))
+            term = t ** (2 * k + 1) * coeff.numerator / coeff.denominator
+            if total + term == total:
+                return float(2 * total)
+            total, k = total + term, k + 1

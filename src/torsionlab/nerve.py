@@ -557,14 +557,6 @@ def read_cover(text: str) -> BallCover:
     return BallCover.of(space, balls)
 
 
-def write_cover(cover: BallCover) -> str:
-    lines = [f"space {cover.space.kind} {cover.space.dimension}"]
-    for center, radius in cover.elements:
-        coords = " ".join(repr(float(c)) for c in center)
-        lines.append(f"ball {coords} {radius!r}")
-    return "\n".join(lines) + "\n"
-
-
 def circle_cover(count: int = 8, radius: float = 0.9) -> BallCover:
     """Balls centered at the count-th roots of unity on the unit circle."""
     angles = [2 * math.pi * k / count for k in range(count)]

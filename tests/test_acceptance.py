@@ -18,18 +18,15 @@ from torsionlab import complexes
 from torsionlab import hyperbolic as hyp
 from torsionlab.bounds import batch_verify_dv, batch_verify_soule, soule_bound
 from torsionlab.cli import main
-from torsionlab.constants import (
-    ThickThinParams,
-    commutator_inequality_check,
-    figure_eight_volume,
-    figure_eight_volume_quad,
-)
+from torsionlab.constants import ThickThinParams, commutator_inequality_check, figure_eight_volume
 from torsionlab.dehn import FIGURE_EIGHT, FillingSlope, fill_homology, figure_eight_filling
 from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.exact import IntegerMatrix, determinant, rational_rank, smith_normal_form
 from torsionlab.homology import all_homology
 from torsionlab.nerve import annulus_cover, circle_cover, nerve_lemma_check, relative_nerve
 from torsionlab.nerve import BallCover, EuclideanSpace
+
+from test_constants import figure_eight_volume_quad
 
 
 def report(criterion: int, label: str, passed: bool):

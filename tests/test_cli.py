@@ -263,8 +263,12 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("module", ["torsionlab.certify", "torsionlab.hyperbolic",
-                                    "torsionlab.nerve"])
+MODULES = ["torsionlab"] + sorted(f"torsionlab.{path.stem}"
+                                  for path in (ROOT / "src" / "torsionlab").glob("*.py")
+                                  if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_import_does_not_load_mpmath(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = f"import sys, {module}; print('mpmath' in sys.modules)"
@@ -272,6 +276,21 @@ def test_import_does_not_load_mpmath(module):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["constants", "--d", "4", "--m8"],
+                                  ["dehn-table", "--p", "0..12", "--q", "1..3"],
+                                  ["verify", "orbit", "--count", "3"]],
+                         ids=lambda argv: argv[0])
+def test_closed_form_commands_do_not_load_mpmath(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys; from torsionlab.cli import main; "
+             f"code = main({argv!r}); "
+             "print(code, 'mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("suite", ["soule", "dv-bound"])
@@ -437,6 +456,7 @@ def test_verify_dv_bound_is_byte_identical(capsys):
     (("verify", "soule"), "verify_soule"),
     (("verify", "commutator"), "verify_commutator"),
     (("dehn-table", "--p", "0..12", "--q", "1..3"), "dehn_table"),
+    (("constants", "--d", "8", "--m8"), "constants_d8_m8"),
 ])
 def test_seeded_and_closed_form_output_is_byte_identical(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv)

@@ -15,15 +15,66 @@ from torsionlab.constants import (
     covering_constants,
     euclidean_ball_volume,
     figure_eight_volume,
-    figure_eight_volume_quad,
     hyperbolic_ball_volume,
-    hyperbolic_ball_volume_mp,
     spherical_cap_area,
     sphere_surface_area,
     thick_thin_constants,
     unit_vector_packing_bound,
     volume_ratio_bound,
 )
+
+# --- reference oracles -------------------------------------------------------
+# mpmath closed forms and tanh-sinh quadratures at 96 bits, which the package
+# values must reproduce: the closed forms bit for bit, the quadratures closely.
+
+MPMATH_BITS = 96
+BALL_RADII = (1e-8, 1e-5, 1e-3, 0.05, 0.3125, 0.5, 1.0, 1.05, 2.0, 5.0, 20.0, 100.0)
+CAP_RADII = (0.1, math.pi / 6, 0.5, 1.0, 2.0, 3.0, math.pi)
+
+
+def hyperbolic_ball_volume_closed_form(d: int, R: float) -> float:
+    """surface(S^(d-1)) * 2^(d-1) v^a / a * 2F1(1-a, a; a+1; -v), a = d/2, v = sinh(R/2)^2."""
+    with mpmath.workprec(MPMATH_BITS):
+        a, v = mpmath.mpf(d) / 2, mpmath.sinh(mpmath.mpf(R) / 2) ** 2
+        integral = 2 ** (d - 1) * v ** a / a * mpmath.hyp2f1(1 - a, a, a + 1, -v)
+    return sphere_surface_area(d) * float(integral)
+
+
+def spherical_cap_area_closed_form(d: int, theta: float) -> float:
+    """surface(S^(d-2)) * 2^(d-2) B(x; (d-1)/2, (d-1)/2), x = sin(theta/2)^2."""
+    with mpmath.workprec(MPMATH_BITS):
+        half, x = mpmath.mpf(d - 1) / 2, mpmath.sin(mpmath.mpf(theta) / 2) ** 2
+        integral = 2 ** (d - 2) * mpmath.betainc(half, half, 0, x)
+    return sphere_surface_area(d - 1) * float(integral)
+
+
+def figure_eight_volume_closed_form() -> float:
+    """3 Cl_2(2 pi/3) from mpmath's Clausen function."""
+    with mpmath.workprec(MPMATH_BITS):
+        return float(3 * mpmath.clsin(2, 2 * mpmath.pi / 3))
+
+
+def hyperbolic_ball_volume_mp(d: int, R: float) -> float:
+    """Independent tanh-sinh quadrature of the same volume (cross-check)."""
+    if d == 1:
+        return 2.0 * R
+    with mpmath.workprec(MPMATH_BITS):
+        scale = mpmath.sinh(R)  # the integrand peaks at 1: a relative error test for small R
+        integral = mpmath.quad(lambda t: (mpmath.sinh(t) / scale) ** (d - 1), [0, R])
+        surface = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        return float(surface * integral * scale ** (d - 1))
+
+
+def figure_eight_volume_quad() -> float:
+    """Independent tanh-sinh quadrature of ``figure_eight_volume`` (cross-check).
+
+    The quadrature absorbs the log singularity of the integrand at 0; the
+    two agree to well below 1e-9.
+    """
+    with mpmath.workprec(MPMATH_BITS):
+        value = mpmath.quad(lambda t: -mpmath.log(2 * mpmath.sin(t)), [0, mpmath.pi / 3])
+        return float(6 * value)
+
 
 
 def test_euclidean_volumes_closed_forms():
@@ -53,6 +104,17 @@ def test_hyperbolic_volume_quadratures_agree():
             a = hyperbolic_ball_volume(d, radius)
             b = hyperbolic_ball_volume_mp(d, radius)
             assert a == pytest.approx(b, rel=1e-12, abs=0), (d, radius)
+
+
+@pytest.mark.parametrize("d", range(4, 25))
+def test_hyperbolic_volume_matches_closed_form_exactly(d):
+    for radius in BALL_RADII:
+        assert hyperbolic_ball_volume(d, radius) == hyperbolic_ball_volume_closed_form(d, radius), radius
+
+
+@pytest.mark.parametrize("d, radius", [(4, 400.0), (24, 100.0)])
+def test_hyperbolic_volume_past_float_range_is_inf(d, radius):
+    assert hyperbolic_ball_volume(d, radius) == math.inf
 
 
 @pytest.mark.parametrize("radius", [1e-3, 1e-5, 1e-8,
@@ -143,6 +205,12 @@ def test_cap_area_low_dimension_closed_forms():
             2 * math.pi * (1 - math.cos(theta)), rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("d", range(2, 25))
+def test_cap_area_matches_closed_form_exactly(d):
+    for theta in CAP_RADII:
+        assert spherical_cap_area(d, theta) == spherical_cap_area_closed_form(d, theta), theta
+
+
 def test_cap_area_full_sphere():
     for d in (2, 3, 4):
         assert spherical_cap_area(d, math.pi) == pytest.approx(sphere_surface_area(d), rel=1e-10)
@@ -228,6 +296,10 @@ def test_figure_eight_volume_value_and_agreement():
     assert a == pytest.approx(2.0298832128, abs=1e-8)
     assert b == pytest.approx(2.0298832128, abs=1e-8)
     assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_figure_eight_volume_matches_closed_form_exactly():
+    assert figure_eight_volume() == figure_eight_volume_closed_form()
 
 
 def test_figure_eight_finite_despite_singularity():

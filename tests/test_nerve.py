@@ -27,7 +27,6 @@ from torsionlab.nerve import (
     nerve_lemma_check,
     read_cover,
     relative_nerve,
-    write_cover,
 )
 from torsionlab.simplicial import SimplicialComplex
 
@@ -450,12 +449,6 @@ def test_feasibility_certificates():
     sure_no = [(np.array([0.0, 0.0]), 1.0), (np.array([3.0, 0.0]), 1.0),
                (np.array([1.5, 2.0]), 1.0)]
     assert not common_point_exists(space, sure_no, (0, 1, 2))
-
-
-def test_cover_file_roundtrip():
-    cover = circle_cover(5, 0.8)
-    back = read_cover(write_cover(cover))
-    assert nerve(back).simplices == nerve(cover).simplices
 
 
 def test_cover_file_hyperbolic():
