@@ -15,6 +15,7 @@ point and translation vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,12 @@ class SamplingError(RuntimeError):
     """The requested sample region is (numerically) unreachable."""
 
 
+@functools.cache
 def lorentz_form_matrix(d: int) -> np.ndarray:
+    """diag(-1, 1, ..., 1) on R^(d+1): one read-only array per dimension."""
     j = np.eye(d + 1)
     j[0, 0] = -1.0
+    j.flags.writeable = False
     return j
 
 
@@ -149,12 +153,13 @@ class LorentzIsometry:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GeometryError("isometry matrix must be square")
-        if not np.isfinite(m).all():
+        scale = float(np.abs(m).max())
+        if not scale < math.inf:  # also false for NaN
             raise GeometryError("isometry matrix has non-finite entries")
         j = lorentz_form_matrix(m.shape[0] - 1)
         # rounding errors of M^T J M grow with the entries squared
         residual = float(np.max(np.abs(m.T @ j @ m - j)))
-        if residual > LORENTZ_FORM_TOL * max(1.0, float(np.max(np.abs(m)))) ** 2:
+        if residual > LORENTZ_FORM_TOL * max(1.0, scale) ** 2:
             raise GeometryError("matrix does not preserve the Lorentz form")
         if m[0, 0] <= 0:
             raise GeometryError("matrix does not preserve the upper sheet")
@@ -198,18 +203,20 @@ def displacement(g: LorentzIsometry, x: np.ndarray) -> float:
 
 # --- constructors ------------------------------------------------------------
 
-def _frame_from_axis(xi_minus: np.ndarray, xi_plus: np.ndarray, d: int) -> np.ndarray:
-    """Lorentz frame whose first two columns span the given axis.
-
-    Column 0 is the midpoint-like point p, column 1 the unit tangent u
-    with the axis running from xi_minus to xi_plus.
-    """
+def _axis(xi_minus: np.ndarray, xi_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint-like point p and the unit tangent u of the axis running
+    from xi_minus to xi_plus."""
     prod = lorentz_inner(xi_minus, xi_plus)
     if prod >= -1e-12:
         raise GeometryError("axis endpoints must be distinct future null directions")
     scale = math.sqrt(-2.0 * prod)
-    p = (xi_minus + xi_plus) / scale
-    u = (xi_plus - xi_minus) / scale
+    return (xi_minus + xi_plus) / scale, (xi_plus - xi_minus) / scale
+
+
+def _frame_from_axis(xi_minus: np.ndarray, xi_plus: np.ndarray, d: int) -> np.ndarray:
+    """Lorentz frame whose first two columns are the axis columns p, u of
+    _axis(), completed by Gram-Schmidt on the coordinate vectors."""
+    p, u = _axis(xi_minus, xi_plus)
     cols = [p, u]
     for i in range(d + 1):
         v = np.zeros(d + 1)
@@ -248,8 +255,7 @@ def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
     a = _check_null_future(xi_minus)
     b = _check_null_future(xi_plus)
     d = a.shape[0] - 1
-    frame = _frame_from_axis(a, b, d)
-    p, u = frame[:, 0], frame[:, 1]
+    p, u = _axis(a, b)
     # boost in the plane of p and u, the identity on its complement.  Unlike
     # frame @ boost @ frame^-1 it does not square the rounding of the frame,
     # whose entries grow as the endpoints approach each other.
@@ -614,8 +620,14 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
     if not 0 < eps <= length:
         raise GeometryError("requires 0 < eps <= translation length")
 
+    displacements: dict[int, float] = {}
+
     def disp(k: int) -> float:
-        return displacement(g.power(k), x)
+        # the walks read k_max + 1 again after stepping down, and k = 1 again
+        # when they start there
+        if k not in displacements:
+            displacements[k] = displacement(g.power(k), x)
+        return displacements[k]
 
     disp_1 = disp(1)
     if disp_1 > R:

@@ -457,6 +457,9 @@ def test_verify_dv_bound_is_byte_identical(capsys):
     (("verify", "commutator"), "verify_commutator"),
     (("dehn-table", "--p", "0..12", "--q", "1..3"), "dehn_table"),
     (("constants", "--d", "8", "--m8"), "constants_d8_m8"),
+    (("verify", "orbit", "--d", "2", "--count", "40", "--seed", "1"), "verify_orbit_d2_seed1"),
+    (("verify", "orbit", "--d", "5", "--count", "40", "--seed", "2"), "verify_orbit_d5_seed2"),
+    (("verify", "obtuse", "--d", "5"), "verify_obtuse_d5"),
 ])
 def test_seeded_and_closed_form_output_is_byte_identical(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv)

@@ -96,6 +96,88 @@ def test_non_finite_matrix_rejected(entry):
         hyp.LorentzIsometry(m)
 
 
+@pytest.mark.parametrize("matrix", [np.ones((3, 4)), np.ones(4), np.ones((2, 2, 2))],
+                         ids=["3x4", "vector", "3-d"])
+def test_non_square_matrix_rejected(matrix):
+    with pytest.raises(hyp.GeometryError, match="isometry matrix must be square"):
+        hyp.LorentzIsometry(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, 2.0, 1.0, 1.0]),  # stretches a spacelike direction
+    np.ones((4, 4)),
+    np.eye(4) + 1e-6 * np.eye(4, k=1),  # a shear far above the form tolerance
+], ids=["stretch", "ones", "shear"])
+def test_matrix_breaking_the_lorentz_form_rejected(matrix):
+    with pytest.raises(hyp.GeometryError, match="does not preserve the Lorentz form"):
+        hyp.LorentzIsometry(matrix)
+
+
+@pytest.mark.parametrize("matrix", [-np.eye(4), np.diag([-1.0, 1.0, 1.0, 1.0])],
+                         ids=["minus-identity", "time-reversal"])
+def test_lower_sheet_matrix_rejected(matrix):
+    # both preserve the form but swap the two sheets
+    with pytest.raises(hyp.GeometryError, match="does not preserve the upper sheet"):
+        hyp.LorentzIsometry(matrix)
+
+
+@pytest.mark.parametrize("minus, plus, length, message", [
+    ([1.0, -1.0, 0.0], [1.0, 1.0, 0.0], 0.0, "translation length must be positive"),
+    ([1.0, -1.0, 0.0], [1.0, 1.0, 0.0], -0.5, "translation length must be positive"),
+    ([1.0, 0.5, 0.0], [1.0, 1.0, 0.0], 0.5, "ideal points must be null vectors"),
+    ([1.0, -1.0, 0.0], [2.0, 0.0, 0.0], 0.5, "ideal points must be null vectors"),
+    ([-1.0, 1.0, 0.0], [1.0, 1.0, 0.0], 0.5, "ideal points must be future pointing"),
+    ([1.0, -1.0, 0.0], [-1.0, -1.0, 0.0], 0.5, "ideal points must be future pointing"),
+    ([1.0, 1.0, 0.0], [1.0, 1.0, 0.0], 0.5, "distinct future null directions"),
+    ([1.0, 0.0, 1.0], [3.0, 0.0, 3.0], 0.5, "distinct future null directions"),
+], ids=["zero-length", "negative-length", "timelike-minus", "timelike-plus",
+        "past-minus", "past-plus", "equal", "same-direction"])
+def test_loxodromic_rejects_bad_data(minus, plus, length, message):
+    with pytest.raises(hyp.GeometryError, match=message):
+        hyp.loxodromic(minus, plus, length)
+
+
+def loxodromic_from_the_frame(minus, plus, length):
+    """The boost along the axis, with p and u read off the full axis frame."""
+    a, b = np.asarray(minus, dtype=float), np.asarray(plus, dtype=float)
+    d = a.shape[0] - 1
+    p, u = hyp._frame_from_axis(a, b, d)[:, :2].T
+    j = np.eye(d + 1)
+    j[0, 0] = -1.0
+    cosh_part = (math.cosh(length) - 1) * (np.outer(u, u) - np.outer(p, p))
+    sinh_part = math.sinh(length) * (np.outer(p, u) - np.outer(u, p))
+    return np.eye(d + 1) + (cosh_part + sinh_part) @ j
+
+
+def seeded_axes():
+    rng = np.random.default_rng(11)
+    for d in range(2, 7):
+        for _ in range(8):
+            ends = []
+            for _ in range(2):
+                w = rng.standard_normal(d)
+                ends.append([float(np.linalg.norm(w))] + w.tolist())
+            yield ends[0], ends[1], float(rng.uniform(0.01, 3.0))
+    for angle in (0.003, 0.01, 0.02):
+        for phi in (0.3, 1.0, 2.0):
+            yield ([1.0, math.cos(phi), math.sin(phi)],
+                   [1.0, math.cos(phi + angle), math.sin(phi + angle)], 0.03)
+
+
+@pytest.mark.parametrize("minus, plus, length", list(seeded_axes()))
+def test_loxodromic_from_its_axis_matches_the_frame_bit_for_bit(minus, plus, length):
+    ref = loxodromic_from_the_frame(minus, plus, length)
+    assert np.array_equal(hyp.loxodromic(minus, plus, length).matrix, ref)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_lorentz_form_matrix_is_read_only(d):
+    j = hyp.lorentz_form_matrix(d)
+    assert np.array_equal(j, np.diag([-1.0] + [1.0] * d))
+    with pytest.raises(ValueError, match="read-only"):
+        j[0, 0] = 1.0
+
+
 def test_identity_displacement_zero():
     e = hyp.identity(3)
     rng = np.random.default_rng(1)
@@ -674,6 +756,28 @@ def test_orbit_count_walks_from_a_wrong_start(monkeypatch, factor):
     monkeypatch.setattr(hyp, "translation_length", lambda h: factor * real(h))
     report = hyp.orbit_count_check(g, off_axis_point(3, 0.5), 2.0)
     assert report.max_power == closed_form_max_power(0.01, 2.0, 0.5) == 182
+
+
+@pytest.mark.parametrize("factor, length, R, r, k_max", [
+    (0.5, 0.01, 2.0, 0.5, 182),  # walks down from above, then reads k_max + 1
+    (2.0, 0.01, 2.0, 0.5, 182),  # walks up from below
+    (1.0, 1.0, 1.5, 0.0, 1),  # starts at k = 1, which the search read first
+], ids=["down", "up", "k-max-one"])
+def test_orbit_count_asks_for_each_power_once(monkeypatch, factor, length, R, r, k_max):
+    g = hyp.standard_loxodromic(3, length)
+    real_length, real_power = hyp.translation_length, hyp.LorentzIsometry.power
+    asked = []
+
+    def power(self, k):
+        asked.append(k)
+        return real_power(self, k)
+
+    monkeypatch.setattr(hyp, "translation_length", lambda h: factor * real_length(h))
+    monkeypatch.setattr(hyp.LorentzIsometry, "power", power)
+    report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
+    assert report.max_power == closed_form_max_power(length, R, r) == k_max
+    assert len(asked) == len(set(asked))
+    assert k_max in asked and k_max + 1 in asked
 
 
 def test_orbit_count_of_a_rotating_loxodromic():
