@@ -309,19 +309,24 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     returns it without eliminating again; this is why the matrix and the
     dicts of its ``columns`` must not be changed.  Zero entries and empty
     columns are skipped, so a cleared d_k costs nothing at the columns
-    ``boundary_matrix`` left empty.  A row index outside 0..rows-1 raises
-    ValueError.
+    ``boundary_matrix`` left empty, and a matrix with no nonzero entry
+    returns before any row index is built.  A row index outside
+    0..rows-1 raises ValueError.
 
     A pivot p at (r, c) is eliminated by column operations that clear row
     r; once the rest of column c is a multiple of p, row r and column c are
     dropped and |p| is split off the diagonal.  Unit pivots go first, in
     Markowitz order: the column with the fewest entries holding a unit,
-    then its unit in the row with the fewest entries.  Then the pivot is an
-    entry of least magnitude; its row and column are reduced by division
-    with remainder, and the least remainder left takes over.  The whole
-    row is reduced before a remainder takes over, which keeps the entries
-    small; taking over at the first remainder runs for minutes on some
-    dense 20 x 20 matrices with entries up to 1000.
+    then its unit in the row with the fewest entries (found in one pass
+    over the column, the least row on a tie).  Then the pivot is an entry
+    of least magnitude; its row and column are reduced by division with
+    remainder, and the least remainder left takes over.  Each column's
+    entry in row r gives its quotient and remainder in one ``divmod``; the
+    rest of the pivot column is applied without row r.  Among equal
+    remainders the first met takes over.  The whole row is reduced before
+    a remainder takes over, which keeps the entries small; taking over at
+    the first remainder runs for minutes on some dense 20 x 20 matrices
+    with entries up to 1000.
     """
     snf = mat.__dict__.get("_snf")
     if snf is None:
@@ -332,6 +337,8 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
 
 def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
     cols = [{i: v for i, v in col.items() if v} for col in mat.columns]
+    if not any(cols):
+        return SNFResult(0, ())
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
     for j, col in enumerate(cols):
         for i in col:
@@ -355,13 +362,18 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
         return min(map(abs, col.values())), len(col), j
 
     def clear_row(r: int, c: int) -> int | None:
-        """Reduce row r by column c; the column of least remainder, if any."""
+        """Reduce row r by column c; the column of least remainder, if any
+        (the first met of least magnitude)."""
         pivot_col = cols[c]
-        p = pivot_col[r]
-        best = None
+        p = pivot_col.pop(r)  # the rest of the pivot column, put back below
+        best, least_rem = None, 0
+        # a copy of the row's columns: its order decides ties between equal
+        # remainders, and a walk of row_cols[r] itself (with its removals
+        # deferred) meets them in another order on a few in 1000 small
+        # random matrices, which then take other unit pivots (unit_rows)
         for j in row_cols[r] - {c}:
             col = cols[j]
-            q = col[r] // p
+            q, rem = divmod(col[r], p)
             if q:
                 for i, v in pivot_col.items():
                     w = col.get(i, 0) - q * v
@@ -372,10 +384,16 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
                     else:
                         del col[i]
                         row_cols[i].discard(j)
+                if rem:
+                    col[r] = rem
+                else:
+                    del col[r]
+                    row_cols[r].discard(j)
                 if col:
                     heapq.heappush(heap, (len(col), j))
-            if r in col and (best is None or abs(col[r]) < abs(cols[best][r])):
-                best = j
+            if rem and (best is None or abs(rem) < least_rem):
+                best, least_rem = j, abs(rem)
+        pivot_col[r] = p
         return best
 
     def drop(c: int) -> None:
@@ -398,11 +416,16 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
             pivot_col = cols[c]
             if len(pivot_col) != size:
                 continue  # a stale entry: the column changed or was eliminated
-            units = [i for i, v in pivot_col.items() if v == 1 or v == -1]
-            if not units:
+            # the unit in the row with the fewest entries, then the least row
+            r, r_size = -1, 0
+            for i, v in pivot_col.items():
+                if v == 1 or v == -1:
+                    n = len(row_cols[i])
+                    if r < 0 or n < r_size or (n == r_size and i < r):
+                        r, r_size = i, n
+            if r < 0:
                 changed.add(c)
                 continue
-            r = min(units, key=lambda i: (len(row_cols[i]), i))
             if not rows_moved:
                 unit_rows.append(r)
             clear_row(r, c)

@@ -153,6 +153,8 @@ class LorentzIsometry:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GeometryError("isometry matrix must be square")
+        if m.shape[0] < 2:  # H^d needs d >= 1
+            raise GeometryError(f"isometry matrix must be at least 2 x 2, got {m.shape[0]} x {m.shape[0]}")
         scale = float(np.abs(m).max())
         if not scale < math.inf:  # also false for NaN
             raise GeometryError("isometry matrix has non-finite entries")

@@ -416,7 +416,8 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     n = len(cover)
     matrix = _CoverMatrix(cover.space, cover.elements, bits)
     frontier = [(i, j) for i, j in matrix.pairs() if matrix.pair_meets(i, j)]
-    simplices = [(i,) for i in range(n)] + frontier
+    # each level in lexicographic order, as pairs() and _extensions() give it
+    levels = [[(i,) for i in range(n)], frontier]
     for size in range(3, max_dim + 2):
         candidates = _extensions(frontier)
         if size > cover.space.dimension + 1:
@@ -426,8 +427,8 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
         else:
             frontier = [t for t, verdict in zip(candidates, matrix.certify(candidates))
                         if common_point_exists(cover.space, _CoverTuple(matrix, t, verdict), t)]
-        simplices += frontier
-    return SimplicialComplex._closed(n, frozenset(simplices))
+        levels.append(frontier)
+    return SimplicialComplex._closed(n, tuple(tuple(level) for level in levels if level))
 
 
 def _extensions(level: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -7,6 +7,13 @@ straight read-off.  Bases of chain groups are always the lexicographically
 sorted simplex lists, so every matrix is bit-reproducible across runs.
 Each complex sorts its simplices into these lists once, by dimension, and
 the dimension, f-vector, used vertices and edge degrees read that index.
+A closure (``build_complex``, the file reader, the nerve) builds the
+simplices level by level, facets from ``itertools.combinations``, and
+hands each level over sorted as the index; a complex made by its public
+constructor groups its simplices on the first read instead.  The file
+reader converts each simplex line with one sort and checks it there,
+vertex range included, so its errors name the line.  Boundary columns
+take their faces from ``combinations`` too, looked up in one dict.
 
 A pair (total, sub) is the chain complex of the quotient: its k-chains
 are spanned by the k-simplices of total that are not in sub.  It keeps
@@ -44,12 +51,6 @@ def as_simplex(vertices: Sequence[int]) -> Simplex:
     return vs
 
 
-def faces(simplex: Simplex) -> Iterable[Simplex]:
-    """All proper nonempty faces."""
-    for k in range(1, len(simplex)):
-        yield from combinations(simplex, k)
-
-
 def _outside_range(s: Simplex, vertex_count: int) -> MalformedComplexError:
     return MalformedComplexError(f"vertex {s[-1]} outside declared range {vertex_count}")
 
@@ -85,22 +86,28 @@ class SimplicialComplex:
                         raise MalformedComplexError(f"missing face {f} of {s}")
 
     @classmethod
-    def _closed(cls, vertex_count: int, simplices: frozenset[Simplex]) -> "SimplicialComplex":
-        """The complex of a set built downward closed: of __post_init__'s
-        checks only the vertex range can fail, so only it is made, over the
-        same iteration and with the same error."""
-        for s in simplices:
-            if s[-1] >= vertex_count:
-                raise _outside_range(s, vertex_count)
+    def _closed(cls, vertex_count: int, by_dim: tuple[tuple[Simplex, ...], ...]) -> "SimplicialComplex":
+        """The complex of a downward closed index, the k-simplices sorted at
+        position k, which is kept as ``_sorted_by_dim``.  Of __post_init__'s
+        checks only the vertex range can fail, so only it is made; the
+        largest vertex is the last 0-simplex, and past the range the error
+        is __post_init__'s, over the same iteration."""
+        simplices = frozenset().union(*by_dim)
+        if by_dim and by_dim[0][-1][0] >= vertex_count:
+            for s in simplices:
+                if s[-1] >= vertex_count:
+                    raise _outside_range(s, vertex_count)
         complex_ = object.__new__(cls)
         object.__setattr__(complex_, "vertex_count", vertex_count)
         object.__setattr__(complex_, "simplices", simplices)
+        object.__setattr__(complex_, "_sorted_by_dim", by_dim)
         return complex_
 
     @cached_property
     def _sorted_by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
         """The index every count and basis reads: the k-simplices, sorted,
-        at position k.  Downward closure leaves no dimension empty below
+        at position k.  A closure seeds it (see ``_closed``); else it is
+        grouped here.  Downward closure leaves no dimension empty below
         the top, so the sizes present are 1..len(groups)."""
         groups: dict[int, list[Simplex]] = {}
         for s in self.simplices:
@@ -193,15 +200,21 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
 
 
 def _closure(simplices: Iterable[Simplex], vertex_count: int | None) -> SimplicialComplex:
-    """Downward closure of simplices that are canonical already."""
-    closed: set[Simplex] = set()
-    max_vertex = -1
+    """Downward closure of simplices that are canonical already, level by
+    level from the top: the facets of each level are added to the level
+    below, and each level is sorted once into the complex's index."""
+    levels: dict[int, set[Simplex]] = {}
     for s in simplices:
-        max_vertex = max(max_vertex, s[-1])
-        closed.add(s)
-        closed.update(faces(s))
-    n = max_vertex + 1 if vertex_count is None else vertex_count
-    return SimplicialComplex._closed(n, frozenset(closed))
+        levels.setdefault(len(s), set()).add(s)
+    top = max(levels, default=0)
+    for size in range(top, 1, -1):
+        below = levels.setdefault(size - 1, set())
+        for s in levels[size]:
+            below.update(combinations(s, size - 1))
+    by_dim = tuple(tuple(sorted(levels[n])) for n in range(1, top + 1))
+    if vertex_count is None:
+        vertex_count = by_dim[0][-1][0] + 1 if by_dim else 0
+    return SimplicialComplex._closed(vertex_count, by_dim)
 
 
 def empty_complex(vertex_count: int = 0) -> SimplicialComplex:
@@ -224,15 +237,19 @@ def complexity_profile(complex_: SimplicialComplex) -> ComplexityProfile:
 def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex],
                        retired: frozenset[int] = frozenset()) -> IntegerMatrix:
     """Boundary columns of k_simplices in the basis lower; other faces are
-    dropped, and the columns at retired are left empty."""
-    index = {s: i for i, s in enumerate(lower)}
+    dropped, and the columns at retired are left empty.  combinations()
+    gives the faces in lexicographic order, dropping the last vertex
+    first, so the signs run (-1)^k, (-1)^(k-1), ..., 1."""
+    row_of = {s: i for i, s in enumerate(lower)}.get
+    k = len(k_simplices[0]) - 1 if k_simplices else 0
+    first = -1 if k % 2 else 1
     columns = []
     for j, s in enumerate(k_simplices):
         col = {}
         if j not in retired:
-            sign = 1
-            for drop in range(len(s)):
-                i = index.get(s[:drop] + s[drop + 1:])
+            sign = first
+            for face in combinations(s, k):
+                i = row_of(face)
                 if i is not None:
                     col[i] = sign
                 sign = -sign
@@ -360,15 +377,18 @@ def _parse_block(lines: list[tuple[int, str]]) -> SimplicialComplex:
         if parts[0] != "s":
             raise MalformedComplexError(f"line {lineno}: expected simplex line, got {line!r}")
         try:
-            vs = [int(p) for p in parts[1:]]
+            s = tuple(sorted(map(int, parts[1:])))
         except ValueError:
             raise MalformedComplexError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        if not vs:
+        if not s:
             raise MalformedComplexError(f"line {lineno}: simplex line with no vertices")
-        try:
-            simplices.append(as_simplex(vs))
-        except MalformedComplexError as exc:
-            raise MalformedComplexError(f"line {lineno}: {exc}") from None
+        if s[0] < 0 or len(set(s)) != len(s):
+            # as_simplex's messages, which show the vertices in file order
+            what = "negative vertex id in" if s[0] < 0 else "repeated vertex in simplex"
+            raise MalformedComplexError(f"line {lineno}: {what} {[int(p) for p in parts[1:]]!r}")
+        if s[-1] >= n:
+            raise MalformedComplexError(f"line {lineno}: {_outside_range(s, n)}")
+        simplices.append(s)
     return _closure(simplices, n)
 
 
@@ -392,5 +412,5 @@ def read_complex_or_pair(text: str) -> SimplicialComplex | SimplicialPair:
     total = _parse_block(lines[:split_at[0]])
     sub = _parse_block(lines[split_at[0] + 1:])
     if sub.vertex_count < total.vertex_count:
-        sub = SimplicialComplex(vertex_count=total.vertex_count, simplices=sub.simplices)
+        sub = SimplicialComplex._closed(total.vertex_count, sub._sorted_by_dim)
     return SimplicialPair(total=total, sub=sub)

@@ -100,6 +100,18 @@ def test_homology_parse_error_carries_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("complex V=3\ns 0 5\n", "line 2: vertex 5 outside declared range 3"),
+    ("complex V=4\ns 0 1\npair-sub\ncomplex V=2\ns 1 3\n", "line 5: vertex 3 outside declared range 2"),
+], ids=["total", "sub"])
+def test_homology_vertex_out_of_range_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "range.cplx"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("text, line", [
     ("complex V=-3\n", 1),
     ("complex V=3\ns 0 1\npair-sub\ncomplex V=-1\n", 4),

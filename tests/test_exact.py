@@ -111,6 +111,37 @@ def test_snf_random_batch_exact():
         assert_valid_snf(mat)
 
 
+def seeded_matrices(kind, count, seed):
+    """Seeded matrices up to 14 x 14: unit-rich ones (mostly 0 and +-1, some
+    2 and -3), dense ones with entries in [-5, 5], and sparse ones that
+    store every zero, some of them nothing but zeros."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+        if kind == "unit-rich":
+            data = [[rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rows)]
+        elif kind == "dense":
+            data = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        else:
+            density = rng.choice((0.0, 0.1, 0.4))
+            data = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)]
+                    for _ in range(rows)]
+            yield IntegerMatrix(rows, cols, [{i: data[i][j] for i in range(rows)} for j in range(cols)])
+            continue
+        yield IntegerMatrix.from_rows(data, cols)
+
+
+@pytest.mark.parametrize("kind", ["unit-rich", "dense", "stored-zeros"])
+def test_kernel_rank_and_torsion_primes_agree_with_the_oracles(kind):
+    for mat in seeded_matrices(kind, 150, seed=len(kind)):
+        snf = smith_normal_form(mat)
+        assert snf.rank == rational_rank(mat)
+        for p in ORACLE_PRIMES:
+            assert rank_mod_p(mat, p) == snf.rank - sum(1 for d in snf.factors if d % p == 0)
+        if not any(v for col in mat.columns for v in col.values()):
+            assert (snf.rank, snf.factors, snf.unit_rows) == (0, (), frozenset())
+
+
 @st.composite
 def integer_matrices(draw):
     rows = draw(st.integers(1, 5))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -101,6 +102,13 @@ def test_non_finite_matrix_rejected(entry):
 def test_non_square_matrix_rejected(matrix):
     with pytest.raises(hyp.GeometryError, match="isometry matrix must be square"):
         hyp.LorentzIsometry(matrix)
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_matrix_smaller_than_2x2_rejected(size):
+    with pytest.raises(hyp.GeometryError,
+                       match=re.escape(f"isometry matrix must be at least 2 x 2, got {size} x {size}")):
+        hyp.LorentzIsometry(np.eye(size))
 
 
 @pytest.mark.parametrize("matrix", [

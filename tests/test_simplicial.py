@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,24 @@ def test_file_errors_carry_line_numbers():
         read_complex_or_pair("complex V=2\ns 0 1\npair-sub\n# sub\ncomplex V=-1\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("s", "line 2: simplex line with no vertices"),
+    ("s 0 -1", "line 2: negative vertex id in [0, -1]"),
+    ("s 2 1 2", "line 2: repeated vertex in simplex [2, 1, 2]"),
+    ("s -1 -1", "line 2: negative vertex id in [-1, -1]"),
+    ("s 0 x", "line 2: non-integer vertex in 's 0 x'"),
+    ("s 0 1.0", "line 2: non-integer vertex in 's 0 1.0'"),
+    ("t 0 1", "line 2: expected simplex line, got 't 0 1'"),
+    ("s 2 5 0", "line 2: vertex 5 outside declared range 3"),
+    ("s 5 5", "line 2: repeated vertex in simplex [5, 5]"),
+], ids=["empty", "negative", "repeated", "negative-and-repeated", "word", "float", "tag",
+        "out-of-range", "repeated-out-of-range"])
+def test_simplex_line_errors_are_pinned(line, message):
+    with pytest.raises(MalformedComplexError) as exc:
+        read_complex_or_pair(f"complex V=3\n{line}\ns 0 1\n")
+    assert str(exc.value) == message
+
+
 def test_empty_complex_is_legal():
     k = empty_complex()
     assert k.dimension == -1
@@ -334,6 +353,40 @@ def test_index_matches_a_rescan_of_the_simplices(name, k):
         assert pair.dimension == rescan(k)[0]
         for deg in range(-1, pair.dimension + 2):
             assert pair.simplices_of_dim(deg) == sorted_of_dim(k.simplices - pair.sub.simplices, deg)
+
+
+def brute_force_closure(maximal):
+    return {face for s in maximal for n in range(1, len(s) + 1) for face in combinations(s, n)}
+
+
+def regrouped(simplices):
+    top = max(map(len, simplices), default=0)
+    return tuple(tuple(sorted(s for s in simplices if len(s) == n)) for n in range(1, top + 1))
+
+
+def assert_seeded_closure(k, maximal, vertex_count):
+    assert "_sorted_by_dim" in vars(k)  # seeded by the closure, not grouped on first read
+    assert k.vertex_count == vertex_count
+    assert k.simplices == brute_force_closure(maximal)
+    assert k._sorted_by_dim == regrouped(k.simplices)
+
+
+@pytest.mark.parametrize("name, k", list(rescan_cases()))
+def test_closure_seeds_the_index_a_regrouping_gives(name, k):
+    maximal = k.maximal_simplices()
+    assert_seeded_closure(build_complex(maximal, k.vertex_count), maximal, k.vertex_count)
+    assert_seeded_closure(read_complex_or_pair(write_complex(k)), maximal, k.vertex_count)
+    for seed in range(3):
+        sub = random_subcomplex(k, seed=seed)
+        parsed = read_complex_or_pair(write_pair(SimplicialPair(total=k, sub=sub)))
+        assert_seeded_closure(parsed.total, maximal, k.vertex_count)
+        assert_seeded_closure(parsed.sub, sub.maximal_simplices(), k.vertex_count)
+
+
+def test_a_pair_file_widens_a_smaller_sub_with_its_index():
+    pair = read_complex_or_pair("complex V=4\ns 0 1 3\npair-sub\ncomplex V=2\ns 0 1\n")
+    assert_seeded_closure(pair.sub, [(0, 1)], 4)
+    assert pair.sub == SimplicialComplex(vertex_count=4, simplices=frozenset({(0,), (1,), (0, 1)}))
 
 
 def test_a_pair_filters_its_basis_once(monkeypatch):
