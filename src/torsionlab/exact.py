@@ -336,7 +336,9 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
 
 
 def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
-    cols = [{i: v for i, v in col.items() if v} for col in mat.columns]
+    # a column is copied as is unless it stores a zero, which is rare
+    cols = [col.copy() if 0 not in col.values() else {i: v for i, v in col.items() if v}
+            for col in mat.columns]
     if not any(cols):
         return SNFResult(0, ())
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
