@@ -1,21 +1,10 @@
 """First homology of Dehn fillings of the figure-eight complement.
 
 Filling along p*mu + q*lambda produces H_1 = Z/p, with volume below the
-complement's volume -- unboundedly large torsion at bounded volume.  The
-torsion schedule then realizes any normalized-torsion target along a
-sequence of fillings, and feeds the analytic-torsion formula for
-rational homology spheres.
+complement's volume -- unboundedly large torsion at bounded volume.
 """
 
-import math
-
-from torsionlab.dehn import (
-    FillingSlope,
-    figure_eight_family,
-    figure_eight_filling,
-    ray_singer,
-    torsion_schedule,
-)
+from torsionlab.dehn import FillingSlope, figure_eight_family, figure_eight_filling
 
 print("slope (p,q) -> H_1, hyperbolic?")
 for p, q in [(1, 0), (0, 1), (2, 1), (4, 1), (5, 1), (5, 2), (12, 5), (49, 10)]:
@@ -26,15 +15,3 @@ rows = figure_eight_family(range(1, 51), range(1, 11))
 largest = max(row["torsion"][0] for row in rows if row["torsion"])
 print(f"\n{len(rows)} primitive slopes with p <= 50, q <= 10;"
       f" torsion up to Z/{largest} at volume < {rows[0]['volume_upper_bound']:.4f}")
-
-# normalized torsion along a filling schedule: p_n = floor(alpha * v_n)
-schedule = torsion_schedule(alpha=1.5, volumes=[float(v) for v in range(20, 401, 20)])
-tail = schedule.entries[-1]
-print(f"\nalpha = 1.5 schedule: p_n/v_n -> {tail.linear_ratio:.4f} (target 1.5),"
-      f" while log(p_n)/v_n -> {tail.log_ratio:.4f}")
-print(f"the '{schedule.limit_reading}' reading reproduces the target")
-
-# analytic torsion of a rational homology sphere: -log|tors| + log vol
-tau = ray_singer(tors_order=tail.p, volume=tail.volume)
-print(f"\nray-singer at the tail: tau = {tau:.4f}"
-      f"  (-log {tail.p} + log {tail.volume:.0f})")

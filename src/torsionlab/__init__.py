@@ -9,7 +9,7 @@ Modules by theme:
 - nerve: nerves of ball covers and the nerve-lemma checks
 - hyperbolic: hyperboloid-model geometry and displacement checks
 - constants: ball volumes, packing bounds, thick-thin arithmetic
-- dehn: Dehn-filling first homology and torsion schedules
+- dehn: first homology of Dehn fillings, the figure-eight family
 - cli: the `torsionlab` command
 """
 

@@ -54,9 +54,12 @@ def _fraction_doc(value: Fraction) -> dict:
 def _parse_range(text: str) -> range:
     lo, dots, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi if dots else lo) + 1)
+        values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise UsageError(f"bad range {text!r}") from None
+    if not values:
+        raise UsageError(f"empty range {text!r}")
+    return values
 
 
 def _parse_int_vector(text: str) -> tuple[int, ...]:

@@ -1,5 +1,4 @@
-"""First homology of Dehn fillings, the figure-eight family, and torsion
-schedules for sequences of fillings.
+"""First homology of Dehn fillings and the figure-eight filling family.
 
 Filling a one-cusp manifold along the slope p*mu + q*lambda glues in a
 solid torus; the Mayer-Vietoris sequence presents H_1 of the result as
@@ -11,7 +10,6 @@ vector gives an isomorphic cokernel).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -106,15 +104,9 @@ class FillingResult:
     group: AbelianGroupStructure
     hyperbolic: str  # "yes" | "excluded" | "unknown"
 
-    def to_json(self, slope: FillingSlope | None = None) -> dict:
-        doc: dict = {}
-        if slope is not None:
-            doc["p"] = slope.p
-            doc["q"] = slope.q
-        doc["betti"] = self.group.betti
-        doc["torsion"] = list(self.group.invariant_factors)
-        doc["hyperbolic"] = self.hyperbolic
-        return doc
+    def to_json(self, slope: FillingSlope) -> dict:
+        return {"p": slope.p, "q": slope.q, "betti": self.group.betti,
+                "torsion": list(self.group.invariant_factors), "hyperbolic": self.hyperbolic}
 
 
 def fill_homology(data: PeripheralData, slope: FillingSlope) -> FillingResult:
@@ -149,86 +141,9 @@ def figure_eight_family(p_range: Sequence[int], q_range: Sequence[int]) -> list[
         for q in q_range:
             if (p, q) == (0, 0) or gcd(p, q) != 1:
                 continue
-            result = figure_eight_filling(FillingSlope(p, q))
-            row = result.to_json(FillingSlope(p, q))
+            slope = FillingSlope(p, q)
+            row = figure_eight_filling(slope).to_json(slope)
             row["volume_upper_bound"] = volume_bound
             table.append(row)
     return table
 
-
-def ray_singer(tors_order: int, volume: float) -> float:
-    """Analytic torsion of a rational homology sphere:
-    -log(torsion order) + log(volume).
-
-    The regulator term of the general formula vanishes exactly in the
-    rational-homology-sphere case, which is the only one implemented.
-    """
-    if tors_order < 1:
-        raise ValueError("torsion order must be a positive integer")
-    if volume <= 0:
-        raise ValueError("volume must be positive")
-    return -math.log(tors_order) + math.log(volume)
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    volume: float
-    p: int
-    log_ratio: float     # log(p_n) / v_n
-    linear_ratio: float  # p_n / v_n
-
-
-@dataclass(frozen=True)
-class TorsionSchedule:
-    """Torsion orders p_n for a sequence of fillings with volumes v_n.
-
-    For finite positive alpha the prescription is p_n = floor(alpha*v_n).
-    Two normalizations are reported per entry because the source formula
-    conflates them: log(p_n)/v_n (log of the torsion order over volume,
-    which tends to 0 for this choice of p_n) and p_n/v_n (which tends to
-    alpha).  `limit_reading` names the one that reproduces the target.
-    """
-
-    alpha: float
-    entries: tuple[ScheduleEntry, ...]
-    limit_reading: str
-
-    def limit_estimate(self) -> float:
-        if self.limit_reading == "linear_ratio":
-            return self.entries[-1].linear_ratio
-        return self.entries[-1].log_ratio
-
-
-def torsion_schedule(alpha: float, volumes: Sequence[float]) -> TorsionSchedule:
-    """Torsion orders along an increasing volume sequence.
-
-    alpha = inf uses p_n = floor(v_n^2) and alpha = 0 uses
-    p_n = floor(sqrt(v_n)); both make the normalized quantities reach the
-    target in the limit.  Torsion orders are clamped to at least 1 (a
-    trivial torsion group), which only matters for volumes below 1/alpha.
-    """
-    if not volumes:
-        raise ValueError("volume sequence must be nonempty")
-    if any(v <= 0 for v in volumes):
-        raise ValueError("volumes must be positive")
-    if any(b <= a for a, b in zip(volumes, volumes[1:])):
-        raise ValueError("volumes must be strictly increasing")
-    if alpha < 0:
-        raise ValueError("alpha must lie in [0, inf]")
-
-    entries = []
-    for v in volumes:
-        if math.isinf(alpha):
-            p = math.floor(v * v)
-        elif alpha == 0:
-            p = math.floor(math.sqrt(v))
-        else:
-            p = math.floor(alpha * v)
-        p = max(p, 1)
-        entries.append(ScheduleEntry(
-            volume=float(v),
-            p=p,
-            log_ratio=math.log(p) / v,
-            linear_ratio=p / v,
-        ))
-    return TorsionSchedule(alpha=alpha, entries=tuple(entries), limit_reading="linear_ratio")

@@ -29,7 +29,8 @@ class ExactArithmeticError(Exception):
 @dataclass(frozen=True)
 class IntegerMatrix:
     """Integer matrix stored as sparse columns: one row -> value dict per
-    column, without zeros.
+    column, without zeros.  A column given with a stored zero is replaced
+    by a copy without it, so equal matrices have one stored form.
 
     ``entries``, the dense row-major tuples, is built from the columns the
     first time something reads it.  Immutable: all operations return new
@@ -44,7 +45,11 @@ class IntegerMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        object.__setattr__(self, "columns", tuple(self.columns))
+        columns = tuple(self.columns)
+        if not all(map(all, map(dict.values, columns))):
+            columns = tuple(col if all(col.values()) else {i: v for i, v in col.items() if v}
+                            for col in columns)
+        object.__setattr__(self, "columns", columns)
         if len(self.columns) != self.cols:
             raise ValueError("column count does not match columns")
 
@@ -307,8 +312,8 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
 
     The result is kept on ``mat``, so a second call on the same matrix
     returns it without eliminating again; this is why the matrix and the
-    dicts of its ``columns`` must not be changed.  Zero entries and empty
-    columns are skipped, so a cleared d_k costs nothing at the columns
+    dicts of its ``columns`` must not be changed.  Empty columns are
+    skipped, so a cleared d_k costs nothing at the columns
     ``boundary_matrix`` left empty, and a matrix with no nonzero entry
     returns before any row index is built.  A row index outside
     0..rows-1 raises ValueError.
@@ -336,9 +341,7 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
 
 
 def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
-    # a column is copied as is unless it stores a zero, which is rare
-    cols = [col.copy() if 0 not in col.values() else {i: v for i, v in col.items() if v}
-            for col in mat.columns]
+    cols = [col.copy() for col in mat.columns]
     if not any(cols):
         return SNFResult(0, ())
     row_cols: list[set[int]] = [set() for _ in range(mat.rows)]

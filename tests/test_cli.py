@@ -247,6 +247,15 @@ def test_bad_range_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [("--p", "5..3", "--q", "1"), ("--p", "1", "--q", "5..3")],
+                         ids=["p", "q"])
+def test_reversed_range_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "dehn-table", *argv)
+    assert code == 64
+    assert out == ""
+    assert "empty range '5..3'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("constants", "--d", "3", "--margulis-eps", "0.1", "--margulis-m", "2"),
     ("dehn-fill", "--p", "7", "--q", "2"),

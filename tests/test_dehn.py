@@ -1,4 +1,3 @@
-import math
 import random
 from math import gcd
 
@@ -14,8 +13,6 @@ from torsionlab.dehn import (
     figure_eight_family,
     figure_eight_filling,
     knot_complement_data,
-    ray_singer,
-    torsion_schedule,
 )
 from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.exact import IntegerMatrix, cokernel
@@ -161,59 +158,3 @@ def test_knot_complement_data_shape():
     assert data.generators == 1
     assert data.mu_has_infinite_order()
 
-
-def test_ray_singer_values():
-    assert ray_singer(1, math.e) == pytest.approx(1.0)
-    assert ray_singer(5, 2.0) == pytest.approx(math.log(2 / 5))
-    with pytest.raises(ValueError):
-        ray_singer(0, 1.0)
-
-
-def test_schedule_finite_alpha():
-    volumes = [float(n) for n in range(10, 501, 10)]
-    schedule = torsion_schedule(1.0, volumes)
-    assert schedule.limit_reading == "linear_ratio"
-    assert schedule.limit_estimate() == pytest.approx(1.0, abs=0.01)
-    # the log reading decays to zero for this prescription
-    assert schedule.entries[-1].log_ratio < schedule.entries[0].log_ratio
-    assert schedule.entries[-1].log_ratio < 0.02
-
-
-def test_schedule_alpha_zero_and_infinity():
-    volumes = [float(n) for n in range(10, 201, 10)]
-    zero = torsion_schedule(0.0, volumes)
-    assert zero.entries[-1].linear_ratio < zero.entries[0].linear_ratio
-    assert zero.entries[-1].linear_ratio == pytest.approx(1 / math.sqrt(200), abs=0.01)
-    inf = torsion_schedule(math.inf, volumes)
-    assert inf.entries[-1].linear_ratio == pytest.approx(200.0)
-
-
-def test_schedule_linear_reading_reaches_alpha():
-    volumes = [float(n) for n in range(50, 2001, 50)]
-    schedule = torsion_schedule(2.0, volumes)
-    assert schedule.entries[-1].linear_ratio == pytest.approx(2.0, abs=0.01)
-
-
-def test_ray_singer_tracks_normalized_torsion():
-    # along any sequence with log(torsion)/vol -> alpha, tau/vol -> -alpha
-    alpha = 0.7
-    for volume in (40.0, 80.0, 160.0):
-        torsion = int(math.exp(alpha * volume))
-        value = ray_singer(torsion, volume) / volume
-        assert value == pytest.approx(-alpha, abs=math.log(volume) / volume + 1e-3)
-    volume = 320.0
-    torsion = int(math.exp(alpha * volume))
-    assert ray_singer(torsion, volume) / volume == pytest.approx(-alpha, abs=0.02)
-
-
-def test_schedule_determinism_and_validation():
-    volumes = [10.0, 20.0, 30.0]
-    a = torsion_schedule(1.5, volumes)
-    b = torsion_schedule(1.5, volumes)
-    assert a == b
-    with pytest.raises(ValueError):
-        torsion_schedule(1.0, [])
-    with pytest.raises(ValueError):
-        torsion_schedule(1.0, [10.0, 10.0])
-    with pytest.raises(ValueError):
-        torsion_schedule(-1.0, [10.0, 20.0])

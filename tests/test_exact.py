@@ -365,6 +365,21 @@ def test_kernel_skips_stored_zeros():
     assert cokernel(IntegerMatrix(2, 2, [{0: 0, 1: 3}, {0: 2, 1: 0}])) == AbelianGroupStructure(0, (6,))
 
 
+def test_stored_zeros_are_dropped_at_construction():
+    zero = IntegerMatrix(2, 1, [{0: 0}])
+    assert zero.is_zero()
+    assert zero == IntegerMatrix.zeros(2, 1)
+    assert hash(zero) == hash(IntegerMatrix.zeros(2, 1))
+    mixed = IntegerMatrix(2, 2, [{0: 0, 1: 3}, {0: 2, 1: 0}])
+    assert mixed.columns == ({1: 3}, {0: 2})
+    assert not mixed.is_zero()
+    assert mixed == IntegerMatrix.from_rows([[0, 2], [3, 0]])
+    assert hash(mixed) == hash(IntegerMatrix.from_rows([[0, 2], [3, 0]]))
+    # a column without a stored zero is kept, not copied
+    col = {0: 1}
+    assert IntegerMatrix(1, 2, [col, {0: 0}]).columns[0] is col
+
+
 @pytest.mark.parametrize("row", [5, 2, -1])
 def test_kernel_rejects_rows_outside_the_matrix(row):
     with pytest.raises(ValueError, match=f"row index {row} of column 0 is outside 0..1"):
