@@ -1,15 +1,16 @@
 """Filtered-exact predicates (Shewchuk, DCG 18, 1997; Brönnimann–Burnikel–Pion,
 DAM 109, 2001): stands() is the one rule by which a float sign is kept,
 inverse_sum_signs() filters the sign vector of A^-1 1 that
-inverse_sum_negative() decides exactly, and cosh_roots() encloses cosh r
-sqrt(n).  The standard library and numpy only.
+inverse_sum_negative() decides exactly, from float entries that the caller
+forms, their magnitudes and the roundings each entry carries, and
+cosh_roots() encloses cosh r sqrt(n).  The standard library and numpy only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
@@ -52,18 +53,6 @@ def inverse_sum_negative(a: list[list[int]]) -> bool:
     return bool(d) and all(x * d < 0 for x in y)
 
 
-def float_copy(rows: Sequence[dict[int, int]]) -> np.ndarray:
-    """The kept entries of rows over 2^top, top the bit length of the
-    largest, as an n x n float array with zeros elsewhere: each entry is
-    the correctly rounded int / int, of magnitude below 1."""
-    values = [v for row in rows for v in row.values()]
-    scale = 1 << max(max(values, default=0), -min(values, default=0)).bit_length()
-    out = np.zeros((len(rows), len(rows)))
-    out[[i for i, row in enumerate(rows) for _ in row], [j for row in rows for j in row]] = [
-        v / scale for v in values]
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _laplace_plan(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Index arrays for the minors of rows 0..j-1 of a k x (k + 1) matrix
@@ -82,55 +71,62 @@ def _laplace_plan(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return plan
 
 
-# The largest submatrix the float filter signs (its work grows as (k + 1) 2^k),
-# and the most it expands at once.
+# The largest submatrix the float filter signs: its work grows as (k + 1) 2^k.
 _FILTERED = 8
-_CHUNK = 2048
 
 
-def inverse_sum_signs(a: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(certified, negative): for each row S of the (m, k) index array, whether
-    the float filter certifies the sign vector of a_SS^-1 1, and if so
-    whether a_SS^-1 1 < 0, as inverse_sum_negative decides it exactly.  It
-    certifies nothing past k = _FILTERED.
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite minor makes stands() abstain
+def inverse_sum_signs(entries: np.ndarray, magnitudes: np.ndarray,
+                      entry_roundings: int) -> tuple[np.ndarray, np.ndarray]:
+    """(certified, negative): for each k x k matrix a of the (m, k, k) float
+    array entries, whether the float filter certifies the sign vector of
+    a^-1 1, and if so whether a^-1 1 < 0, as inverse_sum_negative decides it
+    on the exact matrix that a evaluates.  It certifies nothing past
+    k = _FILTERED.
 
-    a is a float_copy, every entry below 1.  With M = [1 | a_SS], the k + 1
-    k x k minors of M give det a_SS (drop column 0) and, up to the sign
-    (-1)^i, the Cramer determinant D_i of a_SS with column i set to 1 (drop
-    column i + 1); a_SS^-1 1 = D / det, and any positive constant column
-    gives the same signs.  Each minor and its permanent over |M| come from
-    one Laplace expansion along the rows.  A term of a k x k minor carries
-    k (k + 3) / 2 roundings along any path: one per entry converted (k), per
-    product (k) and per addition (at most j - 1 at row j); stands() decides
-    each sign against the permanent.  With every entry at most 1, the at most
-    2 (k + 1)! subnormal errors sum below 2^-1050 for k <= _FILTERED.  The
-    vector is certified when det and every D_i are: negative iff every D_i
-    has the sign opposite to det's.  Otherwise the caller solves exactly.
+    Each entry is a float evaluation of an exact one whose terms carry at
+    most n = entry_roundings roundings along any path; magnitudes holds the
+    same evaluations over the absolute values of the terms.  All are first
+    scaled by one power of two, 2^-e with e >= 0 the least that brings the
+    largest finite magnitude to at most 1: a positive factor, which leaves
+    every sign of a^-1 1 alone, and exact but for underflow; a matrix with a
+    non-finite entry or magnitude abstains.  With M = [1 | a], the
+    k + 1 k x k minors of M give det a (drop column 0) and, up to the sign
+    (-1)^i, the Cramer determinant D_i of a with column i set to 1 (drop
+    column i + 1); a^-1 1 = D / det, and any positive constant column gives
+    the same signs.  Each minor and its permanent over [1 | magnitudes] come
+    from one Laplace expansion along the rows.  A term of a k x k minor
+    carries k n + k + k (k - 1) / 2 roundings along any path: n in each of
+    its k entries, one per product (k) and one per addition (at most j - 1
+    at row j); the column of ones is exact, of magnitude 1.  stands()
+    decides each sign against the permanent.  Underflow adds absolute
+    errors besides: an entry carries those of the products that underflowed
+    in forming it and of its scaling, which the caller keeps below 2^-1060
+    (about 2^15 products of 2^-1075 each), and which a factor of at most 1
+    does not magnify.  Every entry at most 1, they and the products of the
+    expansion that underflow add at most (k + 1)! 2^-1060 < 2^-1030 to a
+    minor for k <= _FILTERED.  The vector is certified when det and every
+    D_i are: negative iff every D_i has the sign opposite to det's.
+    Otherwise the caller solves exactly.
     """
-    m, k = tuples.shape
+    m, k, _ = entries.shape
     if k > _FILTERED:
         return np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-    known, negative = np.hstack([_chunk_signs(a, tuples[start:start + _CHUNK])
-                                 for start in range(0, max(m, 1), _CHUNK)])
-    return known, negative
-
-
-def _chunk_signs(a: np.ndarray, tuples: np.ndarray) -> np.ndarray:
-    m, k = tuples.shape
-    entries = np.ones((m, k, k + 1))
-    entries[:, :, 1:] = a[tuples[:, :, None], tuples[:, None, :]]
-    magnitudes = np.abs(entries)
+    scale = math.ldexp(1.0, -max(0, math.frexp(magnitudes[magnitudes < math.inf].max(
+        initial=0.0))[1]))
+    rows, sizes = np.ones((2, m, k, k + 1))
+    rows[:, :, 1:] = entries * scale
+    sizes[:, :, 1:] = magnitudes * scale
     minors = permanents = np.ones((m, 1))
     for j, (columns, parents, signs) in enumerate(_laplace_plan(k)):
-        row, row_magnitudes = entries[:, j, columns], magnitudes[:, j, columns]
-        minors = (signs * row * minors[:, parents]).sum(axis=2)
-        permanents = (row_magnitudes * permanents[:, parents]).sum(axis=2)
+        minors = (signs * rows[:, j, columns] * minors[:, parents]).sum(axis=2)
+        permanents = (sizes[:, j, columns] * permanents[:, parents]).sum(axis=2)
     # combinations order: the last minor drops column 0, the one before it column 1, ...
     minors, permanents = minors[:, ::-1], permanents[:, ::-1]
-    known = stands(minors, permanents, k * (k + 3) // 2)
+    known = stands(minors, permanents, k * entry_roundings + k + k * (k - 1) // 2)
     alternating = (-1.0) ** np.arange(k)
     det, cramer = minors[:, :1], minors[:, 1:] * alternating
-    return np.array([known.all(axis=1), (np.sign(cramer) == -np.sign(det)).all(axis=1)])
+    return known.all(axis=1), (np.sign(cramer) == -np.sign(det)).all(axis=1)
 
 
 def _context(bits: int) -> Context:

@@ -10,15 +10,20 @@ Euclidean decision is exact.  A grows with h, so rational enclosures of h
 certify a hyperbolic one; when they straddle the boundary the decision is
 rerun at doubled bits, and raises only past MAX_ENCLOSURE_BITS.
 
-A nerve builds A once for the whole cover: in E^d from one dyadic scaling
-of every centre and radius; in H^d from one Gram matrix and one enclosure
-of each h_i, at ENCLOSURE_BITS plus 2 bits per halving of the cover's
-least radius, which gives A at the lower and at the upper h.  Of A it
-keeps the diagonal and the entries of the pairs that meet.  A pair meets
-iff its 2x2 A is copositive, a closed form.  A float filter first decides
-every pair of the cover at once from the float centres, radii and upper h:
-a pair whose disjointness it certifies is never built in big integers;
-every other pair gets the exact closed form.
+A nerve decides from floats first, and reaches big integers only where a
+certified float sign abstains (Shewchuk, DCG 18, 1997; Brönnimann–Burnikel–
+Pion, DAM 109, 2001).  One numpy pass per block of rows evaluates every
+pair's test in floats, with its magnitude, the same sums over absolute
+values: in E^d from the float centres and radii; in H^d from the float
+centres and the float h, the correctly rounded quotient of each end of
+one enclosure of h_i, made at ENCLOSURE_BITS plus 2 bits per halving of
+the cover's least radius, which gives A at the lower and at the upper h.
+A pair meets iff its 2x2 A is copositive, a closed form, and gets one of
+three verdicts: apart, where the filter certifies that it is not
+copositive at the upper h (in E^d, |c_i - c_j| > r_i + r_j); meets, where
+it certifies that it is copositive at the lower h (in E^d, |c_i - c_j| <
+r_i + r_j); undecided, where the exact closed form decides.  Each float entry of A carries n_e
+roundings, L + 3 in E^d and L + 1 in H^d, L coordinates per centre.
 A larger tuple is a candidate only when every facet spans a simplex.  Each
 level keeps, for every tuple t one vertex smaller, the bitmask up[t] of the
 w > t[-1] with t + (w,) in the level, so the candidates s + (w,) from s
@@ -28,13 +33,18 @@ A growing with h, at the upper h, and the sign vector of A_SS^-1 1 on the
 full support decides the tuple at each end.  Past d + 1 balls Helly's
 theorem decides a candidate: its facets meet, so it does.  Below that a
 second float filter signs all the candidates of a level at once, from
-det A_SS and the Cramer determinants in one float copy of A, and returns
-its verdicts; nerve() then decides each candidate through
+det A_SS and the Cramer determinants of float entries formed a chunk of
+candidates at a time from the gathered centres and h, and returns its
+verdicts; nerve() then decides each candidate through
 common_point_exists(), where a verdict stands and a tuple the filter
-cannot certify, a near-tie, gets one fraction-free solve.  The filter
-and the solve both need every facet certified at the same lower A, so a
-straddle reruns the whole cover, not the one tuple.  Both filters keep a
-float sign only where certify.stands() certifies it.
+cannot certify, a near-tie, gets one fraction-free solve.
+Exact entries, each the true A times one positive factor, are built only
+for such a fallback, and only those among its balls: in E^d from one
+dyadic scaling of every centre and radius, in H^d from the integer
+centres and the enclosure of h, each made at the first fallback.  The
+filters and the solve all need every facet certified at the same lower A,
+so a straddle reruns the whole cover, not the one tuple.  Both filters
+keep a float sign only where certify.stands() certifies it.
 Given a plain list of balls, common_point_exists() uses neither filter:
 the reference the nerve is checked against.
 """
@@ -44,12 +54,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from . import hyperbolic as hyp
-from .certify import cosh_roots, float_copy, inverse_sum_negative, inverse_sum_signs, stands
+from .certify import cosh_roots, inverse_sum_negative, inverse_sum_signs, stands
 from .exact import AbelianGroupStructure
 from .homology import all_homology
 from .simplicial import SimplicialComplex, SimplicialPair
@@ -131,57 +142,29 @@ def _dyadic(rows: list[list[float]]) -> tuple[list[list[int]], int]:
     return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios], shift - 1
 
 
-# Float cells the pair filter forms at once: a block of rows against every ball.
+def _dot(u: list[int], v: list[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _grams(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u_i . v_j, |u_i| . |v_j|) for each i of the last axis of u and j of
+    the last axis of v, one coordinate per row of the first axis: summed in
+    coordinate order, so each term carries at most L roundings, L rows."""
+    # a numpy operation per coordinate: einsum's loop over a few coordinates
+    # is slower, and a BLAS matmul raises the peak RSS
+    products = (x[..., :, None] * y[..., None, :] for x, y in zip(u, v))
+    gram = next(products)
+    magnitude = np.abs(gram)
+    for p in products:
+        gram += p
+        magnitude += np.abs(p, out=p)
+    return gram, magnitude
+
+
+# Float cells the pair filter forms at once: a block of rows against every
+# ball; and the candidates whose entries the tuple filter forms at once.
 _BLOCK = 1 << 16
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
-def _apart(points: np.ndarray, sizes: np.ndarray, hyperbolic: bool, rows: slice) -> np.ndarray:
-    """(rows, n) mask of the pairs of balls the float filter certifies do not
-    meet, as pair_meets() decides it exactly: certify.stands() keeps each
-    sign with L + 3 roundings, L coordinates per centre, against per, the
-    same sum over absolute values.  Every other pair goes to pair_meets().
-
-    In E^d sizes holds the radii, and the balls are disjoint iff q = |c_i|^2
-    + |c_j|^2 - 2 c_i.c_j - (r_i + r_j)^2 > 0.  Every term of q carries at
-    most L + 3 roundings (a dot product of L terms, then three additions;
-    the sum and square of the radii, then one), and subnormal products add
-    at most (4L + 1) 2^-1075 to it.
-    In H^d sizes holds the upper h, each the correctly rounded quotient of its
-    enclosure, and the filter certifies that the 2x2 A, A_ij = h_i h_j +
-    <c_i, c_j>, is not copositive at the upper h: A_ij < 0 and q = A_ij^2 -
-    A_ii A_jj > 0.  Then it is not copositive at the lower h either, A growing
-    with h, so pair_meets() says no and never raises.  Each entry of A carries
-    at most L + 1 roundings (the Lorentz dot product, then one addition; the
-    conversion of h, the product and the addition on the other side), so
-    |fl(A_ij) - A_ij| <= gamma_(L+1) m_ij, m_ij = h_i h_j + |c_i|.|c_j|, and
-    with two products and a subtraction more |fl(q) - q| <= (2 gamma_(L+2)
-    + O(2^-104)) per, per = m_ij^2 + m_ii m_jj.  The centres lie on the
-    hyperboloid, so every h_i and m is about 1 or more: per, which bounds
-    each factor an error of A is multiplied by in q, is never tiny.
-    """
-    def gram(u, v):
-        # einsum's own loop: a BLAS matmul would raise the peak RSS for no gain here
-        return np.einsum("ik,jk->ij", u, v)
-
-    def positive(margin, per):
-        return stands(margin, per, points.shape[1] + 3) & (margin > 0)
-
-    block = points[rows]
-    magnitude = gram(np.abs(block), np.abs(points))
-    squares = (points * points).sum(axis=1)
-    if not hyperbolic:
-        reach = np.square(sizes[rows, None] + sizes)
-        near = squares[rows, None] + squares
-        return positive(near - 2 * gram(block, points) - reach, near + 2 * magnitude + reach)
-    signs = np.ones(points.shape[1])
-    signs[0] = -1.0
-    products = sizes[rows, None] * sizes
-    a, m = products + gram(block * signs, points), products + magnitude
-    a_diagonal = sizes * sizes + (points * signs * points).sum(axis=1)
-    m_diagonal = sizes * sizes + squares
-    return positive(-a, m) & positive(a * a - a_diagonal[rows, None] * a_diagonal,
-                                      m * m + m_diagonal[rows, None] * m_diagonal)
+_CHUNK = 2048
 
 
 def _quotient(num: int, den: int) -> float:
@@ -222,129 +205,225 @@ def _certify(copositive, lower, upper, indices: tuple[int, ...]) -> bool:
 
 
 class _CoverMatrix:
-    """A of a family of balls at one scale, built once from the floats.
+    """A of a family of balls at one scale.  The float filters form entries
+    of A from the float centres, and the radii (E^d) or h (H^d); exact
+    entries are built only for the decisions the filters leave.
 
-    Every entry is the true A times one positive factor, which copositivity
-    ignores.  In H^d, the rows lower and upper hold A at the lower and upper
-    enclosure of h, made at bits plus 2 per halving of the least radius; in
-    E^d there is one exact A, upper is None and bits is unused.  The rows
-    keep the diagonal and the entries of the pairs pair_meets() accepts.
+    In H^d, A is taken at the lower and the upper enclosure of h, made at
+    bits plus 2 per halving of the least radius; in E^d there is one A, and
+    bits is unused.  An exact entry is the true A times one positive factor,
+    which copositivity ignores.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
     def __init__(self, space, balls: Sequence[tuple[np.ndarray, float]], bits: int):
         self.balls = balls
+        n = len(balls)
+        # one row per coordinate; <u, v> = dual(u) . v, with dual = c in E^d
+        self._coordinates = np.array([c for c, _ in balls], dtype=float).reshape(
+            n, space.dimension + (space.kind == "H")).T.copy()
+        self._duals = self._coordinates
+        self._squares = (self._coordinates * self._coordinates).sum(axis=0)
         if space.kind == "E":
-            rows, _ = _dyadic([[*c, r] for c, r in balls])
-            self._points = self._duals = [row[:-1] for row in rows]
-            # A_ij = o_i + o_j + 2 c_i.c_j with o_i = r_i^2 - |c_i|^2
-            self._offsets = [row[-1] ** 2 - sum(x * x for x in row[:-1]) for row in rows]
-            self._lower_h = None
-        else:
-            self._points, exponent = _dyadic([list(c) for c, _ in balls])
-            self._duals = [[-p[0], *p[1:]] for p in self._points]  # <u, v> = dual(u) . v
-            # A's entries are O(r^2) differences of O(1) terms: 2 more bits per
-            # halving of r, so the least radius of the family sets the precision
-            least = min((r for _, r in balls), default=1.0)
-            bits += 2 * max(0, -math.frexp(least)[1])
-            h = cosh_roots([(r, -self._gram(i, i)) for i, (_, r) in enumerate(balls)], bits)
-            den = math.lcm(*(x.denominator for x in h))
-            # h (1 -+ 2**-bits) brackets the exact h, and A grows with h
-            self._scale = den * den << 2 * bits
-            self._lower_h, self._upper_h = (
-                [x.numerator * (den // x.denominator) * ((1 << bits) + sign) for x in h]
-                for sign in (-1, 1))
-            # the upper h over this is h for the float centres: A up to a factor
-            self._h_unit = (den << bits) << exponent
-        diagonal = [self.entries(i, i) for i in range(len(balls))]
-        self.lower = [{i: lo} for i, (lo, _) in enumerate(diagonal)]
-        self.upper = None if self._lower_h is None else [
-            {i: hi} for i, (_, hi) in enumerate(diagonal)]
-        self._floats: list[np.ndarray] = []
+            self._radii = np.array([r for _, r in balls], dtype=float)
+            # A_ij = o_i + o_j + 2 c_i.c_j, o_i = r_i^2 - |c_i|^2, and its
+            # magnitude, with r_i^2 + |c_i|^2 in place of o_i
+            squares = self._radii * self._radii
+            self._offsets = squares - self._squares, squares + self._squares
+            self._h = None
+            self._roundings = len(self._coordinates) + 3
+            return
+        self._duals = np.concatenate([-self._coordinates[:1], self._coordinates[1:]])
+        self._points, exponent = _dyadic([list(c) for c, _ in balls])
+        # A's entries are O(r^2) differences of O(1) terms: 2 more bits per
+        # halving of r, so the least radius of the family sets the precision
+        least = min((r for _, r in balls), default=1.0)
+        self._bits = bits + 2 * max(0, -math.frexp(least)[1])
+        self._h = cosh_roots([(r, p[0] * p[0] - _dot(p[1:], p[1:]))
+                              for p, (_, r) in zip(self._points, balls)], self._bits)
+        # h (1 -+ 2**-bits) brackets the exact h, and A grows with h; over
+        # 2**exponent, the scale of the integer centres, h is in float units
+        self._float_h = [np.array([_quotient(x.numerator * ((1 << self._bits) + sign),
+                                             x.denominator << self._bits + exponent)
+                                   for x in self._h]) for sign in (-1, 1)]
+        self._roundings = len(self._coordinates) + 1
 
-    def _gram(self, i: int, j: int) -> int:
-        return sum(x * y for x, y in zip(self._duals[i], self._points[j]))
+    @cached_property
+    def _exact(self) -> tuple:
+        """The integer state, built at the first decision a filter leaves.
+        In E^d, one dyadic scaling of every centre and radius gives the
+        centres and the offsets o_i.  In H^d, the Lorentz duals of the
+        integer centres (<u, v> = dual(u) . v), the factor their Gram matrix
+        takes, and h at the lower and the upper end, all over one common
+        denominator."""
+        if self._h is None:
+            rows, _ = _dyadic([[*c, r] for c, r in self.balls])
+            points = [row[:-1] for row in rows]
+            return points, [row[-1] ** 2 - _dot(p, p) for row, p in zip(rows, points)]
+        den = math.lcm(*(x.denominator for x in self._h))
+        lower, upper = ([x.numerator * (den // x.denominator) * ((1 << self._bits) + sign)
+                         for x in self._h] for sign in (-1, 1))
+        duals = [[-p[0], *p[1:]] for p in self._points]
+        return duals, den * den << 2 * self._bits, lower, upper
 
     def entries(self, i: int, j: int) -> tuple[int, int | None]:
-        """A_ij at the lower and the upper h (None in E^d)."""
-        if self._lower_h is None:
-            return self._offsets[i] + self._offsets[j] + 2 * self._gram(i, j), None
-        g = self._scale * self._gram(i, j)
-        return self._lower_h[i] * self._lower_h[j] + g, self._upper_h[i] * self._upper_h[j] + g
+        """A_ij exactly, at the lower and the upper h (None in E^d)."""
+        if self._h is None:
+            points, offsets = self._exact
+            return offsets[i] + offsets[j] + 2 * _dot(points[i], points[j]), None
+        duals, scale, lower, upper = self._exact
+        g = scale * _dot(duals[i], self._points[j])
+        return lower[i] * lower[j] + g, upper[i] * upper[j] + g
 
     def full(self) -> tuple[list[list[int]], list[list[int]] | None]:
         """Both whole matrices."""
         n = len(self.balls)
         cells = [[self.entries(i, j) for j in range(n)] for i in range(n)]
         lower = [[lo for lo, _ in row] for row in cells]
-        return lower, None if self.upper is None else [[hi for _, hi in row] for row in cells]
+        return lower, None if self._h is None else [[hi for _, hi in row] for row in cells]
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """The pairs i < j, in lexicographic order, that the float filter
-        (_apart) does not certify disjoint: only these need pair_meets()."""
+    @np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
+    def _floats(self, rows: np.ndarray, columns: np.ndarray) -> list:
+        """[(a, m)]: float A_ij for each i of rows and j of columns, index
+        arrays of shapes (..., k) and (..., k'), and its magnitude, the same
+        sums over absolute values, each of shape (..., k, k'); in H^d one
+        pair at the lower h and one at the upper.
+
+        Each term of a_ij carries at most n_e = self._roundings roundings
+        along any path, L coordinates per centre.  In E^d, a_ij = o_i + o_j
+        + 2 c_i.c_j: o_i takes one for r_i^2, L for |c_i|^2 and one for the
+        subtraction, then two additions make L + 3.  In H^d, a_ij = h_i h_j
+        + <c_i, c_j>: the Lorentz product takes L and the addition one, and
+        the conversion of h, the product and the addition three, so L + 1.
+        Underflow leaves at most 3L + 2 products of 2^-1075 in an entry,
+        below the 2^-1060 that inverse_sum_signs() allows for L < 10^4.
+        """
+        gram, magnitude = _grams(self._duals[:, rows], self._coordinates[:, columns])
+        if self._h is None:
+            (a_u, a_v), (m_u, m_v) = ((x[rows], x[columns]) for x in self._offsets)
+            return [(a_u[..., None] + a_v[..., None, :] + 2 * gram,
+                     m_u[..., None] + m_v[..., None, :] + 2 * magnitude)]
+        products = (h[rows][..., None] * h[columns][..., None, :] for h in self._float_h)
+        return [(p + gram, p + magnitude) for p in products]
+
+    @np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
+    def _pair_verdicts(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(apart, meets): (rows, n) masks of the pairs of balls the float
+        filter certifies to miss and to meet, as pair_meets() decides it
+        exactly; certify.stands() keeps each sign.  Every other pair goes to
+        pair_meets().
+
+        In E^d the balls are disjoint iff q = |c_i|^2
+        + |c_j|^2 - 2 c_i.c_j - (r_i + r_j)^2 > 0, and meet iff q <= 0, which
+        is the closed 2x2 form, A_ii = 2 r_i^2 being positive.  Every term of
+        q carries at most L + 3 roundings (a dot product of L terms, then
+        three additions; the sum and square of the radii, then one), and
+        subnormal products add at most (4L + 1) 2^-1075 to it.
+        In H^d they miss when the 2x2 A is not copositive at the upper h: A_ij
+        < 0 and A_ij^2 - A_ii A_jj > 0.  Then it is not copositive at the
+        lower h either, A growing with h, so pair_meets() says no and never
+        raises.  They meet when the 2x2 A is copositive at the lower h: A_ii
+        > 0, A_jj > 0, and A_ij > 0 or q = A_ii A_jj - A_ij^2 > 0; then
+        pair_meets() says yes at once.  Each entry carries at most n_e = L + 1
+        roundings (see _floats), so |fl(A_ij) - A_ij| <= gamma_(L+1) m_ij, and q
+        two products and a subtraction more: 2 n_e + 2, against per = m_ii m_jj
+        + m_ij^2.  The q of a disjoint pair carries as many, 2L + 4, and is
+        kept with L + 3: a margin of (2L + 6) 2^-53, which still exceeds
+        gamma_(2L+4) and the rounding of per.  The centres lie on the
+        hyperboloid, so every magnitude is 1 or more: per is never tiny, and
+        underflow, at most L + 1 products of 2^-1075 an entry, stays far
+        below the margin.
+        """
+        def positive(value, per, roundings):
+            return stands(value, per, roundings) & (value > 0)
+
+        width, n = self._coordinates.shape
+        if self._h is None:
+            gram, magnitude = _grams(self._coordinates[:, rows], self._coordinates)
+            sizes = self._radii
+            reach = np.square(sizes[rows, None] + sizes)
+            near = self._squares[rows, None] + self._squares
+            q, per = near - 2 * gram - reach, near + 2 * magnitude + reach
+            return positive(q, per, width + 3), positive(-q, per, width + 3)
+        index = np.arange(n)
+        lorentz = (self._duals * self._coordinates).sum(axis=0)
+
+        def closed(a, m, h):
+            """A_ii with its magnitude, and q with per, on the block."""
+            a_ii, m_ii = h * h + lorentz, h * h + self._squares
+            return a_ii, m_ii, a_ii[rows, None] * a_ii - a * a, m_ii[rows, None] * m_ii + m * m
+
+        (a_lower, m_lower), (a_upper, m_upper) = self._floats(index[rows], index)
+        _, _, q, per = closed(a_upper, m_upper, self._float_h[1])
+        apart = positive(-a_upper, m_upper, width + 3) & positive(-q, per, width + 3)
+        a_ii, m_ii, q, per = closed(a_lower, m_lower, self._float_h[0])
+        diagonal = positive(a_ii, m_ii, self._roundings)
+        return apart, diagonal[rows, None] & diagonal & (
+            positive(a_lower, m_lower, self._roundings)
+            | positive(q, per, 2 * self._roundings + 2))
+
+    def pairs(self) -> list[tuple[int, int, bool | None]]:
+        """The pairs i < j, in lexicographic order, that the float filter does
+        not certify disjoint, each with its verdict: True where the filter
+        certifies that they meet, None where it abstains and pair_meets()
+        decides."""
         n = len(self.balls)
-        if n < 2:
-            return []
-        points = np.array([c for c, _ in self.balls])
-        if self._lower_h is None:
-            sizes = np.array([r for _, r in self.balls])
-        else:
-            sizes = np.array([_quotient(h, self._h_unit) for h in self._upper_h])
-        found: list[tuple[int, int]] = []
+        found: list[tuple[int, int, bool | None]] = []
         step = max(1, _BLOCK // max(1, n))
         for start in range(0, n, step):
-            i, j = np.nonzero(~_apart(points, sizes, self._lower_h is not None,
-                                      slice(start, start + step)))
-            i += start
-            found += zip(i[i < j].tolist(), j[i < j].tolist())
+            apart, meets = self._pair_verdicts(slice(start, start + step))
+            i, j = np.nonzero(~apart)
+            i, j = i[i + start < j], j[i + start < j]
+            verdicts = [v or None for v in meets[i, j].tolist()]
+            found += zip((i + start).tolist(), j.tolist(), verdicts)
         return found
 
     def pair_meets(self, i: int, j: int) -> bool:
-        """Whether balls i and j meet, from the closed 2x2 form; their entries
-        are kept when they do."""
-        lo, hi = self.entries(i, j)
-        meets = _certify(lambda a: _copositive_pair(*a), (self.lower[i][i], self.lower[j][j], lo),
-                         None if hi is None else (self.upper[i][i], self.upper[j][j], hi), (i, j))
-        if meets:
-            self.lower[i][j] = self.lower[j][i] = lo
-            if hi is not None:
-                self.upper[i][j] = self.upper[j][i] = hi
-        return meets
+        """Whether balls i and j meet, from the closed 2x2 form of their exact
+        entries."""
+        (lo_i, hi_i), (lo_j, hi_j), (lo, hi) = (self.entries(*p) for p in ((i, i), (j, j), (i, j)))
+        return _certify(lambda a: _copositive_pair(*a), (lo_i, lo_j, lo),
+                        None if hi is None else (hi_i, hi_j, hi), (i, j))
 
     def certify(self, tuples: Sequence[tuple[int, ...]]) -> list[bool | None]:
         """The float filter's verdict on each tuple of one nerve level, in
         order: tuples of one size, each with every facet meeting, gathered
         after every pair is decided.  A certified a_SS^-1 1 not < 0 at the
         lower A means the tuple meets (True); < 0 at the lower A, and at the
-        upper A or in E^d, means it does not (False); None where it abstains."""
+        upper A or in E^d, means it does not (False); None where it abstains.
+        The float entries are formed a chunk of tuples at a time."""
         if not tuples:
             return []
-        if not self._floats:
-            self._floats = [float_copy(rows) for rows in (self.lower, self.upper)
-                            if rows is not None]
+        verdicts: list[bool | None] = []
         level = np.array(tuples)
-        known, negative = inverse_sum_signs(self._floats[0], level)
-        fails = np.flatnonzero(known & negative)
-        if self.upper is not None and fails.size:
-            at_upper = inverse_sum_signs(self._floats[1], level[fails])
-            known[fails] = at_upper[0] & at_upper[1]
-        return [not below if certified else None
-                for certified, below in zip(known.tolist(), negative.tolist())]
+        for chunk in np.split(level, range(_CHUNK, len(level), _CHUNK)):
+            lower, *upper = self._floats(chunk, chunk)
+            known, negative = inverse_sum_signs(*lower, self._roundings)
+            fails = np.flatnonzero(known & negative)
+            if upper and fails.size:
+                at_upper = inverse_sum_signs(*(x[fails] for x in upper[0]), self._roundings)
+                known[fails] = at_upper[0] & at_upper[1]
+            verdicts += [not below if certified else None
+                         for certified, below in zip(known.tolist(), negative.tolist())]
+        return verdicts
 
     def tuple_meets(self, s: tuple[int, ...]) -> bool:
         """Whether the balls s meet, given that every facet of s meets at the
         lower A: then, A growing with h, also at the upper A, so one solve on
-        the full support decides each."""
-        def principal(rows):
-            return [[rows[i][j] for j in s] for i in s]
+        the full support decides each.  Only the entries among s are built."""
+        cells = {(i, j): self.entries(i, j) for i, j in combinations_with_replacement(s, 2)}
 
-        return _certify(lambda a: not inverse_sum_negative(a), principal(self.lower),
-                        None if self.upper is None else principal(self.upper), s)
+        def principal(end):
+            return [[cells[min(i, j), max(i, j)][end] for j in s] for i in s]
+
+        return _certify(lambda a: not inverse_sum_negative(a), principal(0),
+                        None if self._h is None else principal(1), s)
 
 
 class _CoverTuple(Sequence):
     """The balls of a cover at a tuple of its indices, carrying the cover's
-    matrix, whose rows hold every entry among them, and the float filter's
-    verdict on them (None where it abstained)."""
+    matrix, which builds their exact entries when asked, and the float
+    filter's verdict on them (None where it abstained)."""
 
     __slots__ = ("matrix", "indices", "verdict")
 
@@ -415,7 +494,8 @@ def nerve(cover: BallCover, max_dim: int | None = None) -> SimplicialComplex:
 def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     n = len(cover)
     matrix = _CoverMatrix(cover.space, cover.elements, bits)
-    frontier = [(i, j) for i, j in matrix.pairs() if matrix.pair_meets(i, j)]
+    frontier = [(i, j) for i, j, verdict in matrix.pairs()
+                if verdict or verdict is None and matrix.pair_meets(i, j)]
     # each level in lexicographic order, as pairs() and _extensions() give it
     levels = [[(i,) for i in range(n)], frontier]
     for size in range(3, max_dim + 2):

@@ -233,9 +233,9 @@ def filter_abstains(patch):
     """Send every nerve pair to the exact 2x2 form and every larger tuple to
     the exact solve: both float filters abstain."""
     patch.setattr(nerve_module, "inverse_sum_signs",
-                  lambda a, tuples: (np.zeros(len(tuples), dtype=bool),) * 2)
+                  lambda entries, magnitudes, roundings: (np.zeros(len(entries), dtype=bool),) * 2)
     patch.setattr(nerve_module._CoverMatrix, "pairs",
-                  lambda self: list(combinations(range(len(self.balls)), 2)))
+                  lambda self: [(i, j, None) for i, j in combinations(range(len(self.balls)), 2)])
 
 
 def count_pair_decisions(patch):
@@ -656,9 +656,11 @@ def test_closed_pair_form_agrees_with_the_solve():
 
 
 def filter_verdict(a):
-    """(certified, a^-1 1 < 0) from the float filter on the whole of a."""
-    floats = certify.float_copy([dict(enumerate(row)) for row in a])
-    certified, negative = certify.inverse_sum_signs(floats, np.array([range(len(a))]))
+    """(certified, a^-1 1 < 0) from the float filter on the whole of a, each
+    entry a correctly rounded int / 2^top, top the bit length of the largest."""
+    scale = 1 << max(abs(x) for row in a for x in row).bit_length()
+    floats = np.array([[x / scale for x in row] for row in a])
+    certified, negative = certify.inverse_sum_signs(floats[None], np.abs(floats)[None], 1)
     return bool(certified[0]), bool(negative[0])
 
 
@@ -777,25 +779,6 @@ def test_float_filter_decides_a_generic_cover_alone(monkeypatch):
     assert calls and max(calls) == 5
 
 
-def float_copy_by_entry(rows):
-    """float_copy one entry at a time: the reference for its single pass."""
-    top = max((abs(v).bit_length() for row in rows for v in row.values()), default=0)
-    out = np.zeros((len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            out[i, j] = v / (1 << top)
-    return out
-
-
-@pytest.mark.parametrize("bits", [3, 60, 1100])
-def test_float_copy_matches_the_entrywise_copy(bits):
-    rng = random.Random(bits)
-    rows = [{j: rng.randint(-2 ** bits, 2 ** bits) for j in rng.sample(range(6), 3)}
-            for _ in range(6)]
-    rows[2][4] = -2 ** bits  # the largest magnitude, negative
-    np.testing.assert_array_equal(certify.float_copy(rows), float_copy_by_entry(rows))
-
-
 def unit(draw, d):
     v = draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d)
              .filter(lambda v: sum(x * x for x in v) > 1e-6))
@@ -807,6 +790,67 @@ def nudged(x, ulps):
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.inf if ulps > 0 else 0)
     return x
+
+
+# the vertices of a regular triangle and tetrahedron around the origin
+SIMPLEX_DIRECTIONS = {3: [(1.0, 0.0, 0.0), (-0.5, 0.75 ** 0.5, 0.0), (-0.5, -0.75 ** 0.5, 0.0)],
+                      4: [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]}
+
+
+@st.composite
+def tuple_covers(draw):
+    """3 to d + 1 balls in E^d or H^d, d = 2 or 3, about a common point in
+    the directions of a regular simplex, a little moved, each at distance
+    spread from it with a radius from 0.8 to 1.2 times spread: often every
+    facet meets and the tuple does or does not.  Or, in E^d, centres and
+    radii on a 1/8 grid, where ties are exact."""
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(3, d + 1))
+    kind = draw(st.sampled_from(["grid", "E", "H"]))
+    if kind == "grid":
+        eighths = st.integers(-8, 8).map(lambda n: n / 8)
+        return BallCover.of(EuclideanSpace(d), [
+            ([draw(eighths) for _ in range(d)], draw(st.integers(3, 12)) / 8) for _ in range(k)])
+    spread = draw(st.floats(0.25, 2))
+    directions = []
+    for vertex in SIMPLEX_DIRECTIONS[k]:
+        v = [x + draw(st.floats(-0.2, 0.2)) for x in vertex[:d]]
+        norm = math.sqrt(sum(x * x for x in v))
+        directions.append([x / norm for x in v])
+    radii = [spread * draw(st.floats(0.8, 1.2)) for _ in range(k)]
+    if kind == "E":
+        shift = [draw(st.floats(-2, 2)) for _ in range(d)]
+        return BallCover.of(EuclideanSpace(d), [
+            ([a + spread * x for a, x in zip(shift, u)], r) for u, r in zip(directions, radii)])
+    return BallCover.of(HyperbolicSpace(d), [
+        ([math.cosh(spread), *(math.sinh(spread) * x for x in u)], r)
+        for u, r in zip(directions, radii)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cover=tuple_covers(), bits=st.sampled_from([8, nerve_module.ENCLOSURE_BITS]))
+@example(cover=circumradius_13_6_cover(-1), bits=nerve_module.ENCLOSURE_BITS)
+@example(cover=circumradius_13_6_cover(0), bits=nerve_module.ENCLOSURE_BITS)
+@example(cover=circumradius_13_6_cover(1), bits=nerve_module.ENCLOSURE_BITS)
+@example(cover=_hyperbolic_triple(0.5 * (1 + 1e-12)), bits=nerve_module.ENCLOSURE_BITS)
+@example(cover=_hyperbolic_triple(0.5 * (1 - 1e-12)), bits=nerve_module.ENCLOSURE_BITS)
+@example(cover=_hyperbolic_triple(1e-20 * (1 + 1e-6), spread=1e-20),
+         bits=nerve_module.ENCLOSURE_BITS)
+def test_tuple_filter_agrees_with_the_plain_list(cover, bits):
+    # once every facet meets at the cover's lower A, a verdict the filter
+    # certifies from its float-formed entries is the reference's answer; at
+    # 8 bits (cf. start_at_eight_bits) the lower and upper A lie far apart
+    matrix = nerve_module._CoverMatrix(cover.space, cover.elements, bits)
+    t = tuple(range(len(cover)))
+    try:
+        if not all(matrix.pair_meets(*s) if size == 2 else matrix.tuple_meets(s)
+                   for size in range(2, len(t)) for s in combinations(t, size)):
+            return
+    except IndeterminateIntersectionError:
+        return
+    verdict, = matrix.certify([t])
+    if verdict is not None:
+        assert verdict == common_point_exists(cover.space, list(cover.elements), t)
 
 
 @st.composite
@@ -851,6 +895,10 @@ def hyperbolic_pairs(draw):
 SUBNORMAL_TANGENCY = (EuclideanSpace(2), [
     ([0.0, 0.0], math.ldexp(math.sqrt(1.04) / 2, -537)),
     ([math.ldexp(math.sqrt(0.51), -537)] * 2, math.ldexp(math.sqrt(1.04) / 2, -537))])
+# cosh 800 overflows a float, so the float h of ball 0 is infinite
+RADIUS_800 = (HyperbolicSpace(2), [([1.0, 0.0, 0.0], 800.0),
+                                   ([math.cosh(3.0), math.sinh(3.0), 0.0], 0.5),
+                                   ([1.0, 0.0, 0.0], 0.5)])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -862,26 +910,81 @@ def test_pair_filter_certifies_only_pairs_the_exact_form_rejects(case, bits):
     # far above the exact one: a pair certified there must still be rejected
     space, balls = case
     matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, bits)
-    kept = matrix.pairs()
+    kept = [(i, j) for i, j, _ in matrix.pairs()]
     assert kept == sorted(set(kept))
     for i, j in set(combinations(range(len(balls)), 2)) - set(kept):
         assert not matrix.pair_meets(i, j)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.one_of(euclidean_pairs(), hyperbolic_pairs()),
+       bits=st.sampled_from([8, nerve_module.ENCLOSURE_BITS]))
+@example(case=SUBNORMAL_TANGENCY, bits=8)
+@example(case=RADIUS_800, bits=nerve_module.ENCLOSURE_BITS)
+def test_pair_filter_certifies_meeting_only_pairs_the_exact_form_accepts(case, bits):
+    # a pair certified to meet at the lower h is copositive there: the exact
+    # form accepts it, and never raises
+    space, balls = case
+    matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, bits)
+    for i, j, verdict in matrix.pairs():
+        assert verdict in (True, None)
+        if verdict:
+            assert matrix.pair_meets(i, j)
 
 
 def test_pair_filter_needs_a_normal_per():
     space, balls = SUBNORMAL_TANGENCY
     matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, 96)
     assert matrix.pair_meets(0, 1)
-    assert matrix.pairs() == [(0, 1)]
+    assert matrix.pairs() == [(0, 1, None)]
+
+
+def count_exact_entries(patch):
+    """The exact entries A_ij built from now on."""
+    seen = []
+    entries = nerve_module._CoverMatrix.entries
+
+    def counting(self, i, j):
+        seen.append((i, j))
+        return entries(self, i, j)
+
+    patch.setattr(nerve_module._CoverMatrix, "entries", counting)
+    return seen
 
 
 @pytest.mark.parametrize("kind", ["E", "H"])
-def test_pairs_decided_exactly_are_the_edges(monkeypatch, kind):
-    # the float filter certifies every pair that does not meet
-    cover = seeded_cover(kind, 4, "mixed", count=40)
+def test_generic_covers_build_no_exact_entry(monkeypatch, kind):
+    # the float filters decide every pair and every tuple, so no big integer
+    # is formed: neither an entry nor, in E^d, the dyadic scaling
+    _, centres, radius = next(member for member in bench_workloads().cover_family()
+                              if member[0] == kind)
+    space = EuclideanSpace(3) if kind == "E" else HyperbolicSpace(3)
+    family = BallCover.of(space, [(c, radius) for c in centres])
+    seeded = seeded_cover(kind, 4, "mixed", count=40)
+    built = count_exact_entries(monkeypatch)
+    assert nerve(family, max_dim=2).f_vector()[2] > 0
+    assert nerve(seeded, max_dim=3).f_vector()[3] > 0
+    assert not built
+
+
+def test_only_the_pairs_the_filter_abstains_on_go_exact(monkeypatch):
+    # at 8 bits the enclosure cannot place the near-tangent pair (1, 2): it
+    # abstains there, the exact form straddles, and the cover is rerun
+    abstained = []
+    pairs = nerve_module._CoverMatrix.pairs
+
+    def recording(self):
+        found = pairs(self)
+        abstained.extend((i, j) for i, j, verdict in found if verdict is None)
+        return found
+
+    monkeypatch.setattr(nerve_module._CoverMatrix, "pairs", recording)
+    start_at_eight_bits(monkeypatch)
     decided = count_pair_decisions(monkeypatch)
-    edges = nerve(cover, max_dim=1).f_vector()[1]
-    assert len(decided) == edges < 40 * 39 // 2
+    built = count_exact_entries(monkeypatch)
+    assert nerve(straddling_pair_cover()).f_vector() == (3,)
+    assert decided == abstained and (1, 2) in decided
+    assert {tuple(sorted(p)) for p in built if p[0] != p[1]} == {(1, 2)}
 
 
 def test_helly_decides_candidates_of_more_than_d_plus_one_balls(monkeypatch):
@@ -1001,9 +1104,7 @@ def test_pair_filter_in_blocks_of_rows(monkeypatch):
 def test_radius_past_the_float_range_of_cosh():
     # cosh 800 overflows a float: the pair filter abstains on its pairs, and
     # still certifies the other one
-    far = [math.cosh(3.0), math.sinh(3.0), 0.0]
-    cover = BallCover.of(HyperbolicSpace(2), [([1.0, 0.0, 0.0], 800.0), (far, 0.5),
-                                              ([1.0, 0.0, 0.0], 0.5)])
+    cover = BallCover.of(*RADIUS_800)
     matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
-    assert matrix.pairs() == [(0, 1), (0, 2)]
+    assert matrix.pairs() == [(0, 1, None), (0, 2, None)]
     assert nerve(cover).simplices == {(0,), (1,), (2,), (0, 1), (0, 2)}
