@@ -6,10 +6,11 @@ integer dtypes are used anywhere in this module.
 
 There are two elimination kernels.  ``smith_normal_form`` reduces sparse
 columns to the rank and the invariant factors; cokernels and, in
-``homology``, boundary ranks and torsion come from it alone.  ``_echelon``
-is a fraction-free (Bareiss) row echelon form behind the rational and
-mod-p ranks, the determinant, the greedy column basis and the scaled
-solve.  The two share no code, so each is an oracle for the other.
+``homology``, boundary ranks and torsion come from it alone: a column
+reduction takes the ±1 pivots, and division with remainder the rest.
+``_echelon`` is a fraction-free (Bareiss) row echelon form behind the
+rational and mod-p ranks, the determinant, the greedy column basis and the
+scaled solve.  The two share no code, so each is an oracle for the other.
 """
 
 from __future__ import annotations
@@ -247,10 +248,11 @@ class SNFResult:
     """Rank and the invariant factors above 1, a chain d_1 | d_2 | ... ;
     the other nonzero entries of the Smith form are 1.
 
-    ``unit_rows`` are the rows of the unit pivots taken before the first
-    remainder step; they are a by-product of the elimination that found the
-    form, not part of it, so equality ignores them.  ``homology`` clears
-    the columns of d_k at the unit rows of d_{k+1}.
+    ``unit_rows`` are the rows of the column-pass pivots, on which the
+    reduced pivot columns form a unit triangular matrix; they are a
+    by-product of the elimination that found the form, not part of it, so
+    equality ignores them.  ``homology`` clears the columns of d_k at the
+    unit rows of d_{k+1}.
     """
 
     rank: int
@@ -314,24 +316,28 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     returns it without eliminating again; this is why the matrix and the
     dicts of its ``columns`` must not be changed.  Empty columns are
     skipped, so a cleared d_k costs nothing at the columns
-    ``boundary_matrix`` left empty, and a matrix with no nonzero entry
-    returns before any row index is built.  A row index outside
-    0..rows-1 raises ValueError.
+    ``boundary_matrix`` left empty.  A row index outside 0..rows-1 raises
+    ValueError before any elimination.
 
-    A pivot p at (r, c) is eliminated by column operations that clear row
-    r; once the rest of column c is a multiple of p, row r and column c are
-    dropped and |p| is split off the diagonal.  Unit pivots go first, in
-    Markowitz order: the column with the fewest entries holding a unit,
-    then its unit in the row with the fewest entries (found in one pass
-    over the column, the least row on a tie).  Then the pivot is an entry
-    of least magnitude; its row and column are reduced by division with
-    remainder, and the least remainder left takes over.  Each column's
-    entry in row r gives its quotient and remainder in one ``divmod``; the
-    rest of the pivot column is applied without row r.  Among equal
-    remainders the first met takes over.  The whole row is reduced before
-    a remainder takes over, which keeps the entries small; taking over at
-    the first remainder runs for minutes on some dense 20 x 20 matrices
-    with entries up to 1000.
+    The column pass is the left-to-right reduction of persistent homology,
+    run over Z (Edelsbrunner-Harer, *Computational Topology*, ch. VII;
+    Bauer, "Ripser", 2021).  While low(c), the largest row of column c, is
+    a pivot row, column c takes the multiple of the ±1 pivot's column that
+    zeroes it there.  A column left with a ±1 low becomes that row's pivot,
+    one left with another low goes to the residual, which is then reduced
+    to zero on every pivot row.  These are unimodular column operations and
+    the pivot columns are unit triangular on their rows, so the matrix is
+    equivalent to I ⊕ R, R the residual on the other rows.
+
+    R goes through the remainder phase: the pivot is an entry of least
+    magnitude; its row and column are reduced by division with remainder,
+    and the least remainder left takes over.  Each column's entry in row r
+    gives its quotient and remainder in one ``divmod``; the rest of the
+    pivot column is applied without row r.  Among equal remainders the
+    first met takes over.  The whole row is reduced before a remainder
+    takes over, which keeps the entries small; taking over at the first
+    remainder runs for minutes on some dense 20 x 20 matrices with entries
+    up to 1000.
     """
     snf = mat.__dict__.get("_snf")
     if snf is None:
@@ -340,31 +346,69 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     return snf
 
 
+def _clear_pivot_row(col: dict[int, int], pivot_col: dict[int, int], r: int) -> None:
+    """Subtract from col the multiple of pivot_col, which is ±1 at row r,
+    that zeroes col at row r."""
+    q = col[r] * pivot_col[r]
+    for i, v in pivot_col.items():
+        w = col.get(i, 0) - q * v
+        if w:
+            col[i] = w
+        else:
+            del col[i]
+
+
 def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
-    cols = [col.copy() for col in mat.columns]
-    if not any(cols):
-        return SNFResult(0, ())
-    row_cols: list[set[int]] = [set() for _ in range(mat.rows)]
+    last = mat.rows - 1
+    columns = [col for col in mat.columns if col]
+    lows = list(map(max, columns))
+    if columns and (max(lows) > last or min(map(min, columns)) < 0):
+        j, i = next((j, i) for j, col in enumerate(mat.columns) for i in col if not 0 <= i <= last)
+        raise ValueError(f"row index {i} of column {j} is outside 0..{last}")
+    # column pass: pivot row -> its reduced column, which is ±1 there
+    pivots: dict[int, dict[int, int]] = {}
+    cols: list[dict[int, int]] = []  # the residual
+    for own, low in zip(columns, lows):
+        col = own
+        while low in pivots:
+            if col is own:
+                col = own.copy()
+            _clear_pivot_row(col, pivots[low], low)
+            if not col:
+                break
+            low = max(col)
+        if not col:
+            continue  # reduced to zero
+        if col[low] in (1, -1):
+            pivots[low] = col
+        else:
+            cols.append(own.copy() if col is own else col)
+    rank = len(pivots)
+    unit_rows = frozenset(pivots)
+    if not cols:
+        return SNFResult(rank, (), unit_rows)
+    # zero the residual on the pivot rows; a pivot column has no entry
+    # below its row, so each step lowers the largest pivot row left
+    for col in cols:
+        while hit := unit_rows.intersection(col):
+            r = max(hit)
+            _clear_pivot_row(col, pivots[r], r)
+
+    row_cols: dict[int, set[int]] = {}
     for j, col in enumerate(cols):
         for i in col:
-            if not 0 <= i < mat.rows:
-                raise ValueError(f"row index {i} of column {j} is outside 0..{mat.rows - 1}")
-            row_cols[i].add(j)
-    # unit pivots: (column size, column); every change to a column pushes
-    # it again, and an entry whose size is out of date is skipped
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    # other pivots: (least magnitude, column size, column), the order of a
-    # full scan.  A changed column is pushed on ``heap``, and the unit loop
-    # moves each live column it passes over into ``changed``; so at each
-    # non-unit pivot every live column has its current key in ``least``,
-    # and an entry whose key is out of date is skipped.
-    least: list[tuple[int, int, int]] = []
-    changed = {j for _, j in heap}
+            row_cols.setdefault(i, set()).add(j)
+    # remainder pivots: (least magnitude, column size, column), the order of
+    # a full scan.  The keys of the columns a row step changes are pushed
+    # before the next pivot is taken; an out-of-date entry is skipped.
+    changed: set[int] = set()
 
     def key(j: int) -> tuple[int, int, int]:
         col = cols[j]
         return min(map(abs, col.values())), len(col), j
+
+    least = [key(j) for j, col in enumerate(cols) if col]
+    heapq.heapify(least)
 
     def clear_row(r: int, c: int) -> int | None:
         """Reduce row r by column c; the column of least remainder, if any
@@ -373,9 +417,7 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
         p = pivot_col.pop(r)  # the rest of the pivot column, put back below
         best, least_rem = None, 0
         # a copy of the row's columns: its order decides ties between equal
-        # remainders, and a walk of row_cols[r] itself (with its removals
-        # deferred) meets them in another order on a few in 1000 small
-        # random matrices, which then take other unit pivots (unit_rows)
+        # remainders, so it must not change while the row is walked
         for j in row_cols[r] - {c}:
             col = cols[j]
             q, rem = divmod(col[r], p)
@@ -394,48 +436,14 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
                 else:
                     del col[r]
                     row_cols[r].discard(j)
-                if col:
-                    heapq.heappush(heap, (len(col), j))
+                changed.add(j)
             if rem and (best is None or abs(rem) < least_rem):
                 best, least_rem = j, abs(rem)
         pivot_col[r] = p
         return best
 
-    def drop(c: int) -> None:
-        for i in cols[c]:
-            row_cols[i].discard(c)
-        cols[c] = {}
-
-    rank = 0
     diagonal: list[int] = []
-    # rows of the unit pivots taken before the first remainder step: each is
-    # reached by column operations alone and clears its row in every live
-    # column, so the reduced pivot columns restricted to these rows form a
-    # unit triangular matrix.  A remainder step is a row operation, after
-    # which the columns are no longer images in the original row basis.
-    unit_rows: list[int] = []
-    rows_moved = False
     while True:
-        while heap:
-            size, c = heapq.heappop(heap)
-            pivot_col = cols[c]
-            if len(pivot_col) != size:
-                continue  # a stale entry: the column changed or was eliminated
-            # the unit in the row with the fewest entries, then the least row
-            r, r_size = -1, 0
-            for i, v in pivot_col.items():
-                if v == 1 or v == -1:
-                    n = len(row_cols[i])
-                    if r < 0 or n < r_size or (n == r_size and i < r):
-                        r, r_size = i, n
-            if r < 0:
-                changed.add(c)
-                continue
-            if not rows_moved:
-                unit_rows.append(r)
-            clear_row(r, c)
-            drop(c)
-            rank += 1
         for j in changed:
             if cols[j]:
                 heapq.heappush(least, key(j))
@@ -460,13 +468,14 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
             if not rems:
                 break
             cols[c].update(rems)
-            rows_moved = True
             r = min(rems, key=lambda i: (abs(rems[i]), i))
         if abs(cols[c][r]) > 1:
             diagonal.append(abs(cols[c][r]))
-        drop(c)
+        for i in cols[c]:
+            row_cols[i].discard(c)
+        cols[c] = {}
         rank += 1
-    return SNFResult(rank, _divisibility_chain(diagonal), frozenset(unit_rows))
+    return SNFResult(rank, _divisibility_chain(diagonal), unit_rows)
 
 
 def cokernel(mat: IntegerMatrix) -> AbelianGroupStructure:

@@ -18,15 +18,15 @@ d_{k+1} is eliminated before d_k, and the rows of its unit pivots retire
 the matching columns of d_k (clearing:
 Chen-Kerber, "Persistent homology computation with a twist", EuroCG 2011;
 Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).  This is sound over Z.
-Up to each unit-loop pivot the kernel has done column operations only, and
-every earlier pivot row is zero in every live column; so the reduced pivot
-columns are in im d_{k+1} and, restricted to their pivot rows, form a unit
-triangular matrix.  As d_k d_{k+1} = 0, each retired column of d_k is then
-an integer combination of the columns that are not retired, and dropping
-it changes neither the rank nor the invariant factors of d_k.  The
-argument holds for relative boundaries too.  A non-unit pivot is not
-recorded, nor is any pivot after the first remainder step: that step is a
-row operation, after which the columns are images in another basis.
+The kernel's column pass does column operations only, so the reduced
+pivot columns are in im d_{k+1} and, restricted to their pivot rows, form
+a unit triangular matrix (the residual is zero there: d_{k+1} ~ I ⊕ R).
+As d_k d_{k+1} = 0, each retired column of d_k is then an integer
+combination of the columns that are not retired, and dropping it changes
+neither the rank nor the invariant factors of d_k.  The argument holds for
+relative boundaries too.  No pivot of the remainder phase is recorded,
+not even a unit: a remainder step is a row operation, after which the
+columns are images in another basis.
 Clearing happens once, at assembly: ``homology`` passes those rows to
 ``boundary_matrix`` as ``retired``, which leaves the columns empty and
 never builds them; the Smith kernel has no notion of retired columns, it

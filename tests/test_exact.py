@@ -91,7 +91,7 @@ def test_snf_empty_shapes():
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
 def test_unit_reduce_empty_shapes(rows, cols):
-    """The kernel's ±1-pivot phase finds no unit in an empty shape, and every
+    """The kernel's column pass finds no pivot in an empty shape, and every
     rank oracle agrees that nothing is eliminated."""
     mat = IntegerMatrix.zeros(rows, cols)
     snf = smith_normal_form(mat)
@@ -303,6 +303,30 @@ def test_snf_is_kept_on_the_matrix_and_leaves_its_columns_unchanged():
     assert mat.columns == tuple(columns)
     assert smith_normal_form(mat) is snf
     assert snf == smith_normal_form(IntegerMatrix.from_rows(mat.entries, mat.cols))
+
+
+def test_column_pass_takes_a_unit_low_reached_by_reduction():
+    # column 0 is the pivot of row 1.  Column 1's low entry is 2, on row 1,
+    # and (7, 2) - 2 (3, 1) = (1, 0) makes it the pivot of row 0.  Column 2
+    # is twice column 0 and reduces to zero.
+    columns = [{0: 3, 1: 1}, {0: 7, 1: 2}, {0: 6, 1: 2}]
+    mat = IntegerMatrix(2, 3, [dict(col) for col in columns])
+    snf = assert_valid_snf(mat)
+    assert (snf.rank, snf.factors, snf.unit_rows) == (2, (), frozenset({0, 1}))
+    assert mat.columns == tuple(columns)
+
+
+def test_residual_is_cleared_on_pivot_rows_recorded_after_it():
+    # column 0's low entry is 3, on row 2, so it goes to the residual before
+    # columns 1 and 2 become the pivots of rows 2 and 1.  Clearing row 2 of column 0
+    # fills in row 1, another pivot row, and clearing that leaves (14, 0, 0):
+    # |det| = 14.  Column 0 as the column pass left it, (2, 0, 3), has
+    # content 1, so a residual not cleared on the pivot rows loses Z/14.
+    columns = [{0: 2, 2: 3}, {1: 1, 2: 1}, {0: 4, 1: 1}]
+    mat = IntegerMatrix(3, 3, [dict(col) for col in columns])
+    snf = assert_valid_snf(mat)
+    assert (snf.rank, snf.factors, snf.unit_rows) == (3, (14,), frozenset({1, 2}))
+    assert mat.columns == tuple(columns)
 
 
 def all_pairs_chain(d):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from torsionlab import complexes, exact, nerve, simplicial
 from torsionlab.exact import AbelianGroupStructure as G
 from torsionlab.exact import ExactArithmeticError
 from torsionlab.homology import (
+    ORACLE_PRIMES,
     all_homology,
     betti_euler_characteristic,
     homology,
@@ -241,10 +243,22 @@ def grid_surface(n, twisted):
     return build_complex(triangles, vertex_count=n * n)
 
 
-def seeded_e3_nerve(seed, count=24, radius=0.6):
+def seeded_nerve(kind, seed, count, radius):
+    """Nerve (max_dim=3) of count balls of one radius: E3 centres uniform in
+    [-1, 1]^3, H3 centres within distance 2 of the base point."""
     rng = random.Random(seed)
-    balls = [([rng.uniform(-1, 1) for _ in range(3)], radius) for _ in range(count)]
-    return nerve.nerve(nerve.BallCover.of(nerve.EuclideanSpace(3), balls), max_dim=3)
+    balls = []
+    for _ in range(count):
+        if kind == "E":
+            centre = [rng.uniform(-1, 1) for _ in range(3)]
+        else:
+            v = [rng.gauss(0, 1) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in v))
+            t = rng.uniform(0, 2.0)
+            centre = [math.cosh(t), *(math.sinh(t) * x / norm for x in v)]
+        balls.append((centre, radius))
+    space = nerve.EuclideanSpace(3) if kind == "E" else nerve.HyperbolicSpace(3)
+    return nerve.nerve(nerve.BallCover.of(space, balls), max_dim=3)
 
 
 def seeded_dv_pair(seed):
@@ -260,7 +274,7 @@ CLEARING_CASES = {
     **{f"klein-{n}": (lambda n=n: grid_surface(n, True)) for n in range(6, 13)},
     **{f"dv-{seed}": (lambda seed=seed: random_dv_complex(5, 15, 3, seed=seed)) for seed in range(4)},
     **{f"dv-pair-{seed}": (lambda seed=seed: seeded_dv_pair(seed)) for seed in range(4)},
-    "e3-nerve": lambda: seeded_e3_nerve(3),
+    "e3-nerve": lambda: seeded_nerve("E", 3, 24, 0.6),
 }
 
 
@@ -345,10 +359,11 @@ def test_unit_pivots_of_d2_retire_all_but_n2_plus_1_columns_of_d1(monkeypatch, n
     assert calls[3 * n * n, 2 * n * n] == frozenset()  # d_2: d_3 is empty
 
 
-# d_k . d_k1 = 0, and d_k1 has no unit entry.  In the first pair its pivot 1
-# appears only after a remainder step (retiring column 0 of d_k leaves
-# [-2], column 1 leaves [3]); in the second the unit loop finds a pivot on
-# row 2 after the remainder steps, and retiring column 2 leaves [-3, 0].
+# d_k . d_k1 = 0, and no column of d_k1 has a unit low, so the column pass
+# records no pivot.  In the first pair the pivot 1 appears only after a
+# remainder step (retiring column 0 of d_k would leave [-2], column 1 [3]);
+# in the second a unit appears on row 2 only after remainder steps, and
+# retiring column 2 would leave [-3, 0].
 @pytest.mark.parametrize("d_k, d_k1", [
     ([[3, -2]], [[2], [3]]),
     ([[-3, 0, -2]], [[6, 6, -10], [10, 6, -17], [-9, -9, 15]]),
@@ -390,3 +405,54 @@ def test_clearing_keeps_the_smith_form_of_random_chain_pairs():
         retired = exact.smith_normal_form(d_k1).unit_rows
         assert exact.smith_normal_form(emptied(d_k, retired)) == exact._smith_kernel(d_k), \
             (d_k.entries, d_k1.entries)
+
+
+def dv_family():
+    """The (D, V) complexes and pairs that the homology-large benchmark
+    reduces, four of each, drawn as it draws them."""
+    rng = random.Random(0)
+    members = []
+    for _ in range(4):
+        members.append(random_dv_complex(6, 60, 3, seed=rng.getrandbits(32)))
+        total = random_dv_complex(6, 60, 3, seed=rng.getrandbits(32))
+        members.append(SimplicialPair(total=total, sub=random_subcomplex(total, seed=rng.getrandbits(32))))
+    return members
+
+
+@pytest.mark.parametrize("index", range(8), ids=[f"{kind}-{i}" for i in range(4) for kind in ("dv", "pair")])
+def test_clearing_keeps_the_smith_form_of_the_dv_family(index):
+    obj = dv_family()[index]
+    retired_any = False
+    for k in range(obj.dimension + 1):
+        d_k, d_k1 = boundary_matrix(obj, k), boundary_matrix(obj, k + 1)  # whole, not kept
+        assert (d_k @ d_k1).is_zero()
+        retired = exact.smith_normal_form(d_k1).unit_rows
+        assert exact.smith_normal_form(emptied(d_k, retired)) == exact._smith_kernel(d_k), k
+        retired_any |= bool(retired)
+    # the last pair's sub is its whole total, which leaves nothing to clear
+    assert retired_any or not any(obj.simplices_of_dim(k) for k in range(obj.dimension + 1))
+
+
+@pytest.mark.parametrize("n", [20, 30])
+@pytest.mark.parametrize("twisted", [False, True], ids=["torus", "klein"])
+def test_grid_surfaces_at_the_cli_sizes(n, twisted):
+    want = KNOWN["klein" if twisted else "torus"]
+    assert all_homology(grid_surface(n, twisted)) == want
+    # a lone call on a fresh complex: H_0 reduces a whole, uncleared d_1;
+    # H_1 reduces a whole d_2 and the d_1 it clears
+    assert [homology(grid_surface(n, twisted), k) for k in (0, 1)] == want[:2]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind, count, radius", [("E", 30, 0.45), ("H", 24, 0.5)], ids=["E3", "H3"])
+def test_nerve_homology_agrees_with_the_oracle_in_every_degree(kind, count, radius, seed):
+    cover_nerve = seeded_nerve(kind, seed, count, radius)
+    assert cover_nerve.dimension == 3
+    assert len(cover_nerve.simplices) <= 500  # the oracle's limit
+    groups = all_homology(cover_nerve)
+    for k in range(cover_nerve.dimension + 1):
+        report = homology_oracle_crosscheck(cover_nerve, k)
+        assert report.agrees
+        assert report.betti_snf == groups[k].betti
+        assert report.torsion_primes_snf == tuple(p for p in ORACLE_PRIMES
+                                                  if groups[k].torsion_order % p == 0)
