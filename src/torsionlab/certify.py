@@ -2,15 +2,16 @@
 DAM 109, 2001): stands() is the one rule by which a float sign is kept,
 inverse_sum_signs() filters the sign vector of A^-1 1 that
 inverse_sum_negative() decides exactly, from float entries that the caller
-forms, their magnitudes and the roundings each entry carries, and
-cosh_roots() encloses cosh r sqrt(n).  The standard library and numpy only.
+forms, their magnitudes and the roundings each entry carries,
+cosh_roots() encloses cosh r sqrt(n) in rationals, and cosh_root_bounds()
+brackets that enclosure in floats.  The standard library and numpy only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
@@ -148,3 +149,45 @@ def cosh_roots(terms: Iterable[tuple[float, int]], bits: int) -> list[Fraction]:
     rationals: times 1 -+ 2^-bits each brackets the true value."""
     with localcontext(_context(bits)):
         return [Fraction(_cosh(r, bits) * Decimal(n).sqrt()) for r, n in terms]
+
+
+def cosh_root_bounds(radii: Sequence[float], n: np.ndarray, per: np.ndarray, roundings: int,
+                     bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Floats (lo, hi) with lo <= x (1 - 2^-bits) and x (1 + 2^-bits) <= hi
+    for each x = cosh_roots([(r, n*)], bits), at the same bits, where n* is
+    the exact value of the float evaluation n, per the same evaluation over
+    absolute values and roundings as for stands(); n* may be scaled by any
+    power of 4, which scales x by the power of 2 that its square root is.
+    No big integer is formed.
+
+    |n - n*| <= gamma_n per lies well inside n 2^-52 per, the margin of
+    stands(), underflow included once per >= 2^-960, so n -+ that margin,
+    each stepped outward by np.nextafter, brackets n*; where per is below
+    2^-960 or not finite, (0, inf) brackets it.  cosh r is the cached
+    _cosh(r, bits), correctly rounded to a float (inf past the float range)
+    and stepped outward; IEEE sqrt and products are correctly rounded, and
+    one step outward after each keeps the bracket of cosh r sqrt(n*).
+    cosh_roots() rounds that product and the square root once each at
+    relative u = 10^(-2 - bits // 3) / 2, so (1 + u)^2 (1 + 2^-bits) <
+    1 + 2^(2 - bits) and (1 - u)^2 (1 - 2^-bits) > 1 - 2^(2 - bits): one
+    widening by 2^(2 - bits), stepped outward, contains the enclosure.
+    Where n*'s lower end is not positive lo is 0, and an overflow makes
+    hi inf: a filter then abstains on A at that end, and is never wrong.
+    """
+    def down(x):
+        return np.nextafter(x, 0.0)
+
+    def up(x):
+        return np.nextafter(x, math.inf)
+
+    cosh = {r: float(_cosh(r, bits)) for r in set(radii)}
+    c = np.array([cosh[r] for r in radii])
+    margin = roundings * _UNIT * per
+    valid = (per >= _FLOOR) & (per < math.inf)
+    low = np.nextafter(n - margin, -math.inf)
+    low = np.where(valid & (low > 0), low, 0.0)
+    high = np.where(valid, up(n + margin), math.inf)
+    widen = math.ldexp(1.0, 2 - bits)
+    lo = down(down(down(c) * down(np.sqrt(low))) * (1 - widen))
+    hi = up(up(up(c) * up(np.sqrt(high))) * (1 + widen))
+    return lo, hi

@@ -76,12 +76,16 @@ def _require_at_least(value: int, least: int, flag: str) -> None:
 
 # --- homology ----------------------------------------------------------------
 
-def cmd_homology(args) -> int:
+def _read_text(path: str) -> str:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {args.path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def cmd_homology(args) -> int:
+    text = _read_text(args.path)
     try:
         obj = read_complex_or_pair(text)
     except MalformedComplexError as exc:
@@ -96,6 +100,30 @@ def cmd_homology(args) -> int:
             _emit(groups[k].to_json(degree=k))
         else:
             _emit(AbelianGroupStructure(0).to_json(degree=k))
+    return EXIT_OK
+
+
+# --- nerve --------------------------------------------------------------------
+
+def cmd_nerve(args) -> int:
+    from . import nerve
+
+    if args.max_dim is not None:
+        _require_at_least(args.max_dim, 1, "--max-dim")
+    text = _read_text(args.path)
+    try:
+        cover = nerve.read_cover(text)
+    except ValueError as exc:
+        raise InputError(f"{args.path}: {exc}") from None
+    cap = cover.space.dimension + 1 if args.max_dim is None else args.max_dim
+    complex_ = nerve.nerve(cover, max_dim=cap)
+    doc = {"space": cover.space.kind, "dimension": cover.space.dimension, "max_dim": cap,
+           "f_vector": list(complex_.f_vector())}
+    if args.homology:
+        # the cap's own degree is distorted by the cut, so only the degrees below it
+        groups = all_homology(complex_, up_to=cap - 1)
+        doc["homology"] = [g.to_json(degree=k) for k, g in enumerate(groups)]
+    _emit(doc)
     return EXIT_OK
 
 
@@ -331,6 +359,13 @@ def build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument("--degrees", default=None, help="comma-separated degrees (default: all)")
     p.set_defaults(func=cmd_homology)
+
+    p = sub.add_parser("nerve", help="f-vector (and homology) of the nerve of a cover file")
+    p.add_argument("path")
+    p.add_argument("--max-dim", type=int, default=None,
+                   help="dimension cap (default: the space dimension + 1)")
+    p.add_argument("--homology", action="store_true", help="add the groups below the cap")
+    p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("constants", help="derived thick-thin constants as JSON")
     p.add_argument("--d", type=int, required=True)

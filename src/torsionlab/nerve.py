@@ -15,15 +15,18 @@ certified float sign abstains (Shewchuk, DCG 18, 1997; Brönnimann–Burnikel–
 Pion, DAM 109, 2001).  One numpy pass per block of rows evaluates every
 pair's test in floats, with its magnitude, the same sums over absolute
 values: in E^d from the float centres and radii; in H^d from the float
-centres and the float h, the correctly rounded quotient of each end of
-one enclosure of h_i, made at ENCLOSURE_BITS plus 2 bits per halving of
-the cover's least radius, which gives A at the lower and at the upper h.
-A pair meets iff its 2x2 A is copositive, a closed form, and gets one of
-three verdicts: apart, where the filter certifies that it is not
-copositive at the upper h (in E^d, |c_i - c_j| > r_i + r_j); meets, where
-it certifies that it is copositive at the lower h (in E^d, |c_i - c_j| <
-r_i + r_j); undecided, where the exact closed form decides.  Each float entry of A carries n_e
-roundings, L + 3 in E^d and L + 1 in H^d, L coordinates per centre.
+centres and float bounds lo_i <= h_i <= hi_i, which give A at the lower
+and at the upper h.  Each h_i is enclosed in rationals at ENCLOSURE_BITS
+plus 2 bits per halving of the cover's least radius; lo_i and hi_i
+contain that enclosure, from cosh r_i rounded outward and -<c_i, c_i>
+with its rounding bound, so no big integer is formed (see
+certify.cosh_root_bounds).  A pair meets iff its 2x2 A is copositive, a
+closed form, and gets one of three verdicts: apart, where the filter
+certifies that it is not copositive at the upper h (in E^d, |c_i - c_j| >
+r_i + r_j); meets, where it certifies that it is copositive at the lower
+h (in E^d, |c_i - c_j| < r_i + r_j); undecided, where the exact closed
+form decides.  Each float entry of A carries n_e roundings, L + 3 in E^d
+and L + 1 in H^d, L coordinates per centre.
 A larger tuple is a candidate only when every facet spans a simplex.  Each
 level keeps, for every tuple t one vertex smaller, the bitmask up[t] of the
 w > t[-1] with t + (w,) in the level, so the candidates s + (w,) from s
@@ -34,17 +37,18 @@ full support decides the tuple at each end.  Past d + 1 balls Helly's
 theorem decides a candidate: its facets meet, so it does.  Below that a
 second float filter signs all the candidates of a level at once, from
 det A_SS and the Cramer determinants of float entries formed a chunk of
-candidates at a time from the gathered centres and h, and returns its
-verdicts; nerve() then decides each candidate through
+candidates at a time from the gathered centres and lower h (upper h only
+for the candidates it finds negative there), and returns its verdicts; nerve() then decides each candidate through
 common_point_exists(), where a verdict stands and a tuple the filter
 cannot certify, a near-tie, gets one fraction-free solve.
 Exact entries, each the true A times one positive factor, are built only
 for such a fallback, and only those among its balls: in E^d from one
-dyadic scaling of every centre and radius, in H^d from the integer
-centres and the enclosure of h, each made at the first fallback.  The
-filters and the solve all need every facet certified at the same lower A,
-so a straddle reruns the whole cover, not the one tuple.  Both filters
-keep a float sign only where certify.stands() certifies it.
+dyadic scaling of every centre and radius, in H^d from one dyadic scaling
+of every centre and the rational enclosure of h, each made at the first
+fallback.  The filters and the solve all need every facet certified at
+the same lower A, so a straddle reruns the whole cover, not the one
+tuple.  Both filters keep a float sign only where certify.stands()
+certifies it.
 Given a plain list of balls, common_point_exists() uses neither filter:
 the reference the nerve is checked against.
 """
@@ -55,12 +59,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
 from . import hyperbolic as hyp
-from .certify import cosh_roots, inverse_sum_negative, inverse_sum_signs, stands
+from .certify import cosh_root_bounds, cosh_roots, inverse_sum_negative, inverse_sum_signs, stands
 from .exact import AbelianGroupStructure
 from .homology import all_homology
 from .simplicial import SimplicialComplex, SimplicialPair
@@ -120,26 +124,32 @@ class BallCover:
 
     @classmethod
     def of(cls, space, balls: Sequence[tuple[Sequence[float], float]]) -> "BallCover":
-        elems = []
-        for index, (center, radius) in enumerate(balls):
-            center, radius = np.asarray(center, dtype=float), float(radius)
-            if not (math.isfinite(radius) and np.isfinite(center).all()):
-                raise ValueError(f"ball {index}: centre and radius must be finite")
-            if radius <= 0:
-                raise ValueError(f"ball {index}: radius must be positive")
-            elems.append((space.check_point(center), radius))
-        return cls(space=space, elements=tuple(elems))
+        return cls(space=space, elements=tuple(_checked_ball(space, index, center, radius)
+                                               for index, (center, radius) in enumerate(balls)))
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-def _dyadic(rows: list[list[float]]) -> tuple[list[list[int]], int]:
-    """The rows times 2^e, the least power of two that makes every entry an
-    integer, and e."""
+def _checked_ball(space, index: int, center: Sequence[float], radius: float
+                  ) -> tuple[np.ndarray, float]:
+    """Ball index of a cover as BallCover keeps it; each error names the index."""
+    center, radius = np.asarray(center, dtype=float), float(radius)
+    if not (math.isfinite(radius) and np.isfinite(center).all()):
+        raise ValueError(f"ball {index}: centre and radius must be finite")
+    if radius <= 0:
+        raise ValueError(f"ball {index}: radius must be positive")
+    try:
+        return space.check_point(center), radius
+    except ValueError as exc:  # a GeometryError stays one
+        raise type(exc)(f"ball {index}: {exc}") from None
+
+
+def _dyadic(rows: list[list[float]]) -> list[list[int]]:
+    """The rows times the least power of two that makes every entry an integer."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     shift = max((d.bit_length() for row in ratios for _, d in row), default=1)
-    return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios], shift - 1
+    return [[n << (shift - d.bit_length()) for n, d in row] for row in ratios]
 
 
 def _dot(u: list[int], v: list[int]) -> int:
@@ -165,14 +175,6 @@ def _grams(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ball; and the candidates whose entries the tuple filter forms at once.
 _BLOCK = 1 << 16
 _CHUNK = 2048
-
-
-def _quotient(num: int, den: int) -> float:
-    """num / den correctly rounded, or inf past the float range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf
 
 
 def _copositive_pair(a_ii: int, a_jj: int, a_ij: int) -> bool:
@@ -206,11 +208,13 @@ def _certify(copositive, lower, upper, indices: tuple[int, ...]) -> bool:
 
 class _CoverMatrix:
     """A of a family of balls at one scale.  The float filters form entries
-    of A from the float centres, and the radii (E^d) or h (H^d); exact
-    entries are built only for the decisions the filters leave.
+    of A from the float centres, and the radii (E^d) or the float bounds on
+    h (H^d); the exact state, and exact entries from it, are built only for
+    the decisions the filters leave.
 
-    In H^d, A is taken at the lower and the upper enclosure of h, made at
-    bits plus 2 per halving of the least radius; in E^d there is one A, and
+    In H^d, A is taken at the lower and the upper end of the rational
+    enclosure of h, made at bits plus 2 per halving of the least radius,
+    and the float bounds on h contain both ends; in E^d there is one A, and
     bits is unused.  An exact entry is the true A times one positive factor,
     which copositivity ignores.
     """
@@ -218,61 +222,63 @@ class _CoverMatrix:
     @np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
     def __init__(self, space, balls: Sequence[tuple[np.ndarray, float]], bits: int):
         self.balls = balls
+        self._euclidean = space.kind == "E"
         n = len(balls)
         # one row per coordinate; <u, v> = dual(u) . v, with dual = c in E^d
         self._coordinates = np.array([c for c, _ in balls], dtype=float).reshape(
-            n, space.dimension + (space.kind == "H")).T.copy()
+            n, space.dimension + (not self._euclidean)).T.copy()
         self._duals = self._coordinates
         self._squares = (self._coordinates * self._coordinates).sum(axis=0)
-        if space.kind == "E":
+        width = len(self._coordinates)
+        if self._euclidean:
             self._radii = np.array([r for _, r in balls], dtype=float)
             # A_ij = o_i + o_j + 2 c_i.c_j, o_i = r_i^2 - |c_i|^2, and its
             # magnitude, with r_i^2 + |c_i|^2 in place of o_i
             squares = self._radii * self._radii
             self._offsets = squares - self._squares, squares + self._squares
-            self._h = None
-            self._roundings = len(self._coordinates) + 3
+            self._roundings = width + 3
             return
         self._duals = np.concatenate([-self._coordinates[:1], self._coordinates[1:]])
-        self._points, exponent = _dyadic([list(c) for c, _ in balls])
+        self._lorentz = (self._duals * self._coordinates).sum(axis=0)
         # A's entries are O(r^2) differences of O(1) terms: 2 more bits per
         # halving of r, so the least radius of the family sets the precision
         least = min((r for _, r in balls), default=1.0)
         self._bits = bits + 2 * max(0, -math.frexp(least)[1])
-        self._h = cosh_roots([(r, p[0] * p[0] - _dot(p[1:], p[1:]))
-                              for p, (_, r) in zip(self._points, balls)], self._bits)
-        # h (1 -+ 2**-bits) brackets the exact h, and A grows with h; over
-        # 2**exponent, the scale of the integer centres, h is in float units
-        self._float_h = [np.array([_quotient(x.numerator * ((1 << self._bits) + sign),
-                                             x.denominator << self._bits + exponent)
-                                   for x in self._h]) for sign in (-1, 1)]
-        self._roundings = len(self._coordinates) + 1
+        # float bounds on each h that contain its enclosure at these bits;
+        # -<c, c> carries L roundings, L coordinates per centre
+        self._float_h = cosh_root_bounds([r for _, r in balls], -self._lorentz, self._squares,
+                                         width, self._bits)
+        self._roundings = width + 1
 
     @cached_property
     def _exact(self) -> tuple:
         """The integer state, built at the first decision a filter leaves.
         In E^d, one dyadic scaling of every centre and radius gives the
-        centres and the offsets o_i.  In H^d, the Lorentz duals of the
-        integer centres (<u, v> = dual(u) . v), the factor their Gram matrix
-        takes, and h at the lower and the upper end, all over one common
-        denominator."""
-        if self._h is None:
-            rows, _ = _dyadic([[*c, r] for c, r in self.balls])
+        centres and the offsets o_i.  In H^d, one dyadic scaling of every
+        centre gives the integer centres and their Lorentz duals (<u, v> =
+        dual(u) . v); cosh_roots() encloses each h at the cover's bits, and
+        the factor the Gram matrix takes and h at the lower and the upper
+        end are over one common denominator."""
+        if self._euclidean:
+            rows = _dyadic([[*c, r] for c, r in self.balls])
             points = [row[:-1] for row in rows]
             return points, [row[-1] ** 2 - _dot(p, p) for row, p in zip(rows, points)]
-        den = math.lcm(*(x.denominator for x in self._h))
+        points = _dyadic([list(c) for c, _ in self.balls])
+        h = cosh_roots([(r, p[0] * p[0] - _dot(p[1:], p[1:]))
+                        for p, (_, r) in zip(points, self.balls)], self._bits)
+        den = math.lcm(*(x.denominator for x in h))
         lower, upper = ([x.numerator * (den // x.denominator) * ((1 << self._bits) + sign)
-                         for x in self._h] for sign in (-1, 1))
-        duals = [[-p[0], *p[1:]] for p in self._points]
-        return duals, den * den << 2 * self._bits, lower, upper
+                         for x in h] for sign in (-1, 1))
+        duals = [[-p[0], *p[1:]] for p in points]
+        return points, duals, den * den << 2 * self._bits, lower, upper
 
     def entries(self, i: int, j: int) -> tuple[int, int | None]:
         """A_ij exactly, at the lower and the upper h (None in E^d)."""
-        if self._h is None:
+        if self._euclidean:
             points, offsets = self._exact
             return offsets[i] + offsets[j] + 2 * _dot(points[i], points[j]), None
-        duals, scale, lower, upper = self._exact
-        g = scale * _dot(duals[i], self._points[j])
+        points, duals, scale, lower, upper = self._exact
+        g = scale * _dot(duals[i], points[j])
         return lower[i] * lower[j] + g, upper[i] * upper[j] + g
 
     def full(self) -> tuple[list[list[int]], list[list[int]] | None]:
@@ -280,30 +286,33 @@ class _CoverMatrix:
         n = len(self.balls)
         cells = [[self.entries(i, j) for j in range(n)] for i in range(n)]
         lower = [[lo for lo, _ in row] for row in cells]
-        return lower, None if self._h is None else [[hi for _, hi in row] for row in cells]
+        return lower, None if self._euclidean else [[hi for _, hi in row] for row in cells]
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
-    def _floats(self, rows: np.ndarray, columns: np.ndarray) -> list:
+    def _floats(self, rows: np.ndarray, columns: np.ndarray, ends=(0,)) -> list:
         """[(a, m)]: float A_ij for each i of rows and j of columns, index
         arrays of shapes (..., k) and (..., k'), and its magnitude, the same
-        sums over absolute values, each of shape (..., k, k'); in H^d one
-        pair at the lower h and one at the upper.
+        sums over absolute values, each of shape (..., k, k'); one pair in
+        E^d, and in H^d one pair per end of h in ends, 0 the lower and 1
+        the upper.
 
         Each term of a_ij carries at most n_e = self._roundings roundings
         along any path, L coordinates per centre.  In E^d, a_ij = o_i + o_j
         + 2 c_i.c_j: o_i takes one for r_i^2, L for |c_i|^2 and one for the
         subtraction, then two additions make L + 3.  In H^d, a_ij = h_i h_j
-        + <c_i, c_j>: the Lorentz product takes L and the addition one, and
-        the conversion of h, the product and the addition three, so L + 1.
-        Underflow leaves at most 3L + 2 products of 2^-1075 in an entry,
-        below the 2^-1060 that inverse_sum_signs() allows for L < 10^4.
+        + <c_i, c_j>, the h_i floats taken as exact: the Lorentz product
+        takes L and the addition one, the product of the h and the addition
+        two, so L + 1.  Underflow leaves at most 3L + 2 products of 2^-1075
+        in an entry, below the 2^-1060 that inverse_sum_signs() allows for
+        L < 10^4.
         """
         gram, magnitude = _grams(self._duals[:, rows], self._coordinates[:, columns])
-        if self._h is None:
+        if self._euclidean:
             (a_u, a_v), (m_u, m_v) = ((x[rows], x[columns]) for x in self._offsets)
             return [(a_u[..., None] + a_v[..., None, :] + 2 * gram,
                      m_u[..., None] + m_v[..., None, :] + 2 * magnitude)]
-        products = (h[rows][..., None] * h[columns][..., None, :] for h in self._float_h)
+        products = (h[rows][..., None] * h[columns][..., None, :]
+                    for h in (self._float_h[end] for end in ends))
         return [(p + gram, p + magnitude) for p in products]
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
@@ -338,7 +347,7 @@ class _CoverMatrix:
             return stands(value, per, roundings) & (value > 0)
 
         width, n = self._coordinates.shape
-        if self._h is None:
+        if self._euclidean:
             gram, magnitude = _grams(self._coordinates[:, rows], self._coordinates)
             sizes = self._radii
             reach = np.square(sizes[rows, None] + sizes)
@@ -346,14 +355,13 @@ class _CoverMatrix:
             q, per = near - 2 * gram - reach, near + 2 * magnitude + reach
             return positive(q, per, width + 3), positive(-q, per, width + 3)
         index = np.arange(n)
-        lorentz = (self._duals * self._coordinates).sum(axis=0)
 
         def closed(a, m, h):
             """A_ii with its magnitude, and q with per, on the block."""
-            a_ii, m_ii = h * h + lorentz, h * h + self._squares
+            a_ii, m_ii = h * h + self._lorentz, h * h + self._squares
             return a_ii, m_ii, a_ii[rows, None] * a_ii - a * a, m_ii[rows, None] * m_ii + m * m
 
-        (a_lower, m_lower), (a_upper, m_upper) = self._floats(index[rows], index)
+        (a_lower, m_lower), (a_upper, m_upper) = self._floats(index[rows], index, ends=(0, 1))
         _, _, q, per = closed(a_upper, m_upper, self._float_h[1])
         apart = positive(-a_upper, m_upper, width + 3) & positive(-q, per, width + 3)
         a_ii, m_ii, q, per = closed(a_lower, m_lower, self._float_h[0])
@@ -391,17 +399,20 @@ class _CoverMatrix:
         after every pair is decided.  A certified a_SS^-1 1 not < 0 at the
         lower A means the tuple meets (True); < 0 at the lower A, and at the
         upper A or in E^d, means it does not (False); None where it abstains.
-        The float entries are formed a chunk of tuples at a time."""
+        The float entries are formed a chunk of tuples at a time, those at
+        the upper h only for the tuples certified negative at the lower h."""
         if not tuples:
             return []
         verdicts: list[bool | None] = []
-        level = np.array(tuples)
-        for chunk in np.split(level, range(_CHUNK, len(level), _CHUNK)):
-            lower, *upper = self._floats(chunk, chunk)
-            known, negative = inverse_sum_signs(*lower, self._roundings)
+        k = len(tuples[0])
+        level = np.fromiter(chain.from_iterable(tuples), np.intp, count=k * len(tuples))
+        for chunk in np.split(level.reshape(-1, k), range(_CHUNK, len(tuples), _CHUNK)):
+            known, negative = inverse_sum_signs(*self._floats(chunk, chunk)[0], self._roundings)
             fails = np.flatnonzero(known & negative)
-            if upper and fails.size:
-                at_upper = inverse_sum_signs(*(x[fails] for x in upper[0]), self._roundings)
+            if not self._euclidean and fails.size:
+                # fails at the lower A: the upper A decides, formed for these only
+                upper, = self._floats(chunk[fails], chunk[fails], ends=(1,))
+                at_upper = inverse_sum_signs(*upper, self._roundings)
                 known[fails] = at_upper[0] & at_upper[1]
             verdicts += [not below if certified else None
                          for certified, below in zip(known.tolist(), negative.tolist())]
@@ -417,7 +428,7 @@ class _CoverMatrix:
             return [[cells[min(i, j), max(i, j)][end] for j in s] for i in s]
 
         return _certify(lambda a: not inverse_sum_negative(a), principal(0),
-                        None if self._h is None else principal(1), s)
+                        None if self._euclidean else principal(1), s)
 
 
 class _CoverTuple(Sequence):
@@ -604,13 +615,15 @@ def nerve_lemma_check(cover: BallCover, reference: Sequence[AbelianGroupStructur
 
 def read_cover(text: str) -> BallCover:
     space = None
-    balls: list[tuple[list[float], float]] = []
+    balls: list[tuple[np.ndarray, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "space":
+            if space is not None:
+                raise ValueError(f"line {lineno}: a second 'space' line; a cover lies in one space")
             if len(parts) != 3 or parts[1] not in ("E", "H"):
                 raise ValueError(f"line {lineno}: expected 'space E <d>' or 'space H <d>'")
             try:
@@ -630,12 +643,15 @@ def read_cover(text: str) -> BallCover:
             want = space.dimension + (1 if space.kind == "H" else 0)
             if len(nums) != want + 1:
                 raise ValueError(f"line {lineno}: expected {want} coordinates plus a radius")
-            balls.append((nums[:-1], nums[-1]))
+            try:
+                balls.append(_checked_ball(space, len(balls), nums[:-1], nums[-1]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if space is None:
         raise ValueError("cover file has no 'space' line")
-    return BallCover.of(space, balls)
+    return BallCover(space=space, elements=tuple(balls))
 
 
 def circle_cover(count: int = 8, radius: float = 0.9) -> BallCover:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torsionlab import hyperbolic as hyp
-from torsionlab.certify import stands
+from torsionlab.certify import cosh_root_bounds, stands
 from torsionlab.cli import main
 
 FLOOR = 2.0 ** -960
@@ -85,3 +85,14 @@ def test_obtuse_check_is_unchanged_when_every_float_sign_abstains(monkeypatch, c
     assert verify_obtuse(capsys, d) == want
     # every sample of both checks, 200 each, was decided over the rationals
     assert len(exact_calls) == 400
+
+
+def test_float_bounds_on_cosh_root_abstain_past_the_float_range():
+    # cosh 800 overflows a float; n whose lower bound is not positive gives
+    # lo = 0; a per below the floor or infinite gives (0, inf)
+    lo, hi = cosh_root_bounds([800.0, 0.5, 0.5, 0.5, 0.5], np.array([1.0, 1e-17, 1.0, 1.0, 1.0]),
+                              np.array([1.0, 1.0, 0.5 * FLOOR, math.inf, 1.0]), 4, 96)
+    assert hi[0] == math.inf and 0 < lo[0] < math.inf
+    assert lo[1] == 0 and 0 < hi[1] < 1.2
+    assert (lo[2:4] == 0).all() and (hi[2:4] == math.inf).all()
+    assert lo[4] < math.cosh(0.5) < hi[4] and hi[4] - lo[4] < 1e-14

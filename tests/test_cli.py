@@ -481,8 +481,41 @@ def test_verify_dv_bound_is_byte_identical(capsys):
     (("verify", "orbit", "--d", "2", "--count", "40", "--seed", "1"), "verify_orbit_d2_seed1"),
     (("verify", "orbit", "--d", "5", "--count", "40", "--seed", "2"), "verify_orbit_d5_seed2"),
     (("verify", "obtuse", "--d", "5"), "verify_obtuse_d5"),
+    (("nerve", str(ROOT / "demos" / "files" / "circle_cover.cover"), "--homology"),
+     "nerve_circle_cover"),
 ])
 def test_seeded_and_closed_form_output_is_byte_identical(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (EXPECTED / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_nerve_of_a_hyperbolic_cover_file(capsys, tmp_path):
+    path = tmp_path / "pair.cover"
+    path.write_text("space H 2\nball 1.0 0.0 0.0 0.5\n"
+                    "ball 1.1276259652063807 0.5210953054937474 0.0 0.5\n")
+    code, out, err = run_cli(capsys, "nerve", str(path), "--max-dim", "1", "--homology")
+    assert code == 0, err
+    assert json.loads(out) == {"space": "H", "dimension": 2, "max_dim": 1, "f_vector": [2, 1],
+                               "homology": [{"degree": 0, "betti": 1, "torsion": []}]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("space E 2\nball 0 0 1\nspace H 2\nball 1 0 0 1\n", "line 3: a second 'space' line"),
+    ("space H 2\nball 1 0 0 1\nball 0 1 0 1\n", "line 3: ball 1: coordinates are not timelike"),
+])
+def test_nerve_of_a_malformed_cover_file_is_an_input_error(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.cover"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "nerve", str(path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and message in err
+
+
+def test_nerve_rejects_a_cap_below_one(capsys):
+    code, out, err = run_cli(capsys, "nerve", str(ROOT / "demos" / "files" / "circle_cover.cover"),
+                             "--max-dim", "0")
+    assert code == 64
+    assert out == ""
+    assert "--max-dim must be at least 1" in err

@@ -505,6 +505,26 @@ def test_cover_file_errors():
             read_cover(f"# dimension {bad}\nspace E {bad}\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("space E 2\nball 0 0 1\nspace H 2\nball 1 0 0 1\n", 3),
+    ("space E 2\nspace E 2\n", 2),
+    ("space H 2\nspace H 2\nball 1 0 0 1\n", 2),
+])
+def test_cover_file_has_one_space_line(text, line):
+    with pytest.raises(ValueError, match=f"line {line}: a second 'space' line"):
+        read_cover(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("space H 2\nball 1 0 0 0.5\n\nball 0 1 0 0.5\n", "line 4: ball 1: coordinates are not timelike"),
+    ("# tiny\nspace E 1\nball 0 0.5\nball 3 0\n", "line 4: ball 1: radius must be positive"),
+    ("space E 2\nball 0 0 1\nball nan 0 1\n", "line 3: ball 1: centre and radius must be finite"),
+])
+def test_cover_file_ball_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_cover(text)
+
+
 @pytest.mark.parametrize("ball, index", [("0 0 nan", 1), ("0 0 inf", 1), ("inf 0 1", 1),
                                          ("nan 0 1", 1), ("0 0 -inf", 1)])
 def test_cover_file_rejects_non_finite_balls(ball, index):
@@ -932,6 +952,38 @@ def test_pair_filter_certifies_meeting_only_pairs_the_exact_form_accepts(case, b
             assert matrix.pair_meets(i, j)
 
 
+@st.composite
+def hyperbolic_balls(draw):
+    # H2 to H4 balls from radius 2^-30 to past the float range of cosh, with
+    # centres out to distance 17, or 1e-300 and subnormal distances from the
+    # base point
+    d = draw(st.integers(2, 4))
+    radius = st.sampled_from([2.0 ** -30, 0.1, 0.7, 1.3, 800.0])
+    distance = st.one_of(st.floats(0, 17), st.sampled_from([1e-300, 5e-324]))
+    balls = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(distance)
+        balls.append(([math.cosh(t), *(math.sinh(t) * x for x in unit(draw, d))], draw(radius)))
+    return HyperbolicSpace(d), balls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=hyperbolic_balls(), bits=st.sampled_from([8, nerve_module.ENCLOSURE_BITS, 192]))
+def test_float_bounds_on_h_contain_its_exact_enclosure(case, bits):
+    # the filters take A at the float ends of h, and the exact entries at the
+    # ends of the rational enclosure of h made at the same bits: a facet
+    # certified at the float lower h must be copositive at the exact lower A
+    space, balls = case
+    matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, bits)
+    points, _, scale, lower, upper = matrix._exact
+    denominator = math.isqrt(scale)  # the Gram factor is the square of h's denominator
+    assert denominator * denominator == scale
+    for (c, _), p, lo, hi, x, y in zip(matrix.balls, points, *matrix._float_h, lower, upper):
+        power = Fraction(p[0]) / Fraction(c[0])  # the power of two that made p integer
+        assert Fraction(lo) <= Fraction(x, denominator) / power
+        assert hi == math.inf or Fraction(y, denominator) / power <= Fraction(hi)
+
+
 def test_pair_filter_needs_a_normal_per():
     space, balls = SUBNORMAL_TANGENCY
     matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, 96)
@@ -952,19 +1004,35 @@ def count_exact_entries(patch):
     return seen
 
 
+def count_calls(patch, name):
+    """The arguments of every call of the nerve module's function name from now on."""
+    seen = []
+    function = getattr(nerve_module, name)
+
+    def counting(*args):
+        seen.append(args)
+        return function(*args)
+
+    patch.setattr(nerve_module, name, counting)
+    return seen
+
+
 @pytest.mark.parametrize("kind", ["E", "H"])
 def test_generic_covers_build_no_exact_entry(monkeypatch, kind):
     # the float filters decide every pair and every tuple, so no big integer
-    # is formed: neither an entry nor, in E^d, the dyadic scaling
+    # is formed: neither an entry, nor the dyadic scaling of the centres, nor
+    # in H^d the rational enclosure of h
     _, centres, radius = next(member for member in bench_workloads().cover_family()
                               if member[0] == kind)
     space = EuclideanSpace(3) if kind == "E" else HyperbolicSpace(3)
     family = BallCover.of(space, [(c, radius) for c in centres])
     seeded = seeded_cover(kind, 4, "mixed", count=40)
     built = count_exact_entries(monkeypatch)
+    scaled = count_calls(monkeypatch, "_dyadic")
+    enclosed = count_calls(monkeypatch, "cosh_roots")
     assert nerve(family, max_dim=2).f_vector()[2] > 0
     assert nerve(seeded, max_dim=3).f_vector()[3] > 0
-    assert not built
+    assert not built and not scaled and not enclosed
 
 
 def test_only_the_pairs_the_filter_abstains_on_go_exact(monkeypatch):
