@@ -11,38 +11,8 @@ Modules by theme:
 - constants: ball volumes, packing bounds, thick-thin arithmetic
 - dehn: first homology of Dehn fillings, the figure-eight family
 - cli: the `torsionlab` command
+
+The package root imports none of them; import names from the submodules.
 """
-
-from .exact import (
-    AbelianGroupStructure,
-    IntegerMatrix,
-    SNFResult,
-    cokernel,
-    smith_normal_form,
-)
-from .homology import all_homology
-from .simplicial import (
-    SimplicialComplex,
-    SimplicialPair,
-    boundary_matrix,
-    build_complex,
-    complexity_profile,
-    random_dv_complex,
-)
-
-__all__ = [
-    "AbelianGroupStructure",
-    "IntegerMatrix",
-    "SNFResult",
-    "SimplicialComplex",
-    "SimplicialPair",
-    "all_homology",
-    "boundary_matrix",
-    "build_complex",
-    "cokernel",
-    "complexity_profile",
-    "random_dv_complex",
-    "smith_normal_form",
-]
 
 __version__ = "0.1.0"

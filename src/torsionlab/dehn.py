@@ -42,27 +42,18 @@ class PeripheralData:
     lambda_image: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.core_presentation.rows
-        if len(self.mu_image) != n or len(self.lambda_image) != n:
+        core = self.core_presentation
+        if len(self.mu_image) != core.rows or len(self.lambda_image) != core.rows:
             raise FillingError("peripheral images must have one entry per core generator")
         if any(self.lambda_image):
-            if rational_rank(self._with_image(self.lambda_image)) != rational_rank(self.core_presentation):
+            with_lambda = IntegerMatrix(core.rows, core.cols + 1,
+                                        core.columns + (_sparse(self.lambda_image),))
+            if rational_rank(with_lambda) != rational_rank(core):
                 raise FillingError("longitude image must be a torsion class of the core")
 
     @property
     def generators(self) -> int:
         return self.core_presentation.rows
-
-    def mu_has_infinite_order(self) -> bool:
-        """True when the meridian image generates an infinite cyclic subgroup."""
-        if not any(self.mu_image):
-            return False
-        return rational_rank(self._with_image(self.mu_image)) > rational_rank(self.core_presentation)
-
-    def _with_image(self, image: Sequence[int]) -> IntegerMatrix:
-        """The core presentation with ``image`` appended as one more column."""
-        core = self.core_presentation
-        return IntegerMatrix(core.rows, core.cols + 1, core.columns + (_sparse(image),))
 
 
 def knot_complement_data() -> PeripheralData:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -33,10 +32,10 @@ class IntegerMatrix:
     column, without zeros.  A column given with a stored zero is replaced
     by a copy without it, so equal matrices have one stored form.
 
-    ``entries``, the dense row-major tuples, is built from the columns the
-    first time something reads it.  Immutable: all operations return new
-    matrices, and the dicts of ``columns`` must not be changed:
-    ``smith_normal_form`` keeps its result on the matrix.
+    ``to_lists`` is the one dense form, built fresh on each call.
+    Immutable: all operations return new matrices, and the dicts of
+    ``columns`` must not be changed: ``smith_normal_form`` keeps its result
+    on the matrix.
     """
 
     rows: int
@@ -69,35 +68,13 @@ class IntegerMatrix:
         return cls(len(data), cols, tuple({i: row[j] for i, row in enumerate(data) if row[j]}
                                           for j in range(cols)))
 
-    @cached_property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.to_lists()))
-
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls(rows, cols, tuple({} for _ in range(cols)))
 
     @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls.diagonal([1] * n)
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntegerMatrix":
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        if n > min(rows, cols):
-            raise ValueError("diagonal longer than the matrix")
-        return cls(rows, cols, tuple({j: int(diag[j])} if j < n and diag[j] else {}
-                                     for j in range(cols)))
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.columns[j].get(i, 0)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        col = self.columns[j]
-        return tuple(col.get(i, 0) for i in range(self.rows))
+    def diagonal(cls, diag: Sequence[int]) -> "IntegerMatrix":
+        return cls(len(diag), len(diag), tuple({j: int(d)} if d else {} for j, d in enumerate(diag)))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:

@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from .exact import (
     AbelianGroupStructure,
     ExactArithmeticError,
-    IntegerMatrix,
-    SNFResult,
     rank_mod_p,
     rational_rank,
     smith_normal_form,
@@ -54,21 +52,18 @@ from .simplicial import SimplicialComplex, SimplicialPair, boundary_matrix
 ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _group(d_k: IntegerMatrix, snf_in: SNFResult) -> AbelianGroupStructure:
-    """H_k from d_k and the Smith form of d_{k+1}."""
-    rank_out = smith_normal_form(d_k).rank
-    betti = d_k.cols - rank_out - snf_in.rank
+def homology(complex_: SimplicialComplex | SimplicialPair, k: int) -> AbelianGroupStructure:
+    """H_k of the complex, or of the quotient chain complex of the pair,
+    with integer coefficients: the Betti number from the ranks of d_k,
+    cleared by the unit rows of d_{k+1}, and of d_{k+1}, and the torsion
+    from the invariant factors of d_{k+1}."""
+    # retired=(): the d_{k+1} kept, cleared or whole, as only its Smith form is read
+    snf_in = smith_normal_form(boundary_matrix(complex_, k + 1, retired=()))
+    d_k = boundary_matrix(complex_, k, retired=snf_in.unit_rows)
+    betti = d_k.cols - smith_normal_form(d_k).rank - snf_in.rank
     if betti < 0:
         raise ExactArithmeticError("negative Betti number: boundary maps are inconsistent")
     return AbelianGroupStructure(betti=betti, invariant_factors=snf_in.factors)
-
-
-def homology(complex_: SimplicialComplex | SimplicialPair, k: int) -> AbelianGroupStructure:
-    """H_k of the complex, or of the quotient chain complex of the pair,
-    with integer coefficients."""
-    # retired=(): the d_{k+1} kept, cleared or whole, as only its Smith form is read
-    snf_in = smith_normal_form(boundary_matrix(complex_, k + 1, retired=()))
-    return _group(boundary_matrix(complex_, k, retired=snf_in.unit_rows), snf_in)
 
 
 def all_homology(complex_: SimplicialComplex | SimplicialPair,
@@ -99,19 +94,22 @@ class OracleReport:
 
 
 def homology_oracle_crosscheck(complex_: SimplicialComplex | SimplicialPair, k: int) -> OracleReport:
-    """Recompute H_k of a complex or pair by independent means and compare.
+    """Check H_k of a complex or pair, as ``all_homology`` reports it,
+    against whole boundary matrices reduced by independent means.
 
-    Betti number: rational-rank row reduction (no SNF involved).
-    Torsion primes: p divides the torsion of H_k exactly when the rank of
+    The group is the one ``all_homology`` gives, from the matrices cleared
+    at assembly and their Smith forms.  Betti number: rational-rank row
+    reduction of the whole d_k and d_{k+1} (no SNF, no clearing).  Torsion
+    primes: p divides the torsion of H_k exactly when the rank of the whole
     d_{k+1} drops modulo p; checked for the fixed prime list.  Disagreement
-    raises, since it means one of the two pipelines is wrong.
+    raises, since it means the clearing, the Smith kernel or the oracle is
+    wrong.
     """
     if sum(len(complex_.simplices_of_dim(j)) for j in range(complex_.dimension + 1)) > 500:
         raise ValueError("oracle cross-check is restricted to small complexes (<= 500 simplices)")
+    group = all_homology(complex_, up_to=max(k, complex_.dimension))[k]
     d_k = boundary_matrix(complex_, k)
     d_k1 = boundary_matrix(complex_, k + 1)
-
-    group = _group(d_k, smith_normal_form(d_k1))
     rk_q = rational_rank(d_k1)
     betti_rational = d_k.cols - rational_rank(d_k) - rk_q
     modular = tuple(p for p in ORACLE_PRIMES if rank_mod_p(d_k1, p) < rk_q)

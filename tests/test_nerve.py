@@ -49,6 +49,20 @@ def test_circle_cover_nerve_homology():
     assert all_homology(k, up_to=1) == [G(1), G(1)]
 
 
+def test_nerve_stops_at_the_first_empty_level(monkeypatch):
+    calls = []
+    extensions = nerve_module._extensions
+
+    def counting(level):
+        calls.append(len(level))
+        return extensions(level)
+
+    monkeypatch.setattr(nerve_module, "_extensions", counting)
+    assert nerve(circle_cover(), max_dim=1000).f_vector() == (8, 16, 8)
+    # triangles from the edges, then no tetrahedra from the triangles
+    assert calls == [16, 8]
+
+
 def test_circle_cover_structure():
     # radius 0.9 links next-nearest neighbours: 8 vertices, 16 edges, 8 triangles
     k = nerve(circle_cover(8, 0.9))
