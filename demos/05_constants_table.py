@@ -11,7 +11,6 @@ from fractions import Fraction
 import mpmath
 
 from torsionlab.constants import (
-    EpsilonAssignment,
     ThickThinParams,
     commutator_inequality_check,
     covering_constants,
@@ -39,7 +38,7 @@ params = ThickThinParams(d=4, margulis_eps=Fraction(1, 10), margulis_index=2)
 print(f"\nd=4, eps(d)=1/10, m=2:")
 print(f"  eps0 = {params.eps0}    eps = {params.eps}")
 for i in range(4):
-    print(f"  rank {i}: eps_gamma = {EpsilonAssignment(params, i).value}")
+    print(f"  rank {i}: eps_gamma = {params.epsilon(i)}")
 
 checks = commutator_inequality_check(10)
 print(f"\ncommutator chain 16/(4*17^ia) < 1/(4*17^ic): "

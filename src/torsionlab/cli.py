@@ -143,25 +143,20 @@ def cmd_constants(args) -> int:
     if eps > sys.float_info.max:  # every field prints a float beside its fraction
         raise UsageError("--margulis-eps must not exceed the largest float")
     params = constants.ThickThinParams(d=args.d, margulis_eps=eps, margulis_index=args.margulis_m)
-    table = constants.thick_thin_constants(params)
-
     doc = {
         "d": args.d,
         "margulis_eps": _fraction_doc(params.margulis_eps),
         "margulis_m": args.margulis_m,
         "eps0": _fraction_doc(params.eps0),
         "eps": _fraction_doc(params.eps),
-        "epsilon_by_rank": [
-            _fraction_doc(constants.EpsilonAssignment(params, i).value)
-            for i in range(args.d)
-        ],
+        "epsilon_by_rank": [_fraction_doc(params.epsilon(i)) for i in range(args.d)],
         "delta": None,
-        "delta_note": table["delta_note"],
+        "delta_note": "delta is not constructed; it must satisfy delta <= eps/(2(b+1))",
         "commutator_chain_passes": constants.commutator_chain_passes(args.d),
     }
-    if "b" in table:
-        doc["b"] = table["b"]
-        doc["delta_upper_bound"] = _fraction_doc(table["delta_upper_bound"])
+    if params.b is not None:
+        doc["b"] = params.b
+        doc["delta_upper_bound"] = _fraction_doc(params.delta_upper_bound)
     if args.m8:
         doc["figure_eight_volume"] = constants.figure_eight_volume()
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -424,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except (ExactArithmeticError, *_loaded("nerve", "IndeterminateIntersectionError")) as exc:
         sys.stderr.write(f"torsionlab: internal error: {exc}\n")
+        return EXIT_INTERNAL
+    except ArithmeticError as exc:  # a float or decimal value past its range
+        sys.stderr.write(f"torsionlab: internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, Overflow, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -43,17 +43,20 @@ def _power_integral(n: int, x: float, sigma: int) -> float:
     about 2 log10(1/x) digits, which the working precision adds back.
     """
     loss = math.ceil(-2 * math.log10(min(x, 1.0)))
-    with localcontext(Context(prec=40 + (n // 2 + 1) * loss)):
-        t = Decimal(x)
-        if sigma > 0:
-            e = t.exp()
-            f, df = (e - 1 / e) / 2, (e + 1 / e) / 2
-        else:
-            f, df = _sin(t), 1 - 2 * _sin(t / 2) ** 2
-        integral = t if n % 2 == 0 else sigma * (df - 1)
-        for k in range(2 + n % 2, n + 1, 2):
-            integral = sigma * (f ** (k - 1) * df - (k - 1) * integral) / k
-        return float(integral)
+    try:
+        with localcontext(Context(prec=40 + (n // 2 + 1) * loss)):
+            t = Decimal(x)
+            if sigma > 0:
+                e = t.exp()
+                f, df = (e - 1 / e) / 2, (e + 1 / e) / 2
+            else:
+                f, df = _sin(t), 1 - 2 * _sin(t / 2) ** 2
+            integral = t if n % 2 == 0 else sigma * (df - 1)
+            for k in range(2 + n % 2, n + 1, 2):
+                integral = sigma * (f ** (k - 1) * df - (k - 1) * integral) / k
+            return float(integral)
+    except Overflow:  # sinh^n past decimal's exponent range, far past the float range
+        return math.inf
 
 
 # --- ball volumes and the packing ratio -------------------------------------
@@ -91,19 +94,22 @@ def hyperbolic_ball_volume(d: int, R: float) -> float:
         raise ValueError("radius must be positive")
     if d == 1:
         return 2.0 * R
-    if d == 2:
-        return 4 * math.pi * math.sinh(R / 2) ** 2
-    if d == 3:
-        if R < BALL_SERIES_BELOW:
-            # sinh x - x cancels for small x; sum its odd series x^(2n+1)/(2n+1)!
-            # instead (x = 2R <= 1: nine terms reach double precision)
-            x = term = 2 * R
-            total = 0.0
-            for n in range(1, 10):
-                term *= x * x / ((2 * n) * (2 * n + 1))
-                total += term
-            return math.pi * total
-        return math.pi * (math.sinh(2 * R) - 2 * R)
+    if d == 3 and R < BALL_SERIES_BELOW:
+        # sinh x - x cancels for small x; sum its odd series x^(2n+1)/(2n+1)!
+        # instead (x = 2R <= 1: nine terms reach double precision)
+        x = term = 2 * R
+        total = 0.0
+        for n in range(1, 10):
+            term *= x * x / ((2 * n) * (2 * n + 1))
+            total += term
+        return math.pi * total
+    try:
+        if d == 2:
+            return 4 * math.pi * math.sinh(R / 2) ** 2
+        if d == 3:
+            return math.pi * (math.sinh(2 * R) - 2 * R)
+    except OverflowError:  # sinh, or its square, past the float range
+        return math.inf
     return sphere_surface_area(d) * _power_integral(d - 1, R, 1)
 
 
@@ -128,7 +134,10 @@ def volume_ratio_bound(d: int, r: float, R: float) -> VolumeRatio:
     if r >= 2 * R:
         raise ValueError("requires r < 2R")
     value = hyperbolic_ball_volume(d, R + r / 2) / euclidean_ball_volume(d, r / 2)
-    lower = ((2 * R + r) / r) ** d
+    try:
+        lower = ((2 * R + r) / r) ** d
+    except OverflowError:  # past the float range
+        lower = math.inf
     return VolumeRatio(value=value, euclidean_lower_bound=lower, r_below_R=r < R)
 
 
@@ -164,11 +173,14 @@ def unit_vector_packing_bound(d: int) -> int:
 
 @dataclass(frozen=True)
 class ThickThinParams:
-    """Margulis configuration and the derived epsilon pair.
+    """Margulis configuration and every thick-thin constant derived from it.
 
     eps0 is the configured Margulis epsilon itself and
     eps = eps0 / (4 * m * 17^d); both are exact rationals, so
-    eps * (4 * m * 17^d) == eps0 holds with no rounding.
+    eps * (4 * m * 17^d) == eps0 holds with no rounding.  delta itself is
+    not constructible (it comes from a compactness argument); only its
+    upper bound eps / (2 * (b + 1)) is carried, with b the unit-vector
+    packing bound, which is known up to d = 24 and None past it.
     """
 
     d: int
@@ -192,47 +204,23 @@ class ThickThinParams:
     def eps(self) -> Fraction:
         return self.margulis_eps / (4 * self.margulis_index * 17 ** self.d)
 
+    def epsilon(self, rank: int) -> Fraction:
+        """Weight eps0 / (4 * 17^rank) attached to a centrality rank.
 
-@dataclass(frozen=True)
-class EpsilonAssignment:
-    """Weight eps0 / (4 * 17^i) attached to a centrality rank i.
+        Rank 0 is the loxodromic case; parabolic ranks run up to d - 1 (the
+        nilpotency degree of a cusp group is at most d - 1).
+        """
+        if not 0 <= rank <= self.d - 1:
+            raise ValueError(f"centrality rank must lie in [0, {self.d - 1}]")
+        return self.eps0 / (4 * 17 ** rank)
 
-    Rank 0 is the loxodromic case; parabolic ranks run up to d - 1 (the
-    nilpotency degree of a cusp group is at most d - 1).
-    """
-
-    params: ThickThinParams
-    centrality_rank: int
-
-    def __post_init__(self):
-        if not 0 <= self.centrality_rank <= self.params.d - 1:
-            raise ValueError(f"centrality rank must lie in [0, {self.params.d - 1}]")
+    @functools.cached_property
+    def b(self) -> int | None:
+        return unit_vector_packing_bound(self.d) if self.d <= 24 else None
 
     @property
-    def value(self) -> Fraction:
-        return self.params.eps0 / (4 * 17 ** self.centrality_rank)
-
-
-def thick_thin_constants(params: ThickThinParams) -> dict:
-    """Exact rationals eps, eps0 plus the constraint delta must satisfy.
-
-    delta itself is not constructible (it comes from a compactness
-    argument); only its upper bound eps / (2 * (b + 1)) is reported, with
-    b the unit-vector packing bound.
-    """
-    b = unit_vector_packing_bound(params.d) if params.d <= 24 else None
-    result = {
-        "d": params.d,
-        "eps0": params.eps0,
-        "eps": params.eps,
-        "eps_over_eps0": params.eps / params.eps0,
-        "delta": None,
-        "delta_note": "delta is not constructed; it must satisfy delta <= eps/(2(b+1))",
-    }
-    if b is not None:
-        result["b"] = b
-        result["delta_upper_bound"] = params.eps / (2 * (b + 1))
-    return result
+    def delta_upper_bound(self) -> Fraction | None:
+        return None if self.b is None else self.eps / (2 * (self.b + 1))
 
 
 @dataclass(frozen=True)
@@ -271,11 +259,6 @@ def commutator_chain_passes(d: int) -> bool:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     return all(_commutator_pair(rank_a, rank_a - 1).passes for rank_a in range(1, d))
-
-
-def commutator_inequality_violation(rank: int) -> CommutatorCheck:
-    """The same inequality without the rank drop (i_c = i_a): always fails."""
-    return _commutator_pair(rank, rank)
 
 
 # --- covering constants ------------------------------------------------------

@@ -158,6 +158,18 @@ def test_constants_m8_flag_gates_volume(capsys):
     assert doc["figure_eight_volume"] == pytest.approx(2.0298832128, abs=1e-8)
 
 
+def test_constants_delta_upper_bound_is_exact(capsys):
+    for d in range(2, 26):
+        code, out, err = run_cli(capsys, "constants", "--d", str(d))
+        assert code == 0, err
+        doc = json.loads(out)
+        if d == 25:  # the first d without a packing bound
+            assert "b" not in doc and "delta_upper_bound" not in doc
+            continue
+        eps = Fraction(doc["eps"]["fraction"])
+        assert Fraction(doc["delta_upper_bound"]["fraction"]) == eps / (2 * (doc["b"] + 1)), d
+
+
 def test_constants_usage_error(capsys):
     code, _, err = run_cli(capsys, "constants", "--d", "1")
     assert code == 64
@@ -424,6 +436,17 @@ def test_geometry_error_is_an_input_error(capsys, monkeypatch):
     assert "input error" in err and "not timelike" in err
 
 
+def test_arithmetic_range_failure_is_an_internal_error():
+    # at d = 220 the Euclidean (r/2)-ball volume in volume_ratio_bound underflows to 0.0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "torsionlab.cli", "verify", "orbit",
+                           "--d", "220", "--count", "2"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "internal error" in proc.stderr and "ZeroDivisionError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("suite", ["orbit", "obtuse", "commutator"])
 def test_verify_hyperbolic_suites_reject_dimension_one(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--d", "1")
@@ -493,6 +516,7 @@ def test_verify_dv_bound_is_byte_identical(capsys):
     (("verify", "obtuse", "--d", "5"), "verify_obtuse_d5"),
     (("nerve", str(ROOT / "demos" / "files" / "circle_cover.cover"), "--homology"),
      "nerve_circle_cover"),
+    (("constants", "--d", "25"), "constants_d25"),
 ])
 def test_seeded_and_closed_form_output_is_byte_identical(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv)

@@ -7,18 +7,15 @@ import pytest
 from torsionlab.constants import (
     BALL_SERIES_BELOW,
     CommutatorCheck,
-    EpsilonAssignment,
     ThickThinParams,
     commutator_chain_passes,
     commutator_inequality_check,
-    commutator_inequality_violation,
     covering_constants,
     euclidean_ball_volume,
     figure_eight_volume,
     hyperbolic_ball_volume,
     spherical_cap_area,
     sphere_surface_area,
-    thick_thin_constants,
     unit_vector_packing_bound,
     volume_ratio_bound,
 )
@@ -112,9 +109,16 @@ def test_hyperbolic_volume_matches_closed_form_exactly(d):
         assert hyperbolic_ball_volume(d, radius) == hyperbolic_ball_volume_closed_form(d, radius), radius
 
 
-@pytest.mark.parametrize("d, radius", [(4, 400.0), (24, 100.0)])
+@pytest.mark.parametrize("d, radius", [(4, 400.0), (24, 100.0),
+                                       (2, 1500.0), (3, 400.0), (5, 1e6), (4, 1e300)])
 def test_hyperbolic_volume_past_float_range_is_inf(d, radius):
     assert hyperbolic_ball_volume(d, radius) == math.inf
+
+
+def test_volume_ratio_past_float_range_is_inf():
+    # 21^250 and the 250-ball's sinh^249 integral both pass the float range
+    ratio = volume_ratio_bound(250, 0.5, 5.0)
+    assert ratio.value == ratio.euclidean_lower_bound == math.inf
 
 
 @pytest.mark.parametrize("radius", [1e-3, 1e-5, 1e-8,
@@ -232,22 +236,23 @@ def test_thick_thin_accepts_decimal_strings():
 
 def test_epsilon_assignment_range():
     params = ThickThinParams(d=5, margulis_eps=Fraction(1), margulis_index=3)
-    values = [EpsilonAssignment(params, i).value for i in range(5)]
+    values = [params.epsilon(i) for i in range(5)]
     assert values[0] == Fraction(1, 4)  # loxodromic rank 0
     for v in values:
         assert params.eps <= v <= params.eps0 / 4
     assert values == sorted(values, reverse=True)
-    with pytest.raises(ValueError):
-        EpsilonAssignment(params, 5)
-    with pytest.raises(ValueError):
-        EpsilonAssignment(params, -1)
+    with pytest.raises(ValueError, match=r"centrality rank must lie in \[0, 4\]"):
+        params.epsilon(5)
+    with pytest.raises(ValueError, match=r"centrality rank must lie in \[0, 4\]"):
+        params.epsilon(-1)
 
 
 def test_thick_thin_constants_delta_constraint():
     params = ThickThinParams(d=3, margulis_eps=Fraction(1, 10), margulis_index=2)
-    table = thick_thin_constants(params)
-    assert table["delta"] is None
-    assert table["delta_upper_bound"] == params.eps / (2 * (table["b"] + 1))
+    assert params.b == unit_vector_packing_bound(3)
+    assert params.delta_upper_bound == params.eps / (2 * (params.b + 1))
+    past = ThickThinParams(d=25, margulis_eps=Fraction(1, 10), margulis_index=2)
+    assert past.b is None and past.delta_upper_bound is None
 
 
 def test_commutator_chain_exhaustive():
@@ -267,11 +272,6 @@ def test_commutator_chain_passes_agrees_with_every_pair():
 def test_commutator_first_case():
     checks = commutator_inequality_check(2)
     assert checks == [CommutatorCheck(1, 0, Fraction(16, 68), Fraction(1, 4), True)]
-
-
-def test_commutator_violation_without_rank_drop():
-    for rank in range(0, 5):
-        assert not commutator_inequality_violation(rank).passes
 
 
 def test_covering_constants_definitions():
