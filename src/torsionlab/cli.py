@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit-code contract: 0 success, 1 verification failure, 2 input error,
-3 internal error, 64 usage error.  All randomized suites take a --seed
-(default 0) and the same invocation always produces byte-identical output.
+3 internal error, 64 usage error.  Each `verify` suite takes only the
+flags it reads, listed in _SUITE_TABLE; any other flag is a usage error.
+The randomized suites take --seed (default 0), and the same invocation
+always produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -181,11 +183,9 @@ def _peripheral_from_args(args):
         for col in columns:
             if len(col) != n:
                 raise UsageError("every relation must have one entry per generator")
+    core = IntegerMatrix(n, len(columns), [dict(enumerate(col)) for col in columns])
     try:
-        return dehn.PeripheralData(
-            core_presentation=IntegerMatrix(
-                n, len(columns), [{i: v for i, v in enumerate(col) if v} for col in columns]),
-            mu_image=mu, lambda_image=lam)
+        return dehn.PeripheralData(core_presentation=core, mu_image=mu, lambda_image=lam)
     except dehn.FillingError as exc:
         raise InputError(str(exc)) from None
 
@@ -218,47 +218,47 @@ def cmd_dehn_table(args) -> int:
 
 # --- verification suites --------------------------------------------------------
 
+def _report(rows, summary: dict, **tail) -> int:
+    """Emit each (record, passed) row as it comes, then the summary with the
+    failure count and the tail; exit 1 on any failure."""
+    failures = 0
+    for record, passed in rows:
+        failures += not passed
+        _emit(record)
+    _emit({**summary, "failures": failures, **tail})
+    return EXIT_OK if failures == 0 else EXIT_VERIFICATION
+
+
 def _verify_bound(args) -> int:
     from . import bounds
 
     _require_at_least(args.count, 1, "--count")
     batch = bounds.batch_verify_soule if args.suite == "soule" else bounds.batch_verify_dv
     summary = batch(args.count, args.seed)
-    for record in summary.records:
-        _emit(record)
-    _emit({"suite": args.suite, "count": summary.count, "seed": summary.seed,
-           "failures": len(summary.failures), "max_ratio": summary.max_ratio})
-    return EXIT_OK if summary.all_hold else EXIT_VERIFICATION
+    return _report(((record, record["holds"]) for record in summary.records),
+                   {"suite": args.suite, "count": summary.count, "seed": summary.seed},
+                   max_ratio=summary.max_ratio)
 
 
 def _verify_nerve(args) -> int:
     from . import nerve
 
     z = AbelianGroupStructure
-    failures = 0
 
-    circle = nerve.circle_cover()
-    rep = nerve.nerve_lemma_check(circle, [z(1), z(1), z(0)])
-    failures += 0 if rep.passed else 1
-    _emit({"check": "circle-cover", "computed": [str(g) for g in rep.computed],
-           "passed": rep.passed})
+    def rows():
+        convex = nerve.BallCover.of(nerve.EuclideanSpace(2),
+                                    [((0.1 * k, 0.05 * k), 1.0 + 0.1 * k) for k in range(6)])
+        for check, cover, reference in (("circle-cover", nerve.circle_cover(), [z(1), z(1), z(0)]),
+                                        ("convex-cover", convex, [z(1), z(0), z(0)])):
+            rep = nerve.nerve_lemma_check(cover, reference)
+            yield {"check": check, "computed": [str(g) for g in rep.computed],
+                   "passed": rep.passed}, rep.passed
+        cover, subfamily, shrink = nerve.annulus_cover()
+        rel = all_homology(nerve.relative_nerve(cover, subfamily, shrink), up_to=2)
+        ok = all(g.is_trivial() for g in rel)
+        yield {"check": "annulus-pair", "computed": [str(g) for g in rel], "passed": ok}, ok
 
-    convex = nerve.BallCover.of(nerve.EuclideanSpace(2),
-                                [((0.1 * k, 0.05 * k), 1.0 + 0.1 * k) for k in range(6)])
-    rep = nerve.nerve_lemma_check(convex, [z(1), z(0), z(0)])
-    failures += 0 if rep.passed else 1
-    _emit({"check": "convex-cover", "computed": [str(g) for g in rep.computed],
-           "passed": rep.passed})
-
-    cover, subfamily, shrink = nerve.annulus_cover()
-    pair = nerve.relative_nerve(cover, subfamily, shrink)
-    rel = all_homology(pair, up_to=2)
-    ok = all(g.is_trivial() for g in rel)
-    failures += 0 if ok else 1
-    _emit({"check": "annulus-pair", "computed": [str(g) for g in rel], "passed": ok})
-
-    _emit({"suite": "nerve", "failures": failures})
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION
+    return _report(rows(), {"suite": "nerve"})
 
 
 def _verify_obtuse(args) -> int:
@@ -270,17 +270,17 @@ def _verify_obtuse(args) -> int:
     fixed = [1.0, 1.0] + [0.0] * (args.d - 1)
     pa = hyperbolic.parabolic(fixed, [1.0] + [0.0] * (args.d - 2))
     pb = hyperbolic.parabolic(fixed, [0.3] + [0.7] * (args.d - 2))
-    failures = 0
     cases = [("loxodromic-powers", g, g.power(2), 0.5, 0.9),
              ("parabolic-pair", pa, pb, 0.4, 0.7)]
-    for offset, (check, a, b, eps_a, eps_b) in enumerate(cases):
-        rep = hyperbolic.obtuse_angle_check(a, b, eps_a, eps_b, samples=args.samples,
-                                            seed=args.seed + offset)
-        failures += 0 if rep.passed else 1
-        _emit({"check": check, "min_inner_product": rep.min_inner_product,
-               "samples": rep.samples, "passed": rep.passed})
-    _emit({"suite": "obtuse", "failures": failures})
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION
+
+    def rows():
+        for offset, (check, a, b, eps_a, eps_b) in enumerate(cases):
+            rep = hyperbolic.obtuse_angle_check(a, b, eps_a, eps_b, samples=args.samples,
+                                                seed=args.seed + offset)
+            yield {"check": check, "min_inner_product": rep.min_inner_product,
+                   "samples": rep.samples, "passed": rep.passed}, rep.passed
+
+    return _report(rows(), {"suite": "obtuse"})
 
 
 def _verify_orbit(args) -> int:
@@ -291,55 +291,46 @@ def _verify_orbit(args) -> int:
     _require_at_least(args.d, 2, "--d")
     _require_at_least(args.count, 1, "--count")
     rng = np.random.default_rng(args.seed)
-    failures = 0
-    for index in range(args.count):
-        length = float(rng.uniform(0.1, 1.0))
-        offset = float(rng.uniform(0.0, 2.0))
-        radius = float(rng.uniform(length, 5.0))
-        g = hyperbolic.standard_loxodromic(args.d, length)
-        x = hyperbolic.base_point(args.d)
-        if offset > 0:
-            v = np.zeros(args.d + 1)
-            v[2] = 1.0
-            x = hyperbolic.make_point(hyperbolic.exp_map(x, v, offset))
-        rep = hyperbolic.orbit_count_check(g, x, radius)
-        failures += 0 if rep.passed else 1
-        _emit({"index": index, "length": length, "offset": offset, "radius": radius,
-               "count": rep.count, "bound": rep.bound, "passed": rep.passed})
-    _emit({"suite": "orbit", "count": args.count, "seed": args.seed, "failures": failures})
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION
+
+    def rows():
+        for index in range(args.count):
+            length = float(rng.uniform(0.1, 1.0))
+            offset = float(rng.uniform(0.0, 2.0))
+            radius = float(rng.uniform(length, 5.0))
+            g = hyperbolic.standard_loxodromic(args.d, length)
+            x = hyperbolic.base_point(args.d)
+            if offset > 0:
+                v = np.zeros(args.d + 1)
+                v[2] = 1.0
+                x = hyperbolic.make_point(hyperbolic.exp_map(x, v, offset))
+            rep = hyperbolic.orbit_count_check(g, x, radius)
+            yield {"index": index, "length": length, "offset": offset, "radius": radius,
+                   "count": rep.count, "bound": rep.bound, "passed": rep.passed}, rep.passed
+
+    return _report(rows(), {"suite": "orbit", "count": args.count, "seed": args.seed})
 
 
 def _verify_commutator(args) -> int:
     from . import constants
 
     _require_at_least(args.d, 2, "--d")
-    checks = constants.commutator_inequality_check(args.d)
-    failures = 0
-    for c in checks:
-        if not c.passes:
-            failures += 1
-        _emit({"rank_a": c.rank_a, "rank_c": c.rank_c,
-               "lhs": _fraction_text(c.lhs), "rhs": _fraction_text(c.rhs), "passed": c.passes})
-    _emit({"suite": "commutator", "d": args.d, "failures": failures})
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION
+    return _report((({"rank_a": c.rank_a, "rank_c": c.rank_c, "lhs": _fraction_text(c.lhs),
+                      "rhs": _fraction_text(c.rhs), "passed": c.passes}, c.passes)
+                    for c in constants.commutator_inequality_check(args.d)),
+                   {"suite": "commutator", "d": args.d})
 
 
-_SUITES = {
-    "soule": _verify_bound,
-    "dv-bound": _verify_bound,
-    "nerve": _verify_nerve,
-    "obtuse": _verify_obtuse,
-    "orbit": _verify_orbit,
-    "commutator": _verify_commutator,
+# Each suite's runner and the flags it reads; a flag a suite does not read
+# is a usage error.
+_FLAG_DEFAULTS = {"--count": 100, "--seed": 0, "--d": 3, "--samples": 200}
+_SUITE_TABLE = {
+    "soule": (_verify_bound, ("--count", "--seed")),
+    "dv-bound": (_verify_bound, ("--count", "--seed")),
+    "nerve": (_verify_nerve, ()),
+    "obtuse": (_verify_obtuse, ("--d", "--samples", "--seed")),
+    "orbit": (_verify_orbit, ("--d", "--count", "--seed")),
+    "commutator": (_verify_commutator, ("--d",)),
 }
-
-
-def cmd_verify(args) -> int:
-    runner = _SUITES.get(args.suite)
-    if runner is None:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
-    return runner(args)
 
 
 # --- parser -------------------------------------------------------------------
@@ -382,13 +373,14 @@ def build_parser() -> _Parser:
     p.add_argument("--q", required=True, help="range a..b or single value")
     p.set_defaults(func=cmd_dehn_table)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_verify)
+    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True)
+    for name, (runner, flags) in _SUITE_TABLE.items():
+        p = suites.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, type=int, default=_FLAG_DEFAULTS[flag],
+                           help="default %(default)s")
+        p.set_defaults(func=runner)
 
     return parser
 

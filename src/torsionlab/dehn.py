@@ -22,11 +22,6 @@ class FillingError(ValueError):
     """Invalid slope or peripheral data."""
 
 
-def _sparse(vector: Sequence[int]) -> dict[int, int]:
-    """A dense column as the row -> value dict of ``IntegerMatrix.columns``."""
-    return {i: v for i, v in enumerate(vector) if v}
-
-
 @dataclass(frozen=True)
 class PeripheralData:
     """H_1 presentation of a compact core plus the peripheral images.
@@ -47,7 +42,7 @@ class PeripheralData:
             raise FillingError("peripheral images must have one entry per core generator")
         if any(self.lambda_image):
             with_lambda = IntegerMatrix(core.rows, core.cols + 1,
-                                        core.columns + (_sparse(self.lambda_image),))
+                                        core.columns + (dict(enumerate(self.lambda_image)),))
             if rational_rank(with_lambda) != rational_rank(core):
                 raise FillingError("longitude image must be a torsion class of the core")
 
@@ -107,7 +102,8 @@ def fill_homology(data: PeripheralData, slope: FillingSlope) -> FillingResult:
     mu and lambda, then the core relations padded by zero on the
     solid-torus row.
     """
-    columns = [_sparse((slope.q, *data.mu_image)), _sparse((-slope.p, *data.lambda_image))]
+    columns = [dict(enumerate((slope.q, *data.mu_image))),
+               dict(enumerate((-slope.p, *data.lambda_image)))]
     columns += [{i + 1: v for i, v in col.items()} for col in data.core_presentation.columns]
     group = cokernel(IntegerMatrix(data.generators + 1, len(columns), columns))
     return FillingResult(group=group, hyperbolic="unknown")

@@ -46,8 +46,10 @@ def lorentz_form_matrix(d: int) -> np.ndarray:
     return j
 
 
-def lorentz_inner(x: np.ndarray, y: np.ndarray) -> float:
-    return float(-x[0] * y[0] + np.dot(x[1:], y[1:]))
+def lorentz_inner(x: Sequence[float], y: Sequence[float]) -> float:
+    """<x, y> on Python floats in _lorentz's fixed order, which make_point's
+    column path shares, and not in whichever order a BLAS dot kernel takes."""
+    return _lorentz(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist(), -1)
 
 
 def make_point(coords: Sequence[float] | np.ndarray) -> np.ndarray:

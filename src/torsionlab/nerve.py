@@ -431,21 +431,15 @@ class _CoverMatrix:
                         None if self._euclidean else principal(1), s)
 
 
-class _CoverTuple(Sequence):
-    """The balls of a cover at a tuple of its indices, carrying the cover's
-    matrix, which builds their exact entries when asked, and the float
-    filter's verdict on them (None where it abstained)."""
+class _CoverTuple:
+    """A tuple of a cover's indices, carrying the cover's matrix, which
+    builds the balls' exact entries when asked, and the float filter's
+    verdict on them (None where it abstained)."""
 
     __slots__ = ("matrix", "indices", "verdict")
 
     def __init__(self, matrix: _CoverMatrix, indices: tuple[int, ...], verdict: bool | None):
         self.matrix, self.indices, self.verdict = matrix, indices, verdict
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, k: int) -> tuple[np.ndarray, float]:
-        return self.matrix.balls[self.indices[k]]
 
 
 def _refined(decide):
@@ -461,12 +455,12 @@ def _refined(decide):
             bits *= 2
 
 
-def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]],
+def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]] | _CoverTuple,
                         indices: tuple[int, ...]) -> bool:
     """Whether the closed balls meet: exact in E^d, certified in H^d.
 
     nerve() decides each candidate of three or more balls through this
-    function, passing the balls as a view of its cover's matrix with the
+    function, passing them as a _CoverTuple of its cover's matrix with the
     float filter's verdict, each sign kept by certify.stands(): the verdict
     stands when there is one, and an exact solve at the cover's bits
     decides the rest, where a straddle reruns the cover.  A plain list of

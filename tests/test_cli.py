@@ -251,7 +251,31 @@ def test_verify_nerve(capsys):
 def test_verify_unknown_suite_exit_64(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus")
     assert code == 64
-    assert "unknown suite" in err
+    assert "'bogus'" in err
+
+
+# every (suite, flag) pair whose suite does not read the flag
+UNREAD_FLAGS = [("soule", "--d"), ("soule", "--samples"), ("dv-bound", "--d"),
+                ("dv-bound", "--samples"), ("nerve", "--count"), ("nerve", "--seed"),
+                ("nerve", "--d"), ("nerve", "--samples"), ("obtuse", "--count"),
+                ("orbit", "--samples"), ("commutator", "--count"), ("commutator", "--seed"),
+                ("commutator", "--samples")]
+
+
+@pytest.mark.parametrize("suite, flag", UNREAD_FLAGS)
+def test_verify_rejects_a_flag_its_suite_does_not_read(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", suite, flag, "4")
+    assert code == 64
+    assert out == ""
+    assert flag in err
+
+
+def test_verify_help_names_every_suite(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert "{soule,dv-bound,nerve,obtuse,orbit,commutator}" in out
 
 
 def test_bad_range_usage_error(capsys):

@@ -47,6 +47,20 @@ def test_non_finite_coordinates_are_rejected(coords):
             hyp.make_point(coords)
 
 
+def test_a_column_normalizes_to_the_floats_of_one_point():
+    # the seeded batch obtuse_angle_check draws first at d = 3, 200 samples
+    d, m = 3, 800
+    rng = np.random.default_rng(0)
+    directions = rng.standard_normal((m, d)).T
+    radii = rng.uniform(0.05, 3.0, m)
+    coords = np.empty((d + 1, m))
+    coords[0] = np.cosh(radii)
+    coords[1:] = directions * (np.sinh(radii) / np.sqrt((directions * directions).sum(axis=0)))
+    columns = hyp.make_point(coords)
+    assert all(columns[:, k].tolist() == hyp.make_point(coords[:, k]).tolist()
+               for k in range(m))
+
+
 def test_distance_to_self_zero():
     x = hyp.make_point([1.3, 0.2, 0.7])
     assert hyp.distance(x, x) == 0.0

@@ -498,7 +498,7 @@ def test_nerve_lemma_check_builds_only_the_checked_degrees(monkeypatch):
     decide = nerve_module.common_point_exists
 
     def counting(space, balls, indices):
-        sizes.append(len(balls))
+        sizes.append(len(indices))
         return decide(space, balls, indices)
 
     monkeypatch.setattr(nerve_module, "common_point_exists", counting)
@@ -1080,7 +1080,7 @@ def test_helly_decides_candidates_of_more_than_d_plus_one_balls(monkeypatch):
     decide = nerve_module.common_point_exists
 
     def counting(space, balls, indices):
-        sizes.append(len(balls))
+        sizes.append(len(indices))
         return decide(space, balls, indices)
 
     monkeypatch.setattr(nerve_module, "common_point_exists", counting)
