@@ -8,7 +8,8 @@ at most D has log |torsion H_p| <= D^p * V * log(p+1).
 Both checks are decided in exact integer arithmetic.
 """
 
-from torsionlab.bounds import batch_verify_dv, batch_verify_soule, dv_torsion_check, soule_bound
+from torsionlab.bounds import (DV_DEGREES, dv_torsion_check, random_dv_pairs, random_matrices,
+                               soule_bound)
 from torsionlab.complexes import projective_plane_6
 from torsionlab.exact import IntegerMatrix
 from torsionlab.simplicial import SimplicialPair, empty_complex
@@ -23,10 +24,10 @@ print(f"columns {rep.chosen_columns}: torsion {rep.exact_torsion} <= bound {rep.
 rep = soule_bound(IntegerMatrix.diagonal([2, 3, 7]))
 print(f"diag(2,3,7): torsion {rep.exact_torsion} == bound {rep.bound:.0f}")
 
-# batch over 500 random matrices
-summary = batch_verify_soule(500, seed=7)
-print(f"soule batch: {summary.count} instances, {len(summary.failures)} failures, "
-      f"max log-ratio {summary.max_ratio:.3f}")
+# a seeded batch of 500 random matrices
+reports = [soule_bound(m) for m in random_matrices(500, seed=7)]
+print(f"soule batch: {len(reports)} instances, {sum(not r.holds for r in reports)} failures, "
+      f"max log-ratio {max(r.ratio() for r in reports):.3f}")
 
 print()
 
@@ -36,7 +37,8 @@ pair = SimplicialPair(total=rp2, sub=empty_complex(rp2.vertex_count))
 rep = dv_torsion_check(pair, 1)
 print(f"RP^2: log|tors H_1| = {rep.log_torsion:.4f} <= D^p*V*log(p+1) = {rep.log_bound:.4f}")
 
-# and on a random batch of (D<=6, V<=30, dim<=3) complexes with subcomplexes
-summary = batch_verify_dv(50, seed=3, with_subcomplexes=True)
-print(f"dv batch: {len(summary.records)} checks, {len(summary.failures)} failures, "
-      f"max ratio {summary.max_ratio:.4f}")
+# and on 50 random (D<=6, V<=30, dim<=3) complexes, every other one with a subcomplex
+reports = [dv_torsion_check(pair, p)
+           for pair in random_dv_pairs(50, seed=3, with_subcomplexes=True) for p in DV_DEGREES]
+print(f"dv batch: {len(reports)} checks, {sum(not r.holds for r in reports)} failures, "
+      f"max ratio {max(r.ratio() for r in reports):.4f}")

@@ -1,4 +1,6 @@
-"""Torsion bounds: the column-norm cokernel bound and the (D, V) bound.
+"""Torsion bounds: the column-norm cokernel bound and the (D, V) bound,
+with the seeded random instances that `verify soule` and `verify dv-bound`
+check them on.
 
 Both bounds are verified *rigorously*: the decisive comparison is done in
 exact integer arithmetic (squared norms, integer powers), so a reported
@@ -10,7 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .exact import IntegerMatrix, cokernel, independent_columns
 from .homology import homology
@@ -129,24 +132,8 @@ def dv_torsion_check(pair: SimplicialPair, p: int) -> DVBoundReport:
     )
 
 
-@dataclass(frozen=True)
-class BatchSummary:
-    """Outcome of a randomized verification batch."""
-
-    suite: str
-    count: int
-    seed: int
-    failures: list[dict] = field(default_factory=list)
-    max_ratio: float = 0.0
-    records: list[dict] = field(default_factory=list)
-
-    @property
-    def all_hold(self) -> bool:
-        return not self.failures
-
-
-# The batches' random instances: soule matrices up to SOULE_MAX_SIZE square
-# with entries in [-SOULE_MAX_ENTRY, SOULE_MAX_ENTRY], and (D, V) complexes
+# The seeded instance families: matrices up to SOULE_MAX_SIZE square with
+# entries in [-SOULE_MAX_ENTRY, SOULE_MAX_ENTRY], and (D, V) complexes
 # checked in the degrees DV_DEGREES.
 SOULE_MAX_SIZE = 10
 SOULE_MAX_ENTRY = 5
@@ -156,74 +143,28 @@ DV_DIM = 3
 DV_DEGREES = (1, 2)
 
 
-def _random_matrix(rng: random.Random) -> IntegerMatrix:
-    rows = rng.randint(1, SOULE_MAX_SIZE)
-    cols = rng.randint(1, SOULE_MAX_SIZE)
-    data = [[rng.randint(-SOULE_MAX_ENTRY, SOULE_MAX_ENTRY) for _ in range(cols)] for _ in range(rows)]
-    return IntegerMatrix.from_rows(data, cols)
-
-
-def batch_verify_soule(count: int, seed: int) -> BatchSummary:
-    """Run the column-norm bound on a deterministic batch of random matrices."""
-    if count < 1:
-        raise ValueError("count must be positive")
+def random_matrices(count: int, seed: int) -> Iterator[IntegerMatrix]:
+    """`count` random matrices, all drawn from one `random.Random(seed)`."""
     rng = random.Random(seed)
-    failures: list[dict] = []
-    records: list[dict] = []
-    max_ratio = 0.0
-    for index in range(count):
-        mat = _random_matrix(rng)
-        report = soule_bound(mat)
-        record = {
-            "index": index,
-            "rows": mat.rows,
-            "cols": mat.cols,
-            "torsion": report.exact_torsion,
-            "bound": report.bound,
-            "holds": report.holds,
-        }
-        records.append(record)
-        max_ratio = max(max_ratio, report.ratio())
-        if not report.holds:
-            record["matrix"] = mat.to_lists()
-            failures.append(record)
-    return BatchSummary("soule", count, seed, failures, max_ratio, records)
+    for _ in range(count):
+        rows = rng.randint(1, SOULE_MAX_SIZE)
+        cols = rng.randint(1, SOULE_MAX_SIZE)
+        yield IntegerMatrix.from_rows(
+            [[rng.randint(-SOULE_MAX_ENTRY, SOULE_MAX_ENTRY) for _ in range(cols)]
+             for _ in range(rows)], cols)
 
 
-def batch_verify_dv(count: int, seed: int, with_subcomplexes: bool = False) -> BatchSummary:
-    """Run the (D, V) bound on a deterministic batch of random complexes.
+def random_dv_pairs(count: int, seed: int, with_subcomplexes: bool = False) -> Iterator[SimplicialPair]:
+    """`count` random (D, V) complexes, each seeded by (seed, index) alone.
 
-    With `with_subcomplexes` every other instance is a genuine pair (the
-    full subcomplex on a random vertex subset); otherwise the subcomplex
-    is empty and the check covers absolute homology.
+    With `with_subcomplexes` every other pair is genuine (the full
+    subcomplex on a random vertex subset); otherwise the subcomplex is
+    empty and the check covers absolute homology.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    failures: list[dict] = []
-    records: list[dict] = []
-    max_ratio = 0.0
     for index in range(count):
         total = random_dv_complex(DV_MAX_DEGREE, DV_MAX_VERTICES, DV_DIM, seed=seed * 1_000_003 + index)
         if with_subcomplexes and index % 2 == 1:
             sub = random_subcomplex(total, seed=seed * 1_000_033 + index)
         else:
             sub = empty_complex(total.vertex_count)
-        pair = SimplicialPair(total=total, sub=sub)
-        for p in DV_DEGREES:
-            report = dv_torsion_check(pair, p)
-            record = {
-                "index": index,
-                "p": p,
-                "D": report.D,
-                "V": report.V,
-                "torsion": report.torsion_order,
-                "log_bound": report.log_bound,
-                "holds": report.holds,
-            }
-            records.append(record)
-            max_ratio = max(max_ratio, report.ratio())
-            if not report.holds:
-                record["maximal_simplices"] = [list(s) for s in total.maximal_simplices()]
-                record["sub_maximal_simplices"] = [list(s) for s in sub.maximal_simplices()]
-                failures.append(record)
-    return BatchSummary("dv-bound", count, seed, failures, max_ratio, records)
+        yield SimplicialPair(total=total, sub=sub)

@@ -3,8 +3,10 @@
 Exit-code contract: 0 success, 1 verification failure, 2 input error,
 3 internal error, 64 usage error.  Each `verify` suite takes only the
 flags it reads, listed in _SUITE_TABLE; any other flag is a usage error.
-The randomized suites take --seed (default 0), and the same invocation
-always produces byte-identical output.
+Each suite runs one library check per instance and builds its JSON
+records here; _report emits them, counts the failures and sets the exit
+code.  The randomized suites take --seed (default 0), and the same
+invocation always produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -229,15 +231,54 @@ def _report(rows, summary: dict, **tail) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
-def _verify_bound(args) -> int:
+def _report_bound(args, rows) -> int:
+    """Report a bound suite's (record, report) rows with the largest ratio.
+
+    The rows are all computed before the first is emitted, so an error
+    mid-batch leaves stdout empty.
+    """
+    rows = list(rows)
+    return _report(((record, report.holds) for record, report in rows),
+                   {"suite": args.suite, "count": args.count, "seed": args.seed},
+                   max_ratio=max(report.ratio() for _, report in rows))
+
+
+def _verify_soule(args) -> int:
     from . import bounds
 
     _require_at_least(args.count, 1, "--count")
-    batch = bounds.batch_verify_soule if args.suite == "soule" else bounds.batch_verify_dv
-    summary = batch(args.count, args.seed)
-    return _report(((record, record["holds"]) for record in summary.records),
-                   {"suite": args.suite, "count": summary.count, "seed": summary.seed},
-                   max_ratio=summary.max_ratio)
+
+    def rows():
+        for index, mat in enumerate(bounds.random_matrices(args.count, args.seed)):
+            report = bounds.soule_bound(mat)
+            record = {"index": index, "rows": mat.rows, "cols": mat.cols,
+                      "torsion": report.exact_torsion, "bound": report.bound,
+                      "holds": report.holds}
+            if not report.holds:
+                record["matrix"] = mat.to_lists()
+            yield record, report
+
+    return _report_bound(args, rows())
+
+
+def _verify_dv(args) -> int:
+    from . import bounds
+
+    _require_at_least(args.count, 1, "--count")
+
+    def rows():
+        for index, pair in enumerate(bounds.random_dv_pairs(args.count, args.seed)):
+            for p in bounds.DV_DEGREES:
+                report = bounds.dv_torsion_check(pair, p)
+                record = {"index": index, "p": p, "D": report.D, "V": report.V,
+                          "torsion": report.torsion_order, "log_bound": report.log_bound,
+                          "holds": report.holds}
+                if not report.holds:
+                    record["maximal_simplices"] = [list(s) for s in pair.total.maximal_simplices()]
+                    record["sub_maximal_simplices"] = [list(s) for s in pair.sub.maximal_simplices()]
+                yield record, report
+
+    return _report_bound(args, rows())
 
 
 def _verify_nerve(args) -> int:
@@ -324,8 +365,8 @@ def _verify_commutator(args) -> int:
 # is a usage error.
 _FLAG_DEFAULTS = {"--count": 100, "--seed": 0, "--d": 3, "--samples": 200}
 _SUITE_TABLE = {
-    "soule": (_verify_bound, ("--count", "--seed")),
-    "dv-bound": (_verify_bound, ("--count", "--seed")),
+    "soule": (_verify_soule, ("--count", "--seed")),
+    "dv-bound": (_verify_dv, ("--count", "--seed")),
     "nerve": (_verify_nerve, ()),
     "obtuse": (_verify_obtuse, ("--d", "--samples", "--seed")),
     "orbit": (_verify_orbit, ("--d", "--count", "--seed")),

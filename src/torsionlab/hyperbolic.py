@@ -191,9 +191,10 @@ class LorentzIsometry:
         return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)))
 
     def commutes_with(self, other: "LorentzIsometry") -> bool:
-        ab = self.matrix @ other.matrix
-        ba = other.matrix @ self.matrix
-        return float(np.max(np.abs(ab - ba))) <= COMMUTE_TOL
+        a, b = self.matrix, other.matrix
+        # rounding errors of AB - BA grow with the product of the entries
+        scale = float(np.abs(a).max()) * float(np.abs(b).max())
+        return float(np.max(np.abs(a @ b - b @ a))) <= COMMUTE_TOL * max(1.0, scale)
 
 
 def identity(d: int) -> LorentzIsometry:
@@ -594,8 +595,7 @@ class OrbitCountReport:
     passed: bool
 
 
-def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
-                      eps: float | None = None) -> OrbitCountReport:
+def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCountReport:
     """Count the powers g^k (k != 0) displacing x by at most R.
 
     The displacement of g^k grows monotonically in |k| for a loxodromic,
@@ -605,8 +605,9 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
     (Ratcliffe, Foundations of Hyperbolic Manifolds, 4.7), with cosh(r)
     read off d(x, g x).  From there k moves one step at a time under the
     matrix rule d(x, g^k x) <= R until d(x, g^k x) <= R < d(x, g^(k+1) x);
-    there is no cap on k.  The count must not exceed the volume ratio
-    N(d, eps, R) for any eps <= translation length.
+    there is no cap on k.  The orbit is l-discrete, so the count must not
+    exceed the volume ratio N(d, eps, R) at eps = min(l, R), which is below
+    2R as that bound requires.
 
     A parabolic from parabolic() is refused: its translation length is 0,
     but its Jordan-block eigenvalues read ~1e-6, and eps that small makes
@@ -619,10 +620,6 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
     length = translation_length(g)
     if length <= 0:
         raise GeometryError("orbit counting requires a loxodromic isometry")
-    if eps is None:
-        eps = length
-    if not 0 < eps <= length:
-        raise GeometryError("requires 0 < eps <= translation length")
 
     displacements: dict[int, float] = {}
 
@@ -644,7 +641,7 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float,
         while disp(k_max + 1) <= R:
             k_max += 1
     count = 2 * k_max
-    bound = volume_ratio_bound(g.dimension, eps, R).value
+    bound = volume_ratio_bound(g.dimension, min(length, R), R).value
     return OrbitCountReport(count=count, bound=bound, max_power=k_max,
                             passed=count <= bound)
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 import sys
@@ -6,14 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from torsionlab import complexes
+from torsionlab import bounds, complexes
 from torsionlab.bounds import (
+    DV_DEGREES,
     _sqrt_float,
-    batch_verify_dv,
-    batch_verify_soule,
     dv_torsion_check,
+    random_dv_pairs,
+    random_matrices,
     soule_bound,
 )
+from torsionlab.cli import main
 from torsionlab.exact import IntegerMatrix, cokernel
 from torsionlab.simplicial import SimplicialPair, boundary_matrix, build_complex, empty_complex
 
@@ -116,9 +120,10 @@ def test_soule_verdict_is_column_permutation_invariant():
 
 
 def test_soule_batch_holds():
-    summary = batch_verify_soule(300, seed=7)
-    assert summary.all_hold
-    assert summary.max_ratio <= 1.0 + 1e-12
+    reports = [soule_bound(mat) for mat in random_matrices(300, seed=7)]
+    assert len(reports) == 300
+    assert all(r.holds for r in reports)
+    assert max(r.ratio() for r in reports) <= 1.0 + 1e-12
 
 
 def test_soule_chosen_columns_form_image_basis():
@@ -185,24 +190,39 @@ def test_dv_bound_monotone_in_budget():
 
 
 def test_dv_batch_holds_with_pairs():
-    summary = batch_verify_dv(30, seed=3, with_subcomplexes=True)
-    assert summary.all_hold
-    assert summary.max_ratio <= 1.0
+    pairs = list(random_dv_pairs(30, seed=3, with_subcomplexes=True))
+    assert len(pairs) == 30
+    assert all(bool(pair.sub.simplices) == (index % 2 == 1) for index, pair in enumerate(pairs))
+    reports = [dv_torsion_check(pair, p) for pair in pairs for p in DV_DEGREES]
+    assert all(r.holds for r in reports)
+    assert max(r.ratio() for r in reports) <= 1.0
 
 
-def test_batch_rejects_bad_count():
-    with pytest.raises(ValueError):
-        batch_verify_soule(0, seed=1)
-    with pytest.raises(ValueError):
-        batch_verify_dv(0, seed=1)
+def test_batch_failure_payload_reproduces(capsys, monkeypatch):
+    # the bounds are theorems, so failures are faked; each failing record
+    # must then carry the instance that reproduces its check
+    soule, dv = bounds.soule_bound, bounds.dv_torsion_check
+    monkeypatch.setattr(bounds, "soule_bound", lambda mat: dataclasses.replace(soule(mat), holds=False))
+    monkeypatch.setattr(bounds, "dv_torsion_check",
+                        lambda pair, p: dataclasses.replace(dv(pair, p), holds=False))
 
+    assert main(["verify", "soule", "--count", "4", "--seed", "1"]) == 1
+    *records, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert summary["failures"] == len(records) == 4
+    for record in records:
+        assert not record["holds"]
+        mat = IntegerMatrix.from_rows(record["matrix"], record["cols"])
+        assert (mat.rows, soule(mat).exact_torsion) == (record["rows"], record["torsion"])
 
-def test_batch_failure_payload_reproduces():
-    # sanity-check the reporting path: tamper with a record to ensure the
-    # instance payload fully determines the check
-    summary = batch_verify_soule(5, seed=1)
-    for record in summary.records:
-        assert set(record) >= {"index", "rows", "cols", "torsion", "bound", "holds"}
+    assert main(["verify", "dv-bound", "--count", "3", "--seed", "1"]) == 1
+    *records, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert summary["failures"] == len(records) == 2 * 3
+    for record in records:
+        assert not record["holds"]
+        pair = SimplicialPair(total=build_complex(record["maximal_simplices"]),
+                              sub=build_complex(record["sub_maximal_simplices"]))
+        report = dv(pair, record["p"])
+        assert (report.D, report.V, report.torsion_order) == (record["D"], record["V"], record["torsion"])
 
 
 def test_ratio_zero_for_trivial_torsion():

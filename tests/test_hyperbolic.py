@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torsionlab import hyperbolic as hyp
+from torsionlab.constants import volume_ratio_bound
 
 
 def random_point(rng, d, spread=2.0):
@@ -370,6 +371,16 @@ def test_obtuse_angle_identical_gradients():
     assert report.min_inner_product == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("length", [8.0, 10.0, 11.0])
+def test_long_loxodromic_commutes_with_its_square(length):
+    # entries near e^(2l) round AB - BA far past an absolute 1e-9
+    g = hyp.standard_loxodromic(3, length)
+    assert g.commutes_with(g.power(2))
+    assert not g.commutes_with(hyp.loxodromic([1.3, 0.5, -1.2, 0.0], [1.3, 0.5, 1.2, 0.0], length))
+    report = hyp.obtuse_angle_check(g, g.power(2), length + 0.5, 2 * length + 0.9, samples=20, seed=0)
+    assert report.passed
+
+
 def test_obtuse_angle_rejects_noncommuting():
     g = hyp.standard_loxodromic(3, 0.2)
     other = hyp.loxodromic([1.3, 0.5, -1.2, 0.0], [1.3, 0.5, 1.2, 0.0], 0.2)
@@ -720,10 +731,13 @@ def test_orbit_count_on_axis():
 
 
 def test_orbit_count_zero_below_length():
+    # at R <= l/2 the bound is N(d, R, R): N(d, l, R) needs l < 2R
     g = hyp.standard_loxodromic(2, 1.0)
-    report = hyp.orbit_count_check(g, hyp.base_point(2), 0.5, eps=0.3)
-    assert report.count == 0
-    assert report.passed
+    for R in (0.4, 0.5, 0.8):
+        report = hyp.orbit_count_check(g, hyp.base_point(2), R)
+        assert report.count == 0
+        assert report.bound == volume_ratio_bound(2, R, R).value
+        assert report.passed
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
