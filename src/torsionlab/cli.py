@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit-code contract: 0 success, 1 verification failure, 2 input error,
-3 internal error, 64 usage error.  Each `verify` suite takes only the
-flags it reads, listed in _SUITE_TABLE; any other flag is a usage error.
+3 internal error, 64 usage error.  The parser converts and bounds every
+argument, so a bad value is a usage error before any work starts.  Each
+`verify` suite takes only the flags it reads, listed in _SUITE_TABLE;
+any other flag is a usage error.
 Each suite runs one library check per instance and builds its JSON
 records here; _report emits them, counts the failures and sets the exit
 code.  The randomized suites take --seed (default 0), and the same
@@ -73,9 +75,33 @@ def _parse_int_vector(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer vector {text!r}") from None
 
 
-def _require_at_least(value: int, least: int, flag: str) -> None:
-    if value < least:
-        raise UsageError(f"{flag} must be at least {least}")
+def _parse_relations(text: str) -> list[tuple[int, ...]]:
+    return [] if text == "none" else [_parse_int_vector(part) for part in text.split(";") if part]
+
+
+def _at_least(least: int, flag: str):
+    """An argparse type: an int of at least `least`.  argparse passes the
+    UsageError through, and names the type "int" for a ValueError of int()."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}")
+        return value
+
+    parse.__name__, parse.least = "int", least
+    return parse
+
+
+def _margulis_eps(text: str) -> Fraction:
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad --margulis-eps {text!r}") from None
+    if eps <= 0:
+        raise UsageError("--margulis-eps must be positive")
+    if eps > sys.float_info.max:  # every field prints a float beside its fraction
+        raise UsageError("--margulis-eps must not exceed the largest float")
+    return eps
 
 
 # --- homology ----------------------------------------------------------------
@@ -96,10 +122,7 @@ def cmd_homology(args) -> int:
         raise InputError(f"{args.path}: {exc}") from None
 
     groups = all_homology(obj)
-    degrees = list(range(len(groups)))
-    if args.degrees is not None:
-        degrees = [d for d in _parse_int_vector(args.degrees)]
-    for k in degrees:
+    for k in range(len(groups)) if args.degrees is None else args.degrees:
         if 0 <= k < len(groups):
             _emit(groups[k].to_json(degree=k))
         else:
@@ -112,8 +135,6 @@ def cmd_homology(args) -> int:
 def cmd_nerve(args) -> int:
     from . import nerve
 
-    if args.max_dim is not None:
-        _require_at_least(args.max_dim, 1, "--max-dim")
     text = _read_text(args.path)
     try:
         cover = nerve.read_cover(text)
@@ -136,17 +157,7 @@ def cmd_nerve(args) -> int:
 def cmd_constants(args) -> int:
     from . import constants
 
-    _require_at_least(args.d, 2, "--d")
-    _require_at_least(args.margulis_m, 1, "--margulis-m")
-    try:
-        eps = Fraction(args.margulis_eps)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad --margulis-eps {args.margulis_eps!r}") from None
-    if eps <= 0:
-        raise UsageError("--margulis-eps must be positive")
-    if eps > sys.float_info.max:  # every field prints a float beside its fraction
-        raise UsageError("--margulis-eps must not exceed the largest float")
-    params = constants.ThickThinParams(d=args.d, margulis_eps=eps, margulis_index=args.margulis_m)
+    params = constants.ThickThinParams(args.d, args.margulis_eps, args.margulis_m)
     doc = {
         "d": args.d,
         "margulis_eps": _fraction_doc(params.margulis_eps),
@@ -173,21 +184,14 @@ def _peripheral_from_args(args):
     from . import dehn
     from .exact import IntegerMatrix
 
-    mu = _parse_int_vector(args.mu)
-    lam = _parse_int_vector(args.lam)
-    if len(mu) != len(lam):
+    n = len(args.mu)
+    if len(args.lam) != n:
         raise UsageError("--mu and --lambda must have the same length")
-    n = len(mu)
-    if args.relations == "none":
-        columns: list[tuple[int, ...]] = []
-    else:
-        columns = [_parse_int_vector(part) for part in args.relations.split(";") if part]
-        for col in columns:
-            if len(col) != n:
-                raise UsageError("every relation must have one entry per generator")
-    core = IntegerMatrix(n, len(columns), [dict(enumerate(col)) for col in columns])
+    if any(len(col) != n for col in args.relations):
+        raise UsageError("every relation must have one entry per generator")
+    core = IntegerMatrix(n, len(args.relations), [dict(enumerate(col)) for col in args.relations])
     try:
-        return dehn.PeripheralData(core_presentation=core, mu_image=mu, lambda_image=lam)
+        return dehn.PeripheralData(core_presentation=core, mu_image=args.mu, lambda_image=args.lam)
     except dehn.FillingError as exc:
         raise InputError(str(exc)) from None
 
@@ -211,9 +215,7 @@ def cmd_dehn_fill(args) -> int:
 def cmd_dehn_table(args) -> int:
     from . import dehn
 
-    p_range = _parse_range(args.p)
-    q_range = _parse_range(args.q)
-    for row in dehn.figure_eight_family(p_range, q_range):
+    for row in dehn.figure_eight_family(args.p, args.q):
         _emit(row)
     return EXIT_OK
 
@@ -246,8 +248,6 @@ def _report_bound(args, rows) -> int:
 def _verify_soule(args) -> int:
     from . import bounds
 
-    _require_at_least(args.count, 1, "--count")
-
     def rows():
         for index, mat in enumerate(bounds.random_matrices(args.count, args.seed)):
             report = bounds.soule_bound(mat)
@@ -263,8 +263,6 @@ def _verify_soule(args) -> int:
 
 def _verify_dv(args) -> int:
     from . import bounds
-
-    _require_at_least(args.count, 1, "--count")
 
     def rows():
         for index, pair in enumerate(bounds.random_dv_pairs(args.count, args.seed)):
@@ -305,8 +303,6 @@ def _verify_nerve(args) -> int:
 def _verify_obtuse(args) -> int:
     from . import hyperbolic
 
-    _require_at_least(args.d, 2, "--d")
-    _require_at_least(args.samples, 1, "--samples")
     g = hyperbolic.standard_loxodromic(args.d, 0.2)
     fixed = [1.0, 1.0] + [0.0] * (args.d - 1)
     pa = hyperbolic.parabolic(fixed, [1.0] + [0.0] * (args.d - 2))
@@ -329,8 +325,6 @@ def _verify_orbit(args) -> int:
 
     from . import hyperbolic
 
-    _require_at_least(args.d, 2, "--d")
-    _require_at_least(args.count, 1, "--count")
     rng = np.random.default_rng(args.seed)
 
     def rows():
@@ -354,16 +348,16 @@ def _verify_orbit(args) -> int:
 def _verify_commutator(args) -> int:
     from . import constants
 
-    _require_at_least(args.d, 2, "--d")
     return _report((({"rank_a": c.rank_a, "rank_c": c.rank_c, "lhs": _fraction_text(c.lhs),
                       "rhs": _fraction_text(c.rhs), "passed": c.passes}, c.passes)
                     for c in constants.commutator_inequality_check(args.d)),
                    {"suite": "commutator", "d": args.d})
 
 
-# Each suite's runner and the flags it reads; a flag a suite does not read
-# is a usage error.
-_FLAG_DEFAULTS = {"--count": 100, "--seed": 0, "--d": 3, "--samples": 200}
+# Each verify flag's parser and default, and each suite's runner and the
+# flags it reads; a flag a suite does not read is a usage error.
+_FLAGS = {"--count": (_at_least(1, "--count"), 100), "--seed": (_at_least(0, "--seed"), 0),
+          "--d": (_at_least(2, "--d"), 3), "--samples": (_at_least(1, "--samples"), 200)}
 _SUITE_TABLE = {
     "soule": (_verify_soule, ("--count", "--seed")),
     "dv-bound": (_verify_dv, ("--count", "--seed")),
@@ -384,34 +378,35 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("homology", help="homology of a complex or pair file")
     p.add_argument("path")
-    p.add_argument("--degrees", default=None, help="comma-separated degrees (default: all)")
+    p.add_argument("--degrees", type=_parse_int_vector, default=None,
+                   help="comma-separated degrees (default: all)")
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("nerve", help="f-vector (and homology) of the nerve of a cover file")
     p.add_argument("path")
-    p.add_argument("--max-dim", type=int, default=None,
+    p.add_argument("--max-dim", type=_at_least(1, "--max-dim"), default=None,
                    help="dimension cap (default: the space dimension + 1)")
     p.add_argument("--homology", action="store_true", help="add the groups below the cap")
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("constants", help="derived thick-thin constants as JSON")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--margulis-eps", default="0.1")
-    p.add_argument("--margulis-m", type=int, default=2)
+    p.add_argument("--d", type=_at_least(2, "--d"), required=True)
+    p.add_argument("--margulis-eps", type=_margulis_eps, default="0.1")
+    p.add_argument("--margulis-m", type=_at_least(1, "--margulis-m"), default=2)
     p.add_argument("--m8", action="store_true", help="include the figure-eight volume")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("dehn-fill", help="first homology of one Dehn filling")
-    p.add_argument("--mu", default="1")
-    p.add_argument("--lambda", dest="lam", default="0")
-    p.add_argument("--relations", default="none")
+    p.add_argument("--mu", type=_parse_int_vector, default="1")
+    p.add_argument("--lambda", dest="lam", type=_parse_int_vector, default="0")
+    p.add_argument("--relations", type=_parse_relations, default="none")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=cmd_dehn_fill)
 
     p = sub.add_parser("dehn-table", help="figure-eight filling table (JSON lines)")
-    p.add_argument("--p", required=True, help="range a..b or single value")
-    p.add_argument("--q", required=True, help="range a..b or single value")
+    p.add_argument("--p", type=_parse_range, required=True, help="range a..b or single value")
+    p.add_argument("--q", type=_parse_range, required=True, help="range a..b or single value")
     p.set_defaults(func=cmd_dehn_table)
 
     suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
@@ -419,8 +414,9 @@ def build_parser() -> _Parser:
     for name, (runner, flags) in _SUITE_TABLE.items():
         p = suites.add_parser(name)
         for flag in flags:
-            p.add_argument(flag, type=int, default=_FLAG_DEFAULTS[flag],
-                           help="default %(default)s")
+            parse, default = _FLAGS[flag]
+            p.add_argument(flag, type=parse, default=default,
+                           help=f"default {default}, at least {parse.least}")
         p.set_defaults(func=runner)
 
     return parser

@@ -254,7 +254,10 @@ def commutator_chain_passes(d: int) -> bool:
     """Whether every pair of ``commutator_inequality_check(d)`` passes.
 
     1/(4*17^i_c) falls as i_c grows, so for each i_a the pair with
-    i_c = i_a - 1 is the tightest: d - 1 comparisons, not d(d-1)/2.
+    i_c = i_a - 1 is the tightest: d - 1 comparisons, not d(d-1)/2.  At
+    d = 3600, which ``constants --d 3600`` reaches, the full check has about
+    6.5 million pairs; 355,000 of them took 25 s, against 0.18 s for this
+    shortcut (2-CPU VM).
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")

@@ -371,6 +371,11 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
             r = max(hit)
             _clear_pivot_row(col, pivots[r], r)
 
+    # The row_cols index and the key heap below are kept for long residuals.
+    # A scan of every column per pivot and per row was about 20 % faster on
+    # 3000 soule-size matrices and no slower on the figure-eight p + 1 covers
+    # at p = 409 and 601, but on a 4000-column residual with 2 on the
+    # diagonal and 1 above it the scan took 8.4 s against 0.047 s (2-CPU VM).
     row_cols: dict[int, set[int]] = {}
     for j, col in enumerate(cols):
         for i in col:

@@ -388,7 +388,12 @@ class _CoverMatrix:
 
     def pair_meets(self, i: int, j: int) -> bool:
         """Whether balls i and j meet, from the closed 2x2 form of their exact
-        entries."""
+        entries.
+
+        tuple_meets((i, j)) gives the same answer by a fraction-free solve,
+        which is slow on long entries: on an H^2 cover of a ball of radius
+        3e5 at the base point and one of radius 0.3 at distance 1, it took
+        2.3-2.7 s against 0.06 s for this (2-CPU VM)."""
         (lo_i, hi_i), (lo_j, hi_j), (lo, hi) = (self.entries(*p) for p in ((i, i), (j, j), (i, j)))
         return _certify(lambda a: _copositive_pair(*a), (lo_i, lo_j, lo),
                         None if hi is None else (hi_i, hi_j, hi), (i, j))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -485,17 +486,56 @@ def test_verify_hyperbolic_suites_reject_dimension_one(capsys, suite):
     (("soule", "--count", "0"), "--count must be at least 1"),
     (("dv-bound", "--count", "0"), "--count must be at least 1"),
     (("orbit", "--count", "-2"), "--count must be at least 1"),
+    (("soule", "--seed", "-1"), "--seed must be at least 0"),
+    (("dv-bound", "--seed", "-1"), "--seed must be at least 0"),
+    (("obtuse", "--seed", "-1"), "--seed must be at least 0"),
+    (("orbit", "--seed", "-1"), "--seed must be at least 0"),
+    (("commutator", "--d", "1"), "--d must be at least 2"),
 ])
 def test_verify_rejects_empty_runs(capsys, argv, message):
-    code, out, err = run_cli(capsys, "verify", *argv)
-    assert code == 64
-    assert out == ""
-    assert message in err
+    # one line on stderr, so no traceback
+    assert run_cli(capsys, "verify", *argv) == (64, "", f"torsionlab: usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--margulis-m", "0", "--d", "1"), "--margulis-m must be at least 1"),
+    (("--d", "1", "--margulis-eps", "0"), "--d must be at least 2"),
+])
+def test_the_first_bad_flag_on_the_command_line_is_reported(capsys, argv, message):
+    assert run_cli(capsys, "constants", *argv) == (64, "", f"torsionlab: usage error: {message}\n")
+
+
+def test_readme_suite_table_matches_the_parser():
+    # each row: | `suite` | checks | `--flag` (default, ≥ least), ... or none |
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| .+ \| (.+) \|$", text, re.MULTILINE)
+    assert [suite for suite, _ in rows] == list(cli._SUITE_TABLE)
+    for suite, cell in rows:
+        listed = [(flag, int(default), int(least)) for flag, default, least
+                  in re.findall(r"`(--[a-z-]+)` \((\d+), ≥ (\d+)\)", cell)]
+        flags = cli._SUITE_TABLE[suite][1]
+        assert listed == [(f, cli._FLAGS[f][1], cli._FLAGS[f][0].least) for f in flags], suite
+        assert listed or cell == "none", suite
+
+
+@pytest.mark.parametrize("suite", list(cli._SUITE_TABLE))
+def test_verify_help_gives_each_flag_default_and_least(capsys, suite):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", suite, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for flag in cli._SUITE_TABLE[suite][1]:
+        parse, default = cli._FLAGS[flag]
+        assert re.search(rf"^  {flag} \S+ +default {default}, at least {parse.least}$", out,
+                         re.MULTILINE), flag
 
 
 # stdout checked in under tests/expected/; regenerate a file only for a
-# deliberate change of output
+# deliberate change of output.  pinned.txt lists the pinned calls, one
+# `name args...` line each; CI's bare-runtime step reads it too.
 EXPECTED = ROOT / "tests" / "expected"
+PINNED = [(tuple(args), name) for name, *args in
+          map(str.split, (EXPECTED / "pinned.txt").read_text(encoding="utf-8").splitlines())]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos" / "files").glob("*.cplx")),
@@ -506,46 +546,20 @@ def test_homology_of_demo_files_is_byte_identical(capsys, path):
     assert out == (EXPECTED / f"homology_{path.stem}.out").read_text(encoding="utf-8")
 
 
-def test_verify_nerve_is_byte_identical(capsys):
-    code, out, _ = run_cli(capsys, "verify", "nerve")
-    assert code == 0
-    assert out == (EXPECTED / "verify_nerve.out").read_text(encoding="utf-8")
-
-
-def test_verify_obtuse_is_byte_identical(capsys):
-    code, out, _ = run_cli(capsys, "verify", "obtuse")
-    assert code == 0
-    assert out == (EXPECTED / "verify_obtuse.out").read_text(encoding="utf-8")
-
-
-def test_verify_orbit_is_byte_identical(capsys):
-    code, out, _ = run_cli(capsys, "verify", "orbit")
-    assert code == 0
-    assert out == (EXPECTED / "verify_orbit.out").read_text(encoding="utf-8")
-
-
-def test_verify_dv_bound_is_byte_identical(capsys):
-    code, out, _ = run_cli(capsys, "verify", "dv-bound")
-    assert code == 0
-    assert out == (EXPECTED / "verify_dv_bound.out").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("argv, name", [
-    (("verify", "soule"), "verify_soule"),
-    (("verify", "commutator"), "verify_commutator"),
-    (("dehn-table", "--p", "0..12", "--q", "1..3"), "dehn_table"),
-    (("constants", "--d", "8", "--m8"), "constants_d8_m8"),
-    (("verify", "orbit", "--d", "2", "--count", "40", "--seed", "1"), "verify_orbit_d2_seed1"),
-    (("verify", "orbit", "--d", "5", "--count", "40", "--seed", "2"), "verify_orbit_d5_seed2"),
-    (("verify", "obtuse", "--d", "5"), "verify_obtuse_d5"),
-    (("nerve", str(ROOT / "demos" / "files" / "circle_cover.cover"), "--homology"),
-     "nerve_circle_cover"),
-    (("constants", "--d", "25"), "constants_d25"),
-])
-def test_seeded_and_closed_form_output_is_byte_identical(capsys, argv, name):
+@pytest.mark.parametrize("argv, name", PINNED)
+def test_seeded_and_closed_form_output_is_byte_identical(capsys, monkeypatch, argv, name):
+    monkeypatch.chdir(ROOT)  # the manifest names demo files from the repo root
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (EXPECTED / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_every_expected_file_is_claimed():
+    names = [name for _, name in PINNED]
+    assert len(set(names)) == len(names)
+    demos = {path.stem for path in (ROOT / "demos").glob("0*.py")}
+    homology = {f"homology_{path.stem}" for path in (ROOT / "demos" / "files").glob("*.cplx")}
+    assert {path.stem for path in EXPECTED.glob("*.out")} <= {*names, *demos, *homology}
 
 
 def test_nerve_of_a_hyperbolic_cover_file(capsys, tmp_path):
