@@ -97,10 +97,10 @@ class DVBoundReport:
     holds: bool
 
     def ratio(self) -> float:
+        # torsion above 1 lies in an H_p with p >= 1, which needs a p-simplex:
+        # then D, V >= 1 and log(p + 1) > 0, so log_bound is positive
         if self.torsion_order <= 1:
             return 0.0
-        if self.log_bound == 0.0:
-            return math.inf
         return self.log_torsion / self.log_bound
 
 

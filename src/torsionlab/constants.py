@@ -180,7 +180,8 @@ class ThickThinParams:
     eps * (4 * m * 17^d) == eps0 holds with no rounding.  delta itself is
     not constructible (it comes from a compactness argument); only its
     upper bound eps / (2 * (b + 1)) is carried, with b the unit-vector
-    packing bound, which is known up to d = 24 and None past it.
+    packing bound, which is known up to d = 24 and None past it; the
+    constructor sets b.
     """
 
     d: int
@@ -195,6 +196,7 @@ class ThickThinParams:
             raise ValueError("Margulis epsilon must be positive")
         if self.margulis_index < 1:
             raise ValueError("Margulis index must be a positive integer")
+        object.__setattr__(self, "b", unit_vector_packing_bound(self.d) if self.d <= 24 else None)
 
     @property
     def eps0(self) -> Fraction:
@@ -213,10 +215,6 @@ class ThickThinParams:
         if not 0 <= rank <= self.d - 1:
             raise ValueError(f"centrality rank must lie in [0, {self.d - 1}]")
         return self.eps0 / (4 * 17 ** rank)
-
-    @functools.cached_property
-    def b(self) -> int | None:
-        return unit_vector_packing_bound(self.d) if self.d <= 24 else None
 
     @property
     def delta_upper_bound(self) -> Fraction | None:

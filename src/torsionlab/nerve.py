@@ -67,7 +67,7 @@ from . import hyperbolic as hyp
 from .certify import cosh_root_bounds, cosh_roots, inverse_sum_negative, inverse_sum_signs, stands
 from .exact import AbelianGroupStructure
 from .homology import all_homology
-from .simplicial import SimplicialComplex, SimplicialPair
+from .simplicial import SimplicialComplex, SimplicialPair, _closure
 
 
 # Bits of the first enclosure of h, and the most that refinement doubles them to.
@@ -577,8 +577,7 @@ def relative_nerve(cover: BallCover, subfamily: Sequence[int],
         elements=tuple((cover.elements[j][0], float(r)) for j, r in zip(indices, shrink)),
     )
     local = nerve(sub_cover)
-    relabeled = {tuple(sorted(indices[v] for v in s)) for s in local.simplices}
-    sub = SimplicialComplex(vertex_count=len(cover), simplices=frozenset(relabeled))
+    sub = _closure((tuple(sorted(indices[v] for v in s)) for s in local.simplices), len(cover))
     return SimplicialPair(total=total, sub=sub)
 
 
@@ -661,12 +660,11 @@ def circle_cover(count: int = 8, radius: float = 0.9) -> BallCover:
     return BallCover.of(EuclideanSpace(2), [((math.cos(a), math.sin(a)), radius) for a in angles])
 
 
-def annulus_cover(count: int = 8, ball_radius: float = 0.9,
-                  inner_radius: float = 0.45) -> tuple[BallCover, list[int], list[float]]:
-    """Cover of an annulus with a shrunken subfamily hugging the inner circle.
+def annulus_cover() -> tuple[BallCover, list[int], list[float]]:
+    """Cover of an annulus by 8 balls of radius 0.9 on the unit circle, with
+    every ball shrunk to radius 0.45 as the subfamily hugging the inner circle.
 
     Returns the full cover, the subfamily indices, and the shrink radii;
     feed these to relative_nerve.
     """
-    cover = circle_cover(count, ball_radius)
-    return cover, list(range(count)), [inner_radius] * count
+    return circle_cover(8, 0.9), list(range(8)), [0.45] * 8

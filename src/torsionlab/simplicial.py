@@ -5,28 +5,31 @@ complex stores *all* of its simplices explicitly (not only maximal ones):
 at desk scale this is affordable and makes boundary-matrix assembly a
 straight read-off.  Bases of chain groups are always the lexicographically
 sorted simplex lists, so every matrix is bit-reproducible across runs.
-Each complex sorts its simplices into these lists once, by dimension, and
-the dimension, f-vector, used vertices and edge degrees read that index.
-A closure (``build_complex``, the file reader, the nerve) builds the
-simplices level by level, facets from ``itertools.combinations``, and
-hands each level over sorted as the index; a complex made by its public
-constructor groups its simplices on the first read instead.  The file
-reader converts each simplex line with one sort and checks it there,
-vertex range included, so its errors name the line.  Boundary columns
-take their faces from ``combinations`` too, looked up in one dict.
+Every complex sorts its simplices into these lists by dimension when it
+is constructed, and the dimension, f-vector, used vertices and edge
+degrees read that index.  The public constructor, for input from
+outside, validates the simplex set and groups it in one pass.  The
+program's own complexes come from a closure (``build_complex``, the file
+reader, the nerve, ``random_dv_complex``, ``relative_nerve``), which
+builds the simplices level by level, facets from ``combinations``, and
+hands each level over sorted as the index; a random full subcomplex
+filters its complex's index instead.  The file reader converts each
+simplex line with one sort and checks it there, vertex range included,
+so its errors name the line.  Boundary columns take their faces from
+``combinations`` too, looked up in one dict.
 
 A pair (total, sub) is the chain complex of the quotient: its k-chains
-are spanned by the k-simplices of total that are not in sub.  It keeps
-the same kind of index, filtered once, and answers ``dimension`` and
-``simplices_of_dim`` from it as a complex does, so ``boundary_matrix``
-(and ``homology``) take either without a branch.
+are spanned by the k-simplices of total that are not in sub.  It builds
+the same kind of index when it is constructed, the total's filtered once,
+and answers ``dimension`` and ``simplices_of_dim`` from it as a complex
+does, so ``boundary_matrix`` (and ``homology``) take either without a
+branch.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -57,7 +60,9 @@ def _outside_range(s: Simplex, vertex_count: int) -> MalformedComplexError:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed set of simplices over vertices 0..vertex_count-1."""
+    """Downward-closed set of simplices over vertices 0..vertex_count-1.
+    It keeps ``_sorted_by_dim``, the k-simplices sorted at position k, and
+    ``_boundaries``, the d_k that ``boundary_matrix`` keeps, by degree."""
 
     vertex_count: int
     simplices: frozenset[Simplex]
@@ -66,10 +71,13 @@ class SimplicialComplex:
         # by induction on dimension, a set holding every facet of each of
         # its simplices holds every face; and as s[:-1] is a facet, every
         # simplex is strictly increasing and nonnegative once each vertex is
-        # nonnegative and each simplex ends in an ascent
+        # nonnegative and each simplex ends in an ascent.  Downward closure
+        # leaves no size empty below the top, so the sizes are 1..len(groups)
+        groups: dict[int, list[Simplex]] = {}
         for s in self.simplices:
             if not s:
                 raise MalformedComplexError("empty simplex")
+            groups.setdefault(len(s), []).append(s)
             if s[-1] >= self.vertex_count:
                 raise _outside_range(s, self.vertex_count)
             if len(s) == 1:
@@ -84,6 +92,8 @@ class SimplicialComplex:
                     f = s[:i] + s[i + 1:]
                     if f not in self.simplices:
                         raise MalformedComplexError(f"missing face {f} of {s}")
+        by_dim = tuple(tuple(sorted(groups[n])) for n in range(1, len(groups) + 1))
+        vars(self).update(_sorted_by_dim=by_dim, _boundaries={})
 
     @classmethod
     def _closed(cls, vertex_count: int, by_dim: tuple[tuple[Simplex, ...], ...]) -> "SimplicialComplex":
@@ -98,26 +108,9 @@ class SimplicialComplex:
                 if s[-1] >= vertex_count:
                     raise _outside_range(s, vertex_count)
         complex_ = object.__new__(cls)
-        object.__setattr__(complex_, "vertex_count", vertex_count)
-        object.__setattr__(complex_, "simplices", simplices)
-        object.__setattr__(complex_, "_sorted_by_dim", by_dim)
+        vars(complex_).update(vertex_count=vertex_count, simplices=simplices,
+                              _sorted_by_dim=by_dim, _boundaries={})
         return complex_
-
-    @cached_property
-    def _sorted_by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
-        """The index every count and basis reads: the k-simplices, sorted,
-        at position k.  A closure seeds it (see ``_closed``); else it is
-        grouped here.  Downward closure leaves no dimension empty below
-        the top, so the sizes present are 1..len(groups)."""
-        groups: dict[int, list[Simplex]] = {}
-        for s in self.simplices:
-            groups.setdefault(len(s), []).append(s)
-        return tuple(tuple(sorted(groups[n])) for n in range(1, len(groups) + 1))
-
-    @cached_property
-    def _boundaries(self) -> dict[int, IntegerMatrix]:
-        """The d_k that ``boundary_matrix`` keeps for ``homology``, by degree."""
-        return {}
 
     @property
     def dimension(self) -> int:
@@ -148,23 +141,21 @@ class SimplicialComplex:
 
 @dataclass(frozen=True)
 class SimplicialPair:
-    """A complex together with a subcomplex, sharing vertex ids."""
+    """A complex together with a subcomplex, sharing vertex ids.  It keeps
+    its own ``_sorted_by_dim`` and ``_boundaries``, as a complex does."""
 
     total: SimplicialComplex
     sub: SimplicialComplex
 
     def __post_init__(self):
-        if not self.sub.simplices <= self.total.simplices:
-            raise MalformedComplexError("subcomplex is not contained in the total complex")
-
-    @cached_property
-    def _sorted_by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
-        """The relative basis by dimension: the total's index without sub."""
         sub = self.sub.simplices
-        return tuple(tuple(s for s in group if s not in sub) for group in self.total._sorted_by_dim)
+        if not sub <= self.total.simplices:
+            raise MalformedComplexError("subcomplex is not contained in the total complex")
+        # the relative basis by dimension: the total's index without sub
+        by_dim = tuple(tuple(s for s in group if s not in sub) for group in self.total._sorted_by_dim)
+        vars(self).update(_sorted_by_dim=by_dim, _boundaries={})
 
     # read the index as a complex does
-    _boundaries = SimplicialComplex._boundaries
     dimension = SimplicialComplex.dimension
     simplices_of_dim = SimplicialComplex.simplices_of_dim
 
@@ -218,7 +209,7 @@ def _closure(simplices: Iterable[Simplex], vertex_count: int | None) -> Simplici
 
 
 def empty_complex(vertex_count: int = 0) -> SimplicialComplex:
-    return SimplicialComplex(vertex_count=vertex_count, simplices=frozenset())
+    return SimplicialComplex._closed(vertex_count, ())
 
 
 def complexity_profile(complex_: SimplicialComplex) -> ComplexityProfile:
@@ -325,16 +316,20 @@ def random_dv_complex(max_degree: int, max_vertices: int, dim: int, seed: int) -
         frontier = next_frontier
         if not frontier:
             break
-    return build_complex(simplices, vertex_count=n)
+    return _closure(simplices, n)
 
 
 def random_subcomplex(complex_: SimplicialComplex, seed: int) -> SimplicialComplex:
-    """Full subcomplex induced on a random vertex subset."""
+    """Full subcomplex induced on a random vertex subset.
+
+    Each level of the index is filtered to the kept vertices.  A full
+    subcomplex of a closed index is closed and stays sorted, and its
+    empty levels are the top ones.
+    """
     rng = random.Random(seed)
-    used = complex_.used_vertices()
-    keep = {v for v in used if rng.random() < 0.5}
-    simplices = {s for s in complex_.simplices if set(s) <= keep}
-    return SimplicialComplex(vertex_count=complex_.vertex_count, simplices=frozenset(simplices))
+    keep = {v for v in complex_.used_vertices() if rng.random() < 0.5}
+    levels = (tuple(s for s in group if keep.issuperset(s)) for group in complex_._sorted_by_dim)
+    return SimplicialComplex._closed(complex_.vertex_count, tuple(level for level in levels if level))
 
 
 # --- line-based file format ------------------------------------------------

@@ -152,6 +152,14 @@ def test_dv_check_rp2():
     assert report.holds
 
 
+def test_dv_ratio_divides_the_log_torsion_by_the_log_bound():
+    # RP^2 over nothing at p = 1: log 2 / (5 * 6 * log 2)
+    k = complexes.projective_plane_6()
+    report = dv_torsion_check(SimplicialPair(total=k, sub=empty_complex(k.vertex_count)), 1)
+    assert (report.D, report.V, report.torsion_order) == (5, 6, 2)
+    assert report.ratio() == pytest.approx(1 / 30)
+
+
 def test_dv_check_self_pair_trivial():
     k = complexes.torus_7()
     pair = SimplicialPair(total=k, sub=k)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torsionlab import hyperbolic as hyp
-from torsionlab.certify import cosh_root_bounds, stands
+from torsionlab.certify import _FILTERED, cosh_root_bounds, inverse_sum_signs, stands
 from torsionlab.cli import main
 
 FLOOR = 2.0 ** -960
@@ -96,3 +96,11 @@ def test_float_bounds_on_cosh_root_abstain_past_the_float_range():
     assert lo[1] == 0 and 0 < hi[1] < 1.2
     assert (lo[2:4] == 0).all() and (hi[2:4] == math.inf).all()
     assert lo[4] < math.cosh(0.5) < hi[4] and hi[4] - lo[4] < 1e-14
+
+
+def test_inverse_sum_signs_certifies_nothing_past_the_filtered_size():
+    # -I has a^-1 1 = -1 < 0, which the filter certifies up to _FILTERED
+    for k, filtered in ((_FILTERED, True), (_FILTERED + 1, False)):
+        a = -np.eye(k)[None]
+        certified, negative = inverse_sum_signs(a, np.abs(a), 1)
+        assert (bool(certified[0]), bool(negative[0])) == (filtered, filtered)

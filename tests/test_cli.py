@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -41,6 +42,12 @@ def test_homology_rp2_line_format(capsys, rp2_file):
     code, out, _ = run_cli(capsys, "homology", rp2_file, "--degrees", "1")
     assert code == 0
     assert out == '{"degree": 1, "betti": 0, "torsion": [2]}\n'
+
+
+def test_homology_past_the_dimension_is_zero(capsys):
+    code, out, _ = run_cli(capsys, "homology", str(ROOT / "demos" / "files" / "rp2.cplx"), "--degrees", "0,5")
+    assert code == 0
+    assert out.splitlines()[1] == '{"degree": 5, "betti": 0, "torsion": []}'
 
 
 def test_homology_torus_all_degrees(capsys, tmp_path):
@@ -211,6 +218,16 @@ def test_dehn_fill_figure_eight(capsys):
 def test_dehn_fill_invalid_slope_exit_2(capsys):
     code, _, err = run_cli(capsys, "dehn-fill", "--p", "4", "--q", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--mu", "1,0", "--lambda", "0"), 64, "usage error: --mu and --lambda must have the same length"),
+    (("--mu", "1,0", "--lambda", "0,0", "--relations", "1"), 64,
+     "usage error: every relation must have one entry per generator"),
+    (("--mu", "1", "--lambda", "1"), 2, "input error: longitude image must be a torsion class of the core"),
+], ids=["lengths", "relation", "longitude"])
+def test_dehn_fill_bad_presentations_are_reported(capsys, argv, code, message):
+    assert run_cli(capsys, "dehn-fill", *argv, "--p", "5", "--q", "1") == (code, "", f"torsionlab: {message}\n")
 
 
 def test_dehn_fill_with_relations(capsys):
@@ -503,6 +520,19 @@ def test_verify_rejects_empty_runs(capsys, argv, message):
 ])
 def test_the_first_bad_flag_on_the_command_line_is_reported(capsys, argv, message):
     assert run_cli(capsys, "constants", *argv) == (64, "", f"torsionlab: usage error: {message}\n")
+
+
+def test_readme_names_only_code_that_exists():
+    # every backticked `<module>.<name>` of a torsionlab module, as `exact._smith_kernel`;
+    # a file name such as `nerve.py` names no code
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem for path in (ROOT / "src" / "torsionlab").glob("*.py")}
+    names = [(module, name) for span in re.findall(r"`([^`\n]+)`", text)
+             for module, name in re.findall(r"(?<![\w.])([a-z_]+)\.([A-Za-z_]\w*)", span)
+             if module in modules and name != "py"]
+    assert len(names) >= 5
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"torsionlab.{module}"), name), f"{module}.{name}"
 
 
 def test_readme_suite_table_matches_the_parser():

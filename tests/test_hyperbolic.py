@@ -25,6 +25,17 @@ def test_point_normalization():
         hyp.make_point([1.0, 2.0, 0.0])  # spacelike
 
 
+def test_a_point_on_the_lower_sheet_is_moved_to_the_upper_one():
+    x = hyp.make_point([-2.0, 1.0, 0.5])
+    assert np.array_equal(x, hyp.make_point([2.0, -1.0, -0.5]))
+    assert x[0] > 0
+
+
+def test_the_zeroth_power_is_the_identity():
+    g = hyp.standard_loxodromic(3, 1.5)
+    assert np.array_equal(g.power(0).matrix, np.eye(4))
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_spacelike_points_beyond_the_float_range_of_the_form_are_rejected(scale):
     with pytest.raises(hyp.GeometryError, match="not timelike"):

@@ -1170,7 +1170,6 @@ def test_candidates_are_the_tuples_whose_facets_all_lie_in_the_nerve(monkeypatch
 @pytest.mark.parametrize("max_dim", [1, 5])
 def test_nerve_seeds_the_index_a_regrouping_gives(kind, max_dim):
     got = nerve(wide_cover(kind, 1), max_dim=max_dim)
-    assert "_sorted_by_dim" in vars(got)
     regrouped = SimplicialComplex(vertex_count=got.vertex_count, simplices=got.simplices)
     assert got._sorted_by_dim == regrouped._sorted_by_dim
 

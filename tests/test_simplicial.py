@@ -1,3 +1,5 @@
+import hashlib
+import random
 import re
 from itertools import combinations
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from torsionlab import complexes
 from torsionlab.exact import IntegerMatrix
+from torsionlab.nerve import annulus_cover, relative_nerve
 from torsionlab.simplicial import (
     MalformedComplexError,
     SimplicialComplex,
@@ -365,7 +368,6 @@ def regrouped(simplices):
 
 
 def assert_seeded_closure(k, maximal, vertex_count):
-    assert "_sorted_by_dim" in vars(k)  # seeded by the closure, not grouped on first read
     assert k.vertex_count == vertex_count
     assert k.simplices == brute_force_closure(maximal)
     assert k._sorted_by_dim == regrouped(k.simplices)
@@ -381,6 +383,33 @@ def test_closure_seeds_the_index_a_regrouping_gives(name, k):
         parsed = read_complex_or_pair(write_pair(SimplicialPair(total=k, sub=sub)))
         assert_seeded_closure(parsed.total, maximal, k.vertex_count)
         assert_seeded_closure(parsed.sub, sub.maximal_simplices(), k.vertex_count)
+
+
+def assert_same_complex(got, want):
+    assert (got.vertex_count, got.simplices, got._sorted_by_dim) == \
+        (want.vertex_count, want.simplices, want._sorted_by_dim)
+
+
+def test_the_trusted_builders_give_what_the_validating_paths_give():
+    # the builders skip as_simplex and the constructor's checks; their
+    # complexes must be the ones those checks accept, with the same index
+    digest = hashlib.sha256()
+    for seed in range(200):
+        for max_vertices in (30, 60):
+            k = random_dv_complex(6, max_vertices, 3, seed)
+            assert_same_complex(k, build_complex(k.simplices, k.vertex_count))
+            sub = random_subcomplex(k, seed)
+            rng = random.Random(seed)
+            keep = {v for v in k.used_vertices() if rng.random() < 0.5}
+            assert_same_complex(sub, SimplicialComplex(
+                vertex_count=k.vertex_count, simplices=frozenset(s for s in k.simplices if set(s) <= keep)))
+            for c in (k, sub):
+                digest.update(repr((c.vertex_count, sorted(c.simplices))).encode())
+    # the draws of every seed above, unchanged since they were first pinned
+    assert digest.hexdigest() == "32bddabbcf60013af41cf63e626fbcde4d9edee7228fa451564d592ff78ccdb1"
+    assert_same_complex(empty_complex(5), SimplicialComplex(vertex_count=5, simplices=frozenset()))
+    sub = relative_nerve(*annulus_cover()).sub
+    assert_same_complex(sub, SimplicialComplex(vertex_count=sub.vertex_count, simplices=sub.simplices))
 
 
 def test_a_pair_file_widens_a_smaller_sub_with_its_index():
