@@ -211,13 +211,8 @@ class AbelianGroupStructure:
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self, degree: int | None = None) -> dict:
-        doc: dict = {}
-        if degree is not None:
-            doc["degree"] = degree
-        doc["betti"] = self.betti
-        doc["torsion"] = list(self.invariant_factors)
-        return doc
+    def to_json(self, degree: int) -> dict:
+        return {"degree": degree, "betti": self.betti, "torsion": list(self.invariant_factors)}
 
 
 @dataclass(frozen=True)

@@ -184,11 +184,11 @@ class LorentzIsometry:
         return LorentzIsometry(self.matrix @ other.matrix)
 
     def power(self, k: int) -> "LorentzIsometry":
-        """g^k by repeated squaring of the matrix, or of its inverse for k < 0."""
-        if k == 0:
-            return identity(self.dimension)
-        base = self if k > 0 else self.inverse()
-        return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)))
+        """g^k by repeated squaring of the matrix, or of its inverse for k < 0;
+        FloatingPointError once an entry, or the form check's square, overflows."""
+        base = self if k >= 0 else self.inverse()
+        with np.errstate(over="raise"):
+            return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)))
 
     def commutes_with(self, other: "LorentzIsometry") -> bool:
         a, b = self.matrix, other.matrix
@@ -469,9 +469,16 @@ def _exact_polynomial(x: Sequence[float], columns_a: list, columns_b: list) -> F
                        _gram(columns_a, columns_b, -1))
 
 
-class _GradientPair:
-    """Decides the sign of the inner product of the distance gradients of
-    two sub-level sets at sample points outside both.
+def _gradient_norm(normal, columns: list):
+    """|projection of N| = sqrt(s (s - 1)) for a tube, w for a horoball."""
+    s = normal[1]
+    return np.sqrt(s * (s - 1.0)) if len(columns) == 2 else s
+
+
+def _gradient_signs(set_a: SublevelSet, set_b: SublevelSet, columns: np.ndarray):
+    """(P >= 0 exactly, the float inner product of the unit gradients) as
+    arrays over the columns of a (d + 1, m) array of points outside both
+    sets.
 
     The Riemannian gradient of the distance to a tube is N / (c sqrt(c^2 - 1))
     and to a horoball N / w (see _normal); both scale factors are positive
@@ -479,46 +486,24 @@ class _GradientPair:
     Evaluated in floats, P takes at most 4d + 10 roundings along any path
     (d + 1 in each Lorentz product; s_a s_b multiplies two squares of them).
     The float sign stands where certify.stands() certifies it against Pbar,
-    P with every term replaced by its absolute value; elsewhere P is
-    evaluated over the rationals.
+    P with every term replaced by its absolute value; each lane takes the
+    float operations of one point, and only a lane where stands() abstains
+    evaluates P over the rationals.
     """
-
-    def __init__(self, set_a: SublevelSet, set_b: SublevelSet):
-        self.columns_a = set_a.columns
-        self.columns_b = set_b.columns
-        self.gram = _gram(self.columns_a, self.columns_b, -1)
-        self.abs_a = [[abs(v) for v in c] for c in self.columns_a]
-        self.abs_b = [[abs(v) for v in c] for c in self.columns_b]
-        self.abs_gram = _gram(self.abs_a, self.abs_b, 1)
-        self.roundings = 4 * set_a.gamma.dimension + 10
-
-    @staticmethod
-    def _norm(normal, columns: list):
-        """|projection of N| = sqrt(s (s - 1)) for a tube, w for a horoball."""
-        s = normal[1]
-        return np.sqrt(s * (s - 1.0)) if len(columns) == 2 else s
-
-    def decide(self, x: Sequence[float] | np.ndarray):
-        """(P >= 0 exactly, the float inner product of the unit gradients) at
-        one point, or as arrays over the columns of a (d + 1, m) array: each
-        lane takes the float operations of one point, and goes exact only
-        where stands() abstains."""
-        x = np.asarray(x, dtype=float)
-        lanes = x.reshape(x.shape[0], -1)
-        normal_a = _normal(lanes, self.columns_a, -1)
-        normal_b = _normal(lanes, self.columns_b, -1)
-        p = _polynomial(normal_a, normal_b, self.gram)
-        abs_x = np.abs(lanes)
-        bound = _polynomial(_normal(abs_x, self.abs_a, 1), _normal(abs_x, self.abs_b, 1),
-                            self.abs_gram)
-        nonnegative = p > 0
-        for i in np.flatnonzero(~stands(p, bound, self.roundings)):
-            point = lanes[:, i].tolist()
-            nonnegative[i] = _exact_polynomial(point, self.columns_a, self.columns_b) >= 0
-        ip = p / (self._norm(normal_a, self.columns_a) * self._norm(normal_b, self.columns_b))
-        if x.ndim == 1:
-            return bool(nonnegative[0]), float(ip[0])
-        return nonnegative, ip
+    cols_a, cols_b = set_a.columns, set_b.columns
+    abs_a = [[abs(v) for v in c] for c in cols_a]
+    abs_b = [[abs(v) for v in c] for c in cols_b]
+    normal_a = _normal(columns, cols_a, -1)
+    normal_b = _normal(columns, cols_b, -1)
+    p = _polynomial(normal_a, normal_b, _gram(cols_a, cols_b, -1))
+    abs_x = np.abs(columns)
+    bound = _polynomial(_normal(abs_x, abs_a, 1), _normal(abs_x, abs_b, 1),
+                        _gram(abs_a, abs_b, 1))
+    nonnegative = p > 0
+    for i in np.flatnonzero(~stands(p, bound, 4 * set_a.gamma.dimension + 10)):
+        nonnegative[i] = _exact_polynomial(columns[:, i].tolist(), cols_a, cols_b) >= 0
+    ip = p / (_gradient_norm(normal_a, cols_a) * _gradient_norm(normal_b, cols_b))
+    return nonnegative, ip
 
 
 @dataclass(frozen=True)
@@ -547,9 +532,10 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
     product <G_a, G_b> + <x, G_a> <x, G_b> is decided exactly for the stored
     floats, lane by lane: a float evaluation with a rounding bound settles
     it, and rational arithmetic the lanes where that abstains.  Membership
-    and signs take the same float operations for a column as for one
-    point.  Passes when every sign is >= 0.  min_inner_product is the float
-    inner product of the unit gradients, for display.
+    takes the same float operations for a column as for one point, and
+    _gradient_signs takes the kept sample columns at once.  Passes when
+    every sign is >= 0.  min_inner_product is the float inner product of
+    the unit gradients, for display.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -582,7 +568,7 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
         x = x[:, outside][:, :samples - collected]
         kept.append(x)
         collected += x.shape[1]
-    nonnegative, ip = _GradientPair(set_a, set_b).decide(np.hstack(kept))
+    nonnegative, ip = _gradient_signs(set_a, set_b, np.hstack(kept))
     return ObtuseAngleReport(samples=samples, min_inner_product=float(ip.min()),
                              passed=bool(nonnegative.all()))
 

@@ -592,6 +592,28 @@ def test_every_expected_file_is_claimed():
     assert {path.stem for path in EXPECTED.glob("*.out")} <= {*names, *demos, *homology}
 
 
+def test_tangent_cover_reaches_both_exact_decisions(capsys, monkeypatch):
+    # the float filters cannot place tangent balls, so the pinned call runs
+    # the exact pair form on the two tangent pairs and the exact solve on
+    # the triple through the origin, whose matrix A is singular
+    seen = []
+    for name in ("pair_meets", "tuple_meets"):
+        method = getattr(nerve._CoverMatrix, name)
+
+        def recording(self, *args, method=method, name=name):
+            verdict = method(self, *args)
+            seen.append((name, args, verdict))
+            return verdict
+
+        monkeypatch.setattr(nerve._CoverMatrix, name, recording)
+    code, out, _ = run_cli(capsys, "nerve", str(ROOT / "demos" / "files" / "tangent_cover.cover"),
+                           "--homology")
+    assert code == 0
+    assert out == (EXPECTED / "nerve_tangent_cover.out").read_text(encoding="utf-8")
+    assert seen == [("pair_meets", (0, 1), True), ("pair_meets", (0, 3), True),
+                    ("tuple_meets", ((0, 1, 2),), True)]
+
+
 def test_nerve_of_a_hyperbolic_cover_file(capsys, tmp_path):
     path = tmp_path / "pair.cover"
     path.write_text("space H 2\nball 1.0 0.0 0.0 0.5\n"

@@ -428,7 +428,7 @@ def closed_form_gradient(s, x):
     columns = s.columns
     normal = hyp._normal(x.tolist(), columns, -1)
     n = sum(c * np.array(col) for c, col in zip(normal[0], columns))
-    return hyp.tangent_projection(x, n) / hyp._GradientPair._norm(normal, columns)
+    return hyp.tangent_projection(x, n) / hyp._gradient_norm(normal, columns)
 
 
 def generic_parabolic(d, v):
@@ -519,7 +519,11 @@ def near_ties(s_a, s_b, points):
 def test_sign_decision_matches_rational_evaluation_and_goes_exact_only_on_near_ties(
         monkeypatch):
     _, _, s_a, s_b = skew_tubes()
-    pair = hyp._GradientPair(s_a, s_b)
+
+    def decide(x):
+        nonnegative, ip = hyp._gradient_signs(s_a, s_b, x.reshape(-1, 1))
+        return bool(nonnegative[0]), float(ip[0])
+
     rng = np.random.default_rng(0)
     points = [x for x in (random_point(rng, 3, spread=3.0) for _ in range(600))
               if outside_both(s_a, s_b, x)]
@@ -531,7 +535,7 @@ def test_sign_decision_matches_rational_evaluation_and_goes_exact_only_on_near_t
         return exact(*args)
 
     monkeypatch.setattr(hyp, "_exact_polynomial", counting)
-    signs = [pair.decide(x.tolist())[0] for x in points]
+    signs = [decide(x)[0] for x in points]
     assert signs == [exact_p(s_a, s_b, x) >= 0 for x in points]
     assert not all(signs) and any(signs)
     assert exact_calls == []
@@ -540,11 +544,11 @@ def test_sign_decision_matches_rational_evaluation_and_goes_exact_only_on_near_t
     assert len(ties) >= 8
     for x in ties:
         before = len(exact_calls)
-        nonnegative, ip = pair.decide(x.tolist())
+        nonnegative, ip = decide(x)
         assert len(exact_calls) == before + 1
         assert nonnegative == (exact_p(s_a, s_b, x) >= 0)
         assert abs(ip) < 1e-12
-    assert {pair.decide(x.tolist())[0] for x in ties} == {True, False}
+    assert {decide(x)[0] for x in ties} == {True, False}
 
 
 @pytest.mark.parametrize("case", ["skew-tubes", "concentric-horoballs"])
@@ -559,30 +563,32 @@ def test_columns_take_the_float_operations_of_one_point(case):
     columns = np.column_stack(points)
     for s in (s_a, s_b):
         assert s.distance_from(columns).tolist() == [s.distance_from(x) for x in points]
-    pair = hyp._GradientPair(s_a, s_b)
+    gram = hyp._gram(s_a.columns, s_b.columns, -1)
     # the loop reference: P in Python floats, one point at a time
     want = [hyp._polynomial(hyp._normal(x.tolist(), s_a.columns, -1),
-                            hyp._normal(x.tolist(), s_b.columns, -1), pair.gram)
+                            hyp._normal(x.tolist(), s_b.columns, -1), gram)
             for x in points]
     got = hyp._polynomial(hyp._normal(columns, s_a.columns, -1),
-                          hyp._normal(columns, s_b.columns, -1), pair.gram)
+                          hyp._normal(columns, s_b.columns, -1), gram)
     assert got.tolist() == want
+    # a lane decides in a batch as it does alone
     outside = [x for x in points if outside_both(s_a, s_b, x)]
-    signs, ips = pair.decide(np.column_stack(outside))
-    assert list(zip(signs.tolist(), ips.tolist())) == [pair.decide(x) for x in outside]
+    signs, ips = hyp._gradient_signs(s_a, s_b, np.column_stack(outside))
+    alone = [hyp._gradient_signs(s_a, s_b, x.reshape(-1, 1)) for x in outside]
+    assert list(zip(signs.tolist(), ips.tolist())) == [(sign[0], ip[0]) for sign, ip in alone]
 
 
 def test_verdict_is_the_exact_sign(monkeypatch):
     g, h, s_a, s_b = skew_tubes()
     seen = []
-    decide = hyp._GradientPair.decide
+    signs = hyp._gradient_signs
 
-    def recording(self, x):
-        seen.append(x)
-        return decide(self, x)
+    def recording(set_a, set_b, columns):
+        seen.append(columns)
+        return signs(set_a, set_b, columns)
 
     monkeypatch.setattr(hyp.LorentzIsometry, "commutes_with", lambda self, other: True)
-    monkeypatch.setattr(hyp._GradientPair, "decide", recording)
+    monkeypatch.setattr(hyp, "_gradient_signs", recording)
     report = hyp.obtuse_angle_check(g, h, 0.25, 0.35, samples=60, seed=0)
     # one batch: the 60 kept samples as coordinate columns
     [batch] = seen
@@ -611,7 +617,7 @@ def test_coaxial_tubes_and_concentric_horoballs_meet_at_angle_zero(d):
 def test_obtuse_check_makes_one_point_per_attempt(monkeypatch):
     calls = {"batches": [], "inside": 0, "kept": 0}
     make_point, contains = hyp.make_point, hyp.SublevelSet.contains
-    decide = hyp._GradientPair.decide
+    signs = hyp._gradient_signs
 
     def counting_make_point(coords):
         calls["batches"].append(np.shape(coords)[1])
@@ -622,13 +628,13 @@ def test_obtuse_check_makes_one_point_per_attempt(monkeypatch):
         calls["inside"] += int(np.count_nonzero(inside))
         return inside
 
-    def counting_decide(self, x):
-        calls["kept"] += x.shape[1]
-        return decide(self, x)
+    def counting_signs(set_a, set_b, columns):
+        calls["kept"] += columns.shape[1]
+        return signs(set_a, set_b, columns)
 
     monkeypatch.setattr(hyp, "make_point", counting_make_point)
     monkeypatch.setattr(hyp.SublevelSet, "contains", counting_contains)
-    monkeypatch.setattr(hyp._GradientPair, "decide", counting_decide)
+    monkeypatch.setattr(hyp, "_gradient_signs", counting_signs)
     g = hyp.standard_loxodromic(3, 0.2)
     g2 = g.power(2)
     calls["batches"] = []
@@ -662,19 +668,19 @@ def test_kept_samples_lie_outside_both_sets(monkeypatch, d):
     a = generic_parabolic(d, [1.0] + [0.0] * (d - 2))
     b = generic_parabolic(d, [0.3] + [0.7] * (d - 2))
     seen = []
-    decide = hyp._GradientPair.decide
+    signs = hyp._gradient_signs
 
-    def recording(self, x):
-        seen.append((self, x))
-        return decide(self, x)
+    def recording(set_a, set_b, columns):
+        seen.append((set_a, set_b, columns))
+        return signs(set_a, set_b, columns)
 
-    monkeypatch.setattr(hyp._GradientPair, "decide", recording)
+    monkeypatch.setattr(hyp, "_gradient_signs", recording)
     hyp.obtuse_angle_check(g, g.power(2), 0.5, 0.9, samples=50, seed=d)
     hyp.obtuse_angle_check(a, b, 0.4, 0.7, samples=50, seed=d)
     cases = [(hyp.SublevelSet.of(g, 0.5), hyp.SublevelSet.of(g.power(2), 0.9)),
              (hyp.SublevelSet.of(a, 0.4), hyp.SublevelSet.of(b, 0.7))]
-    for (s_a, s_b), (pair, batch) in zip(cases, seen):
-        assert pair.columns_a == s_a.columns and pair.columns_b == s_b.columns
+    for (s_a, s_b), (seen_a, seen_b, batch) in zip(cases, seen):
+        assert seen_a.columns == s_a.columns and seen_b.columns == s_b.columns
         assert batch.shape == (d + 1, 50)
         assert all(outside_both(s_a, s_b, x) for x in batch.T)
 
@@ -739,6 +745,16 @@ def test_orbit_count_on_axis():
     report = hyp.orbit_count_check(g, hyp.base_point(2), 2.0)
     assert report.count == 8  # 2 * floor(2 / 0.5)
     assert report.passed
+
+
+def test_orbit_count_past_the_float_range_is_an_arithmetic_error():
+    # the entries of g^k grow as e^(k l) / 2, and the form check multiplies
+    # two of them: at R = 354 every power read still fits in a float
+    g = hyp.standard_loxodromic(4, 0.5)
+    assert hyp.orbit_count_check(g, hyp.base_point(4), 354.0).count == 1412
+    for R in (357.0, 720.0):
+        with pytest.raises(FloatingPointError):
+            hyp.orbit_count_check(g, hyp.base_point(4), R)
 
 
 def test_orbit_count_zero_below_length():
