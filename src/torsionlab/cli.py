@@ -2,9 +2,13 @@
 
 Exit-code contract: 0 success, 1 verification failure, 2 input error,
 3 internal error, 64 usage error.  The parser converts and bounds every
-argument, so a bad value is a usage error before any work starts.  Each
-`verify` suite takes only the flags it reads, listed in _SUITE_TABLE;
-any other flag is a usage error.
+argument, so a bad value is a usage error before any work starts.  After
+that an error's class decides the status: an exact.InputError (outside
+input at fault) exits 2, and an ExactArithmeticError, an ArithmeticError
+or any other exception (the program at fault) exits 3, so only a failed
+check exits 1.
+Each `verify` suite takes only the flags it reads, listed in
+_SUITE_TABLE; any other flag is a usage error.
 Each suite runs one library check per instance and builds its JSON
 records here; _report emits them, counts the failures and sets the exit
 code.  The randomized suites take --seed (default 0), and the same
@@ -20,9 +24,9 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .exact import AbelianGroupStructure, ExactArithmeticError
+from .exact import AbelianGroupStructure, ExactArithmeticError, InputError
 from .homology import all_homology
-from .simplicial import MalformedComplexError, read_complex_or_pair
+from .simplicial import read_complex_or_pair
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -32,10 +36,6 @@ EXIT_USAGE = 64
 
 
 class UsageError(Exception):
-    pass
-
-
-class InputError(Exception):
     pass
 
 
@@ -106,22 +106,21 @@ def _margulis_eps(text: str) -> Fraction:
 
 # --- homology ----------------------------------------------------------------
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse):
+    """parse(text of the file at path); an InputError names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_homology(args) -> int:
-    text = _read_text(args.path)
-    try:
-        obj = read_complex_or_pair(text)
-    except MalformedComplexError as exc:
-        raise InputError(f"{args.path}: {exc}") from None
-
-    groups = all_homology(obj)
+    groups = all_homology(_read(args.path, read_complex_or_pair))
     for k in range(len(groups)) if args.degrees is None else args.degrees:
         if 0 <= k < len(groups):
             _emit(groups[k].to_json(degree=k))
@@ -135,11 +134,7 @@ def cmd_homology(args) -> int:
 def cmd_nerve(args) -> int:
     from . import nerve
 
-    text = _read_text(args.path)
-    try:
-        cover = nerve.read_cover(text)
-    except ValueError as exc:
-        raise InputError(f"{args.path}: {exc}") from None
+    cover = _read(args.path, nerve.read_cover)
     cap = cover.space.dimension + 1 if args.max_dim is None else args.max_dim
     complex_ = nerve.nerve(cover, max_dim=cap)
     doc = {"space": cover.space.kind, "dimension": cover.space.dimension, "max_dim": cap,
@@ -190,20 +185,14 @@ def _peripheral_from_args(args):
     if any(len(col) != n for col in args.relations):
         raise UsageError("every relation must have one entry per generator")
     core = IntegerMatrix(n, len(args.relations), [dict(enumerate(col)) for col in args.relations])
-    try:
-        return dehn.PeripheralData(core_presentation=core, mu_image=args.mu, lambda_image=args.lam)
-    except dehn.FillingError as exc:
-        raise InputError(str(exc)) from None
+    return dehn.PeripheralData(core_presentation=core, mu_image=args.mu, lambda_image=args.lam)
 
 
 def cmd_dehn_fill(args) -> int:
     from . import dehn
 
     data = _peripheral_from_args(args)
-    try:
-        slope = dehn.FillingSlope(args.p, args.q)
-    except dehn.FillingError as exc:
-        raise InputError(str(exc)) from None
+    slope = dehn.FillingSlope(args.p, args.q)
     if data == dehn.FIGURE_EIGHT:
         result = dehn.figure_eight_filling(slope)
     else:
@@ -422,16 +411,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _loaded(module: str, *names: str) -> tuple[type[Exception], ...]:
-    """The named exception classes of a submodule, if a handler imported it.
-
-    Subcommand modules are imported lazily; one that was never imported
-    raised nothing, and an empty tuple catches nothing.
-    """
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return tuple(getattr(mod, name) for name in names) if mod else ()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -443,13 +422,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         sys.stderr.write(f"torsionlab: input error: {exc}\n")
         return EXIT_INPUT
-    except _loaded("hyperbolic", "GeometryError", "SamplingError") as exc:
-        sys.stderr.write(f"torsionlab: input error: {exc}\n")
-        return EXIT_INPUT
-    except (ExactArithmeticError, *_loaded("nerve", "IndeterminateIntersectionError")) as exc:
+    except ExactArithmeticError as exc:
         sys.stderr.write(f"torsionlab: internal error: {exc}\n")
         return EXIT_INTERNAL
-    except ArithmeticError as exc:  # a float or decimal value past its range
+    except Exception as exc:  # a float or decimal value past its range, or a defect
         sys.stderr.write(f"torsionlab: internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 

@@ -15,10 +15,10 @@ from math import gcd
 from typing import Sequence
 
 from .constants import figure_eight_volume
-from .exact import AbelianGroupStructure, IntegerMatrix, cokernel, rational_rank
+from .exact import AbelianGroupStructure, InputError, IntegerMatrix, cokernel, rational_rank
 
 
-class FillingError(ValueError):
+class FillingError(InputError):
     """Invalid slope or peripheral data."""
 
 

@@ -23,7 +23,12 @@ from typing import Iterable, Sequence
 
 
 class ExactArithmeticError(Exception):
-    """Internal inconsistency detected by a cross-check oracle."""
+    """An internal failure: a cross-check oracle found an inconsistency, or
+    an exact decision the program owes could not be made."""
+
+
+class InputError(ValueError):
+    """Outside input (a file, an argument, a configuration) at fault."""
 
 
 @dataclass(frozen=True)

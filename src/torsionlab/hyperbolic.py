@@ -24,16 +24,17 @@ from typing import Sequence
 import numpy as np
 
 from .certify import stands
+from .exact import InputError
 
 LORENTZ_FORM_TOL = 1e-9
 COMMUTE_TOL = 1e-9
 
 
-class GeometryError(ValueError):
+class GeometryError(InputError):
     """Invalid point, matrix, or configuration in the hyperboloid model."""
 
 
-class SamplingError(RuntimeError):
+class SamplingError(InputError):
     """The requested sample region is (numerically) unreachable."""
 
 

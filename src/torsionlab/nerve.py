@@ -65,7 +65,7 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .certify import cosh_root_bounds, cosh_roots, inverse_sum_negative, inverse_sum_signs, stands
-from .exact import AbelianGroupStructure
+from .exact import AbelianGroupStructure, ExactArithmeticError, InputError
 from .homology import all_homology
 from .simplicial import SimplicialComplex, SimplicialPair, _closure
 
@@ -75,7 +75,7 @@ ENCLOSURE_BITS = 96
 MAX_ENCLOSURE_BITS = ENCLOSURE_BITS << 6
 
 
-class IndeterminateIntersectionError(RuntimeError):
+class IndeterminateIntersectionError(ExactArithmeticError):
     """A tuple of balls whose common intersection cannot be certified."""
 
     def __init__(self, indices: tuple[int, ...]):
@@ -136,9 +136,9 @@ def _checked_ball(space, index: int, center: Sequence[float], radius: float
     """Ball index of a cover as BallCover keeps it; each error names the index."""
     center, radius = np.asarray(center, dtype=float), float(radius)
     if not (math.isfinite(radius) and np.isfinite(center).all()):
-        raise ValueError(f"ball {index}: centre and radius must be finite")
+        raise InputError(f"ball {index}: centre and radius must be finite")
     if radius <= 0:
-        raise ValueError(f"ball {index}: radius must be positive")
+        raise InputError(f"ball {index}: radius must be positive")
     try:
         return space.check_point(center), radius
     except ValueError as exc:  # a GeometryError stays one
@@ -623,34 +623,34 @@ def read_cover(text: str) -> BallCover:
         parts = line.split()
         if parts[0] == "space":
             if space is not None:
-                raise ValueError(f"line {lineno}: a second 'space' line; a cover lies in one space")
+                raise InputError(f"line {lineno}: a second 'space' line; a cover lies in one space")
             if len(parts) != 3 or parts[1] not in ("E", "H"):
-                raise ValueError(f"line {lineno}: expected 'space E <d>' or 'space H <d>'")
+                raise InputError(f"line {lineno}: expected 'space E <d>' or 'space H <d>'")
             try:
                 d = int(parts[2])
             except ValueError:
                 d = 0
             if d < 1:
-                raise ValueError(f"line {lineno}: space dimension must be a positive integer")
+                raise InputError(f"line {lineno}: space dimension must be a positive integer")
             space = EuclideanSpace(d) if parts[1] == "E" else HyperbolicSpace(d)
         elif parts[0] == "ball":
             if space is None:
-                raise ValueError(f"line {lineno}: 'space' line must come first")
+                raise InputError(f"line {lineno}: 'space' line must come first")
             try:
                 nums = [float(p) for p in parts[1:]]
             except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric ball data") from None
+                raise InputError(f"line {lineno}: non-numeric ball data") from None
             want = space.dimension + (1 if space.kind == "H" else 0)
             if len(nums) != want + 1:
-                raise ValueError(f"line {lineno}: expected {want} coordinates plus a radius")
+                raise InputError(f"line {lineno}: expected {want} coordinates plus a radius")
             try:
                 balls.append(_checked_ball(space, len(balls), nums[:-1], nums[-1]))
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                raise InputError(f"line {lineno}: {exc}") from None
         else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
+            raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
     if space is None:
-        raise ValueError("cover file has no 'space' line")
+        raise InputError("cover file has no 'space' line")
     return BallCover(space=space, elements=tuple(balls))
 
 

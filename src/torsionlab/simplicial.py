@@ -33,12 +33,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact import IntegerMatrix
+from .exact import InputError, IntegerMatrix
 
 Simplex = tuple[int, ...]
 
 
-class MalformedComplexError(ValueError):
+class MalformedComplexError(InputError):
     """Raised on invalid simplex input or a broken file."""
 
 
@@ -306,11 +306,11 @@ def random_dv_complex(max_degree: int, max_vertices: int, dim: int, seed: int) -
     for p in range(2, dim + 1):
         next_frontier = []
         for s in frontier:
-            common = set.intersection(*(adjacency[v] for v in s)) if s else set()
+            common = set.intersection(*(adjacency[v] for v in s))
             for w in sorted(common):
                 if w > s[-1]:
                     candidate = s + (w,)
-                    if candidate not in simplices and rng.random() < 0.5:
+                    if rng.random() < 0.5:
                         simplices.add(candidate)
                         next_frontier.append(candidate)
         frontier = next_frontier

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from torsionlab import cli, complexes, hyperbolic, nerve
+from torsionlab import cli, complexes, dehn, hyperbolic, nerve, simplicial
 from torsionlab.cli import main
-from torsionlab.exact import ExactArithmeticError
+from torsionlab.exact import ExactArithmeticError, InputError
 from torsionlab.simplicial import (
     SimplicialPair,
     build_complex,
@@ -476,6 +476,38 @@ def test_geometry_error_is_an_input_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "input error" in err and "not timelike" in err
+
+
+def test_sampling_error_is_an_input_error(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise hyperbolic.SamplingError("could only place 0/200 samples")
+
+    monkeypatch.setattr(hyperbolic, "obtuse_angle_check", unreachable)
+    code, out, err = run_cli(capsys, "verify", "obtuse")
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "0/200 samples" in err
+
+
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch, rp2_file):
+    def defect(*args, **kwargs):
+        raise KeyError((0, 1))
+
+    monkeypatch.setattr(cli, "all_homology", defect)
+    assert run_cli(capsys, "homology", rp2_file) == (
+        3, "", "torsionlab: internal error: KeyError: (0, 1)\n")
+
+
+@pytest.mark.parametrize("cls, base", [
+    (simplicial.MalformedComplexError, InputError),
+    (hyperbolic.GeometryError, InputError),
+    (hyperbolic.SamplingError, InputError),
+    (dehn.FillingError, InputError),
+    (nerve.IndeterminateIntersectionError, ExactArithmeticError),
+])
+def test_an_error_class_says_whose_fault_it_is(cls, base):
+    # the CLI exits 2 on an InputError and 3 on an ExactArithmeticError
+    assert issubclass(cls, base)
 
 
 def test_arithmetic_range_failure_is_an_internal_error():
