@@ -9,8 +9,9 @@ columns to the rank and the invariant factors; cokernels and, in
 ``homology``, boundary ranks and torsion come from it alone: a column
 reduction takes the ±1 pivots, and division with remainder the rest.
 ``_echelon`` is a fraction-free (Bareiss) row echelon form behind the
-rational and mod-p ranks, the determinant, the greedy column basis and the
-scaled solve.  The two share no code, so each is an oracle for the other.
+rational rank, the determinant, the greedy column basis and the scaled
+solve.  The two share no code, so each is an oracle for the other.  The
+rank over F_p is a sparse column reduction of its own, ``rank_mod_p``.
 """
 
 from __future__ import annotations
@@ -105,15 +106,13 @@ class IntegerMatrix:
         return data
 
 
-def _echelon(rows: list[list[int]], cols: int, modulus: int | None = None) -> tuple[list[int], int, int]:
+def _echelon(rows: list[list[int]], cols: int) -> tuple[list[int], int, int]:
     """Fraction-free (Bareiss) row echelon form of ``rows``, computed in place.
 
     Returns the pivot columns, the sign of the row permutation and the last
-    pivot (1 when there is none).  Over Z each division by the previous
-    pivot is exact by Sylvester's identity, so for a square matrix of full
-    rank sign * last pivot is the determinant.  With a modulus the entries
-    must be reduced already; rows are scaled by the pivot instead of
-    divided, which keeps the rank over F_modulus.
+    pivot (1 when there is none).  Each division by the previous pivot is
+    exact by Sylvester's identity, so for a square matrix of full rank
+    sign * last pivot is the determinant.
     """
     pivots: list[int] = []
     sign = 1
@@ -134,14 +133,10 @@ def _echelon(rows: list[list[int]], cols: int, modulus: int | None = None) -> tu
         for i in range(r + 1, m):
             row = rows[i]
             f = row[c]
-            # with a zero in column c the row would only be scaled: by
-            # p / prev over Z, by the unit p over F_modulus
-            if not f and (modulus or p == prev):
+            # with a zero in column c the row would only be scaled by p / prev
+            if not f and p == prev:
                 continue
-            if modulus:
-                row[c:] = [(p * x - f * y) % modulus for x, y in zip(row[c:], top)]
-            else:
-                row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
+            row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
         pivots.append(c)
         prev = p
         r += 1
@@ -480,10 +475,29 @@ def rational_rank(mat: IntegerMatrix) -> int:
 
 
 def rank_mod_p(mat: IntegerMatrix, p: int) -> int:
-    """Rank of the matrix over the prime field F_p."""
+    """Rank of the matrix over the prime field F_p, by sparse elimination.
+
+    The columns, reduced mod p, are reduced left to right on their largest
+    rows.  A column left nonzero becomes the pivot of its largest row,
+    scaled to 1 there.  Shares no code with smith_normal_form or _echelon.
+    """
     if p < 2:
         raise ValueError("modulus must be a prime >= 2")
-    return len(_echelon([[x % p for x in row] for row in mat.to_lists()], mat.cols, p)[0])
+    pivots: dict[int, dict[int, int]] = {}
+    for own in mat.columns:
+        col = {i: v % p for i, v in own.items() if v % p}
+        while col and (low := max(col)) in pivots:
+            f = col[low]
+            for i, v in pivots[low].items():
+                w = (col.get(i, 0) - f * v) % p
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+        if col:
+            inverse = pow(col[low], -1, p)
+            pivots[low] = {i: v * inverse % p for i, v in col.items()}
+    return len(pivots)
 
 
 def independent_columns(mat: IntegerMatrix) -> list[int]:

@@ -13,10 +13,12 @@ import pytest
 from torsionlab import cli, complexes, dehn, hyperbolic, nerve, simplicial
 from torsionlab.cli import main
 from torsionlab.exact import ExactArithmeticError, InputError
+from torsionlab.homology import homology_oracle_crosscheck
 from torsionlab.simplicial import (
     SimplicialPair,
     build_complex,
     empty_complex,
+    read_complex_or_pair,
     write_complex,
     write_pair,
 )
@@ -600,12 +602,21 @@ PINNED = [(tuple(args), name) for name, *args in
           map(str.split, (EXPECTED / "pinned.txt").read_text(encoding="utf-8").splitlines())]
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "demos" / "files").glob("*.cplx")),
-                         ids=lambda p: p.name)
+DEMO_FILES = sorted((ROOT / "demos" / "files").glob("*.cplx"))
+
+
+@pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
 def test_homology_of_demo_files_is_byte_identical(capsys, path):
     code, out, _ = run_cli(capsys, "homology", str(path))
     assert code == 0
     assert out == (EXPECTED / f"homology_{path.stem}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
+def test_oracle_agrees_on_demo_files_in_every_degree(path):
+    complex_ = read_complex_or_pair(path.read_text(encoding="utf-8"))
+    for k in range(complex_.dimension + 1):
+        assert homology_oracle_crosscheck(complex_, k).agrees
 
 
 @pytest.mark.parametrize("argv, name", PINNED)
