@@ -90,7 +90,6 @@ class DVBoundReport:
 
     D: int
     V: int
-    p: int
     torsion_order: int
     log_torsion: float
     log_bound: float
@@ -124,7 +123,6 @@ def dv_torsion_check(pair: SimplicialPair, p: int) -> DVBoundReport:
     return DVBoundReport(
         D=profile.D,
         V=profile.V,
-        p=p,
         torsion_order=torsion,
         log_torsion=float(math.log(torsion)) if torsion > 1 else 0.0,
         log_bound=log_bound,

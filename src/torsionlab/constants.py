@@ -118,16 +118,14 @@ class VolumeRatio(NamedTuple):
 
     value: float
     euclidean_lower_bound: float
-    r_below_R: bool
 
 
 def volume_ratio_bound(d: int, r: float, R: float) -> VolumeRatio:
     """N(d, r, R) = vol_H(B(R + r/2)) / vol_E(B(r/2)).
 
     Any r-discrete subset of an R-ball in a pinched Hadamard manifold has
-    at most this many points.  Accepts 0 < r < 2R and flags whether the
-    stricter regime r < R holds.  Also reports ((2R + r)/r)^d, the lower
-    bound coming from the Euclidean volume comparison.
+    at most this many points.  Accepts 0 < r < 2R.  Also reports
+    ((2R + r)/r)^d, the Euclidean volume comparison's lower bound.
     """
     if r <= 0 or R <= 0:
         raise ValueError("radii must be positive")
@@ -138,7 +136,7 @@ def volume_ratio_bound(d: int, r: float, R: float) -> VolumeRatio:
         lower = ((2 * R + r) / r) ** d
     except OverflowError:  # past the float range
         lower = math.inf
-    return VolumeRatio(value=value, euclidean_lower_bound=lower, r_below_R=r < R)
+    return VolumeRatio(value=value, euclidean_lower_bound=lower)
 
 
 # --- unit-vector packing ----------------------------------------------------

@@ -144,9 +144,11 @@ class LorentzIsometry:
 
     parabolic_data is (n, v) for a parabolic built by parabolic(): the
     fixed null vector and the translation vector, which its Jordan block
-    gives back too unreliably for sub-level geometry.  A loxodromic needs
-    no such data, as its axis is read off the eigenvectors.  Compared and
-    hashed by identity, as its fields are arrays.
+    gives back too unreliably for sub-level geometry.  Its powers k != 0,
+    the inverse too, keep (n, k v): P^k is the standard parabolic of k v
+    in parabolic()'s frame.  A loxodromic needs no such data, as its axis
+    is read off the eigenvectors.  Compared and hashed by identity, as its
+    fields are arrays.
     """
 
     matrix: np.ndarray
@@ -179,7 +181,7 @@ class LorentzIsometry:
 
     def inverse(self) -> "LorentzIsometry":
         j = lorentz_form_matrix(self.dimension)
-        return LorentzIsometry(j @ self.matrix.T @ j)
+        return LorentzIsometry(j @ self.matrix.T @ j, self._parabolic_power(-1))
 
     def __matmul__(self, other: "LorentzIsometry") -> "LorentzIsometry":
         return LorentzIsometry(self.matrix @ other.matrix)
@@ -189,7 +191,14 @@ class LorentzIsometry:
         FloatingPointError once an entry, or the form check's square, overflows."""
         base = self if k >= 0 else self.inverse()
         with np.errstate(over="raise"):
-            return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)))
+            return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)),
+                                   self._parabolic_power(k))
+
+    def _parabolic_power(self, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """parabolic_data of g^k: (n, k v), none for k = 0 or a g without any."""
+        if self.parabolic_data is None or k == 0:
+            return None
+        return self.parabolic_data[0], k * self.parabolic_data[1]
 
     def commutes_with(self, other: "LorentzIsometry") -> bool:
         a, b = self.matrix, other.matrix
@@ -578,7 +587,6 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
 class OrbitCountReport:
     count: int
     bound: float
-    max_power: int
     passed: bool
 
 
@@ -596,9 +604,9 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
     exceed the volume ratio N(d, eps, R) at eps = min(l, R), which is below
     2R as that bound requires.
 
-    A parabolic from parabolic() is refused: its translation length is 0,
-    but its Jordan-block eigenvalues read ~1e-6, and eps that small makes
-    the bound ~1e12 at d = 2 and the check vacuous.
+    A parabolic from parabolic(), its powers and inverse are refused: the
+    translation length is 0, but Jordan-block eigenvalues read ~1e-6, and
+    eps that small makes the bound ~1e12 at d = 2 and the check vacuous.
     """
     from .constants import volume_ratio_bound
 
@@ -629,6 +637,5 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
             k_max += 1
     count = 2 * k_max
     bound = volume_ratio_bound(g.dimension, min(length, R), R).value
-    return OrbitCountReport(count=count, bound=bound, max_power=k_max,
-                            passed=count <= bound)
+    return OrbitCountReport(count=count, bound=bound, passed=count <= bound)
 

@@ -584,7 +584,6 @@ def relative_nerve(cover: BallCover, subfamily: Sequence[int],
 @dataclass(frozen=True)
 class NerveLemmaReport:
     computed: tuple[AbelianGroupStructure, ...]
-    reference: tuple[AbelianGroupStructure, ...]
     mismatches: tuple[int, ...]
 
     @property
@@ -604,7 +603,7 @@ def nerve_lemma_check(cover: BallCover, reference: Sequence[AbelianGroupStructur
     complex_ = nerve(cover, max_dim=max(1, len(reference)))
     computed = tuple(all_homology(complex_, up_to=len(reference) - 1))
     mismatches = tuple(k for k, (got, want) in enumerate(zip(computed, reference)) if got != want)
-    return NerveLemmaReport(computed=computed, reference=tuple(reference), mismatches=mismatches)
+    return NerveLemmaReport(computed=computed, mismatches=mismatches)
 
 
 # --- cover file format -------------------------------------------------------

@@ -29,7 +29,7 @@ branch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -162,22 +162,14 @@ class SimplicialPair:
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Size data (V, D) of a complex plus its per-dimension simplex counts.
-
-    D is the 1-skeleton degree: the number of edges at a vertex.  With that
-    reading a complex with profile (D, V) has at most D^p * V p-simplices,
-    which is validated here.
+    """Size data (V, D) of a complex, D the 1-skeleton degree: the largest
+    number of edges at a vertex.  A p-simplex, p >= 1, lies among its least
+    vertex v and p of the at most D neighbours of v (its edges at v are
+    faces), so there are at most V * C(D, p) <= D^p * V p-simplices.
     """
 
     V: int
     D: int
-    p_simplex_counts: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        for p, count in enumerate(self.p_simplex_counts):
-            if p >= 1 and count > (self.D ** p) * self.V:
-                raise MalformedComplexError(
-                    f"{count} simplices of dimension {p} exceed D^p*V = {(self.D ** p) * self.V}")
 
 
 def build_complex(maximal_simplices: Iterable[Sequence[int]],
@@ -218,11 +210,7 @@ def complexity_profile(complex_: SimplicialComplex) -> ComplexityProfile:
     for u, v in complex_.simplices_of_dim(1):
         degree[u] += 1
         degree[v] += 1
-    return ComplexityProfile(
-        V=len(degree),
-        D=max(degree.values(), default=0),
-        p_simplex_counts=complex_.f_vector(),
-    )
+    return ComplexityProfile(V=len(degree), D=max(degree.values(), default=0))
 
 
 def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex],

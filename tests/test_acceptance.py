@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, not configurable.
 """
 
-import itertools
 import math
 import random
 import time
@@ -27,23 +26,12 @@ from torsionlab.nerve import annulus_cover, circle_cover, nerve_lemma_check, rel
 from torsionlab.nerve import BallCover, EuclideanSpace
 
 from test_constants import figure_eight_volume_quad
+from test_exact import determinantal_divisors
 
 
 def report(criterion: int, label: str, passed: bool):
     print(f"{'PASS' if passed else 'FAIL'} criterion {criterion}: {label}")
     assert passed
-
-
-def determinantal_divisors(mat):
-    """D_k = gcd of all k x k minors for k = 1 .. min(rows, cols)."""
-    divisors = []
-    for k in range(1, min(mat.rows, mat.cols) + 1):
-        g = 0
-        for rows in itertools.combinations(mat.to_lists(), k):
-            for cols in itertools.combinations(range(mat.cols), k):
-                g = gcd(g, determinant(IntegerMatrix.from_rows([[row[j] for j in cols] for row in rows], k)))
-        divisors.append(g)
-    return divisors
 
 
 def test_criterion_1_smith_normal_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -10,18 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from torsionlab import cli, complexes, dehn, hyperbolic, nerve, simplicial
+from torsionlab import cli, complexes, dehn, exact, hyperbolic, nerve, simplicial
 from torsionlab.cli import main
 from torsionlab.exact import ExactArithmeticError, InputError
-from torsionlab.homology import homology_oracle_crosscheck
+from torsionlab.homology import homology, homology_oracle_crosscheck
 from torsionlab.simplicial import (
     SimplicialPair,
-    build_complex,
     empty_complex,
     read_complex_or_pair,
     write_complex,
     write_pair,
 )
+
+from test_homology import grid_surface
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +124,25 @@ def test_homology_vertex_out_of_range_exit_2(capsys, tmp_path, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("complex X=3\ns 0 1\n", "line 1: expected 'complex V=<n>', got 'complex X=3'"),
+    ("complex V=three\ns 0 1\n", "line 1: bad vertex count in 'complex V=three'"),
+    ("complex V=3\ns 0 1\npair-sub\ncomplex V=3\npair-sub\ncomplex V=3\n",
+     "pair file must contain exactly one 'pair-sub' separator"),
+], ids=["header", "vertex-count", "two-separators"])
+def test_homology_of_a_malformed_file_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.cplx"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"torsionlab: input error: {path}: {message}\n"
+
+
+def test_homology_bad_degrees_exit_64(capsys, rp2_file):
+    assert run_cli(capsys, "homology", rp2_file, "--degrees", "1,x") == (
+        64, "", "torsionlab: usage error: bad integer vector '1,x'\n")
+
+
 @pytest.mark.parametrize("text, line", [
     ("complex V=-3\n", 1),
     ("complex V=3\ns 0 1\npair-sub\ncomplex V=-1\n", 4),
@@ -190,6 +211,7 @@ def test_constants_usage_error(capsys):
     ("--margulis-m", "-2", "--margulis-m must be at least 1"),
     ("--margulis-eps", "0", "--margulis-eps must be positive"),
     ("--margulis-eps", "-1", "--margulis-eps must be positive"),
+    ("--margulis-eps", "abc", "bad --margulis-eps 'abc'"),
 ])
 def test_constants_bad_margulis_arguments_are_usage_errors(capsys, flag, value, message):
     code, out, err = run_cli(capsys, "constants", "--d", "3", flag, value)
@@ -418,23 +440,8 @@ def test_verify_orbit_defaults_run_every_record(capsys):
     assert docs[-1] == {"suite": "orbit", "count": 100, "seed": 0, "failures": 0}
 
 
-def grid_klein_bottle(n):
-    """n x n grid with the i = n edge glued back by j -> -j, squares cut diagonally."""
-    def vertex(i, j):
-        if i == n:
-            i, j = 0, -j
-        return i * n + j % n
-
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
-            triangles += [(a, b, d), (a, c, d)]
-    return build_complex(triangles, vertex_count=n * n)
-
-
 def test_homology_of_a_20x20_klein_bottle(capsys, tmp_path):
-    klein = grid_klein_bottle(20)
+    klein = grid_surface(20, True)
     assert klein.f_vector() == (400, 1200, 800)
     path = tmp_path / "klein20.cplx"
     path.write_text(write_complex(klein))
@@ -456,6 +463,20 @@ def test_inconsistent_exact_arithmetic_is_an_internal_error(capsys, monkeypatch,
     assert code == 3
     assert out == ""
     assert "internal error" in err and "negative Betti number" in err
+
+
+def test_a_smith_rank_one_too_high_is_an_internal_error(capsys, monkeypatch, rp2_file):
+    # every rank one high makes b_0 = 6 - 1 - 6 negative on the projective plane
+    def smith(mat):
+        snf = exact.smith_normal_form(mat)
+        return dataclasses.replace(snf, rank=snf.rank + 1)
+
+    monkeypatch.setattr("torsionlab.homology.smith_normal_form", smith)
+    with pytest.raises(ExactArithmeticError, match="negative Betti number"):
+        homology(complexes.projective_plane_6(), 0)
+    code, out, err = run_cli(capsys, "homology", rp2_file)
+    assert (code, out) == (3, "")
+    assert err == "torsionlab: internal error: negative Betti number: boundary maps are inconsistent\n"
 
 
 def test_uncertified_intersection_is_an_internal_error(capsys, monkeypatch):
@@ -670,6 +691,9 @@ def test_nerve_of_a_hyperbolic_cover_file(capsys, tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("space E 2\nball 0 0 1\nspace H 2\nball 1 0 0 1\n", "line 3: a second 'space' line"),
     ("space H 2\nball 1 0 0 1\nball 0 1 0 1\n", "line 3: ball 1: coordinates are not timelike"),
+    ("space X 2\nball 0 0 1\n", "line 1: expected 'space E <d>' or 'space H <d>'"),
+    ("space E 2\nball 0 x 1\n", "line 2: non-numeric ball data"),
+    ("space E 2\nsphere 0 0 1\n", "line 2: unknown directive 'sphere'"),
 ])
 def test_nerve_of_a_malformed_cover_file_is_an_input_error(capsys, tmp_path, text, message):
     path = tmp_path / "bad.cover"

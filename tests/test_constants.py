@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -149,7 +150,6 @@ def test_volume_ratio_known_value():
     n = volume_ratio_bound(2, 1, 2)
     assert n.value == pytest.approx(8 * (math.cosh(2.5) - 1), rel=1e-12)
     assert n.euclidean_lower_bound == pytest.approx(25.0)
-    assert n.r_below_R
 
 
 def test_volume_ratio_dominates_euclidean_bound():
@@ -171,7 +171,8 @@ def test_volume_ratio_monotone_in_R():
 def test_volume_ratio_domain():
     with pytest.raises(ValueError):
         volume_ratio_bound(2, 2.0, 1.0)
-    assert not volume_ratio_bound(2, 1.5, 1.0).r_below_R
+    # r in [R, 2R) is accepted
+    assert volume_ratio_bound(2, 1.5, 1.0).value > 0
 
 
 def test_packing_bound_plane_exact():
@@ -304,3 +305,38 @@ def test_figure_eight_volume_matches_closed_form_exactly():
 
 def test_figure_eight_finite_despite_singularity():
     assert math.isfinite(figure_eight_volume())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: euclidean_ball_volume(0, 1.0), "dimension must be at least 1"),
+    (lambda: euclidean_ball_volume(2, 0.0), "radius must be positive"),
+    (lambda: sphere_surface_area(0), "dimension must be at least 1"),
+    (lambda: hyperbolic_ball_volume(0, 1.0), "dimension must be at least 1"),
+    (lambda: hyperbolic_ball_volume(2, -1.0), "radius must be positive"),
+    (lambda: volume_ratio_bound(2, 0.0, 1.0), "radii must be positive"),
+    (lambda: volume_ratio_bound(2, 1.0, -1.0), "radii must be positive"),
+    (lambda: volume_ratio_bound(2, 2.0, 1.0), "requires r < 2R"),
+    (lambda: spherical_cap_area(1, 1.0), "dimension must be at least 2"),
+    (lambda: spherical_cap_area(3, 0.0), "cap radius must lie in (0, pi]"),
+    (lambda: spherical_cap_area(3, 4.0), "cap radius must lie in (0, pi]"),
+    (lambda: ThickThinParams(1, Fraction(1, 10), 2), "dimension must be at least 2"),
+    (lambda: ThickThinParams(3, Fraction(0), 2), "Margulis epsilon must be positive"),
+    (lambda: ThickThinParams(3, Fraction(1, 10), 0), "Margulis index must be a positive integer"),
+    (lambda: commutator_inequality_check(1), "dimension must be at least 2"),
+    (lambda: covering_constants(2, 0.01, 0.1, -1.0, 6), "all parameters must be positive"),
+    (lambda: covering_constants(2, 0.01, 0.1, 0.0001, 0), "all parameters must be positive"),
+    (lambda: covering_constants(2, 0.1, 0.1, 0.0001, 6), "requires eps < eps0"),
+    (lambda: covering_constants(2, 0.01, 0.1, 0.01, 6), "delta must satisfy delta <= eps/(2(b+1))"),
+], ids=["euclidean-d", "euclidean-r", "sphere-d", "hyperbolic-d", "hyperbolic-R", "ratio-r",
+        "ratio-R", "ratio-2R", "cap-d", "cap-zero", "cap-past-pi", "params-d", "params-eps",
+        "params-m", "commutator-d", "covering-delta", "covering-b", "covering-eps",
+        "covering-delta-cap"])
+def test_each_domain_check_raises_a_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("R", [1e-8, 0.5, 3.0, 1e300])
+def test_the_hyperbolic_ball_in_dimension_one_is_an_interval(R):
+    assert hyperbolic_ball_volume(1, R) == 2 * R

@@ -156,3 +156,8 @@ def test_knot_complement_data_shape():
     data = knot_complement_data()
     assert data.generators == 1
 
+
+@pytest.mark.parametrize("mu, lam", [((1, 0), (0,)), ((1,), (0, 0))], ids=["mu", "lambda"])
+def test_peripheral_images_of_the_wrong_length_are_rejected(mu, lam):
+    with pytest.raises(FillingError, match="peripheral images must have one entry per core generator"):
+        PeripheralData(core_presentation=IntegerMatrix.zeros(1, 0), mu_image=mu, lambda_image=lam)

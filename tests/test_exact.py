@@ -20,7 +20,9 @@ from torsionlab.exact import (
     solve_scaled,
 )
 from torsionlab.homology import ORACLE_PRIMES
-from torsionlab.simplicial import boundary_matrix, build_complex
+from torsionlab.simplicial import boundary_matrix
+
+from test_homology import grid_surface
 
 
 def smith_diagonal(snf):
@@ -255,26 +257,11 @@ def test_snf_without_units(mat):
     assert_valid_snf(mat)
 
 
-def grid_klein_bottle(n):
-    """n x n grid with the i = n edge glued back by j -> -j, squares cut diagonally."""
-    def vertex(i, j):
-        if i == n:
-            i, j = 0, -j
-        return i * n + j % n
-
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
-            triangles += [(a, b, d), (a, c, d)]
-    return build_complex(triangles, vertex_count=n * n)
-
-
 @pytest.mark.parametrize("scale", [2, 6])
 def test_snf_of_scaled_klein_bottle_boundaries(scale):
     # no entry is a unit; the Smith form of d_1 is 1 (35 times) and of
     # d_2 is 1 (71 times) then 2, each scaled
-    klein = grid_klein_bottle(6)
+    klein = grid_surface(6, True)
     for k, factors in [(1, (scale,) * 35), (2, (scale,) * 71 + (2 * scale,))]:
         d = boundary_matrix(klein, k)
         scaled = IntegerMatrix(
@@ -288,7 +275,7 @@ def test_snf_of_scaled_klein_bottle_boundaries(scale):
 def test_snf_of_a_large_scaled_klein_bottle_boundary():
     # 800 non-unit pivots: the pivot search and the chain must not be
     # quadratic in them (this took 0.3 s with a rescan per pivot)
-    d = boundary_matrix(grid_klein_bottle(20), 2)
+    d = boundary_matrix(grid_surface(20, True), 2)
     scaled = IntegerMatrix(
         d.rows, d.cols, [{i: 2 * v for i, v in col.items()} for col in d.columns])
     snf = smith_normal_form(scaled)
@@ -484,3 +471,16 @@ def test_matrix_from_columns_validates_its_shape():
     empty = IntegerMatrix(0, 3, [{}, {}, {}])
     assert empty == IntegerMatrix.zeros(0, 3)
     assert IntegerMatrix.zeros(0, 3).columns == ({}, {}, {})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntegerMatrix.from_rows([]), "column count required for a matrix with no rows"),
+    (lambda: IntegerMatrix.from_rows([[1, 2], [3]]), "ragged rows in matrix entries"),
+    (lambda: determinant(IntegerMatrix.from_rows([[1, 2]])), "determinant of a non-square matrix"),
+    (lambda: AbelianGroupStructure(-1), "negative free rank"),
+    (lambda: rank_mod_p(IntegerMatrix.from_rows([[1]]), 1), "modulus must be a prime >= 2"),
+], ids=["no-rows", "ragged", "non-square", "negative-betti", "modulus-one"])
+def test_malformed_exact_input_raises_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert type(info.value) is ValueError

@@ -51,7 +51,8 @@ def test_spacelike_coordinates_far_from_one_are_scaled_without_overflow(coords):
 
 @pytest.mark.parametrize("coords", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
                                     [2.0, math.nan, 0.0], [math.inf, math.inf, 0.0],
-                                    [-math.inf, 1.0, 0.0], [1e-200, math.inf, 0.0]])
+                                    [-math.inf, 1.0, 0.0], [1e-200, math.inf, 0.0],
+                                    [[1.0, 2.0], [0.0, math.nan], [0.0, 0.0]]])
 def test_non_finite_coordinates_are_rejected(coords):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -777,6 +778,47 @@ def test_orbit_count_refuses_a_parabolic(d):
         hyp.orbit_count_check(g, hyp.base_point(d), 2.0)
 
 
+@pytest.mark.parametrize("k", [2, -1, -3, 5])
+@pytest.mark.parametrize("make", [lambda: hyp.parabolic([1, 1, 0, 0], [1, 0]),
+                                  lambda: generic_parabolic(3, [0.5, 0.2])],
+                         ids=["standard", "generic"])
+def test_a_parabolic_power_is_the_parabolic_of_the_scaled_translation(make, k):
+    # P^k is the standard parabolic of k v in parabolic()'s frame
+    p = make()
+    n, v = p.parabolic_data
+    power, tagged = p.power(k), hyp.parabolic(n, k * v)
+    assert power.parabolic_data[0] is n
+    assert power.parabolic_data[1].tolist() == (k * v).tolist()
+    assert np.max(np.abs(power.matrix - tagged.matrix)) <= 1e-14 * np.abs(tagged.matrix).max()
+    assert hyp.SublevelSet.of(power, 0.5).reach == hyp.SublevelSet.of(tagged, 0.5).reach
+    with pytest.raises(hyp.GeometryError, match="not a parabolic"):
+        hyp.orbit_count_check(power, hyp.base_point(3), 2.0)
+
+
+def test_a_parabolic_inverse_keeps_its_fixed_point_and_negates_the_translation():
+    p = hyp.parabolic([1, 1, 0, 0], [1, 0])
+    n, v = p.parabolic_data
+    inverse = p.inverse()
+    assert inverse.parabolic_data[0] is n
+    assert inverse.parabolic_data[1].tolist() == (-v).tolist()
+    assert hyp.SublevelSet.of(inverse, 0.5).reach == hyp.SublevelSet.of(hyp.parabolic(n, -v), 0.5).reach
+    with pytest.raises(hyp.GeometryError, match="not a parabolic"):
+        hyp.orbit_count_check(inverse, hyp.base_point(3), 2.0)
+
+
+def test_the_zeroth_power_of_a_parabolic_is_the_untagged_identity():
+    identity = hyp.parabolic([1, 1, 0, 0], [1, 0]).power(0)
+    assert identity.parabolic_data is None
+    assert np.array_equal(identity.matrix, np.eye(4))
+
+
+def test_obtuse_angle_of_a_parabolic_and_its_square():
+    p = hyp.parabolic([1, 1, 0, 0], [1, 0])
+    report = hyp.obtuse_angle_check(p, p.power(2), 0.4, 0.7, samples=100, seed=1)
+    assert report.passed
+    assert report.min_inner_product >= 1 - 1e-12
+
+
 def off_axis_point(d, r):
     v = np.zeros(d + 1)
     v[2] = 1.0
@@ -805,7 +847,6 @@ def test_orbit_count_off_axis_closed_form(length, R, r):
     g = hyp.standard_loxodromic(3, length)
     report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
     k_max = closed_form_max_power(length, R, r)
-    assert report.max_power == k_max
     assert report.count == 2 * k_max
     assert report.passed
 
@@ -818,7 +859,7 @@ def test_orbit_count_walks_from_a_wrong_start(monkeypatch, factor):
     real = hyp.translation_length
     monkeypatch.setattr(hyp, "translation_length", lambda h: factor * real(h))
     report = hyp.orbit_count_check(g, off_axis_point(3, 0.5), 2.0)
-    assert report.max_power == closed_form_max_power(0.01, 2.0, 0.5) == 182
+    assert report.count // 2 == closed_form_max_power(0.01, 2.0, 0.5) == 182
 
 
 @pytest.mark.parametrize("factor, length, R, r, k_max", [
@@ -838,7 +879,7 @@ def test_orbit_count_asks_for_each_power_once(monkeypatch, factor, length, R, r,
     monkeypatch.setattr(hyp, "translation_length", lambda h: factor * real_length(h))
     monkeypatch.setattr(hyp.LorentzIsometry, "power", power)
     report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
-    assert report.max_power == closed_form_max_power(length, R, r) == k_max
+    assert report.count // 2 == closed_form_max_power(length, R, r) == k_max
     assert len(asked) == len(set(asked))
     assert k_max in asked and k_max + 1 in asked
 
@@ -855,7 +896,7 @@ def test_orbit_count_of_a_rotating_loxodromic():
     while math.acosh(math.cosh(r) ** 2 * math.cosh(k * length)
                      - math.sinh(r) ** 2 * math.cos(k * theta)) <= R:
         k += 1
-    assert report.max_power == k - 1 == 6
+    assert report.count // 2 == k - 1 == 6
 
 
 def test_orbit_count_randomized_suite():
@@ -870,3 +911,23 @@ def test_orbit_count_randomized_suite():
         report = hyp.orbit_count_check(g, x, float(rng.uniform(length, 4.0)))
         assert report.passed
 
+
+def pure_rotation():
+    rotation = np.eye(4)
+    rotation[2:, 2:] = [[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]]
+    return hyp.LorentzIsometry(rotation)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hyp.make_point([1.0]), "a point needs at least 2 coordinates"),
+    (lambda: hyp.parabolic([1, 1, 0, 0], [1.0]), "translation vector must have 2 components"),
+    (lambda: hyp.parabolic([1, 1, 0, 0], [0.0, 0.0]), "translation vector must be nonzero"),
+    (lambda: hyp.SublevelSet.of(hyp.standard_loxodromic(3, 0.3), 0), "epsilon must be positive"),
+    (lambda: hyp.orbit_count_check(pure_rotation(), hyp.base_point(3), 2.0),
+     "orbit counting requires a loxodromic isometry$"),
+], ids=["one-coordinate", "translation-length", "zero-translation",
+        "epsilon-zero", "pure-rotation"])
+def test_bad_geometry_input_raises_a_geometry_error(call, message):
+    with pytest.raises(hyp.GeometryError, match=message) as info:
+        call()
+    assert type(info.value) is hyp.GeometryError

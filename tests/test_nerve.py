@@ -1189,3 +1189,19 @@ def test_radius_past_the_float_range_of_cosh():
     matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
     assert matrix.pairs() == [(0, 1, None), (0, 2, None)]
     assert nerve(cover).simplices == {(0,), (1,), (2,), (0, 1), (0, 2)}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EuclideanSpace(0), "dimension must be positive"),
+    (lambda: HyperbolicSpace(0), "dimension must be positive"),
+    (lambda: BallCover.of(EuclideanSpace(2), [((0.0, 0.0, 0.0), 1.0)]),
+     "ball 0: point must have 2 coordinates"),
+    (lambda: BallCover.of(HyperbolicSpace(2), [((1.0, 0.0, 0.0), 1.0), ((1.0, 0.0), 1.0)]),
+     "ball 1: hyperboloid point must have 3 coordinates"),
+    (lambda: nerve(circle_cover(), max_dim=0), "dimension cap must be at least 1"),
+], ids=["euclidean-dimension", "hyperbolic-dimension", "euclidean-centre", "hyperbolic-centre",
+        "cap"])
+def test_bad_spaces_centres_and_caps_raise_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert type(info.value) is ValueError
