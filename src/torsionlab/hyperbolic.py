@@ -10,7 +10,8 @@ here.
 Displacement sub-level sets are implemented in closed form: tubes around
 the axis of a rotation-free loxodromic, read off its eigenvectors, and
 horoballs for a parabolic built by parabolic(), which keeps its fixed
-point and translation vector.
+point and translation vector.  It is exp(X) of a null rotation X, so its
+products with parabolics at that fixed point keep them too.
 """
 
 from __future__ import annotations
@@ -144,11 +145,12 @@ class LorentzIsometry:
 
     parabolic_data is (n, v) for a parabolic built by parabolic(): the
     fixed null vector and the translation vector, which its Jordan block
-    gives back too unreliably for sub-level geometry.  Its powers k != 0,
-    the inverse too, keep (n, k v): P^k is the standard parabolic of k v
-    in parabolic()'s frame.  A loxodromic needs no such data, as its axis
-    is read off the eigenvectors.  Compared and hashed by identity, as its
-    fields are arrays.
+    gives back too unreliably for sub-level geometry.  P = exp(X) with X
+    linear in v, and the X at one n commute, so P^k is exp(k X) and a
+    product of powers at one n is exp(sum k X): it keeps (n, sum k v), the
+    inverse (n, -v), unless that sum is 0.  A loxodromic needs no such
+    data, as its axis is read off the eigenvectors.  Compared and hashed by
+    identity, as its fields are arrays.
     """
 
     matrix: np.ndarray
@@ -181,10 +183,11 @@ class LorentzIsometry:
 
     def inverse(self) -> "LorentzIsometry":
         j = lorentz_form_matrix(self.dimension)
-        return LorentzIsometry(j @ self.matrix.T @ j, self._parabolic_power(-1))
+        return LorentzIsometry(j @ self.matrix.T @ j, _parabolic_product((self, -1)))
 
     def __matmul__(self, other: "LorentzIsometry") -> "LorentzIsometry":
-        return LorentzIsometry(self.matrix @ other.matrix)
+        return LorentzIsometry(self.matrix @ other.matrix,
+                               _parabolic_product((self, 1), (other, 1)))
 
     def power(self, k: int) -> "LorentzIsometry":
         """g^k by repeated squaring of the matrix, or of its inverse for k < 0;
@@ -192,19 +195,23 @@ class LorentzIsometry:
         base = self if k >= 0 else self.inverse()
         with np.errstate(over="raise"):
             return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)),
-                                   self._parabolic_power(k))
-
-    def _parabolic_power(self, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """parabolic_data of g^k: (n, k v), none for k = 0 or a g without any."""
-        if self.parabolic_data is None or k == 0:
-            return None
-        return self.parabolic_data[0], k * self.parabolic_data[1]
+                                   _parabolic_product((self, k)))
 
     def commutes_with(self, other: "LorentzIsometry") -> bool:
         a, b = self.matrix, other.matrix
         # rounding errors of AB - BA grow with the product of the entries
         scale = float(np.abs(a).max()) * float(np.abs(b).max())
         return float(np.max(np.abs(a @ b - b @ a))) <= COMMUTE_TOL * max(1.0, scale)
+
+
+def _parabolic_product(*factors: tuple[LorentzIsometry, int]) -> tuple | None:
+    """parabolic_data of the product of the powers g^k: (n, sum k v), none
+    when a g has none, the fixed vectors n differ, or the sum is 0."""
+    data = [g.parabolic_data for g, _ in factors]
+    if None in data or any(not np.array_equal(n, data[0][0]) for n, _ in data):
+        return None
+    v = sum(k * w for (_, k), (_, w) in zip(factors, data))
+    return (data[0][0], v) if v.any() else None
 
 
 def identity(d: int) -> LorentzIsometry:
@@ -222,7 +229,8 @@ def _axis(xi_minus: np.ndarray, xi_plus: np.ndarray) -> tuple[np.ndarray, np.nda
     """The midpoint-like point p and the unit tangent u of the axis running
     from xi_minus to xi_plus."""
     prod = lorentz_inner(xi_minus, xi_plus)
-    if prod >= -1e-12:
+    # relative to the scale of the endpoints, which are directions
+    if prod >= -1e-12 * float(xi_minus[0] * xi_plus[0]):
         raise GeometryError("axis endpoints must be distinct future null directions")
     scale = math.sqrt(-2.0 * prod)
     return (xi_minus + xi_plus) / scale, (xi_plus - xi_minus) / scale
@@ -251,7 +259,7 @@ def _frame_from_axis(xi_minus: np.ndarray, xi_plus: np.ndarray, d: int) -> np.nd
 
 def _check_null_future(xi: Sequence[float]) -> np.ndarray:
     v = np.asarray(xi, dtype=float)
-    if abs(lorentz_inner(v, v)) > 1e-9 * max(1.0, float(np.dot(v, v))):
+    if abs(lorentz_inner(v, v)) > 1e-9 * float(np.dot(v, v)):
         raise GeometryError("ideal points must be null vectors")
     if v[0] <= 0:
         raise GeometryError("ideal points must be future pointing")
@@ -289,27 +297,6 @@ def standard_loxodromic(d: int, length: float) -> LorentzIsometry:
     return loxodromic(minus, plus, length)
 
 
-def _standard_parabolic_matrix(d: int, v: np.ndarray) -> np.ndarray:
-    """Parabolic fixing the null direction e0 + e1, translating by v.
-
-    In light-cone coordinates u = x0 + x1, w = x0 - x1, y in R^(d-1) the
-    map is (u, w, y) -> (u + 2 v.y + |v|^2 w, w, y + w v).
-    """
-    m = np.zeros((d + 1, d + 1))
-    vsq = float(np.dot(v, v))
-    # action on basis vectors, read back from the light-cone formulas
-    for col in range(d + 1):
-        e = np.zeros(d + 1)
-        e[col] = 1.0
-        u, w, y = e[0] + e[1], e[0] - e[1], e[2:]
-        u2 = u + 2 * float(np.dot(v, y)) + vsq * w
-        y2 = y + w * v
-        m[0, col] = (u2 + w) / 2
-        m[1, col] = (u2 - w) / 2
-        m[2:, col] = y2
-    return m
-
-
 def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
     """Parabolic translation fixing the given ideal point.
 
@@ -322,15 +309,20 @@ def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
     vec = np.asarray(v, dtype=float)
     if vec.shape != (d - 1,):
         raise GeometryError(f"translation vector must have {d - 1} components")
-    if np.allclose(vec, 0.0):
+    if not vec.any():
         raise GeometryError("translation vector must be nonzero")
-    # frame sending e0 + e1 to a multiple of the fixed vector
+    # frame with f_0 + f_1 = n / n_0, and v written in its other columns
     mirror = n.copy()
     mirror[1:] = -mirror[1:]
     frame = _frame_from_axis(mirror, n, d)
+    m = frame[:, 0] + frame[:, 1]
+    t = frame[:, 2:] @ vec
+    # the null rotation X x = <x, t> m - <x, m> t has X^3 = 0, and in the
+    # frame's light-cone coordinates u = x0 + x1, w = x0 - x1, y its
+    # exponential is (u, w, y) -> (u + 2 v.y + |v|^2 w, w, y + w v)
     j = lorentz_form_matrix(d)
-    matrix = frame @ _standard_parabolic_matrix(d, vec) @ (j @ frame.T @ j)
-    return LorentzIsometry(matrix, parabolic_data=(n, vec))
+    x = np.outer(m, j @ t) - np.outer(t, j @ m)
+    return LorentzIsometry(np.eye(d + 1) + x + x @ x / 2, parabolic_data=(n, vec))
 
 
 # --- classification and sub-level geometry -----------------------------------
@@ -380,7 +372,7 @@ def _classify(g: LorentzIsometry) -> tuple[float, list[float], list[float]]:
 
 @dataclass(frozen=True, eq=False)
 class SublevelSet:
-    """The region where the displacement of gamma stays below epsilon.
+    """The region where the displacement of g stays below epsilon: of(g, epsilon).
 
     Convex, and closed-form in both cases.  For a loxodromic it is the tube
     of radius reach around the axis, and columns holds the axis frame
@@ -391,8 +383,6 @@ class SublevelSet:
     point or for coordinate columns alike.  Compared and hashed by identity.
     """
 
-    gamma: LorentzIsometry
-    epsilon: float
     columns: tuple[list[float], ...]
     reach: float
 
@@ -402,18 +392,18 @@ class SublevelSet:
             raise GeometryError("epsilon must be positive")
         if g.parabolic_data is not None:
             # horoball: cosh(displacement) = 1 + c w^2 with w(x) = -<x, n> and
-            # c = |v|^2 / (2 n_0^2), read off the standard parabolic in the
-            # frame sending e0 + e1 to n / n_0; displacement eps is reached at
+            # c = |v|^2 / (2 n_0^2): in parabolic()'s frame exp(X) moves y by
+            # w v / n_0, as -<x, m> = w / n_0; displacement eps is reached at
             # w = sqrt((cosh(eps) - 1) / c) = 2 n_0 sinh(eps / 2) / |v|
             n, v = g.parabolic_data
             w_eps = 2.0 * float(n[0]) * math.sinh(epsilon / 2) / math.hypot(*v)
-            return cls(g, epsilon, (n.tolist(),), w_eps)
+            return cls((n.tolist(),), w_eps)
         length, p, u = _classify(g)
         if epsilon <= length:
             raise GeometryError(
                 f"sub-level set is empty: epsilon {epsilon} <= translation length {length}")
         radius = math.acosh(math.sinh(epsilon / 2) / math.sinh(length / 2))
-        return cls(g, epsilon, (p, u), radius)
+        return cls((p, u), radius)
 
     def distance_from(self, x: Sequence[float] | np.ndarray):
         """Distance from x to the set, 0 inside: a float for one point, an
@@ -510,7 +500,7 @@ def _gradient_signs(set_a: SublevelSet, set_b: SublevelSet, columns: np.ndarray)
     bound = _polynomial(_normal(abs_x, abs_a, 1), _normal(abs_x, abs_b, 1),
                         _gram(abs_a, abs_b, 1))
     nonnegative = p > 0
-    for i in np.flatnonzero(~stands(p, bound, 4 * set_a.gamma.dimension + 10)):
+    for i in np.flatnonzero(~stands(p, bound, 4 * (columns.shape[0] - 1) + 10)):
         nonnegative[i] = _exact_polynomial(columns[:, i].tolist(), cols_a, cols_b) >= 0
     ip = p / (_gradient_norm(normal_a, cols_a) * _gradient_norm(normal_b, cols_b))
     return nonnegative, ip

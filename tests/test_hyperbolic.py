@@ -292,6 +292,37 @@ def test_loxodromic_with_nearby_endpoints(angle, phi):
     assert hyp.translation_length(g) == pytest.approx(0.03, rel=1e-5)
 
 
+def test_ideal_points_are_checked_as_directions():
+    # timelike at any scale: -1e-10 + 2.5e-11 is far above 1e-9 * 1.25e-10
+    with pytest.raises(hyp.GeometryError, match="ideal points must be null vectors"):
+        hyp._check_null_future([1e-5, 5e-6, 0.0, 0.0])
+    with pytest.raises(hyp.GeometryError, match="ideal points must be null vectors"):
+        hyp.loxodromic([1e-5, 5e-6, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], 1.0)
+    with pytest.raises(hyp.GeometryError, match="ideal points must be null vectors"):
+        hyp.parabolic([1e-5, 5e-6, 0.0, 0.0], [1.0, 0.0])
+
+
+def test_small_ideal_points_give_the_isometries_of_their_directions():
+    # before, both raised "axis endpoints must be distinct" below unit scale
+    minus, plus = np.array([1.0, -1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])
+    lox, par = hyp.loxodromic(minus, plus, 1.0).matrix, hyp.parabolic(plus, [1.0, 0.0]).matrix
+    # a power-of-two scale is exact, so the matrices are the same floats
+    small = 2.0 ** -30
+    assert np.array_equal(hyp.loxodromic(small * minus, small * plus, 1.0).matrix, lox)
+    assert np.array_equal(hyp.parabolic(small * plus, [1.0, 0.0]).matrix, par)
+    # and 1e-7 rounds the endpoints only
+    assert np.abs(hyp.loxodromic(1e-7 * minus, 1e-7 * plus, 1.0).matrix - lox).max() <= 1e-15
+    assert np.abs(hyp.parabolic(1e-7 * plus, [1.0, 0.0]).matrix - par).max() <= 1e-15
+
+
+def test_a_small_translation_is_a_translation():
+    # before, np.allclose read 1e-9 as zero
+    p = hyp.parabolic([1, 1, 0, 0], [1e-9, 0])
+    assert p.parabolic_data[1].tolist() == [1e-9, 0.0]
+    assert not np.array_equal(p.matrix, np.eye(4))
+    assert hyp.SublevelSet.of(p, 0.5).reach == 2.0 * math.sinh(0.25) / 1e-9
+
+
 def test_parabolic_translation_lengths_vanish():
     p = hyp.parabolic([1.0, 1.0, 0.0, 0.0], [1.0, 0.0])
     # Jordan-block eigenvalues are only good to ~eps^(1/3)
@@ -305,6 +336,57 @@ def test_parabolics_with_common_fixed_point_commute():
     a = hyp.parabolic(fixed, [1.0, 0.0])
     b = hyp.parabolic(fixed, [0.3, 0.7])
     assert a.commutes_with(b)
+
+
+def parabolic_from_the_light_cone(fixed, v):
+    """The parabolic in light-cone coordinates u = x0 + x1, w = x0 - x1, y,
+    (u, w, y) -> (u + 2 v.y + |v|^2 w, w, y + w v), read back column by
+    column and conjugated into parabolic()'s frame."""
+    n, v = np.asarray(fixed, dtype=float), np.asarray(v, dtype=float)
+    d = n.shape[0] - 1
+    frame = hyp._frame_from_axis(np.concatenate([n[:1], -n[1:]]), n, d)
+    standard = np.zeros((d + 1, d + 1))
+    for col, e in enumerate(np.eye(d + 1)):
+        u, w, y = e[0] + e[1], e[0] - e[1], e[2:]
+        u2 = u + 2 * float(np.dot(v, y)) + float(np.dot(v, v)) * w
+        standard[0, col], standard[1, col] = (u2 + w) / 2, (u2 - w) / 2
+        standard[2:, col] = y + w * v
+    j = np.eye(d + 1)
+    j[0, 0] = -1.0
+    return frame @ standard @ (j @ frame.T @ j)
+
+
+def seeded_parabolic_data():
+    rng = np.random.default_rng(44)
+    for d in range(2, 7):
+        for _ in range(12):
+            w = rng.standard_normal(d)
+            n = float(rng.uniform(0.3, 3.0)) * np.concatenate([[1.0], w / np.linalg.norm(w)])
+            v = rng.standard_normal(d - 1)
+            yield n.tolist(), (10.0 ** rng.uniform(-3, 2) * v / np.linalg.norm(v)).tolist()
+
+
+@pytest.mark.parametrize("fixed, v", list(seeded_parabolic_data()))
+def test_parabolic_is_the_exponential_of_its_null_rotation(fixed, v):
+    n, v = np.asarray(fixed), np.asarray(v)
+    d = n.shape[0] - 1
+    m = hyp.parabolic(n, v).matrix
+    scale = max(1.0, float(np.abs(m).max()))
+    # the ideal point n / n_0 is fixed
+    assert np.abs(m @ (n / n[0]) - n / n[0]).max() <= 1e-12 * scale
+    # M - I = X + X^2 / 2 is nilpotent, as X^3 = 0
+    a = m - np.eye(d + 1)
+    assert np.abs(a @ a @ a).max() <= 1e-13 * max(1.0, float(np.abs(a).max())) ** 3
+    # the horoball's displacement: cosh d(x, Mx) - 1 = <Mx - x, Mx - x> / 2
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        x = random_point(rng, d)
+        w = -hyp.lorentz_inner(x, n)
+        delta = a @ x
+        assert hyp.lorentz_inner(delta, delta) / 2 == pytest.approx(
+            float(v @ v) * w * w / (2 * n[0] ** 2), rel=1e-10)
+    # and it is the light-cone map in the frame
+    assert np.abs(m - parabolic_from_the_light_cone(n, v)).max() <= 1e-12 * scale
 
 
 def test_sublevel_set_tube_geometry():
@@ -689,8 +771,9 @@ def test_kept_samples_lie_outside_both_sets(monkeypatch, d):
 def test_isometries_and_sublevel_sets_compare_by_identity():
     g = hyp.identity(3)
     assert g == g and g != hyp.identity(3)
-    s = hyp.SublevelSet.of(hyp.standard_loxodromic(3, 0.2), 0.5)
-    assert hash(s) == hash(s) and s != hyp.SublevelSet.of(s.gamma, 0.5)
+    h = hyp.standard_loxodromic(3, 0.2)
+    s = hyp.SublevelSet.of(h, 0.5)
+    assert hash(s) == hash(s) and s != hyp.SublevelSet.of(h, 0.5)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -817,6 +900,46 @@ def test_obtuse_angle_of_a_parabolic_and_its_square():
     report = hyp.obtuse_angle_check(p, p.power(2), 0.4, 0.7, samples=100, seed=1)
     assert report.passed
     assert report.min_inner_product >= 1 - 1e-12
+
+
+def test_a_product_of_parabolics_at_one_fixed_point_is_the_parabolic_of_the_summed_translation():
+    # exp(X_p) exp(X_q) = exp(X_p + X_q), as null rotations at one n commute
+    p = hyp.parabolic([1, 1, 0, 0], [1, 0])
+    q = hyp.parabolic([1, 1, 0, 0], [0.3, 0.7])
+    n, v_p, v_q = p.parabolic_data[0], p.parabolic_data[1], q.parabolic_data[1]
+    for product, v in [(p @ q, v_p + v_q), (p @ p, 2 * v_p),
+                       (p.power(3) @ q.inverse(), 3 * v_p - v_q)]:
+        tagged = hyp.parabolic(n, v)
+        assert product.parabolic_data[0] is n
+        assert product.parabolic_data[1].tolist() == v.tolist()
+        assert np.max(np.abs(product.matrix - tagged.matrix)) <= 1e-14 * np.abs(tagged.matrix).max()
+        assert hyp.SublevelSet.of(product, 0.5).reach == hyp.SublevelSet.of(tagged, 0.5).reach
+        # before, the count 2 passed against a bound of 1e16 and more
+        with pytest.raises(hyp.GeometryError, match="not a parabolic"):
+            hyp.orbit_count_check(product, hyp.base_point(3), 2.0)
+    report = hyp.obtuse_angle_check(p, p @ q, 0.4, 0.7, samples=100, seed=1)
+    assert report.passed
+
+
+def test_a_parabolic_times_its_inverse_is_the_untagged_identity():
+    p = hyp.parabolic([1, 1, 0, 0], [1, 0])
+    product = p @ p.inverse()
+    assert product.parabolic_data is None
+    with pytest.raises(hyp.GeometryError, match="identity is the whole space"):
+        hyp.SublevelSet.of(product, 0.5)
+
+
+@pytest.mark.parametrize("other", [
+    lambda: hyp.standard_loxodromic(3, 0.5),
+    lambda: hyp.parabolic([1, 0, 1, 0], [0.3, 0.7]),
+    lambda: hyp.parabolic([2, 2, 0, 0], [0.3, 0.7]),
+    lambda: hyp.LorentzIsometry(hyp.parabolic([1, 1, 0, 0], [0.3, 0.7]).matrix),
+], ids=["loxodromic", "other-fixed-point", "scaled-fixed-vector", "bare-matrix"])
+def test_a_product_with_anything_but_a_parabolic_at_its_fixed_vector_is_untagged(other):
+    p = hyp.parabolic([1, 1, 0, 0], [1, 0])
+    g = other()
+    assert (p @ g).parabolic_data is None
+    assert (g @ p).parabolic_data is None
 
 
 def off_axis_point(d, r):
