@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -151,6 +152,11 @@ class LorentzIsometry:
     inverse (n, -v), unless that sum is 0.  A loxodromic needs no such
     data, as its axis is read off the eigenvectors.  Compared and hashed by
     identity, as its fields are arrays.
+
+    The constructor checks a matrix from outside, and a failed check is a
+    GeometryError.  Inverses, products and powers take the same checks
+    through _derived, where a failure is a FloatingPointError, and a
+    matrix the program writes down exactly takes none (_unchecked).
     """
 
     matrix: np.ndarray
@@ -162,17 +168,26 @@ class LorentzIsometry:
             raise GeometryError("isometry matrix must be square")
         if m.shape[0] < 2:  # H^d needs d >= 1
             raise GeometryError(f"isometry matrix must be at least 2 x 2, got {m.shape[0]} x {m.shape[0]}")
-        scale = float(np.abs(m).max())
-        if not scale < math.inf:  # also false for NaN
-            raise GeometryError("isometry matrix has non-finite entries")
-        j = lorentz_form_matrix(m.shape[0] - 1)
-        # rounding errors of M^T J M grow with the entries squared
-        residual = float(np.max(np.abs(m.T @ j @ m - j)))
-        if residual > LORENTZ_FORM_TOL * max(1.0, scale) ** 2:
-            raise GeometryError("matrix does not preserve the Lorentz form")
-        if m[0, 0] <= 0:
-            raise GeometryError("matrix does not preserve the upper sheet")
+        _check_form(m, GeometryError)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray,
+                   parabolic_data: tuple | None = None) -> "LorentzIsometry":
+        """The isometry of a float matrix known to be in O+(d,1), such as one
+        the program writes down exactly, without the checks: they are for
+        matrices from outside."""
+        g = object.__new__(cls)
+        vars(g).update(matrix=matrix, parabolic_data=parabolic_data)
+        return g
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, parabolic_data: tuple | None) -> "LorentzIsometry":
+        """An isometry computed from valid ones.  It takes the same checks,
+        but one that fails is the fault of rounding or the float range, not
+        of the input: a FloatingPointError."""
+        _check_form(matrix, FloatingPointError)
+        return cls._unchecked(matrix, parabolic_data)
 
     @property
     def dimension(self) -> int:
@@ -183,25 +198,51 @@ class LorentzIsometry:
 
     def inverse(self) -> "LorentzIsometry":
         j = lorentz_form_matrix(self.dimension)
-        return LorentzIsometry(j @ self.matrix.T @ j, _parabolic_product((self, -1)))
+        return LorentzIsometry._derived(j @ self.matrix.T @ j, _parabolic_product((self, -1)))
 
     def __matmul__(self, other: "LorentzIsometry") -> "LorentzIsometry":
-        return LorentzIsometry(self.matrix @ other.matrix,
-                               _parabolic_product((self, 1), (other, 1)))
+        return LorentzIsometry._derived(self.matrix @ other.matrix,
+                                        _parabolic_product((self, 1), (other, 1)))
 
     def power(self, k: int) -> "LorentzIsometry":
-        """g^k by repeated squaring of the matrix, or of its inverse for k < 0;
-        FloatingPointError once an entry, or the form check's square, overflows."""
+        """g^k by repeated squaring of the matrix, or of its inverse for k < 0,
+        and g itself for k = 1; FloatingPointError once an entry overflows or
+        the result fails its check."""
+        if k == 1:
+            return self
         base = self if k >= 0 else self.inverse()
         with np.errstate(over="raise"):
-            return LorentzIsometry(np.linalg.matrix_power(base.matrix, abs(k)),
-                                   _parabolic_product((self, k)))
+            return LorentzIsometry._derived(np.linalg.matrix_power(base.matrix, abs(k)),
+                                            _parabolic_product((self, k)))
 
     def commutes_with(self, other: "LorentzIsometry") -> bool:
         a, b = self.matrix, other.matrix
         # rounding errors of AB - BA grow with the product of the entries
         scale = float(np.abs(a).max()) * float(np.abs(b).max())
         return float(np.max(np.abs(a @ b - b @ a))) <= COMMUTE_TOL * max(1.0, scale)
+
+
+def _entry_limit(size: int) -> float:
+    """The largest entry of a size x size matrix whose Lorentz form the
+    check sums without overflow: size squares, each at most limit^2."""
+    return math.sqrt(sys.float_info.max / size)
+
+
+def _check_form(m: np.ndarray, error: type[Exception]):
+    """Raise error unless the square float matrix m is in O+(d,1).  The
+    range is checked before any product of the entries is formed."""
+    scale = float(np.abs(m).max())
+    if not scale < math.inf:  # also false for NaN
+        raise error("isometry matrix has non-finite entries")
+    if not scale < _entry_limit(m.shape[0]):
+        raise error(f"isometry matrix entry {scale} is past the float range of the Lorentz form")
+    j = lorentz_form_matrix(m.shape[0] - 1)
+    # rounding errors of M^T J M grow with the entries squared
+    residual = float(np.max(np.abs(m.T @ j @ m - j)))
+    if residual > LORENTZ_FORM_TOL * max(1.0, scale) ** 2:
+        raise error("matrix does not preserve the Lorentz form")
+    if m[0, 0] <= 0:
+        raise error("matrix does not preserve the upper sheet")
 
 
 def _parabolic_product(*factors: tuple[LorentzIsometry, int]) -> tuple | None:
@@ -215,7 +256,7 @@ def _parabolic_product(*factors: tuple[LorentzIsometry, int]) -> tuple | None:
 
 
 def identity(d: int) -> LorentzIsometry:
-    return LorentzIsometry(np.eye(d + 1))
+    return LorentzIsometry._unchecked(np.eye(d + 1))
 
 
 def displacement(g: LorentzIsometry, x: np.ndarray) -> float:
@@ -266,6 +307,17 @@ def _check_null_future(xi: Sequence[float]) -> np.ndarray:
     return v
 
 
+def _check_length(length: float, d: int):
+    """A translation length must be positive, and its boost's entries
+    cosh(length) within _entry_limit."""
+    if length <= 0:
+        raise GeometryError("translation length must be positive")
+    limit = math.acosh(_entry_limit(d + 1))
+    if not length < limit:  # also true for NaN
+        raise GeometryError(f"translation length {length} is not below {limit}, past which "
+                            "the boost leaves the float range of the Lorentz form")
+
+
 def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
                length: float) -> LorentzIsometry:
     """Rotation-free translation of the given length along an axis.
@@ -273,11 +325,10 @@ def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
     The axis is the geodesic with the two ideal endpoints; translation
     moves points from xi_minus towards xi_plus.
     """
-    if length <= 0:
-        raise GeometryError("translation length must be positive")
     a = _check_null_future(xi_minus)
     b = _check_null_future(xi_plus)
     d = a.shape[0] - 1
+    _check_length(length, d)
     p, u = _axis(a, b)
     # boost in the plane of p and u, the identity on its complement.  Unlike
     # frame @ boost @ frame^-1 it does not square the rounding of the frame,
@@ -289,12 +340,17 @@ def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
 
 
 def standard_loxodromic(d: int, length: float) -> LorentzIsometry:
-    """Translation along the first-coordinate axis through the base point."""
-    minus = np.zeros(d + 1)
-    minus[0], minus[1] = 1.0, -1.0
-    plus = np.zeros(d + 1)
-    plus[0], plus[1] = 1.0, 1.0
-    return loxodromic(minus, plus, length)
+    """Translation along the first-coordinate axis through the base point:
+    the boost with cosh(length) at (0, 0) and (1, 1) and sinh(length) at
+    (0, 1) and (1, 0), exact up to the rounding of cosh and sinh, so it
+    takes no form check.  It is loxodromic() from (1, -1, 0, ...) to
+    (1, 1, 0, ...) bit for bit while cosh(length) < 2^53, where
+    1 + (cosh(length) - 1) is cosh(length)."""
+    _check_length(length, d)
+    m = np.eye(d + 1)
+    m[0, 0] = m[1, 1] = math.cosh(length)
+    m[0, 1] = m[1, 0] = math.sinh(length)
+    return LorentzIsometry._unchecked(m)
 
 
 def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
@@ -311,6 +367,12 @@ def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
         raise GeometryError(f"translation vector must have {d - 1} components")
     if not vec.any():
         raise GeometryError("translation vector must be nonzero")
+    # the matrix's largest entry is about |v|^2 / 2, and its square must
+    # stay within the form check's range; so must every product below
+    norm, limit = math.hypot(*vec), math.sqrt(2 * _entry_limit(d + 1))
+    if not norm < limit:  # also true for NaN
+        raise GeometryError(f"translation vector length {norm} is not below {limit}, past "
+                            "which the parabolic leaves the float range of the Lorentz form")
     # frame with f_0 + f_1 = n / n_0, and v written in its other columns
     mirror = n.copy()
     mirror[1:] = -mirror[1:]

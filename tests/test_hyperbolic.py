@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -114,6 +115,92 @@ def test_long_loxodromic_keeps_the_lorentz_form():
     # entries near cosh(20) ~ 2.4e8 square to ~6e16 in the form check
     assert np.isfinite(g.power(2).matrix).all()
     assert hyp.displacement(g.power(2), x) == pytest.approx(20.0, rel=1e-8)
+
+
+def seeded_boost_lengths():
+    rng = np.random.default_rng(45)
+    for d in range(1, 9):
+        for length in rng.uniform(0.0, math.acosh(2.0 ** 53), 6):
+            yield d, float(length)
+
+
+@pytest.mark.parametrize("d, length", list(seeded_boost_lengths()))
+def test_the_standard_loxodromic_is_loxodromic_on_the_first_axis_bit_for_bit(d, length):
+    # below 2^53, cosh(l) - 1 is exact and 1 + (cosh(l) - 1) is cosh(l)
+    minus, plus = np.zeros(d + 1), np.zeros(d + 1)
+    minus[:2], plus[:2] = [1.0, -1.0], [1.0, 1.0]
+    boost = hyp.standard_loxodromic(d, length).matrix
+    general = hyp.loxodromic(minus, plus, length).matrix
+    assert np.array_equal(boost, general)
+    assert boost.tobytes() == general.tobytes()  # signed zeros too
+
+
+def test_past_2_53_the_boost_diagonal_is_cosh_itself():
+    length = 37.69
+    assert math.cosh(length) > 2.0 ** 53
+    m = hyp.standard_loxodromic(3, length).matrix
+    assert m[0, 0] == m[1, 1] == math.cosh(length)
+    assert m[0, 1] == m[1, 0] == math.sinh(length)
+
+
+@pytest.mark.parametrize("make", [lambda: hyp.standard_loxodromic(3, 0.7),
+                                  lambda: hyp.loxodromic([1, .6, .8, 0], [1, -.28, .96, 0], 0.7),
+                                  lambda: hyp.parabolic([1, 1, 0, 0], [1, 0])],
+                         ids=["standard", "general-axis", "parabolic"])
+def test_the_first_power_is_the_isometry_itself(make):
+    g = make()
+    data = g.parabolic_data
+    assert g.power(1) is g
+    assert g.power(1).parabolic_data is data
+
+
+@pytest.mark.parametrize("call, message", [
+    *[(lambda length=length: hyp.standard_loxodromic(3, length),
+       f"translation length {length} is not below 354.89")
+      for length in (math.nan, math.inf, 400.0, 800.0)],
+    (lambda: hyp.loxodromic([1, .6, .8, 0], [1, -.28, .96, 0], 800.0),
+     "translation length 800.0 is not below"),
+    (lambda: hyp.parabolic([1, 1, 0, 0], [1e150, 0]), "translation vector length 1e\\+150 is not below"),
+    (lambda: hyp.LorentzIsometry(np.full((3, 3), 1e200)), "entry 1e\\+200 is past the float range"),
+    # each square is finite, their sum in the form check is not
+    (lambda: hyp.LorentzIsometry(np.full((3, 3), 1e154)), "entry 1e\\+154 is past the float range"),
+], ids=["nan", "inf", "400", "800", "general-axis-800", "parabolic", "squares", "sum-of-squares"])
+def test_isometries_past_the_float_range_are_refused_as_input(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hyp.GeometryError, match=message) as info:
+            call()
+    assert type(info.value) is hyp.GeometryError
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_the_standard_loxodromic_passes_the_form_check_up_to_its_length_limit(d):
+    limit = math.acosh(math.sqrt(sys.float_info.max / (d + 1)))
+    g = hyp.standard_loxodromic(d, math.nextafter(limit, 0.0))
+    assert np.array_equal(hyp.LorentzIsometry(g.matrix).matrix, g.matrix)
+    with pytest.raises(hyp.GeometryError, match="not below"):
+        hyp.standard_loxodromic(d, limit)
+
+
+def times_its_inverse(g):
+    return g @ g.inverse()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: times_its_inverse(hyp.standard_loxodromic(3, 10.0)), "does not preserve the Lorentz form"),
+    (lambda: times_its_inverse(hyp.standard_loxodromic(3, 25.0)), "does not preserve the upper sheet"),
+    (lambda: (lambda h: h.power(3) @ h.power(-3))(
+        hyp.loxodromic([1, .6, .8, 0], [1, -.28, .96, 0], 5.0)), "does not preserve the Lorentz form"),
+], ids=["standard-10", "standard-25", "general-axis-powers"])
+def test_a_product_of_valid_isometries_failing_its_check_is_an_arithmetic_error(make, message):
+    with pytest.raises(FloatingPointError, match=f"^matrix {message}$"):
+        make()
+
+
+def test_the_check_on_products_sees_real_rounding():
+    # at l = 20 the rounding of g g^-1 is of the order of the identity's entries
+    g = hyp.standard_loxodromic(3, 20.0)
+    assert np.max(np.abs(g.matrix @ g.inverse().matrix - np.eye(4))) > 1.0
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
