@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit-code contract: 0 success, 1 verification failure, 2 input error,
-3 internal error, 64 usage error.  The parser converts and bounds every
-argument, so a bad value is a usage error before any work starts.  After
-that an error's class decides the status: an exact.InputError (outside
-input at fault) exits 2, and an ExactArithmeticError, an ArithmeticError
-or any other exception (the program at fault) exits 3, so only a failed
-check exits 1.
+3 internal error, 64 usage error, 141 (128 + SIGPIPE) a stdout its reader
+closed.  The parser converts and bounds every argument, so a bad value is
+a usage error before any work starts.  After that an error's class
+decides the status: an exact.InputError (outside input at fault) exits 2,
+and an ExactArithmeticError, an ArithmeticError or any other exception
+(the program at fault) exits 3, so only a failed check exits 1.
 Each `verify` suite takes only the flags it reads, listed in
 _SUITE_TABLE; any other flag is a usage error.
 Each suite runs one library check per instance and builds its JSON
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -33,6 +34,7 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -415,7 +417,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone; with stdout on devnull the exit-time flush
+        # cannot raise again, and nothing is written to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         sys.stderr.write(f"torsionlab: usage error: {exc}\n")
         return EXIT_USAGE

@@ -7,11 +7,11 @@ curvature cannot be realized numerically without choosing a metric, and
 hyperbolic space is the extremal witness for all inequalities verified
 here.
 
-Displacement sub-level sets are implemented in closed form: tubes around
-the axis of a rotation-free loxodromic, read off its eigenvectors, and
-horoballs for a parabolic built by parabolic(), which keeps its fixed
-point and translation vector.  It is exp(X) of a null rotation X, so its
-products with parabolics at that fixed point keep them too.
+Displacement sub-level sets are closed forms of what an isometry was
+built from: tubes around the axis of a rotation-free loxodromic, whose
+endpoints and length loxodromic() keeps, and horoballs for a parabolic,
+whose fixed point and translation vector parabolic() keeps.  Orbit counts
+and commutation read the same data; none is read back off a matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .certify import stands
 from .exact import InputError
 
 LORENTZ_FORM_TOL = 1e-9
-COMMUTE_TOL = 1e-9
 
 
 class GeometryError(InputError):
@@ -144,14 +143,16 @@ def exp_map(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 class LorentzIsometry:
     """Matrix in O+(d,1).
 
-    parabolic_data is (n, v) for a parabolic built by parabolic(): the
-    fixed null vector and the translation vector, which its Jordan block
-    gives back too unreliably for sub-level geometry.  P = exp(X) with X
-    linear in v, and the X at one n commute, so P^k is exp(k X) and a
-    product of powers at one n is exp(sum k X): it keeps (n, sum k v), the
-    inverse (n, -v), unless that sum is 0.  A loxodromic needs no such
-    data, as its axis is read off the eigenvectors.  Compared and hashed by
-    identity, as its fields are arrays.
+    data is (fixed, amount), what the constructor built it from: ((a, b), l)
+    for loxodromic(), its ideal endpoints and its signed translation length
+    from a towards b, and ((n,), v) for parabolic(), its fixed null vector
+    and translation vector.  Sub-level sets, orbit counts and commutation
+    read the data, never the matrix.  g^k is a translation of k amount at
+    the same fixed set, so the inverse keeps (fixed, -amount) and a product
+    of powers at one fixed set (_orientation) the sum of k amount, unless
+    that sum is 0.  A matrix from outside, the identity and a product at
+    two fixed sets have none.  Compared and hashed by identity, as its
+    fields are arrays.
 
     The constructor checks a matrix from outside, and a failed check is a
     GeometryError.  Inverses, products and powers take the same checks
@@ -160,7 +161,7 @@ class LorentzIsometry:
     """
 
     matrix: np.ndarray
-    parabolic_data: tuple[np.ndarray, np.ndarray] | None = None
+    data: tuple | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -172,22 +173,21 @@ class LorentzIsometry:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _unchecked(cls, matrix: np.ndarray,
-                   parabolic_data: tuple | None = None) -> "LorentzIsometry":
+    def _unchecked(cls, matrix: np.ndarray, data: tuple | None = None) -> "LorentzIsometry":
         """The isometry of a float matrix known to be in O+(d,1), such as one
         the program writes down exactly, without the checks: they are for
         matrices from outside."""
         g = object.__new__(cls)
-        vars(g).update(matrix=matrix, parabolic_data=parabolic_data)
+        vars(g).update(matrix=matrix, data=data)
         return g
 
     @classmethod
-    def _derived(cls, matrix: np.ndarray, parabolic_data: tuple | None) -> "LorentzIsometry":
+    def _derived(cls, matrix: np.ndarray, data: tuple | None) -> "LorentzIsometry":
         """An isometry computed from valid ones.  It takes the same checks,
         but one that fails is the fault of rounding or the float range, not
         of the input: a FloatingPointError."""
         _check_form(matrix, FloatingPointError)
-        return cls._unchecked(matrix, parabolic_data)
+        return cls._unchecked(matrix, data)
 
     @property
     def dimension(self) -> int:
@@ -198,11 +198,11 @@ class LorentzIsometry:
 
     def inverse(self) -> "LorentzIsometry":
         j = lorentz_form_matrix(self.dimension)
-        return LorentzIsometry._derived(j @ self.matrix.T @ j, _parabolic_product((self, -1)))
+        return LorentzIsometry._derived(j @ self.matrix.T @ j, _product_data((self, -1)))
 
     def __matmul__(self, other: "LorentzIsometry") -> "LorentzIsometry":
         return LorentzIsometry._derived(self.matrix @ other.matrix,
-                                        _parabolic_product((self, 1), (other, 1)))
+                                        _product_data((self, 1), (other, 1)))
 
     def power(self, k: int) -> "LorentzIsometry":
         """g^k by repeated squaring of the matrix, or of its inverse for k < 0,
@@ -213,13 +213,7 @@ class LorentzIsometry:
         base = self if k >= 0 else self.inverse()
         with np.errstate(over="raise"):
             return LorentzIsometry._derived(np.linalg.matrix_power(base.matrix, abs(k)),
-                                            _parabolic_product((self, k)))
-
-    def commutes_with(self, other: "LorentzIsometry") -> bool:
-        a, b = self.matrix, other.matrix
-        # rounding errors of AB - BA grow with the product of the entries
-        scale = float(np.abs(a).max()) * float(np.abs(b).max())
-        return float(np.max(np.abs(a @ b - b @ a))) <= COMMUTE_TOL * max(1.0, scale)
+                                            _product_data((self, k)))
 
 
 def _entry_limit(size: int) -> float:
@@ -245,14 +239,46 @@ def _check_form(m: np.ndarray, error: type[Exception]):
         raise error("matrix does not preserve the upper sheet")
 
 
-def _parabolic_product(*factors: tuple[LorentzIsometry, int]) -> tuple | None:
-    """parabolic_data of the product of the powers g^k: (n, sum k v), none
-    when a g has none, the fixed vectors n differ, or the sum is 0."""
-    data = [g.parabolic_data for g, _ in factors]
-    if None in data or any(not np.array_equal(n, data[0][0]) for n, _ in data):
+def _orientation(fixed: tuple, other: tuple) -> int:
+    """1 when other holds the ideal points of fixed up to positive scales,
+    -1 when it holds a loxodromic's endpoints in reverse, 0 otherwise.
+    Future null vectors x and y are one ideal point when x_i y_0 = y_i x_0
+    for every i, compared over the rationals."""
+    def one_point(x, y):
+        x0, y0 = Fraction(x[0]), Fraction(y[0])
+        return len(x) == len(y) and all(Fraction(xi) * y0 == Fraction(yi) * x0
+                                        for xi, yi in zip(x, y))
+
+    def same(xs, ys):
+        return len(xs) == len(ys) and all(map(one_point, xs, ys))
+
+    if same(fixed, other):
+        return 1
+    return -1 if len(fixed) == 2 and same(fixed, other[::-1]) else 0
+
+
+def _product_data(*factors: tuple[LorentzIsometry, int]) -> tuple | None:
+    """data of the product of the powers g^k: the first g's fixed set and
+    the sum of k amount, an amount negated where its axis runs the other
+    way; none when a g has none, a fixed set differs, or the sum is 0."""
+    data = [g.data for g, _ in factors]
+    if None in data:
         return None
-    v = sum(k * w for (_, k), (_, w) in zip(factors, data))
-    return (data[0][0], v) if v.any() else None
+    fixed = data[0][0]
+    signs = [1] + [_orientation(fixed, other) for other, _ in data[1:]]
+    if 0 in signs:
+        return None
+    amount = sum(sign * k * a for sign, (_, k), (_, a) in zip(signs, factors, data))
+    return (fixed, amount) if np.any(amount) else None
+
+
+def _data(g: LorentzIsometry) -> tuple:
+    """g's data, or the one refusal of an isometry that has none."""
+    if g.data is None:
+        raise GeometryError(
+            "this isometry has no axis or fixed point on record: build it with loxodromic(), "
+            "standard_loxodromic() or parabolic(), and multiply only at one fixed set")
+    return g.data
 
 
 def identity(d: int) -> LorentzIsometry:
@@ -323,7 +349,8 @@ def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
     """Rotation-free translation of the given length along an axis.
 
     The axis is the geodesic with the two ideal endpoints; translation
-    moves points from xi_minus towards xi_plus.
+    moves points from xi_minus towards xi_plus.  Both and the length are
+    its data.
     """
     a = _check_null_future(xi_minus)
     b = _check_null_future(xi_plus)
@@ -336,7 +363,7 @@ def loxodromic(xi_minus: Sequence[float], xi_plus: Sequence[float],
     cosh_part = (math.cosh(length) - 1) * (np.outer(u, u) - np.outer(p, p))
     sinh_part = math.sinh(length) * (np.outer(p, u) - np.outer(u, p))
     matrix = np.eye(d + 1) + (cosh_part + sinh_part) @ lorentz_form_matrix(d)
-    return LorentzIsometry(matrix)
+    return LorentzIsometry(matrix, data=((a, b), float(length)))
 
 
 def standard_loxodromic(d: int, length: float) -> LorentzIsometry:
@@ -345,12 +372,14 @@ def standard_loxodromic(d: int, length: float) -> LorentzIsometry:
     (0, 1) and (1, 0), exact up to the rounding of cosh and sinh, so it
     takes no form check.  It is loxodromic() from (1, -1, 0, ...) to
     (1, 1, 0, ...) bit for bit while cosh(length) < 2^53, where
-    1 + (cosh(length) - 1) is cosh(length)."""
+    1 + (cosh(length) - 1) is cosh(length), and it keeps the same data."""
     _check_length(length, d)
     m = np.eye(d + 1)
     m[0, 0] = m[1, 1] = math.cosh(length)
     m[0, 1] = m[1, 0] = math.sinh(length)
-    return LorentzIsometry._unchecked(m)
+    minus, plus = np.zeros(d + 1), np.zeros(d + 1)
+    minus[:2], plus[:2] = (1.0, -1.0), (1.0, 1.0)
+    return LorentzIsometry._unchecked(m, ((minus, plus), float(length)))
 
 
 def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
@@ -384,65 +413,23 @@ def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
     # exponential is (u, w, y) -> (u + 2 v.y + |v|^2 w, w, y + w v)
     j = lorentz_form_matrix(d)
     x = np.outer(m, j @ t) - np.outer(t, j @ m)
-    return LorentzIsometry(np.eye(d + 1) + x + x @ x / 2, parabolic_data=(n, vec))
+    return LorentzIsometry(np.eye(d + 1) + x + x @ x / 2, data=((n,), vec))
 
 
-# --- classification and sub-level geometry -----------------------------------
-
-def translation_length(g: LorentzIsometry) -> float:
-    """Infimum of the displacement: log of the spectral radius."""
-    eigvals = np.linalg.eigvals(g.matrix)
-    return float(math.log(max(1.0, float(np.max(np.abs(eigvals))))))
-
-
-def _classify(g: LorentzIsometry) -> tuple[float, list[float], list[float]]:
-    """Translation length and axis frame columns (p, u) of a rotation-free
-    loxodromic.
-
-    They are read off the eigen-decomposition, whose translation
-    eigenvalues are well separated.  Parabolic Jordan blocks are
-    numerically fragile, so a parabolic is never classified here: its
-    sub-level geometry comes from the parabolic_data of parabolic().
-    """
-    if float(np.max(np.abs(g.matrix - np.eye(g.dimension + 1)))) < 1e-12:
-        raise GeometryError("sub-level set of the identity is the whole space")
-    eigvals, eigvecs = np.linalg.eig(g.matrix)
-    # translation_length() from the same eigenvalues; parabolic Jordan blocks
-    # smear them by ~eps^(1/3), so only a spectral radius clearly above that
-    # noise floor means loxodromic
-    length = math.log(max(1.0, float(np.max(np.abs(eigvals)))))
-    if length <= 1e-4:
-        raise GeometryError(
-            "cannot classify this matrix; build parabolic elements with the parabolic() constructor")
-    idx_plus = int(np.argmax(eigvals.real))
-    idx_minus = int(np.argmin(np.abs(eigvals - math.exp(-length))))
-    plus = np.real(eigvecs[:, idx_plus])
-    minus = np.real(eigvecs[:, idx_minus])
-    if plus[0] < 0:
-        plus = -plus
-    if minus[0] < 0:
-        minus = -minus
-    d = g.dimension
-    frame = _frame_from_axis(minus, plus, d)
-    # reject rotating loxodromics: the transverse block must be trivial
-    j = lorentz_form_matrix(d)
-    standard = (j @ frame.T @ j) @ g.matrix @ frame
-    if float(np.max(np.abs(standard[2:, 2:] - np.eye(d - 1)))) > 1e-7:
-        raise GeometryError("sub-level geometry needs a rotation-free loxodromic")
-    return length, frame[:, 0].tolist(), frame[:, 1].tolist()
-
+# --- sub-level geometry ------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class SublevelSet:
     """The region where the displacement of g stays below epsilon: of(g, epsilon).
 
     Convex, and closed-form in both cases.  For a loxodromic it is the tube
-    of radius reach around the axis, and columns holds the axis frame
-    columns (p, u); for a parabolic it is the horoball w(x) = -<x, n> <= reach
-    at the fixed null vector, and columns holds (n,).  Columns are plain
-    floats, and membership reads the products _normal takes for the obtuse
-    check's sign test: s = cosh^2 of the axis distance, or s = w, for one
-    point or for coordinate columns alike.  Compared and hashed by identity.
+    of radius reach around the axis, and columns holds the axis columns
+    (p, u) of _axis(a, b); for a parabolic it is the horoball
+    w(x) = -<x, n> <= reach at the fixed null vector, and columns holds (n,).
+    Both come from g's data.  Columns are plain floats, and membership
+    reads the products _normal takes for the obtuse check's sign test:
+    s = cosh^2 of the axis distance, or s = w, for one point or for
+    coordinate columns alike.  Compared and hashed by identity.
     """
 
     columns: tuple[list[float], ...]
@@ -452,20 +439,21 @@ class SublevelSet:
     def of(cls, g: LorentzIsometry, epsilon: float) -> "SublevelSet":
         if epsilon <= 0:
             raise GeometryError("epsilon must be positive")
-        if g.parabolic_data is not None:
+        fixed, amount = _data(g)
+        if len(fixed) == 1:
             # horoball: cosh(displacement) = 1 + c w^2 with w(x) = -<x, n> and
             # c = |v|^2 / (2 n_0^2): in parabolic()'s frame exp(X) moves y by
             # w v / n_0, as -<x, m> = w / n_0; displacement eps is reached at
             # w = sqrt((cosh(eps) - 1) / c) = 2 n_0 sinh(eps / 2) / |v|
-            n, v = g.parabolic_data
-            w_eps = 2.0 * float(n[0]) * math.sinh(epsilon / 2) / math.hypot(*v)
+            [n] = fixed
+            w_eps = 2.0 * float(n[0]) * math.sinh(epsilon / 2) / math.hypot(*amount)
             return cls((n.tolist(),), w_eps)
-        length, p, u = _classify(g)
+        length = abs(amount)
         if epsilon <= length:
             raise GeometryError(
                 f"sub-level set is empty: epsilon {epsilon} <= translation length {length}")
         radius = math.acosh(math.sinh(epsilon / 2) / math.sinh(length / 2))
-        return cls((p, u), radius)
+        return cls(tuple(c.tolist() for c in _axis(*fixed)), radius)
 
     def distance_from(self, x: Sequence[float] | np.ndarray):
         """Distance from x to the set, 0 inside: a float for one point, an
@@ -581,6 +569,8 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
     """Gradients of the distances to two commuting sub-level sets never
     point against each other.
 
+    a and b commute when their data share one axis, in either direction,
+    or one fixed point (_orientation), decided exactly on the ideal points.
     Sample points are drawn in batches from one generator: for each, a
     direction (standard normal, normalized) and a radius (uniform in
     [0.05, 3.0]) from the base point, placed as coordinate columns by
@@ -588,7 +578,7 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
     both sets are kept; each batch holds a few times the samples still
     needed, and every draw counts against a cap of 200 per sample.  At
     each kept point, the gradients are taken in closed form:
-    -(a p + b u) / (c sqrt(c^2 - 1)) for a tube with frame columns (p, u),
+    -(a p + b u) / (c sqrt(c^2 - 1)) for a tube with axis columns (p, u),
     a = -<x, p>, b = <x, u>, c = sqrt(a^2 - b^2), and -n / w for a horoball
     at the null vector n, w = -<x, n>.  The sign of their Riemannian inner
     product <G_a, G_b> + <x, G_a> <x, G_b> is decided exactly for the stored
@@ -601,8 +591,8 @@ def obtuse_angle_check(a: LorentzIsometry, b: LorentzIsometry,
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if not a.commutes_with(b):
-        raise GeometryError("isometries do not commute within tolerance")
+    if not _orientation(_data(a)[0], _data(b)[0]):
+        raise GeometryError("isometries do not commute: they share no axis or fixed point")
     set_a = SublevelSet.of(a, eps_a)
     set_b = SublevelSet.of(b, eps_b)
     d = a.dimension
@@ -645,28 +635,26 @@ class OrbitCountReport:
 def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCountReport:
     """Count the powers g^k (k != 0) displacing x by at most R.
 
-    The displacement of g^k grows monotonically in |k| for a loxodromic,
-    so the count is 2 * max{k : d(x, g^k x) <= R}.  The search starts at
-    the closed form sinh(d(x, g^k x)/2) = cosh(r) sinh(k l/2) for a point at
-    distance r from the axis of a rotation-free loxodromic of length l
-    (Ratcliffe, Foundations of Hyperbolic Manifolds, 4.7), with cosh(r)
-    read off d(x, g x).  From there k moves one step at a time under the
-    matrix rule d(x, g^k x) <= R until d(x, g^k x) <= R < d(x, g^(k+1) x);
-    there is no cap on k.  The orbit is l-discrete, so the count must not
-    exceed the volume ratio N(d, eps, R) at eps = min(l, R), which is below
-    2R as that bound requires.
-
-    A parabolic from parabolic(), its powers and inverse are refused: the
-    translation length is 0, but Jordan-block eigenvalues read ~1e-6, and
-    eps that small makes the bound ~1e12 at d = 2 and the check vacuous.
+    g's data makes it a rotation-free loxodromic of length l: a power or
+    product of loxodromic() or standard_loxodromic() on one axis.  The
+    displacement of g^k then grows monotonically in |k|, so the count is
+    2 * max{k : d(x, g^k x) <= R}.  A rotating loxodromic's need not, and
+    having no data it is refused, as is a parabolic, whose length is 0.
+    The search starts at the closed form sinh(d(x, g^k x)/2) = cosh(r)
+    sinh(k l/2) for a point at distance r from the axis (Ratcliffe,
+    Foundations of Hyperbolic Manifolds, 4.7), with cosh(r) read off
+    d(x, g x).  From there k moves one step at a time under the matrix
+    rule d(x, g^k x) <= R until d(x, g^k x) <= R < d(x, g^(k+1) x); there
+    is no cap on k.  The orbit is l-discrete, so the count must not exceed
+    the volume ratio N(d, eps, R) at eps = min(l, R), which is below 2R as
+    that bound requires.
     """
     from .constants import volume_ratio_bound
 
-    if g.parabolic_data is not None:
+    fixed, amount = _data(g)
+    if len(fixed) == 1:
         raise GeometryError("orbit counting requires a loxodromic isometry, not a parabolic")
-    length = translation_length(g)
-    if length <= 0:
-        raise GeometryError("orbit counting requires a loxodromic isometry")
+    length = abs(amount)
 
     displacements: dict[int, float] = {}
 

@@ -544,6 +544,22 @@ def test_arithmetic_range_failure_is_an_internal_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_a_closed_stdout_pipe_exits_141_without_a_word():
+    # as `torsionlab verify orbit --count 2000 | head -1`: the rows fill the
+    # pipe, and the reader closes it after one line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "torsionlab.cli", "verify", "orbit",
+                             "--count", "2000"],
+                            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert json.loads(first)["index"] == 0
+    assert err == b""
+
+
 @pytest.mark.parametrize("suite", ["orbit", "obtuse", "commutator"])
 def test_verify_hyperbolic_suites_reject_dimension_one(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--d", "1")

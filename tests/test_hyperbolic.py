@@ -1,8 +1,10 @@
+import json
 import math
 import re
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,9 +151,9 @@ def test_past_2_53_the_boost_diagonal_is_cosh_itself():
                          ids=["standard", "general-axis", "parabolic"])
 def test_the_first_power_is_the_isometry_itself(make):
     g = make()
-    data = g.parabolic_data
+    data = g.data
     assert g.power(1) is g
-    assert g.power(1).parabolic_data is data
+    assert g.power(1).data is data
 
 
 @pytest.mark.parametrize("call, message", [
@@ -352,13 +354,23 @@ def test_displacement_convex_along_geodesics():
             assert second >= -1e-8
 
 
+def spectral_length(g):
+    """Log of the spectral radius: the translation length read back off the
+    matrix, an oracle for the data."""
+    return math.log(max(1.0, float(np.abs(np.linalg.eigvals(g.matrix)).max())))
+
+
 def test_translation_length_recovered():
     for length in (0.1, 0.5, 1.2):
         g = hyp.standard_loxodromic(2, length)
-        assert hyp.translation_length(g) == pytest.approx(length, abs=1e-10)
-        assert hyp.translation_length(g.power(3)) == pytest.approx(3 * length, abs=1e-9)
-        assert hyp.translation_length(g.power(-3)) == pytest.approx(3 * length, abs=1e-9)
+        fixed = g.data[0]
+        assert g.data == (fixed, length)
+        assert spectral_length(g) == pytest.approx(length, abs=1e-10)
+        for k in (3, -3):
+            assert g.power(k).data == (fixed, k * length)
+            assert spectral_length(g.power(k)) == pytest.approx(3 * length, abs=1e-9)
         product = g.power(3) @ g.power(-3)
+        assert product.data is None
         assert np.allclose(product.matrix, np.eye(3), rtol=0, atol=1e-12)
 
 
@@ -366,7 +378,9 @@ def test_loxodromic_from_generic_axis():
     minus = [math.sqrt(2.0), 1.0, 1.0, 0.0]
     plus = [math.sqrt(5.0), -1.0, 0.0, 2.0]
     g = hyp.loxodromic(minus, plus, 0.7)
-    assert hyp.translation_length(g) == pytest.approx(0.7, abs=1e-10)
+    (a, b), length = g.data
+    assert (a.tolist(), b.tolist(), length) == (minus, plus, 0.7)
+    assert spectral_length(g) == pytest.approx(0.7, abs=1e-10)
 
 
 @pytest.mark.parametrize("angle", [0.003, 0.01, 0.02])
@@ -376,7 +390,8 @@ def test_loxodromic_with_nearby_endpoints(angle, phi):
     minus = [1.0, math.cos(phi), math.sin(phi)]
     plus = [1.0, math.cos(phi + angle), math.sin(phi + angle)]
     g = hyp.loxodromic(minus, plus, 0.03)
-    assert hyp.translation_length(g) == pytest.approx(0.03, rel=1e-5)
+    assert g.data[1] == 0.03
+    assert spectral_length(g) == pytest.approx(0.03, rel=1e-5)
 
 
 def test_ideal_points_are_checked_as_directions():
@@ -405,15 +420,16 @@ def test_small_ideal_points_give_the_isometries_of_their_directions():
 def test_a_small_translation_is_a_translation():
     # before, np.allclose read 1e-9 as zero
     p = hyp.parabolic([1, 1, 0, 0], [1e-9, 0])
-    assert p.parabolic_data[1].tolist() == [1e-9, 0.0]
+    assert p.data[1].tolist() == [1e-9, 0.0]
     assert not np.array_equal(p.matrix, np.eye(4))
     assert hyp.SublevelSet.of(p, 0.5).reach == 2.0 * math.sinh(0.25) / 1e-9
 
 
 def test_parabolic_translation_lengths_vanish():
     p = hyp.parabolic([1.0, 1.0, 0.0, 0.0], [1.0, 0.0])
+    assert len(p.data[0]) == 1  # a fixed point, no axis
     # Jordan-block eigenvalues are only good to ~eps^(1/3)
-    assert hyp.translation_length(p) == pytest.approx(0.0, abs=1e-4)
+    assert spectral_length(p) == pytest.approx(0.0, abs=1e-4)
     rng = np.random.default_rng(5)
     assert all(hyp.displacement(p, random_point(rng, 3)) > 0 for _ in range(5))
 
@@ -422,7 +438,8 @@ def test_parabolics_with_common_fixed_point_commute():
     fixed = [1.0, 1.0, 0.0, 0.0]
     a = hyp.parabolic(fixed, [1.0, 0.0])
     b = hyp.parabolic(fixed, [0.3, 0.7])
-    assert a.commutes_with(b)
+    assert hyp._orientation(a.data[0], b.data[0]) == 1
+    assert np.allclose(a.matrix @ b.matrix, b.matrix @ a.matrix, rtol=0, atol=1e-12)
 
 
 def parabolic_from_the_light_cone(fixed, v):
@@ -501,17 +518,67 @@ def rotating_loxodromic():
     return hyp.standard_loxodromic(3, 0.3) @ hyp.LorentzIsometry(rotation)
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda: hyp.identity(3), "identity is the whole space"),
-    (lambda: hyp.standard_loxodromic(3, 0.3) @ hyp.standard_loxodromic(3, 0.3).inverse(),
-     "identity is the whole space"),
-    (lambda: hyp.LorentzIsometry(hyp.parabolic([1.0, 1.0, 0.0, 0.0], [1.0, 0.0]).matrix),
-     "build parabolic elements with the parabolic\\(\\) constructor"),
-    (rotating_loxodromic, "needs a rotation-free loxodromic"),
-], ids=["identity", "product-identity", "bare-parabolic-matrix", "rotating"])
-def test_sublevel_set_needs_closed_form_geometry(make, message):
-    with pytest.raises(hyp.GeometryError, match=message):
+REFUSAL = ("no axis or fixed point on record: build it with loxodromic\\(\\), "
+           "standard_loxodromic\\(\\) or parabolic\\(\\)")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hyp.identity(3),
+    lambda: hyp.standard_loxodromic(3, 0.3) @ hyp.standard_loxodromic(3, 0.3).inverse(),
+    lambda: hyp.LorentzIsometry(hyp.parabolic([1.0, 1.0, 0.0, 0.0], [1.0, 0.0]).matrix),
+    rotating_loxodromic,
+    lambda: hyp.LorentzIsometry(hyp.standard_loxodromic(3, 0.3).matrix),
+], ids=["identity", "product-identity", "bare-parabolic-matrix", "rotating", "bare-loxodromic-matrix"])
+def test_sublevel_set_needs_closed_form_geometry(make):
+    # one refusal for every isometry without data, whatever its matrix
+    with pytest.raises(hyp.GeometryError, match=REFUSAL) as info:
         hyp.SublevelSet.of(make(), 1.0)
+    assert type(info.value) is hyp.GeometryError
+
+
+@pytest.mark.parametrize("length", [10.0, 20.0, 30.0])
+def test_a_long_loxodromic_on_a_general_axis_has_its_tube(length):
+    # before, the eigenvector read-back refused l >= 20 as rotating
+    minus, plus = np.array([1, .6, .8, 0]), np.array([1, -.28, .96, 0])
+    g = hyp.loxodromic(minus, plus, length)
+    s = hyp.SublevelSet.of(g, length + 1)
+    p, u = hyp._axis(minus, plus)
+    assert s.columns == (p.tolist(), u.tolist())
+    assert s.reach == math.acosh(math.sinh((length + 1) / 2) / math.sinh(length / 2))
+    # at distance r from the axis, membership follows the displacement
+    w = hyp._frame_from_axis(minus, plus, 3)[:, 2]
+    for r in (s.reach - 0.01, s.reach + 0.01):
+        x = hyp.make_point(math.cosh(r) * p + math.sinh(r) * w)
+        assert s.contains(x) == (r < s.reach) == (hyp.displacement(g, x) < length + 1)
+
+
+def test_powers_and_products_on_one_axis_sum_the_signed_lengths():
+    g = hyp.standard_loxodromic(3, 0.3)
+    fixed = g.data[0]
+    minus, plus = np.zeros(4), np.zeros(4)
+    minus[:2], plus[:2] = (3.0, -3.0), (0.5, 0.5)
+    same = hyp.loxodromic(minus, plus, 0.5)  # the same axis, endpoints rescaled
+    reverse = hyp.loxodromic(plus, minus, 0.2)  # the same axis, run the other way
+    assert [hyp._orientation(fixed, h.data[0]) for h in (same, reverse)] == [1, -1]
+    assert g.inverse().data == (fixed, -0.3) and g.power(-2).data == (fixed, -0.6)
+    for product, first, length in ((g @ same, g, 0.3 + 0.5), (g @ reverse, g, 0.3 - 0.2),
+                                   (reverse @ g, reverse, 0.2 - 0.3)):
+        assert product.data == (first.data[0], length)
+        # a translation by |length| along the first coordinate axis
+        standard = hyp.standard_loxodromic(3, abs(length)).matrix
+        assert np.abs(product.matrix - standard).max() <= 1e-14
+    assert (g @ hyp.loxodromic(plus, minus, 0.3)).data is None
+
+
+def test_ideal_points_are_compared_exactly():
+    a, b = np.array([1.0, 0.6, 0.8, 0.0]), np.array([1.0, -0.28, 0.96, 0.0])
+    assert hyp._orientation((a,), (4 * a,)) == 1
+    assert hyp._orientation((a, b), (0.5 * b, 4 * a)) == -1
+    nearby = a.copy()
+    nearby[1] = math.nextafter(0.6, 1.0)
+    assert hyp._orientation((a,), (nearby,)) == 0
+    assert hyp._orientation((a, b), (nearby, b)) == 0
+    assert hyp._orientation((a,), (a, b)) == 0
 
 
 def test_sublevel_set_horoball_distance():
@@ -556,8 +623,9 @@ def test_obtuse_angle_identical_gradients():
 def test_long_loxodromic_commutes_with_its_square(length):
     # entries near e^(2l) round AB - BA far past an absolute 1e-9
     g = hyp.standard_loxodromic(3, length)
-    assert g.commutes_with(g.power(2))
-    assert not g.commutes_with(hyp.loxodromic([1.3, 0.5, -1.2, 0.0], [1.3, 0.5, 1.2, 0.0], length))
+    assert hyp._orientation(g.data[0], g.power(2).data[0]) == 1
+    other = hyp.loxodromic([1.3, 0.5, -1.2, 0.0], [1.3, 0.5, 1.2, 0.0], length)
+    assert hyp._orientation(g.data[0], other.data[0]) == 0
     report = hyp.obtuse_angle_check(g, g.power(2), length + 0.5, 2 * length + 0.9, samples=20, seed=0)
     assert report.passed
 
@@ -565,8 +633,8 @@ def test_long_loxodromic_commutes_with_its_square(length):
 def test_obtuse_angle_rejects_noncommuting():
     g = hyp.standard_loxodromic(3, 0.2)
     other = hyp.loxodromic([1.3, 0.5, -1.2, 0.0], [1.3, 0.5, 1.2, 0.0], 0.2)
-    assert not g.commutes_with(other)
-    with pytest.raises(hyp.GeometryError):
+    assert hyp._orientation(g.data[0], other.data[0]) == 0
+    with pytest.raises(hyp.GeometryError, match="do not commute: they share no axis or fixed point"):
         hyp.obtuse_angle_check(g, other, 0.5, 0.5, samples=10, seed=0)
 
 
@@ -656,7 +724,7 @@ def skew_tubes():
     c, s = math.cosh(2.0), math.sinh(2.0)
     g = hyp.standard_loxodromic(3, 0.2)
     h = hyp.loxodromic([c, 0.0, -1.0, s], [c, 0.0, 1.0, s], 0.3)
-    assert not g.commutes_with(h)
+    assert hyp._orientation(g.data[0], h.data[0]) == 0
     return g, h, hyp.SublevelSet.of(g, 0.25), hyp.SublevelSet.of(h, 0.35)
 
 
@@ -757,7 +825,7 @@ def test_verdict_is_the_exact_sign(monkeypatch):
         seen.append(columns)
         return signs(set_a, set_b, columns)
 
-    monkeypatch.setattr(hyp.LorentzIsometry, "commutes_with", lambda self, other: True)
+    monkeypatch.setattr(hyp, "_orientation", lambda fixed, other: 1)
     monkeypatch.setattr(hyp, "_gradient_signs", recording)
     report = hyp.obtuse_angle_check(g, h, 0.25, 0.35, samples=60, seed=0)
     # one batch: the 60 kept samples as coordinate columns
@@ -940,10 +1008,10 @@ def test_orbit_count_zero_below_length():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_orbit_count_refuses_a_parabolic(d):
-    # translation_length reads Jordan-block noise (~5e-6 at d = 2), not 0,
-    # and N(d, eps, R) at that eps would pass any count
+    # the spectrum reads Jordan-block noise (~5e-6 at d = 2), not 0, and
+    # N(d, eps, R) at that eps would pass any count
     g = generic_parabolic(d, [0.5] + [0.2] * (d - 2))
-    assert hyp.translation_length(g) < 1e-4
+    assert 0 < spectral_length(g) < 1e-4
     with pytest.raises(hyp.GeometryError, match="not a parabolic"):
         hyp.orbit_count_check(g, hyp.base_point(d), 2.0)
 
@@ -955,10 +1023,10 @@ def test_orbit_count_refuses_a_parabolic(d):
 def test_a_parabolic_power_is_the_parabolic_of_the_scaled_translation(make, k):
     # P^k is the standard parabolic of k v in parabolic()'s frame
     p = make()
-    n, v = p.parabolic_data
-    power, tagged = p.power(k), hyp.parabolic(n, k * v)
-    assert power.parabolic_data[0] is n
-    assert power.parabolic_data[1].tolist() == (k * v).tolist()
+    fixed, v = p.data
+    power, tagged = p.power(k), hyp.parabolic(fixed[0], k * v)
+    assert power.data[0] is fixed
+    assert power.data[1].tolist() == (k * v).tolist()
     assert np.max(np.abs(power.matrix - tagged.matrix)) <= 1e-14 * np.abs(tagged.matrix).max()
     assert hyp.SublevelSet.of(power, 0.5).reach == hyp.SublevelSet.of(tagged, 0.5).reach
     with pytest.raises(hyp.GeometryError, match="not a parabolic"):
@@ -967,18 +1035,19 @@ def test_a_parabolic_power_is_the_parabolic_of_the_scaled_translation(make, k):
 
 def test_a_parabolic_inverse_keeps_its_fixed_point_and_negates_the_translation():
     p = hyp.parabolic([1, 1, 0, 0], [1, 0])
-    n, v = p.parabolic_data
+    fixed, v = p.data
     inverse = p.inverse()
-    assert inverse.parabolic_data[0] is n
-    assert inverse.parabolic_data[1].tolist() == (-v).tolist()
-    assert hyp.SublevelSet.of(inverse, 0.5).reach == hyp.SublevelSet.of(hyp.parabolic(n, -v), 0.5).reach
+    assert inverse.data[0] is fixed
+    assert inverse.data[1].tolist() == (-v).tolist()
+    assert (hyp.SublevelSet.of(inverse, 0.5).reach
+            == hyp.SublevelSet.of(hyp.parabolic(fixed[0], -v), 0.5).reach)
     with pytest.raises(hyp.GeometryError, match="not a parabolic"):
         hyp.orbit_count_check(inverse, hyp.base_point(3), 2.0)
 
 
 def test_the_zeroth_power_of_a_parabolic_is_the_untagged_identity():
     identity = hyp.parabolic([1, 1, 0, 0], [1, 0]).power(0)
-    assert identity.parabolic_data is None
+    assert identity.data is None
     assert np.array_equal(identity.matrix, np.eye(4))
 
 
@@ -993,12 +1062,12 @@ def test_a_product_of_parabolics_at_one_fixed_point_is_the_parabolic_of_the_summ
     # exp(X_p) exp(X_q) = exp(X_p + X_q), as null rotations at one n commute
     p = hyp.parabolic([1, 1, 0, 0], [1, 0])
     q = hyp.parabolic([1, 1, 0, 0], [0.3, 0.7])
-    n, v_p, v_q = p.parabolic_data[0], p.parabolic_data[1], q.parabolic_data[1]
+    (fixed, v_p), v_q = p.data, q.data[1]
     for product, v in [(p @ q, v_p + v_q), (p @ p, 2 * v_p),
                        (p.power(3) @ q.inverse(), 3 * v_p - v_q)]:
-        tagged = hyp.parabolic(n, v)
-        assert product.parabolic_data[0] is n
-        assert product.parabolic_data[1].tolist() == v.tolist()
+        tagged = hyp.parabolic(fixed[0], v)
+        assert product.data[0] is fixed
+        assert product.data[1].tolist() == v.tolist()
         assert np.max(np.abs(product.matrix - tagged.matrix)) <= 1e-14 * np.abs(tagged.matrix).max()
         assert hyp.SublevelSet.of(product, 0.5).reach == hyp.SublevelSet.of(tagged, 0.5).reach
         # before, the count 2 passed against a bound of 1e16 and more
@@ -1011,22 +1080,37 @@ def test_a_product_of_parabolics_at_one_fixed_point_is_the_parabolic_of_the_summ
 def test_a_parabolic_times_its_inverse_is_the_untagged_identity():
     p = hyp.parabolic([1, 1, 0, 0], [1, 0])
     product = p @ p.inverse()
-    assert product.parabolic_data is None
-    with pytest.raises(hyp.GeometryError, match="identity is the whole space"):
+    assert product.data is None
+    with pytest.raises(hyp.GeometryError, match=REFUSAL):
         hyp.SublevelSet.of(product, 0.5)
 
 
 @pytest.mark.parametrize("other", [
     lambda: hyp.standard_loxodromic(3, 0.5),
     lambda: hyp.parabolic([1, 0, 1, 0], [0.3, 0.7]),
-    lambda: hyp.parabolic([2, 2, 0, 0], [0.3, 0.7]),
     lambda: hyp.LorentzIsometry(hyp.parabolic([1, 1, 0, 0], [0.3, 0.7]).matrix),
-], ids=["loxodromic", "other-fixed-point", "scaled-fixed-vector", "bare-matrix"])
+], ids=["loxodromic", "other-fixed-point", "bare-matrix"])
 def test_a_product_with_anything_but_a_parabolic_at_its_fixed_vector_is_untagged(other):
     p = hyp.parabolic([1, 1, 0, 0], [1, 0])
     g = other()
-    assert (p @ g).parabolic_data is None
-    assert (g @ p).parabolic_data is None
+    assert (p @ g).data is None
+    assert (g @ p).data is None
+    with pytest.raises(hyp.GeometryError, match=REFUSAL):
+        hyp.obtuse_angle_check(p, p @ g, 0.4, 0.7, samples=10)
+
+
+def test_a_product_at_a_rescaled_fixed_vector_keeps_the_data():
+    # [2, 2, 0, 0] is the ideal point of [1, 1, 0, 0]: the product keeps
+    # the first factor's fixed vector and sums the translations
+    p = hyp.parabolic([1, 1, 0, 0], [1, 0])
+    q = hyp.parabolic([2, 2, 0, 0], [0.3, 0.7])
+    assert hyp._orientation(p.data[0], q.data[0]) == 1
+    for product, first in ((p @ q, p), (q @ p, q)):
+        assert product.data[0] is first.data[0]
+        assert product.data[1].tolist() == (p.data[1] + q.data[1]).tolist()
+        tagged = hyp.parabolic([1, 1, 0, 0], p.data[1] + q.data[1])
+        assert np.max(np.abs(product.matrix - tagged.matrix)) <= 1e-14 * np.abs(tagged.matrix).max()
+    assert hyp.obtuse_angle_check(p, q, 0.4, 0.7, samples=50, seed=1).passed
 
 
 def off_axis_point(d, r):
@@ -1061,13 +1145,17 @@ def test_orbit_count_off_axis_closed_form(length, R, r):
     assert report.passed
 
 
+def misrecorded(g, factor):
+    """g with factor times its length on record and its own matrix."""
+    fixed, length = g.data
+    return hyp.LorentzIsometry._unchecked(g.matrix, (fixed, factor * length))
+
+
 @pytest.mark.parametrize("factor", [0.5, 2.0])
-def test_orbit_count_walks_from_a_wrong_start(monkeypatch, factor):
-    # a misread translation length puts the closed-form start above (0.5)
-    # or below (2.0) the answer; the matrix rule must still reach it
-    g = hyp.standard_loxodromic(3, 0.01)
-    real = hyp.translation_length
-    monkeypatch.setattr(hyp, "translation_length", lambda h: factor * real(h))
+def test_orbit_count_walks_from_a_wrong_start(factor):
+    # a wrong length on record puts the closed-form start above (0.5) or
+    # below (2.0) the answer; the matrix rule must still reach it
+    g = misrecorded(hyp.standard_loxodromic(3, 0.01), factor)
     report = hyp.orbit_count_check(g, off_axis_point(3, 0.5), 2.0)
     assert report.count // 2 == closed_form_max_power(0.01, 2.0, 0.5) == 182
 
@@ -1078,35 +1166,74 @@ def test_orbit_count_walks_from_a_wrong_start(monkeypatch, factor):
     (1.0, 1.0, 1.5, 0.0, 1),  # starts at k = 1, which the search read first
 ], ids=["down", "up", "k-max-one"])
 def test_orbit_count_asks_for_each_power_once(monkeypatch, factor, length, R, r, k_max):
-    g = hyp.standard_loxodromic(3, length)
-    real_length, real_power = hyp.translation_length, hyp.LorentzIsometry.power
+    g = misrecorded(hyp.standard_loxodromic(3, length), factor)
+    real_power = hyp.LorentzIsometry.power
     asked = []
 
     def power(self, k):
         asked.append(k)
         return real_power(self, k)
 
-    monkeypatch.setattr(hyp, "translation_length", lambda h: factor * real_length(h))
     monkeypatch.setattr(hyp.LorentzIsometry, "power", power)
     report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
     assert report.count // 2 == closed_form_max_power(length, R, r) == k_max
     assert len(asked) == len(set(asked))
     assert k_max in asked and k_max + 1 in asked
+    # the wrong length on record is read: the walk starts far from k_max
+    assert (len(asked) > 3) == (factor != 1.0)
 
 
 def test_orbit_count_of_a_rotating_loxodromic():
-    # the rotation raises d(x, g x), so the rotation-free start falls short:
-    # cosh d_k = cosh^2(r) cosh(k l) - sinh^2(r) cos(k theta), increasing in k here
-    length, theta, r, R = 0.3, 0.4, 1.0, 3.0
+    # cosh d_k = cosh^2(r) cosh(k l) - sinh^2(r) cos(k theta) is not monotone
+    # in k, which the walk assumes: before, it stopped at k = 1 and reported
+    # count 2 where 156 powers displace x by at most R.  Such a product with
+    # a bare rotation has no data, and is refused.
+    length, theta, r = 0.01, 2.0, 2.0
     rotation = np.eye(4)
     rotation[2:, 2:] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     g = hyp.standard_loxodromic(3, length) @ hyp.LorentzIsometry(rotation)
-    report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
-    k = 1
-    while math.acosh(math.cosh(r) ** 2 * math.cosh(k * length)
-                     - math.sinh(r) ** 2 * math.cos(k * theta)) <= R:
-        k += 1
-    assert report.count // 2 == k - 1 == 6
+    x = off_axis_point(3, r)
+    d_1, d_2, d_3 = (hyp.displacement(g.power(k), x) for k in (1, 2, 3))
+    assert d_3 < 1.0 < d_1 < d_2
+    R = (d_1 + d_2) / 2
+
+    def closed_form(k):
+        return math.acosh(math.cosh(r) ** 2 * math.cosh(k * length)
+                          - math.sinh(r) ** 2 * math.cos(k * theta))
+
+    assert 2 * sum(closed_form(k) <= R for k in range(1, 2000)) == 156
+    with pytest.raises(hyp.GeometryError, match=REFUSAL):
+        hyp.orbit_count_check(g, x, R)
+
+
+def test_orbit_count_refuses_a_bare_parabolic_matrix():
+    # before, the spectrum's Jordan-block noise read as a translation length
+    # of ~1e-5: count 44052 passed against a bound of 6.5e33
+    p = hyp.parabolic([1, 1, 0, 0], [1, 0])
+    with pytest.raises(hyp.GeometryError, match=REFUSAL):
+        hyp.orbit_count_check(hyp.LorentzIsometry(p.matrix), hyp.base_point(3), 20.0)
+
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
+
+
+def pinned_orbit_runs():
+    for line in (EXPECTED / "pinned.txt").read_text().splitlines():
+        name, args = line.split(maxsplit=1)
+        if args.startswith("verify orbit"):
+            flags = args.split()[2:]
+            yield name, int(dict(zip(flags[::2], flags[1::2])).get("--d", 3))
+
+
+@pytest.mark.parametrize("name, d", list(pinned_orbit_runs()))
+def test_each_pinned_orbit_bound_is_the_packing_ratio_of_its_row(name, d):
+    # eps is the built length, not one read back off the spectrum
+    rows = [json.loads(line) for line in (EXPECTED / f"{name}.out").read_text().splitlines()]
+    records = [row for row in rows if "index" in row]
+    assert len(records) == rows[-1]["count"]
+    for row in records:
+        length, radius = row["length"], row["radius"]
+        assert row["bound"] == volume_ratio_bound(d, min(length, radius), radius).value, row
 
 
 def test_orbit_count_randomized_suite():
@@ -1133,8 +1260,7 @@ def pure_rotation():
     (lambda: hyp.parabolic([1, 1, 0, 0], [1.0]), "translation vector must have 2 components"),
     (lambda: hyp.parabolic([1, 1, 0, 0], [0.0, 0.0]), "translation vector must be nonzero"),
     (lambda: hyp.SublevelSet.of(hyp.standard_loxodromic(3, 0.3), 0), "epsilon must be positive"),
-    (lambda: hyp.orbit_count_check(pure_rotation(), hyp.base_point(3), 2.0),
-     "orbit counting requires a loxodromic isometry$"),
+    (lambda: hyp.orbit_count_check(pure_rotation(), hyp.base_point(3), 2.0), REFUSAL),
 ], ids=["one-coordinate", "translation-length", "zero-translation",
         "epsilon-zero", "pure-rotation"])
 def test_bad_geometry_input_raises_a_geometry_error(call, message):
