@@ -254,14 +254,19 @@ def _coprime_base(values: Iterable[int]) -> list[int]:
 
 
 def _divisibility_chain(d: Sequence[int]) -> tuple[int, ...]:
-    """The entries above 1 of the Smith form of diag(d), ascending.
+    """The entries above 1 of the Smith form of diag(d), ascending; each
+    entry of d is above 1.
 
     Over a pairwise coprime base b, each entry is a product of powers
     b^e, and Z/d splits into the Z/b^e (Chinese remainder theorem).  The
     i-th largest invariant factor is then the product over b of b raised
     to the i-th largest exponent of b.  The base is built from the
-    distinct entries, so repeated pivots cost no gcds.
+    distinct entries, so repeated pivots cost no gcds.  Entries that,
+    sorted, already divide up are that chain, and need no base.
     """
+    ascending = sorted(d)
+    if all(b % a == 0 for a, b in zip(ascending, ascending[1:])):
+        return tuple(ascending)
     counts = Counter(d)
     exponents: dict[int, list[int]] = {}
     for b in _coprime_base(counts):
@@ -375,16 +380,14 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
     for j, col in enumerate(cols):
         for i in col:
             row_cols.setdefault(i, set()).add(j)
-    # remainder pivots: (least magnitude, column size, column), the order of
-    # a full scan.  The keys of the columns a row step changes are pushed
-    # before the next pivot is taken; an out-of-date entry is skipped.
+    # remainder pivots: (least magnitude, column size, column, stamp), the
+    # order of a full scan.  A column's stamp counts its changes and its
+    # drop: the keys of the columns a row step changed are pushed with a
+    # new stamp before the next pivot is taken, and an entry whose stamp is
+    # not its column's is out of date, so no popped key is recomputed.
     changed: set[int] = set()
-
-    def key(j: int) -> tuple[int, int, int]:
-        col = cols[j]
-        return min(map(abs, col.values())), len(col), j
-
-    least = [key(j) for j, col in enumerate(cols) if col]
+    stamps = [0] * len(cols)
+    least = [(min(map(abs, col.values())), len(col), j, 0) for j, col in enumerate(cols) if col]
     heapq.heapify(least)
 
     def clear_row(r: int, c: int) -> int | None:
@@ -422,18 +425,21 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
     diagonal: list[int] = []
     while True:
         for j in changed:
-            if cols[j]:
-                heapq.heappush(least, key(j))
+            stamps[j] += 1
+            if col := cols[j]:
+                heapq.heappush(least, (min(map(abs, col.values())), len(col), j, stamps[j]))
         changed.clear()
         while least:
-            entry = heapq.heappop(least)
-            if cols[entry[2]] and key(entry[2]) == entry:
+            smallest, _, c, stamp = heapq.heappop(least)
+            if stamps[c] == stamp:
                 break
         else:
             break
-        smallest, _, c = entry
-        r = min((i for i, v in cols[c].items() if abs(v) == smallest),
-                key=lambda i: (len(row_cols[i]), i))
+        # the pivot row: least magnitude, then fewest columns, then least row
+        r, width = -1, 0
+        for i, v in cols[c].items():
+            if (v == smallest or v == -smallest) and (r < 0 or (len(row_cols[i]), i) < (width, r)):
+                r, width = i, len(row_cols[i])
         while True:
             j = clear_row(r, c)
             if j is not None:
@@ -451,6 +457,7 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
         for i in cols[c]:
             row_cols[i].discard(c)
         cols[c] = {}
+        stamps[c] += 1
         rank += 1
     return SNFResult(rank, _divisibility_chain(diagonal), unit_rows)
 

@@ -150,9 +150,9 @@ class LorentzIsometry:
     read the data, never the matrix.  g^k is a translation of k amount at
     the same fixed set, so the inverse keeps (fixed, -amount) and a product
     of powers at one fixed set (_orientation) the sum of k amount, unless
-    that sum is 0.  A matrix from outside, the identity and a product at
-    two fixed sets have none.  Compared and hashed by identity, as its
-    fields are arrays.
+    that sum does not stand as nonzero.  A matrix from outside, the
+    identity and a product at two fixed sets have none.  Compared and
+    hashed by identity, as its fields are arrays.
 
     The constructor checks a matrix from outside, and a failed check is a
     GeometryError.  Inverses, products and powers take the same checks
@@ -232,7 +232,7 @@ def _check_form(m: np.ndarray, error: type[Exception]):
         raise error(f"isometry matrix entry {scale} is past the float range of the Lorentz form")
     j = lorentz_form_matrix(m.shape[0] - 1)
     # rounding errors of M^T J M grow with the entries squared
-    residual = float(np.max(np.abs(m.T @ j @ m - j)))
+    residual = float(np.abs(m.T @ j @ m - j).max())
     if residual > LORENTZ_FORM_TOL * max(1.0, scale) ** 2:
         raise error("matrix does not preserve the Lorentz form")
     if m[0, 0] <= 0:
@@ -260,7 +260,11 @@ def _orientation(fixed: tuple, other: tuple) -> int:
 def _product_data(*factors: tuple[LorentzIsometry, int]) -> tuple | None:
     """data of the product of the powers g^k: the first g's fixed set and
     the sum of k amount, an amount negated where its axis runs the other
-    way; none when a g has none, a fixed set differs, or the sum is 0."""
+    way; none when a g has none, a fixed set differs, or no component of
+    the sum stands (certify.stands) as nonzero.  Each term k amount is one
+    rounded product, and each addition rounds once, so a term meets at
+    most len(factors) roundings; lengths that cancel over the reals leave
+    a float residue below that margin."""
     data = [g.data for g, _ in factors]
     if None in data:
         return None
@@ -268,8 +272,9 @@ def _product_data(*factors: tuple[LorentzIsometry, int]) -> tuple | None:
     signs = [1] + [_orientation(fixed, other) for other, _ in data[1:]]
     if 0 in signs:
         return None
-    amount = sum(sign * k * a for sign, (_, k), (_, a) in zip(signs, factors, data))
-    return (fixed, amount) if np.any(amount) else None
+    terms = [sign * k * a for sign, (_, k), (_, a) in zip(signs, factors, data)]
+    amount = sum(terms)
+    return (fixed, amount) if np.count_nonzero(stands(amount, sum(map(abs, terms)), len(terms))) else None
 
 
 def _data(g: LorentzIsometry) -> tuple:

@@ -218,9 +218,12 @@ def _assemble_boundary(k_simplices: list[Simplex], lower: list[Simplex],
     """Boundary columns of k_simplices in the basis lower; other faces are
     dropped, and the columns at retired are left empty.  combinations()
     gives the faces in lexicographic order, dropping the last vertex
-    first, so the signs run (-1)^k, (-1)^(k-1), ..., 1."""
+    first, so the signs run (-1)^k, (-1)^(k-1), ..., 1.  A degree with no
+    simplices gives no columns, and no index of lower."""
+    if not k_simplices:
+        return IntegerMatrix(len(lower), 0, ())
     row_of = {s: i for i, s in enumerate(lower)}.get
-    k = len(k_simplices[0]) - 1 if k_simplices else 0
+    k = len(k_simplices[0]) - 1
     first = -1 if k % 2 else 1
     columns = []
     for j, s in enumerate(k_simplices):

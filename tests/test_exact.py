@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsionlab import exact
 from torsionlab.exact import (
     AbelianGroupStructure,
     IntegerMatrix,
@@ -333,6 +334,22 @@ PIVOTS = st.one_of(st.integers(2, 60), st.sampled_from([2, 4, 6, 12, 2 ** 70, 3 
 @given(st.lists(PIVOTS, max_size=14))
 def test_divisibility_chain_agrees_with_all_pairs_gcds(pivots):
     assert _divisibility_chain(pivots) == all_pairs_chain(pivots)
+
+
+@pytest.mark.parametrize("pivots, chain, refined", [
+    ([12, 2, 6, 2], (2, 2, 6, 12), False),  # a chain in any order, with repeats
+    ([7], (7,), False),
+    ([], (), False),
+    ([4, 6], (2, 12), True),
+    ([6, 4, 2], (2, 2, 12), True),
+])
+def test_a_diagonal_that_divides_up_is_its_own_chain(monkeypatch, pivots, chain, refined):
+    # only a diagonal whose sorted entries do not divide up builds a base
+    calls = []
+    base = exact._coprime_base
+    monkeypatch.setattr(exact, "_coprime_base", lambda values: calls.append(values) or base(values))
+    assert _divisibility_chain(pivots) == chain == all_pairs_chain(pivots)
+    assert bool(calls) == refined
 
 
 @pytest.mark.parametrize("reverse", [False, True])

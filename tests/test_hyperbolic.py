@@ -570,6 +570,27 @@ def test_powers_and_products_on_one_axis_sum_the_signed_lengths():
     assert (g @ hyp.loxodromic(plus, minus, 0.3)).data is None
 
 
+def test_lengths_that_cancel_leave_no_rounding_residue_as_a_length():
+    # 0.1 + 0.2 - 0.3 is 5.6e-17 in floats: before, that was kept as the
+    # length of a matrix within 4e-17 of the identity, so the tube had
+    # radius 37.4 and the orbit walk started near k = 1e17 and overflowed
+    a, b = [1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]
+    g = hyp.loxodromic(a, b, 0.1) @ hyp.loxodromic(a, b, 0.2) @ hyp.loxodromic(b, a, 0.3)
+    assert g.data is None
+    with pytest.raises(hyp.GeometryError, match=REFUSAL):
+        hyp.SublevelSet.of(g, 0.5)
+    with pytest.raises(hyp.GeometryError, match=REFUSAL):
+        hyp.orbit_count_check(g, hyp.base_point(3), 2.0)
+    # a difference above the rounding margin stands, signed
+    assert (hyp.loxodromic(a, b, 0.3) @ hyp.loxodromic(b, a, 0.3 - 1e-12)).data[1] > 0
+    assert (hyp.loxodromic(b, a, 0.3) @ hyp.loxodromic(a, b, 0.3 - 1e-12)).data[1] > 0
+    # a translation keeps its data while any component stands
+    p, q = hyp.parabolic(b, [1.0, 0.0]), hyp.parabolic(b, [-1.0, 0.5])
+    assert (p @ q).data[1].tolist() == [0.0, 0.5]
+    assert (hyp.parabolic(b, [0.1, 0.0]) @ hyp.parabolic(b, [0.2, 0.0])
+            @ hyp.parabolic(b, [-0.3, 0.0])).data is None
+
+
 def test_ideal_points_are_compared_exactly():
     a, b = np.array([1.0, 0.6, 0.8, 0.0]), np.array([1.0, -0.28, 0.96, 0.0])
     assert hyp._orientation((a,), (4 * a,)) == 1

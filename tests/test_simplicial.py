@@ -14,6 +14,7 @@ from torsionlab.simplicial import (
     MalformedComplexError,
     SimplicialComplex,
     SimplicialPair,
+    _assemble_boundary,
     boundary_matrix,
     build_complex,
     complexity_profile,
@@ -135,6 +136,20 @@ def test_boundary_squared_zero():
         for deg in range(1, k.dimension + 1):
             product = boundary_matrix(k, deg) @ boundary_matrix(k, deg + 1)
             assert product.is_zero()
+
+
+def test_the_boundary_above_the_top_degree_has_no_columns_and_reads_no_rows():
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("the rows of a degree with no simplices were indexed")
+
+    assert _assemble_boundary([], Unread([(0, 1), (1, 2)])) == IntegerMatrix(2, 0, ())
+    pair = complexes.annulus_inner_circle_pair()
+    for obj in (pair.total, pair):
+        top = obj.dimension
+        for retired in (None, ()):
+            d = boundary_matrix(obj, top + 1, retired=retired)
+            assert d == IntegerMatrix(len(obj.simplices_of_dim(top)), 0, ())
 
 
 def test_relative_boundary_disk_pair():
