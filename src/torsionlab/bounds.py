@@ -64,16 +64,18 @@ class SouleBoundReport:
 def soule_bound(mat: IntegerMatrix) -> SouleBoundReport:
     """Check |torsion of coker| <= product of norms over a column basis.
 
-    The column subset is picked greedily in column order.  The inequality
-    is decided on squared integers: torsion^2 <= prod ||col||^2.
+    The column subset is picked greedily in column order: every column at
+    full column rank, which the cokernel gives, and otherwise the Bareiss
+    ``independent_columns``.  The inequality is decided on squared
+    integers: torsion^2 <= prod ||col||^2.
     """
-    norms_sq = [sum(v * v for v in col.values()) for col in mat.columns]
-    chosen = independent_columns(mat)
+    group = cokernel(mat)
+    chosen = range(mat.cols) if mat.rows - group.betti == mat.cols else independent_columns(mat)
 
     bound_sq = 1
     for j in chosen:
-        bound_sq *= norms_sq[j]
-    torsion = cokernel(mat).torsion_order
+        bound_sq *= sum(v * v for v in mat.columns[j].values())
+    torsion = group.torsion_order
 
     return SouleBoundReport(
         chosen_columns=tuple(chosen),

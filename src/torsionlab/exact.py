@@ -306,7 +306,9 @@ def smith_normal_form(mat: IntegerMatrix) -> SNFResult:
     the pivot columns are unit triangular on their rows, so the matrix is
     equivalent to I ⊕ R, R the residual on the other rows.
 
-    R goes through the remainder phase: the pivot is an entry of least
+    A one-column R is finished there: its Smith form is the gcd of its
+    entries, as for the figure-eight fillings with p > 1.  A wider R
+    goes through the remainder phase: the pivot is an entry of least
     magnitude; its row and column are reduced by division with remainder,
     and the least remainder left takes over.  Each column's entry in row r
     gives its quotient and remainder in one ``divmod``; the rest of the
@@ -370,6 +372,10 @@ def _smith_kernel(mat: IntegerMatrix) -> SNFResult:
         while hit := unit_rows.intersection(col):
             r = max(hit)
             _clear_pivot_row(col, pivots[r], r)
+    if len(cols) == 1:
+        # one column, maybe zeroed above: its Smith form is the gcd of its entries
+        g = gcd(*cols[0].values())
+        return SNFResult(rank + (g > 0), (g,) if g > 1 else (), unit_rows)
 
     # The row_cols index and the key heap below are kept for long residuals.
     # A scan of every column per pivot and per row was about 20 % faster on

@@ -75,16 +75,36 @@ def betti_euler_characteristic(complex_: SimplicialComplex) -> int:
     return sum((-1) ** k * g.betti for k, g in enumerate(all_homology(complex_)))
 
 
+def primes_of(n: int) -> tuple[set[int], int]:
+    """The primes of n >= 1 by trial division below 2^16, and the cofactor
+    left unfactored: 1, or a number of at least 2^32 with no prime below
+    2^16.  A cofactor left below 2^32 is a prime, as a composite one would
+    have a prime below 2^16."""
+    primes, d = set(), 2
+    while d * d <= n and d < 1 << 16:
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+        d += 1
+    if n > 1 and d * d > n:
+        primes.add(n)
+        n = 1
+    return primes, n
+
+
 @dataclass(frozen=True)
 class OracleReport:
-    """H_k as ``all_homology`` reports it, and per prime of ORACLE_PRIMES
-    the dimension of H_k(X; F_p) computed from the whole boundary matrices
-    and the one predicted from the reported H_k and H_{k-1}."""
+    """H_k as ``all_homology`` reports it, and per prime the dimension of
+    H_k(X; F_p) computed from the whole boundary matrices and the one
+    predicted from the reported H_k and H_{k-1}.  The primes are those of
+    ORACLE_PRIMES and of the reported invariant factors; ``unfactored``
+    names each part of a factor that ``primes_of`` left, unchecked."""
 
     degree: int
     group: AbelianGroupStructure
     computed: dict[int, int]
     predicted: dict[int, int]
+    unfactored: tuple[int, ...] = ()
 
     @property
     def agrees(self) -> bool:
@@ -100,19 +120,27 @@ def homology_oracle_crosscheck(complex_: SimplicialComplex | SimplicialPair, k: 
     number and t_j(p) counts the invariant factors of H_j divisible by p.
     The left side is n_k - rank_p(d_k) - rank_p(d_{k+1}), from
     ``rank_mod_p`` on the whole matrices: no Smith form, no clearing.  At
-    the prime 2^31 - 1 the identity checks the Betti number.  Disagreement
-    raises, since it means the clearing, the Smith kernel or the oracle is
-    wrong.  The check cannot tell Z/4 from Z/2, nor see a wrong invariant
-    factor whose primes all lie outside ORACLE_PRIMES.
+    the prime 2^31 - 1 the identity checks the Betti number.  It is checked
+    at ORACLE_PRIMES and at every prime of a reported invariant factor that
+    ``primes_of`` finds; a part it leaves unfactored is named in the report.
+    Disagreement raises, since it means the clearing, the Smith kernel or
+    the oracle is wrong.  The check cannot tell Z/4 from Z/2, nor see a
+    prime missing from a factor when it lies outside ORACLE_PRIMES.
     """
     groups = all_homology(complex_, up_to=max(k, complex_.dimension))
     factors = groups[k].invariant_factors + (groups[k - 1].invariant_factors if k else ())
+    primes, unfactored = set(ORACLE_PRIMES), set()
+    for found, rest in map(primes_of, set(factors)):
+        primes |= found
+        unfactored |= {rest} - {1}
+    primes = sorted(primes)
     d_k, d_k1 = boundary_matrix(complex_, k), boundary_matrix(complex_, k + 1)
     report = OracleReport(
         degree=k,
         group=groups[k],
-        computed={p: d_k.cols - rank_mod_p(d_k, p) - rank_mod_p(d_k1, p) for p in ORACLE_PRIMES},
-        predicted={p: groups[k].betti + sum(d % p == 0 for d in factors) for p in ORACLE_PRIMES},
+        computed={p: d_k.cols - rank_mod_p(d_k, p) - rank_mod_p(d_k1, p) for p in primes},
+        predicted={p: groups[k].betti + sum(d % p == 0 for d in factors) for p in primes},
+        unfactored=tuple(sorted(unfactored)),
     )
     if not report.agrees:
         raise ExactArithmeticError(f"homology oracle disagreement: {report}")

@@ -69,14 +69,16 @@ def make_point(coords: Sequence[float] | np.ndarray) -> np.ndarray:
     # vector, over- or underflows.  Scaling by a power of two is exact and
     # cancels in x / sqrt(-q).  Near 1 it is skipped, as it would cost more
     # than the rest of the function.
-    mantissa, e = math.frexp(max(map(abs, x.tolist())))
+    values = x.tolist()
+    mantissa, e = math.frexp(max(map(abs, values)))
     if not mantissa < 1:  # inf (or a leading NaN); inf - inf in the form would warn
         raise GeometryError("coordinates are not finite")
     if abs(e) > 500:
         x = np.ldexp(x, -e)
+        values = x.tolist()
     else:
         e = 0
-    q = lorentz_inner(x, x)
+    q = _lorentz(values, values, -1)
     if not -math.inf < q < 0:  # also false for NaN, from non-finite coordinates
         if not np.isfinite(np.asarray(coords, dtype=float)).all():
             raise GeometryError("coordinates are not finite")
@@ -120,8 +122,8 @@ def distance(x: np.ndarray, y: np.ndarray) -> float:
     function of the clamped inner product but free of cancellation when
     the points nearly coincide (d(x, x) is exactly 0).
     """
-    delta = x - y
-    s = max(0.0, lorentz_inner(delta, delta))
+    delta = (x - y).tolist()
+    s = max(0.0, _lorentz(delta, delta, -1))
     return 2.0 * math.asinh(0.5 * math.sqrt(s))
 
 
@@ -155,8 +157,8 @@ class LorentzIsometry:
     hashed by identity, as its fields are arrays.
 
     The constructor checks a matrix from outside, and a failed check is a
-    GeometryError.  Inverses, products and powers take the same checks
-    through _derived, where a failure is a FloatingPointError, and a
+    GeometryError.  Inverses, products (_derived) and powers (_power_matrix)
+    take the same checks, where a failure is a FloatingPointError, and a
     matrix the program writes down exactly takes none (_unchecked).
     """
 
@@ -210,10 +212,17 @@ class LorentzIsometry:
         the result fails its check."""
         if k == 1:
             return self
+        return LorentzIsometry._unchecked(self._power_matrix(k), _product_data((self, k)))
+
+    def _power_matrix(self, k: int) -> np.ndarray:
+        """The matrix of power(k), with its checks and errors."""
+        if k == 1:
+            return self.matrix
         base = self if k >= 0 else self.inverse()
         with np.errstate(over="raise"):
-            return LorentzIsometry._derived(np.linalg.matrix_power(base.matrix, abs(k)),
-                                            _product_data((self, k)))
+            m = np.linalg.matrix_power(base.matrix, abs(k))
+        _check_form(m, FloatingPointError)
+        return m
 
 
 def _entry_limit(size: int) -> float:
@@ -650,7 +659,8 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
     Foundations of Hyperbolic Manifolds, 4.7), with cosh(r) read off
     d(x, g x).  From there k moves one step at a time under the matrix
     rule d(x, g^k x) <= R until d(x, g^k x) <= R < d(x, g^(k+1) x); there
-    is no cap on k.  The orbit is l-discrete, so the count must not exceed
+    is no cap on k.  The walk reads each power's checked matrix alone
+    (_power_matrix).  The orbit is l-discrete, so the count must not exceed
     the volume ratio N(d, eps, R) at eps = min(l, R), which is below 2R as
     that bound requires.
     """
@@ -667,7 +677,7 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
         # the walks read k_max + 1 again after stepping down, and k = 1 again
         # when they start there
         if k not in displacements:
-            displacements[k] = displacement(g.power(k), x)
+            displacements[k] = distance(x, g._power_matrix(k) @ x)
         return displacements[k]
 
     disp_1 = disp(1)

@@ -18,7 +18,7 @@ from torsionlab.bounds import (
     soule_bound,
 )
 from torsionlab.cli import main
-from torsionlab.exact import IntegerMatrix, cokernel
+from torsionlab.exact import IntegerMatrix, cokernel, independent_columns
 from torsionlab.simplicial import SimplicialPair, boundary_matrix, build_complex, empty_complex
 
 
@@ -140,6 +140,41 @@ def test_soule_chosen_columns_form_image_basis():
             [[row[j] for j in report.chosen_columns] for row in mat.to_lists()],
             len(report.chosen_columns))
         assert rational_rank(submatrix) == len(report.chosen_columns)
+
+
+def soule_sweep_matrices(count, seed):
+    """Seeded matrices up to 10 x 10 of five kinds in turn: entries in
+    [-5, 5]; products through a thinner inner dimension, so of lower rank;
+    entries in [-5, 5] with some columns zeroed; one row; one column."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 5
+        rows = 1 if kind == 3 else rng.randint(1, 10)
+        cols = 1 if kind == 4 else rng.randint(1, 10)
+        if kind == 1:
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            left = IntegerMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)], inner)
+            yield left @ IntegerMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)], cols)
+            continue
+        data = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        if kind == 2:
+            for j in rng.sample(range(cols), rng.randint(1, cols)):
+                for row in data:
+                    row[j] = 0
+        yield IntegerMatrix.from_rows(data, cols)
+
+
+def test_soule_columns_are_the_greedy_bareiss_basis():
+    # at full column rank the basis is read off the cokernel's rank, and
+    # otherwise the Bareiss basis is taken: both must be the greedy one
+    full = 0
+    for mat in soule_sweep_matrices(3000, seed=48):
+        report = soule_bound(mat)
+        assert report.chosen_columns == tuple(independent_columns(mat))
+        full += len(report.chosen_columns) == mat.cols
+    assert 600 < full < 2400
 
 
 def test_dv_check_rp2():

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from torsionlab.exact import IntegerMatrix, rank_mod_p, smith_normal_form
-from torsionlab.homology import ORACLE_PRIMES
+from torsionlab.homology import ORACLE_PRIMES, primes_of
 
 RELATOR = "XyxYxyXYxY"
 
@@ -56,16 +56,6 @@ def cover_boundaries(action):
     return IntegerMatrix(n, 2 * n, d1), IntegerMatrix(2 * n, n, d2)
 
 
-def primes_of(n):
-    primes, d = set(), 2
-    while d * d <= n:
-        while n % d == 0:
-            primes.add(d)
-            n //= d
-        d += 1
-    return primes | ({n} if n > 1 else set())
-
-
 @pytest.mark.parametrize("p, betti, factors", [
     (7, 2, (3, 3)),
     (13, 2, (6,)),
@@ -80,7 +70,9 @@ def test_h1_of_the_projective_covers(p, betti, factors):
     assert snf1.rank == n - 1 and snf1.factors == ()  # one component, H_0 = Z
     assert (2 * n - snf1.rank - snf2.rank, snf2.factors) == (betti, factors)
     # by universal coefficients, each prime of a factor raises dim H_1(F_q)
-    for q in sorted(set(ORACLE_PRIMES).union(*map(primes_of, factors))):
+    factored = [primes_of(f) for f in factors]
+    assert all(rest == 1 for _, rest in factored)
+    for q in sorted(set(ORACLE_PRIMES).union(*(primes for primes, _ in factored))):
         assert 2 * n - rank_mod_p(d1, q) - rank_mod_p(d2, q) == betti + sum(f % q == 0 for f in factors)
     if p == 211:
         # log torsion / sheets near vol / (6 pi) = 0.1077 (Bergeron-Venkatesh)

@@ -20,7 +20,7 @@ from torsionlab.exact import (
     smith_normal_form,
     solve_scaled,
 )
-from torsionlab.homology import ORACLE_PRIMES
+from torsionlab.homology import ORACLE_PRIMES, primes_of
 from torsionlab.simplicial import boundary_matrix
 
 from test_homology import grid_surface
@@ -315,6 +315,43 @@ def test_residual_is_cleared_on_pivot_rows_recorded_after_it():
     snf = assert_valid_snf(mat)
     assert (snf.rank, snf.factors, snf.unit_rows) == (3, (14,), frozenset({1, 2}))
     assert mat.columns == tuple(columns)
+
+
+def one_column_matrices(count, seed):
+    """Seeded n x 1 matrices: a common factor times entries drawn from a pool
+    of three multipliers and 0, so with signs, zeros and repeats, every entry
+    at most 10^6 in magnitude."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        factor = rng.choice((1, 2, 3, 12, 17, 1024, 999_983, 10**6))
+        pool = [rng.randint(-10**6 // factor, 10**6 // factor) for _ in range(3)] + [0]
+        yield IntegerMatrix.from_rows([[factor * rng.choice(pool)] for _ in range(rng.randint(1, 12))], 1)
+
+
+def test_a_one_column_residual_is_the_gcd_of_its_entries(monkeypatch):
+    # the gcd is D_1, the gcd of the 1 x 1 minors; rank_mod_p checks it at
+    # each of its primes, and the remainder phase is never reached
+    monkeypatch.setattr(exact, "heapq", None)
+    kinds = set()
+    for mat in one_column_matrices(600, seed=48):
+        g = math.gcd(*mat.columns[0].values())
+        snf = exact._smith_kernel(mat)
+        assert (snf.rank, snf.factors) == (int(g > 0), (g,) if g > 1 else ())
+        primes, rest = primes_of(max(g, 1))  # g = 0: a zero column
+        assert rest == 1
+        for p in primes | set(ORACLE_PRIMES):
+            assert rank_mod_p(mat, p) == int(g % p != 0)
+        kinds.add(min(g, 2))
+    assert kinds == {0, 1, 2}
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_the_klein_grids_one_column_residual_gives_z2(monkeypatch, n):
+    # the sizes of the homology-large workload: d_2 has full rank and Z/2
+    monkeypatch.setattr(exact, "heapq", None)
+    d = boundary_matrix(grid_surface(n, True), 2)
+    snf = exact._smith_kernel(d)
+    assert (snf.rank, snf.factors) == (d.cols, (2,))
 
 
 def all_pairs_chain(d):

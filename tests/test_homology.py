@@ -14,6 +14,7 @@ from torsionlab.homology import (
     betti_euler_characteristic,
     homology,
     homology_oracle_crosscheck,
+    primes_of,
 )
 from torsionlab.simplicial import (
     SimplicialPair,
@@ -154,10 +155,12 @@ def test_oracle_checks_the_cleared_groups_that_homology_reports(monkeypatch):
 @pytest.mark.parametrize("fault", [
     lambda snf: dataclasses.replace(snf, factors=snf.factors[1:]),
     lambda snf: dataclasses.replace(snf, rank=snf.rank - 1),
-], ids=["drop-first-factor", "rank-one-low"])
+    lambda snf: dataclasses.replace(snf, factors=tuple(17 * d for d in snf.factors)),
+], ids=["drop-first-factor", "rank-one-low", "factor-times-17"])
 def test_oracle_catches_a_wrong_smith_form(monkeypatch, fault):
     # H_1 of the Klein bottle is Z + Z/2: without the 2 it would come out Z,
-    # with ranks one low Z^3 + Z/2
+    # with ranks one low Z^3 + Z/2, and with Z/34 in place of Z/2 only the
+    # prime 17 of the reported factor, outside ORACLE_PRIMES, tells
     monkeypatch.setattr("torsionlab.homology.smith_normal_form",
                         lambda mat: fault(exact.smith_normal_form(mat)))
     with pytest.raises(ExactArithmeticError, match="oracle disagreement"):
@@ -183,6 +186,34 @@ def test_oracle_checks_the_betti_number_at_the_large_prime(monkeypatch):
         homology_oracle_crosscheck(torus, 1)
     monkeypatch.setattr("torsionlab.homology.ORACLE_PRIMES", ORACLE_PRIMES[:-1])
     assert homology_oracle_crosscheck(torus, 1).agrees
+
+
+@pytest.mark.parametrize("n, primes, rest", [
+    (1, set(), 1),
+    (9897195, {3, 5, 7, 11, 19, 41}, 1),  # 3 5 7 11^2 19 41, of the p = 211 cover
+    (2 * (2**31 - 1), {2, 2**31 - 1}, 1),  # a cofactor below 2^32 is a prime
+    (65521 * 65537, {65521, 65537}, 1),
+    (65537**2, set(), 65537**2),  # no prime below 2^16, and not below 2^32
+    (6 * (2**61 - 1), {2, 3}, 2**61 - 1),
+])
+def test_primes_of_factors_by_trial_division_below_two_to_the_16(n, primes, rest):
+    assert primes_of(n) == (primes, rest)
+
+
+def test_oracle_names_a_part_of_a_factor_it_leaves_unfactored(monkeypatch):
+    # Z/2 reported as Z/(2 (2^61 - 1)): no prime the oracle can find tells,
+    # and the part it could not factor is named
+    big = 2**61 - 1
+
+    def smith(mat):
+        snf = exact.smith_normal_form(mat)
+        return dataclasses.replace(snf, factors=tuple(big * d for d in snf.factors))
+
+    monkeypatch.setattr("torsionlab.homology.smith_normal_form", smith)
+    report = homology_oracle_crosscheck(complexes.klein_bottle_9(), 1)
+    assert report.agrees and report.group == G(1, (2 * big,))
+    assert report.unfactored == (big,)
+    assert set(report.computed) == set(ORACLE_PRIMES)
 
 
 def test_oracle_hollow_triangle():

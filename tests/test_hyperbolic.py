@@ -1188,20 +1188,67 @@ def test_orbit_count_walks_from_a_wrong_start(factor):
 ], ids=["down", "up", "k-max-one"])
 def test_orbit_count_asks_for_each_power_once(monkeypatch, factor, length, R, r, k_max):
     g = misrecorded(hyp.standard_loxodromic(3, length), factor)
-    real_power = hyp.LorentzIsometry.power
+    real_power_matrix = hyp.LorentzIsometry._power_matrix
     asked = []
 
-    def power(self, k):
+    def power_matrix(self, k):
         asked.append(k)
-        return real_power(self, k)
+        return real_power_matrix(self, k)
 
-    monkeypatch.setattr(hyp.LorentzIsometry, "power", power)
+    monkeypatch.setattr(hyp.LorentzIsometry, "_power_matrix", power_matrix)
     report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
     assert report.count // 2 == closed_form_max_power(length, R, r) == k_max
     assert len(asked) == len(set(asked))
     assert k_max in asked and k_max + 1 in asked
     # the wrong length on record is read: the walk starts far from k_max
     assert (len(asked) > 3) == (factor != 1.0)
+
+
+def test_orbit_walk_displacements_are_those_of_the_powers(monkeypatch):
+    # the walk reads each power's matrix alone: at every k it reads, its
+    # displacement is displacement(g.power(k), x) bit for bit.  A length on
+    # record off by a factor makes the walk take many steps.
+    rng = np.random.default_rng(48)
+    real_power_matrix, real_distance = hyp.LorentzIsometry._power_matrix, hyp.distance
+    asked, read = [], []
+
+    def power_matrix(self, k):
+        asked.append(k)
+        return real_power_matrix(self, k)
+
+    def distance(x, y):
+        read.append(real_distance(x, y))
+        return read[-1]
+
+    monkeypatch.setattr(hyp.LorentzIsometry, "_power_matrix", power_matrix)
+    monkeypatch.setattr(hyp, "distance", distance)
+    walked = 0
+    for _ in range(60):
+        d, length = int(rng.integers(2, 6)), float(rng.uniform(0.02, 1.0))
+        if rng.random() < 0.5:
+            g = hyp.standard_loxodromic(d, length)
+        else:
+            ends = rng.standard_normal((2, d))
+            g = hyp.loxodromic(*([1.0, *(e / np.linalg.norm(e))] for e in ends), length)
+        g = misrecorded(g, float(rng.choice([1.0, 0.5, 2.0])))
+        x, R = random_point(rng, d), float(rng.uniform(length, 6.0))
+        asked.clear()
+        read.clear()
+        hyp.orbit_count_check(g, x, R)
+        walk = list(zip(asked, read, strict=True))
+        for k, disp in walk:
+            assert disp == hyp.displacement(g.power(k), x)
+        walked += len(walk)
+    assert walked > 200
+
+
+def test_every_walked_power_takes_the_form_check():
+    # g scaled by 1 + 4e-10 passes its own check (residual 8e-10), but the
+    # scale compounds in each power, and the walk keeps power()'s check
+    lox = hyp.standard_loxodromic(3, 0.01)
+    g = hyp.LorentzIsometry(lox.matrix * (1 + 4e-10), data=lox.data)
+    with pytest.raises(FloatingPointError, match="^matrix does not preserve the Lorentz form$"):
+        hyp.orbit_count_check(g, off_axis_point(3, 0.5), 2.0)
 
 
 def test_orbit_count_of_a_rotating_loxodromic():
