@@ -388,11 +388,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("dehn-fill", help="first homology of one Dehn filling")
-    p.add_argument("--mu", type=_parse_int_vector, default="1")
-    p.add_argument("--lambda", dest="lam", type=_parse_int_vector, default="0")
-    p.add_argument("--relations", type=_parse_relations, default="none")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    image = "image of the {}: comma-separated integers, one per core generator (default %(default)s)"
+    p.add_argument("--mu", type=_parse_int_vector, default="1", help=image.format("meridian"))
+    p.add_argument("--lambda", dest="lam", type=_parse_int_vector, default="0",
+                   help=image.format("longitude"))
+    p.add_argument("--relations", type=_parse_relations, default="none",
+                   help="core relations as ;-separated columns, each with one comma-separated entry per "
+                        "generator, or none (default)")
+    p.add_argument("--p", type=int, required=True, help="meridian coefficient of the slope p*mu + q*lambda")
+    p.add_argument("--q", type=int, required=True, help="longitude coefficient of the slope")
     p.set_defaults(func=cmd_dehn_fill)
 
     p = sub.add_parser("dehn-table", help="figure-eight filling table (JSON lines)")

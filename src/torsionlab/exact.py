@@ -17,7 +17,7 @@ rank over F_p is a sparse column reduction of its own, ``rank_mod_p``.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
@@ -232,57 +232,31 @@ class SNFResult:
     unit_rows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
 
-def _coprime_base(values: Iterable[int]) -> list[int]:
-    """Pairwise coprime integers above 1 of which every value is a product.
-
-    Two members with a common factor g are split into g, b / g and x / g;
-    each split lowers the sum of the logarithms, so the refinement ends.
-    """
-    base: list[int] = []
-    todo = [v for v in values if v > 1]
-    while todo:
-        x = todo.pop()
-        for i, b in enumerate(base):
-            g = gcd(x, b)
-            if g > 1:
-                del base[i]
-                todo += [y for y in (g, b // g, x // g) if y > 1]
-                break
-        else:
-            base.append(x)
-    return base
-
-
 def _divisibility_chain(d: Sequence[int]) -> tuple[int, ...]:
     """The entries above 1 of the Smith form of diag(d), ascending; each
     entry of d is above 1.
 
-    Over a pairwise coprime base b, each entry is a product of powers
-    b^e, and Z/d splits into the Z/b^e (Chinese remainder theorem).  The
-    i-th largest invariant factor is then the product over b of b raised
-    to the i-th largest exponent of b.  The base is built from the
-    distinct entries, so repeated pivots cost no gcds.  Entries that,
-    sorted, already divide up are that chain, and need no base.
+    One loop of merges by Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b).  The
+    chain is kept largest first, each entry a multiple of the next, so the
+    entries that a value g divides form a prefix.  The values come largest
+    first, and g is appended when it divides the last entry, so a diagonal
+    that already divides up costs no gcd.  Otherwise the first entry c that
+    g does not divide becomes lcm(c, g), and gcd(c, g), a proper divisor of
+    g, goes on below it: a value g costs at most ⌊log₂ g⌋ merges of one gcd
+    each.
     """
-    ascending = sorted(d)
-    if all(b % a == 0 for a, b in zip(ascending, ascending[1:])):
-        return tuple(ascending)
-    counts = Counter(d)
-    exponents: dict[int, list[int]] = {}
-    for b in _coprime_base(counts):
-        es = exponents[b] = []
-        for v, n in counts.items():
-            e = 0
-            while v % b == 0:
-                v //= b
-                e += 1
-            if e:
-                es += [e] * n
-    chain = [1] * max(map(len, exponents.values()), default=0)
-    for b, es in exponents.items():
-        es.sort(reverse=True)
-        for i, e in enumerate(es):
-            chain[i] *= b ** e
+    chain: list[int] = []
+    for g in sorted(d, reverse=True):
+        i = 0
+        while chain and chain[-1] % g:
+            i = bisect_left(chain, True, lo=i, key=lambda c: c % g != 0)
+            c = chain[i]
+            h = gcd(c, g)
+            chain[i] = c // h * g
+            g = h
+            i += 1
+        if g > 1:
+            chain.append(g)
     return tuple(reversed(chain))
 
 

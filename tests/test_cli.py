@@ -23,6 +23,7 @@ from torsionlab.simplicial import (
     write_pair,
 )
 
+from test_exact import all_pairs_chain, seeded_values
 from test_homology import grid_surface
 
 
@@ -260,6 +261,23 @@ def test_dehn_fill_with_relations(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["torsion"] == [15] or doc["torsion"] == [3, 5] or doc["torsion"] == [5, 3]
+
+
+@pytest.mark.parametrize("diagonal", [(2, 6, 4), tuple(seeded_values(60, seed=3))])
+def test_dehn_fill_of_a_diagonal_core_is_the_chain_of_the_rest(capsys, diagonal):
+    # the slope (1, 0) kills mu = e_1, which leaves Z/d_2 + ... + Z/d_n
+    n = len(diagonal)
+    relations = ";".join(",".join(str(d if i == j else 0) for i in range(n))
+                         for j, d in enumerate(diagonal))
+    code, out, _ = run_cli(capsys, "dehn-fill", "--p", "1", "--q", "0",
+                           "--mu", ",".join(["1"] + ["0"] * (n - 1)), "--lambda", ",".join(["0"] * n),
+                           "--relations", relations)
+    assert code == 0
+    doc = json.loads(out)
+    chain = list(all_pairs_chain(diagonal[1:]))
+    assert (doc["betti"], doc["torsion"], doc["hyperbolic"]) == (0, chain, "unknown")
+    if n == 3:
+        assert doc["torsion"] == [2, 12]
 
 
 def test_dehn_table(capsys):

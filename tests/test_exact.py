@@ -364,13 +364,21 @@ def all_pairs_chain(d):
     return tuple(x for x in d if x > 1)
 
 
-PIVOTS = st.one_of(st.integers(2, 60), st.sampled_from([2, 4, 6, 12, 2 ** 70, 3 ** 40 * 2]))
+PIVOTS = st.one_of(st.integers(2, 60), st.integers(2, 10 ** 30),
+                   st.sampled_from([2, 4, 6, 12, 2 ** 70, 3 ** 40 * 2]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(PIVOTS, max_size=14))
+@given(st.lists(PIVOTS, max_size=40))
 def test_divisibility_chain_agrees_with_all_pairs_gcds(pivots):
     assert _divisibility_chain(pivots) == all_pairs_chain(pivots)
+
+
+def count_gcds(monkeypatch):
+    """The gcd calls made through the module's name, counted in a list."""
+    calls = []
+    monkeypatch.setattr(exact, "gcd", lambda *args: calls.append(args) or math.gcd(*args))
+    return calls
 
 
 @pytest.mark.parametrize("pivots, chain, refined", [
@@ -381,12 +389,34 @@ def test_divisibility_chain_agrees_with_all_pairs_gcds(pivots):
     ([6, 4, 2], (2, 2, 12), True),
 ])
 def test_a_diagonal_that_divides_up_is_its_own_chain(monkeypatch, pivots, chain, refined):
-    # only a diagonal whose sorted entries do not divide up builds a base
-    calls = []
-    base = exact._coprime_base
-    monkeypatch.setattr(exact, "_coprime_base", lambda values: calls.append(values) or base(values))
+    # only a diagonal whose sorted entries do not divide up takes a gcd
+    calls = count_gcds(monkeypatch)
     assert _divisibility_chain(pivots) == chain == all_pairs_chain(pivots)
     assert bool(calls) == refined
+
+
+def seeded_values(count, seed=0):
+    rng = random.Random(seed)
+    return [rng.randint(2, 10 ** 6) for _ in range(count)]
+
+
+LONG_DIAGONAL = seeded_values(2000)
+
+
+def test_a_long_diagonal_costs_at_most_log2_gcds_per_value(monkeypatch):
+    # each merge leaves a proper divisor of the value merged, so a value g
+    # takes at most floor(log2 g) merges of one gcd each
+    calls = count_gcds(monkeypatch)
+    _divisibility_chain(LONG_DIAGONAL)
+    assert 0 < len(calls) <= sum(v.bit_length() - 1 for v in LONG_DIAGONAL)
+
+
+def test_snf_of_a_long_diagonal_is_its_chain_and_agrees_mod_p():
+    mat = IntegerMatrix.diagonal(LONG_DIAGONAL)
+    snf = smith_normal_form(mat)
+    assert (snf.rank, snf.factors) == (2000, all_pairs_chain(LONG_DIAGONAL))
+    for p in (p for p in range(2, 100) if all(p % q for q in range(2, p))):
+        assert rank_mod_p(mat, p) == 2000 - sum(f % p == 0 for f in snf.factors)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
