@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -42,6 +43,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag starts with a digit, so "-2,4" or "-3..3" is a value: argparse
+        # before 3.13.1 takes only a plain negative number for one
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message):  # route all argparse failures to exit 64
         raise UsageError(message)
 
@@ -206,38 +213,28 @@ def cmd_dehn_fill(args) -> int:
 def cmd_dehn_table(args) -> int:
     from . import dehn
 
-    for row in dehn.figure_eight_family(args.p, args.q):
+    for row in dehn.figure_eight_rows(args.p, args.q):
         _emit(row)
     return EXIT_OK
 
 
 # --- verification suites --------------------------------------------------------
 
-def _report(rows, summary: dict, **tail) -> int:
+def _report(rows, summary: dict, tail: dict | None = None) -> int:
     """Emit each (record, passed) row as it comes, then the summary with the
-    failure count and the tail; exit 1 on any failure."""
+    failure count and the tail as the rows left it; exit 1 on any failure."""
     failures = 0
     for record, passed in rows:
         failures += not passed
         _emit(record)
-    _emit({**summary, "failures": failures, **tail})
+    _emit({**summary, "failures": failures, **(tail or {})})
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
-
-
-def _report_bound(args, rows) -> int:
-    """Report a bound suite's (record, report) rows with the largest ratio.
-
-    The rows are all computed before the first is emitted, so an error
-    mid-batch leaves stdout empty.
-    """
-    rows = list(rows)
-    return _report(((record, report.holds) for record, report in rows),
-                   {"suite": args.suite, "count": args.count, "seed": args.seed},
-                   max_ratio=max(report.ratio() for _, report in rows))
 
 
 def _verify_soule(args) -> int:
     from . import bounds
+
+    tail = {"max_ratio": 0.0}  # ratios are never negative
 
     def rows():
         for index, mat in enumerate(bounds.random_matrices(args.count, args.seed)):
@@ -247,13 +244,16 @@ def _verify_soule(args) -> int:
                       "holds": report.holds}
             if not report.holds:
                 record["matrix"] = mat.to_lists()
-            yield record, report
+            tail["max_ratio"] = max(tail["max_ratio"], report.ratio())
+            yield record, report.holds
 
-    return _report_bound(args, rows())
+    return _report(rows(), {"suite": args.suite, "count": args.count, "seed": args.seed}, tail)
 
 
 def _verify_dv(args) -> int:
     from . import bounds
+
+    tail = {"max_ratio": 0.0}  # ratios are never negative
 
     def rows():
         for index, pair in enumerate(bounds.random_dv_pairs(args.count, args.seed)):
@@ -265,9 +265,10 @@ def _verify_dv(args) -> int:
                 if not report.holds:
                     record["maximal_simplices"] = [list(s) for s in pair.total.maximal_simplices()]
                     record["sub_maximal_simplices"] = [list(s) for s in pair.sub.maximal_simplices()]
-                yield record, report
+                tail["max_ratio"] = max(tail["max_ratio"], report.ratio())
+                yield record, report.holds
 
-    return _report_bound(args, rows())
+    return _report(rows(), {"suite": args.suite, "count": args.count, "seed": args.seed}, tail)
 
 
 def _verify_nerve(args) -> int:

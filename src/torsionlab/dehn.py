@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .constants import figure_eight_volume
 from .exact import AbelianGroupStructure, InputError, IntegerMatrix, cokernel, rational_rank
@@ -116,14 +116,14 @@ def figure_eight_filling(slope: FillingSlope) -> FillingResult:
     return FillingResult(group=base.group, hyperbolic="excluded" if excluded else "yes")
 
 
-def figure_eight_family(p_range: Sequence[int], q_range: Sequence[int]) -> list[dict]:
-    """Filling table over all primitive slopes in the given ranges.
+def figure_eight_rows(p_range: Sequence[int], q_range: Sequence[int]) -> Iterator[dict]:
+    """Filling table over all primitive slopes in the given ranges, one row
+    at a time.
 
     Every hyperbolic member has volume strictly below the figure-eight
     volume, reported as the shared upper bound.
     """
     volume_bound = figure_eight_volume()
-    table = []
     for p in p_range:
         for q in q_range:
             if (p, q) == (0, 0) or gcd(p, q) != 1:
@@ -131,6 +131,9 @@ def figure_eight_family(p_range: Sequence[int], q_range: Sequence[int]) -> list[
             slope = FillingSlope(p, q)
             row = figure_eight_filling(slope).to_json(slope)
             row["volume_upper_bound"] = volume_bound
-            table.append(row)
-    return table
+            yield row
 
+
+def figure_eight_family(p_range: Sequence[int], q_range: Sequence[int]) -> list[dict]:
+    """The rows of figure_eight_rows as one list."""
+    return list(figure_eight_rows(p_range, q_range))

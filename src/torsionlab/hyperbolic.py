@@ -195,9 +195,6 @@ class LorentzIsometry:
     def dimension(self) -> int:
         return self.matrix.shape[0] - 1
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def inverse(self) -> "LorentzIsometry":
         j = lorentz_form_matrix(self.dimension)
         return LorentzIsometry._derived(j @ self.matrix.T @ j, _product_data((self, -1)))
@@ -301,7 +298,7 @@ def identity(d: int) -> LorentzIsometry:
 
 def displacement(g: LorentzIsometry, x: np.ndarray) -> float:
     """d(x, g x), the displacement of g at x."""
-    return distance(x, g.apply(x))
+    return distance(x, g.matrix @ x)
 
 
 # --- constructors ------------------------------------------------------------
@@ -319,15 +316,20 @@ def _axis(xi_minus: np.ndarray, xi_plus: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _frame_from_axis(xi_minus: np.ndarray, xi_plus: np.ndarray, d: int) -> np.ndarray:
     """Lorentz frame whose first two columns are the axis columns p, u of
-    _axis(), completed by Gram-Schmidt on the coordinate vectors."""
+    _axis(), completed by Gram-Schmidt on the coordinate vectors, each
+    projected twice: one pass can keep a remainder just above the 1e-8
+    cut-off that is mostly its own cancellation error, and the second pass
+    removes that error ("twice is enough": Kahan; Parlett, The Symmetric
+    Eigenvalue Problem, 1980)."""
     p, u = _axis(xi_minus, xi_plus)
     cols = [p, u]
     for i in range(d + 1):
         v = np.zeros(d + 1)
         v[i] = 1.0
-        v = v + lorentz_inner(v, p) * p - lorentz_inner(v, u) * u
-        for b in cols[2:]:
-            v = v - lorentz_inner(v, b) * b
+        for _ in range(2):
+            v = v + lorentz_inner(v, p) * p - lorentz_inner(v, u) * u
+            for b in cols[2:]:
+                v = v - lorentz_inner(v, b) * b
         n = tangent_norm(v)
         if n > 1e-8:
             cols.append(v / n)

@@ -67,7 +67,7 @@ from . import hyperbolic as hyp
 from .certify import cosh_root_bounds, cosh_roots, inverse_sum_negative, inverse_sum_signs, stands
 from .exact import AbelianGroupStructure, ExactArithmeticError, InputError
 from .homology import all_homology
-from .simplicial import SimplicialComplex, SimplicialPair, _closure
+from .simplicial import SimplicialComplex, SimplicialPair, _closure, _content_lines
 
 
 # Bits of the first enclosure of h, and the most that refinement doubles them to.
@@ -171,10 +171,9 @@ def _grams(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram, magnitude
 
 
-# Float cells the pair filter forms at once: a block of rows against every
-# ball; and the candidates whose entries the tuple filter forms at once.
-_BLOCK = 1 << 16
-_CHUNK = 2048
+# Float cells one numpy pass forms: the pair filter takes a block of rows
+# against every ball, and the tuple filter a chunk of k x k candidates.
+_CELLS = 1 << 16
 
 
 def _copositive_pair(a_ii: int, a_jj: int, a_ij: int) -> bool:
@@ -377,7 +376,7 @@ class _CoverMatrix:
         decides."""
         n = len(self.balls)
         found: list[tuple[int, int, bool | None]] = []
-        step = max(1, _BLOCK // max(1, n))
+        step = max(1, _CELLS // max(1, n))
         for start in range(0, n, step):
             apart, meets = self._pair_verdicts(slice(start, start + step))
             i, j = np.nonzero(~apart)
@@ -411,7 +410,8 @@ class _CoverMatrix:
         verdicts: list[bool | None] = []
         k = len(tuples[0])
         level = np.fromiter(chain.from_iterable(tuples), np.intp, count=k * len(tuples))
-        for chunk in np.split(level.reshape(-1, k), range(_CHUNK, len(tuples), _CHUNK)):
+        step = max(1, _CELLS // (k * k))
+        for chunk in np.split(level.reshape(-1, k), range(step, len(tuples), step)):
             known, negative = inverse_sum_signs(*self._floats(chunk, chunk)[0], self._roundings)
             fails = np.flatnonzero(known & negative)
             if not self._euclidean and fails.size:
@@ -615,10 +615,7 @@ def nerve_lemma_check(cover: BallCover, reference: Sequence[AbelianGroupStructur
 def read_cover(text: str) -> BallCover:
     space = None
     balls: list[tuple[np.ndarray, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "space":
             if space is not None:

@@ -289,6 +289,82 @@ def test_dehn_table(capsys):
     assert flagged == {(1, 1), (2, 1), (3, 1), (4, 1)}
 
 
+@pytest.mark.parametrize("argv", [
+    ("dehn-fill", "--mu", "1,0", "--lambda", "0,0", "--relations", "-2,4", "--p", "1", "--q", "0"),
+    ("dehn-fill", "--mu", "-1,1", "--p", "1", "--q", "0"),
+    ("dehn-table", "--p", "-3..3", "--q", "1"),
+    ("homology", str(ROOT / "demos" / "files" / "rp2.cplx"), "--degrees", "-1,1"),
+], ids=["relations", "mu", "range", "degrees"])
+def test_a_signed_flag_value_parses_as_its_joined_form(capsys, argv):
+    # argparse before 3.13.1 takes "-2,4" or "-3..3" for an option unless the
+    # parser says that every "-<digit>" token is a value
+    joined = []
+    rest = list(argv)
+    while rest:
+        token = rest.pop(0)
+        joined.append(f"{token}={rest.pop(0)}" if token.startswith("--") else token)
+    spaced = run_cli(capsys, *argv)
+    assert "expected one argument" not in spaced[2]
+    assert spaced == run_cli(capsys, *joined)
+
+
+def test_a_signed_relation_reaches_the_filling(capsys):
+    code, out, _ = run_cli(capsys, "dehn-fill", "--mu", "1,0", "--lambda", "0,0",
+                           "--relations", "-2,4", "--p", "1", "--q", "0")
+    assert code == 0
+    assert json.loads(out)["torsion"] == [4]
+
+
+def test_a_dash_and_a_letter_is_still_a_flag(capsys):
+    assert run_cli(capsys, "dehn-table", "--p", "-x", "--q", "1") == (
+        64, "", "torsionlab: usage error: argument --p: expected one argument\n")
+
+
+@pytest.mark.parametrize("suite, check", [("soule", "soule_bound"), ("dv-bound", "dv_torsion_check")])
+def test_a_bound_suite_prints_each_record_before_the_next_is_checked(capsys, monkeypatch, suite, check):
+    from torsionlab import bounds
+
+    real, calls = getattr(bounds, check), []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyError("second instance")
+        return real(*args)
+
+    monkeypatch.setattr(bounds, check, second_fails)
+    code, out, err = run_cli(capsys, "verify", suite, "--count", "3")
+    assert code == 3
+    assert err == "torsionlab: internal error: KeyError: 'second instance'\n"
+    first, = out.splitlines()
+    assert json.loads(first)["index"] == 0
+
+
+def peak_rss_mb(*argv):
+    """The peak RSS of one torsionlab call, stdout to /dev/null, read by a
+    wrapper process of its own: RUSAGE_CHILDREN keeps the largest child."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import resource, subprocess, sys; "
+             f"subprocess.run([sys.executable, '-m', 'torsionlab.cli', *{list(argv)!r}], "
+             "stdout=subprocess.DEVNULL, check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024  # Linux gives kilobytes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kilobytes")
+@pytest.mark.parametrize("short, long", [
+    (("verify", "soule", "--count", "1000"), ("verify", "soule", "--count", "15000")),
+    (("dehn-table", "--p", "1..30", "--q", "1..30"), ("dehn-table", "--p", "1..250", "--q", "1..250")),
+], ids=["soule", "dehn-table"])
+def test_peak_memory_does_not_grow_with_the_run(short, long):
+    # each row is printed as it is made: 25.8 against 17.1 MB for soule, and
+    # 30.3 against 16.9 MB for dehn-table, when the rows were held first
+    assert peak_rss_mb(*long) <= peak_rss_mb(*short) + 5
+
+
 def test_verify_soule_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "soule", "--count", "25", "--seed", "7")
     assert code == 0

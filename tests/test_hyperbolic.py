@@ -493,6 +493,53 @@ def test_parabolic_is_the_exponential_of_its_null_rotation(fixed, v):
     assert np.abs(m - parabolic_from_the_light_cone(n, v)).max() <= 1e-12 * scale
 
 
+def near_axis_fixed_points():
+    # a fixed point whose third coordinate s is tiny: its frame's projection
+    # of e_2 is just above the cut-off, about the size of its own rounding
+    for s in [*np.geomspace(1e-9, 1e-6, 400), 1.05e-8]:
+        yield [1.0, math.sqrt(1 - s * s), float(s), 0.0]
+
+
+def test_a_parabolic_at_a_fixed_point_near_a_coordinate_axis_is_built():
+    j = hyp.lorentz_form_matrix(3)
+    for fixed in near_axis_fixed_points():
+        n = np.asarray(fixed)
+        frame = hyp._frame_from_axis(np.concatenate([n[:1], -n[1:]]), n, 3)
+        assert np.abs(frame.T @ j @ frame - j).max() <= 1e-14
+        for v in ([1.0, 0.5], [30.0, 10.0], [1e5, 1e5]):
+            m = hyp.parabolic(fixed, v).matrix  # one pass: "does not preserve the Lorentz form"
+            assert np.abs(m @ n - n).max() <= 1e-12 * np.abs(m).max()
+
+
+def one_pass_frame(xi_minus, xi_plus, d):
+    """_frame_from_axis with one Gram-Schmidt pass a vector."""
+    p, u = hyp._axis(xi_minus, xi_plus)
+    cols = [p, u]
+    for e in np.eye(d + 1):
+        v = e + hyp.lorentz_inner(e, p) * p - hyp.lorentz_inner(e, u) * u
+        for b in cols[2:]:
+            v = v - hyp.lorentz_inner(v, b) * b
+        if hyp.tangent_norm(v) > 1e-8:
+            cols.append(v / hyp.tangent_norm(v))
+    return np.column_stack(cols[:d + 1])
+
+
+def test_a_second_projection_moves_a_generic_parabolic_at_rounding_level(monkeypatch):
+    rng = np.random.default_rng(52)
+    twice = []
+    for d in range(2, 7):
+        for _ in range(60):
+            w = rng.standard_normal(d)
+            n = float(rng.uniform(0.3, 3.0)) * np.concatenate([[1.0], w / np.linalg.norm(w)])
+            v = rng.standard_normal(d - 1)
+            twice.append((n, 10.0 ** rng.uniform(-3, 2) * v / np.linalg.norm(v)))
+    matrices = [hyp.parabolic(n, v).matrix for n, v in twice]
+    monkeypatch.setattr(hyp, "_frame_from_axis", one_pass_frame)
+    for (n, v), m in zip(twice, matrices):
+        once = hyp.parabolic(n, v).matrix
+        assert np.abs(m - once).max() <= 1e-13 * np.abs(once).max()
+
+
 def test_sublevel_set_tube_geometry():
     g = hyp.standard_loxodromic(3, 0.3)
     s = hyp.SublevelSet.of(g, 0.5)

@@ -758,6 +758,13 @@ def h4_cover():
     return BallCover.of(HyperbolicSpace(4), balls)
 
 
+def e4_cover():
+    """40 balls of radius 0.6 with centres uniform in [-1, 1]^4."""
+    rng = random.Random(5)
+    return BallCover.of(EuclideanSpace(4), [([rng.uniform(-1, 1) for _ in range(4)], 0.6)
+                                            for _ in range(40)])
+
+
 def tiny_coordinate_cover():
     """The first nerve-cover family cover with one centre coordinate set to 1e-300,
     which widens every integer entry of its A by about 1000 bits."""
@@ -1178,8 +1185,28 @@ def test_pair_filter_in_blocks_of_rows(monkeypatch):
     cover = seeded_cover("H", 4, "mixed", count=40)
     matrix = nerve_module._CoverMatrix(cover.space, cover.elements, nerve_module.ENCLOSURE_BITS)
     whole = matrix.pairs()
-    monkeypatch.setattr(nerve_module, "_BLOCK", 100)  # two rows at a time
+    monkeypatch.setattr(nerve_module, "_CELLS", 100)  # two rows at a time
     assert matrix.pairs() == whole
+
+
+@pytest.mark.parametrize("cover, max_dim", [
+    (lambda: seeded_cover("E", 1, "mixed"), 3), (lambda: seeded_cover("H", 2, "mixed"), 3),
+    (lambda: wide_cover("E", 1), 5), (lambda: wide_cover("H", 1), 5), (e4_cover, 5), (h4_cover, 4),
+], ids=["E3", "H3", "E3-wide", "H3-wide", "E4", "H4"])
+def test_a_budget_below_one_row_passes_one_row_and_one_candidate(monkeypatch, cover, max_dim):
+    cover = cover()
+    whole = nerve(cover, max_dim=max_dim).simplices
+    passes = []
+    floats = nerve_module._CoverMatrix._floats
+
+    def recording(self, rows, columns, **kwargs):
+        passes.append(len(rows))
+        return floats(self, rows, columns, **kwargs)
+
+    monkeypatch.setattr(nerve_module._CoverMatrix, "_floats", recording)
+    monkeypatch.setattr(nerve_module, "_CELLS", 8)  # below n, and below k * k
+    assert nerve(cover, max_dim=max_dim).simplices == whole
+    assert passes and set(passes) == {1}
 
 
 def test_radius_past_the_float_range_of_cosh():
