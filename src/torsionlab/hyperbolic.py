@@ -11,7 +11,8 @@ Displacement sub-level sets are closed forms of what an isometry was
 built from: tubes around the axis of a rotation-free loxodromic, whose
 endpoints and length loxodromic() keeps, and horoballs for a parabolic,
 whose fixed point and translation vector parabolic() keeps.  Orbit counts
-and commutation read the same data; none is read back off a matrix.
+and commutation read the same data; none is read back off a matrix, and
+an orbit count forms no power of one.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ class LorentzIsometry:
     hashed by identity, as its fields are arrays.
 
     The constructor checks a matrix from outside, and a failed check is a
-    GeometryError.  Inverses, products (_derived) and powers (_power_matrix)
-    take the same checks, where a failure is a FloatingPointError, and a
-    matrix the program writes down exactly takes none (_unchecked).
+    GeometryError.  Inverses, products and powers (_derived) take the same
+    checks, where a failure is a FloatingPointError, and a matrix the
+    program writes down exactly takes none (_unchecked).
     """
 
     matrix: np.ndarray
@@ -209,17 +210,10 @@ class LorentzIsometry:
         the result fails its check."""
         if k == 1:
             return self
-        return LorentzIsometry._unchecked(self._power_matrix(k), _product_data((self, k)))
-
-    def _power_matrix(self, k: int) -> np.ndarray:
-        """The matrix of power(k), with its checks and errors."""
-        if k == 1:
-            return self.matrix
         base = self if k >= 0 else self.inverse()
         with np.errstate(over="raise"):
             m = np.linalg.matrix_power(base.matrix, abs(k))
-        _check_form(m, FloatingPointError)
-        return m
+        return LorentzIsometry._derived(m, _product_data((self, k)))
 
 
 def _entry_limit(size: int) -> float:
@@ -652,19 +646,20 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
     """Count the powers g^k (k != 0) displacing x by at most R.
 
     g's data makes it a rotation-free loxodromic of length l: a power or
-    product of loxodromic() or standard_loxodromic() on one axis.  The
-    displacement of g^k then grows monotonically in |k|, so the count is
-    2 * max{k : d(x, g^k x) <= R}.  A rotating loxodromic's need not, and
-    having no data it is refused, as is a parabolic, whose length is 0.
-    The search starts at the closed form sinh(d(x, g^k x)/2) = cosh(r)
-    sinh(k l/2) for a point at distance r from the axis (Ratcliffe,
-    Foundations of Hyperbolic Manifolds, 4.7), with cosh(r) read off
-    d(x, g x).  From there k moves one step at a time under the matrix
-    rule d(x, g^k x) <= R until d(x, g^k x) <= R < d(x, g^(k+1) x); there
-    is no cap on k.  The walk reads each power's checked matrix alone
-    (_power_matrix).  The orbit is l-discrete, so the count must not exceed
-    the volume ratio N(d, eps, R) at eps = min(l, R), which is below 2R as
-    that bound requires.
+    product of loxodromic() or standard_loxodromic() on one axis.  A
+    rotating loxodromic has no data and is refused, as is a parabolic,
+    whose length is 0.  For a point at distance r from the axis,
+    sinh(d(x, g^k x)/2) = cosh(r) sinh(|k| l/2) (Ratcliffe, Foundations of
+    Hyperbolic Manifolds, 4.7), which grows with |k|, so the count is
+    2 * max{k : cosh(r) sinh(k l/2) <= sinh(R/2)}.  cosh^2(r) is the
+    product that SublevelSet membership reads at the axis columns, so the
+    count is that of the loxodromic the data describes, and no power of
+    the matrix is formed.  k_max is the floor of the inverted closed form,
+    checked once against that predicate: one step down if it fails, or
+    else one up if k_max + 1 passes, so the check ends for any l.  The
+    orbit is l-discrete, so the count must not exceed the volume ratio
+    N(d, eps, R) at eps = min(l, R), which is below 2R as that bound
+    requires.
     """
     from .constants import volume_ratio_bound
 
@@ -672,27 +667,17 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
     if len(fixed) == 1:
         raise GeometryError("orbit counting requires a loxodromic isometry, not a parabolic")
     length = abs(amount)
+    s = _normal(x.tolist(), [c.tolist() for c in _axis(*fixed)], -1)[1]
+    cosh_r, limit = math.sqrt(max(s, 1.0)), math.sinh(R / 2)
 
-    displacements: dict[int, float] = {}
+    def within(k: int) -> bool:
+        return cosh_r * math.sinh(k * length / 2) <= limit
 
-    def disp(k: int) -> float:
-        # the walks read k_max + 1 again after stepping down, and k = 1 again
-        # when they start there
-        if k not in displacements:
-            displacements[k] = distance(x, g._power_matrix(k) @ x)
-        return displacements[k]
-
-    disp_1 = disp(1)
-    if disp_1 > R:
-        k_max = 0
-    else:
-        cosh_r = math.sinh(disp_1 / 2) / math.sinh(length / 2)
-        k_max = max(1, math.floor(2 * math.asinh(math.sinh(R / 2) / cosh_r) / length))
-        while disp(k_max) > R:  # stops at k_max = 1 at the latest
-            k_max -= 1
-        while disp(k_max + 1) <= R:
-            k_max += 1
+    k_max = max(0, math.floor(2 * math.asinh(limit / cosh_r) / length))
+    if not within(k_max):
+        k_max -= 1
+    elif within(k_max + 1):
+        k_max += 1
     count = 2 * k_max
     bound = volume_ratio_bound(g.dimension, min(length, R), R).value
     return OrbitCountReport(count=count, bound=bound, passed=count <= bound)
-

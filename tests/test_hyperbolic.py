@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -193,7 +194,11 @@ def times_its_inverse(g):
     (lambda: times_its_inverse(hyp.standard_loxodromic(3, 25.0)), "does not preserve the upper sheet"),
     (lambda: (lambda h: h.power(3) @ h.power(-3))(
         hyp.loxodromic([1, .6, .8, 0], [1, -.28, .96, 0], 5.0)), "does not preserve the Lorentz form"),
-], ids=["standard-10", "standard-25", "general-axis-powers"])
+    # a scale of 1 + 4e-10 passes g's own check (residual 8e-10) and
+    # compounds in its square
+    (lambda: (lambda g: hyp.LorentzIsometry(g.matrix * (1 + 4e-10), data=g.data).power(2))(
+        hyp.standard_loxodromic(3, 0.01)), "does not preserve the Lorentz form"),
+], ids=["standard-10", "standard-25", "general-axis-powers", "scaled-square"])
 def test_a_product_of_valid_isometries_failing_its_check_is_an_arithmetic_error(make, message):
     with pytest.raises(FloatingPointError, match=f"^matrix {message}$"):
         make()
@@ -1056,12 +1061,64 @@ def test_orbit_count_on_axis():
 
 def test_orbit_count_past_the_float_range_is_an_arithmetic_error():
     # the entries of g^k grow as e^(k l) / 2, and the form check multiplies
-    # two of them: at R = 354 every power read still fits in a float
+    # two of them: from k = 710 a power is an arithmetic error.  The count
+    # reads the data and forms no power: before, the matrix walk counted
+    # 1412 at R = 353.9 and raised at R = 357.1 and 720.1.  The bound is
+    # inf there, so these rows pass vacuously.
     g = hyp.standard_loxodromic(4, 0.5)
-    assert hyp.orbit_count_check(g, hyp.base_point(4), 354.0).count == 1412
-    for R in (357.0, 720.0):
-        with pytest.raises(FloatingPointError):
-            hyp.orbit_count_check(g, hyp.base_point(4), R)
+    g.power(709)
+    with pytest.raises(FloatingPointError, match="past the float range"):
+        g.power(710)
+    for R, count in ((353.9, 1414), (357.1, 1428), (720.1, 2880)):
+        report = hyp.orbit_count_check(g, hyp.base_point(4), R)
+        assert (report.count, report.bound, report.passed) == (count, math.inf, True)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_orbit_count_on_axis_is_twice_the_floor_of_R_over_l(d):
+    # R / l stays at least 0.026 off an integer, so kl = R is no tie.
+    # Before, d(x, g^k x) read off g^k lost about cosh(kl) 2^-53 of its
+    # relative precision: from R = 32.513 on, the counts went wrong (128
+    # for 130, 410 for 400 at R = 100.1), and from R = 357.1 they raised
+    g = hyp.standard_loxodromic(d, 0.5)
+    radii = [0.05 * i + 0.013 for i in range(1, 14400)] + [353.9, 357.1, 720.1]
+    wrong = [(R, report.count) for R in radii
+             if (report := hyp.orbit_count_check(g, hyp.base_point(d), R)).count
+             != 2 * math.floor(R / 0.5)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("R, count", [(1.2, 4), (2.3, 8), (4.1, 16)])
+@pytest.mark.parametrize("s", [1e-1, 1e-2, 3e-3, 1e-3, 3e-4])
+def test_orbit_count_of_nearby_endpoints(s, R, count):
+    # the axis frame's entries grow as the endpoints meet, and so did the
+    # rounding of the powers: before, 8 of these 15 raised FloatingPointError
+    g = hyp.loxodromic([1, 1, 0], [1, math.cos(s), math.sin(s)], 0.5)
+    x = hyp.make_point(hyp._axis(*g.data[0])[0])
+    report = hyp.orbit_count_check(g, x, R)
+    assert report.count == count
+    assert report.passed
+
+
+def test_orbit_count_of_a_short_loxodromic():
+    # before, the walk started at k = 2e12, whose power failed its form
+    # check with FloatingPointError
+    g = hyp.loxodromic([1, -1, 0, 0], [1, 1, 0, 0], 1e-12)
+    report = hyp.orbit_count_check(g, hyp.base_point(3), 2.0)
+    assert report.count == 4_000_000_000_000
+    assert report.passed
+
+
+def test_orbit_count_forms_no_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the orbit count formed a matrix power")
+
+    monkeypatch.setattr(hyp.LorentzIsometry, "power", refuse)
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    g = hyp.standard_loxodromic(3, 0.3)
+    report = hyp.orbit_count_check(g, off_axis_point(3, 1.0), 3.0)
+    assert report.count == 2 * closed_form_max_power(0.3, 3.0, 1.0)
+    assert hyp.orbit_count_check(g, hyp.base_point(3), 30.1).count == 200
 
 
 def test_orbit_count_zero_below_length():
@@ -1213,89 +1270,42 @@ def test_orbit_count_off_axis_closed_form(length, R, r):
     assert report.passed
 
 
-def misrecorded(g, factor):
-    """g with factor times its length on record and its own matrix."""
-    fixed, length = g.data
-    return hyp.LorentzIsometry._unchecked(g.matrix, (fixed, factor * length))
+def reference_max_power(g, x, R):
+    """max{k >= 0 : cosh(r) sinh(k l/2) <= sinh(R/2)} at 80 digits for the
+    stored floats: the axis columns p and u from g's endpoints a and b,
+    x normalised onto the hyperboloid, and cosh(r) from <x, p>^2 - <x, u>^2."""
+    (a, b), amount = g.data
+    with mpmath.workdps(80):
+        def lorentz(y, z):
+            return -y[0] * z[0] + mpmath.fsum(yi * zi for yi, zi in zip(y[1:], z[1:]))
+
+        a, b, x = ([mpmath.mpf(float(v)) for v in w] for w in (a, b, x))
+        scale = mpmath.sqrt(-2 * lorentz(a, b))
+        p = [(ai + bi) / scale for ai, bi in zip(a, b)]
+        u = [(bi - ai) / scale for ai, bi in zip(a, b)]
+        norm = mpmath.sqrt(-lorentz(x, x))
+        x = [xi / norm for xi in x]
+        cosh_r = mpmath.sqrt(max(lorentz(x, p) ** 2 - lorentz(x, u) ** 2, 1))
+        ratio = mpmath.sinh(mpmath.mpf(R) / 2) / cosh_r
+        return int(mpmath.floor(2 * mpmath.asinh(ratio) / abs(mpmath.mpf(amount))))
 
 
-@pytest.mark.parametrize("factor", [0.5, 2.0])
-def test_orbit_count_walks_from_a_wrong_start(factor):
-    # a wrong length on record puts the closed-form start above (0.5) or
-    # below (2.0) the answer; the matrix rule must still reach it
-    g = misrecorded(hyp.standard_loxodromic(3, 0.01), factor)
-    report = hyp.orbit_count_check(g, off_axis_point(3, 0.5), 2.0)
-    assert report.count // 2 == closed_form_max_power(0.01, 2.0, 0.5) == 182
-
-
-@pytest.mark.parametrize("factor, length, R, r, k_max", [
-    (0.5, 0.01, 2.0, 0.5, 182),  # walks down from above, then reads k_max + 1
-    (2.0, 0.01, 2.0, 0.5, 182),  # walks up from below
-    (1.0, 1.0, 1.5, 0.0, 1),  # starts at k = 1, which the search read first
-], ids=["down", "up", "k-max-one"])
-def test_orbit_count_asks_for_each_power_once(monkeypatch, factor, length, R, r, k_max):
-    g = misrecorded(hyp.standard_loxodromic(3, length), factor)
-    real_power_matrix = hyp.LorentzIsometry._power_matrix
-    asked = []
-
-    def power_matrix(self, k):
-        asked.append(k)
-        return real_power_matrix(self, k)
-
-    monkeypatch.setattr(hyp.LorentzIsometry, "_power_matrix", power_matrix)
-    report = hyp.orbit_count_check(g, off_axis_point(3, r), R)
-    assert report.count // 2 == closed_form_max_power(length, R, r) == k_max
-    assert len(asked) == len(set(asked))
-    assert k_max in asked and k_max + 1 in asked
-    # the wrong length on record is read: the walk starts far from k_max
-    assert (len(asked) > 3) == (factor != 1.0)
-
-
-def test_orbit_walk_displacements_are_those_of_the_powers(monkeypatch):
-    # the walk reads each power's matrix alone: at every k it reads, its
-    # displacement is displacement(g.power(k), x) bit for bit.  A length on
-    # record off by a factor makes the walk take many steps.
-    rng = np.random.default_rng(48)
-    real_power_matrix, real_distance = hyp.LorentzIsometry._power_matrix, hyp.distance
-    asked, read = [], []
-
-    def power_matrix(self, k):
-        asked.append(k)
-        return real_power_matrix(self, k)
-
-    def distance(x, y):
-        read.append(real_distance(x, y))
-        return read[-1]
-
-    monkeypatch.setattr(hyp.LorentzIsometry, "_power_matrix", power_matrix)
-    monkeypatch.setattr(hyp, "distance", distance)
-    walked = 0
-    for _ in range(60):
-        d, length = int(rng.integers(2, 6)), float(rng.uniform(0.02, 1.0))
-        if rng.random() < 0.5:
-            g = hyp.standard_loxodromic(d, length)
-        else:
-            ends = rng.standard_normal((2, d))
-            g = hyp.loxodromic(*([1.0, *(e / np.linalg.norm(e))] for e in ends), length)
-        g = misrecorded(g, float(rng.choice([1.0, 0.5, 2.0])))
-        x, R = random_point(rng, d), float(rng.uniform(length, 6.0))
-        asked.clear()
-        read.clear()
-        hyp.orbit_count_check(g, x, R)
-        walk = list(zip(asked, read, strict=True))
-        for k, disp in walk:
-            assert disp == hyp.displacement(g.power(k), x)
-        walked += len(walk)
-    assert walked > 200
-
-
-def test_every_walked_power_takes_the_form_check():
-    # g scaled by 1 + 4e-10 passes its own check (residual 8e-10), but the
-    # scale compounds in each power, and the walk keeps power()'s check
-    lox = hyp.standard_loxodromic(3, 0.01)
-    g = hyp.LorentzIsometry(lox.matrix * (1 + 4e-10), data=lox.data)
-    with pytest.raises(FloatingPointError, match="^matrix does not preserve the Lorentz form$"):
-        hyp.orbit_count_check(g, off_axis_point(3, 0.5), 2.0)
+def test_orbit_count_is_the_exact_count_of_the_data():
+    # general axes far enough out that the powers lose digits: before, the
+    # matrix walk miscounted 4 of these rows and raised FloatingPointError
+    # on 4 more
+    rng = np.random.default_rng(11)
+    wrong = []
+    for i in range(3000):
+        d = int(rng.integers(2, 7))
+        ends = rng.standard_normal((2, d))
+        g = hyp.loxodromic(*([1.0, *(e / np.linalg.norm(e))] for e in ends),
+                           float(rng.uniform(0.1, 1.0)))
+        x, R = random_point(rng, d), float(rng.uniform(6.0, 30.0))
+        count = hyp.orbit_count_check(g, x, R).count
+        if count != 2 * reference_max_power(g, x, R):
+            wrong.append((i, count))
+    assert wrong == []
 
 
 def test_orbit_count_of_a_rotating_loxodromic():
