@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from decimal import Context, Decimal, Overflow, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,26 +36,32 @@ def _sin(x: Decimal) -> Decimal:
     return total
 
 
-def _power_integral(n: int, x: float, sigma: int) -> float:
+def _decimal_power_integral(n: int, x: float, sigma: int) -> Decimal:
     """integral_0^x f(t)^n dt for f = sinh (sigma = 1) or f = sin (sigma = -1).
 
     Integration by parts gives F_n = sigma (f^(n-1) f' - (n-1) F_(n-2)) / n
     from F_0 = x and F_1 = sigma (f' - 1).  Below x = 1 each step cancels
     about 2 log10(1/x) digits, which the working precision adds back.
+    Raises decimal.Overflow where sinh^n leaves decimal's exponent range.
     """
     loss = math.ceil(-2 * math.log10(min(x, 1.0)))
+    with localcontext(Context(prec=40 + (n // 2 + 1) * loss)):
+        t = Decimal(x)
+        if sigma > 0:
+            e = t.exp()
+            f, df = (e - 1 / e) / 2, (e + 1 / e) / 2
+        else:
+            f, df = _sin(t), 1 - 2 * _sin(t / 2) ** 2
+        integral = t if n % 2 == 0 else sigma * (df - 1)
+        for k in range(2 + n % 2, n + 1, 2):
+            integral = sigma * (f ** (k - 1) * df - (k - 1) * integral) / k
+        return integral
+
+
+def _power_integral(n: int, x: float, sigma: int) -> float:
+    """The float of _decimal_power_integral(n, x, sigma)."""
     try:
-        with localcontext(Context(prec=40 + (n // 2 + 1) * loss)):
-            t = Decimal(x)
-            if sigma > 0:
-                e = t.exp()
-                f, df = (e - 1 / e) / 2, (e + 1 / e) / 2
-            else:
-                f, df = _sin(t), 1 - 2 * _sin(t / 2) ** 2
-            integral = t if n % 2 == 0 else sigma * (df - 1)
-            for k in range(2 + n % 2, n + 1, 2):
-                integral = sigma * (f ** (k - 1) * df - (k - 1) * integral) / k
-            return float(integral)
+        return float(_decimal_power_integral(n, x, sigma))
     except Overflow:  # sinh^n past decimal's exponent range, far past the float range
         return math.inf
 
@@ -126,12 +133,29 @@ def volume_ratio_bound(d: int, r: float, R: float) -> VolumeRatio:
     Any r-discrete subset of an R-ball in a pinched Hadamard manifold has
     at most this many points.  Accepts 0 < r < 2R.  Also reports
     ((2R + r)/r)^d, the Euclidean volume comparison's lower bound.
+    Where the Euclidean volume is not a normal float or the hyperbolic one
+    is not finite, the unit-sphere area both carry is cancelled first:
+    N = d integral_0^(R + r/2) sinh^(d-1) t dt / (r/2)^d, in decimal.
     """
     if r <= 0 or R <= 0:
         raise ValueError("radii must be positive")
     if r >= 2 * R:
         raise ValueError("requires r < 2R")
-    value = hyperbolic_ball_volume(d, R + r / 2) / euclidean_ball_volume(d, r / 2)
+    try:
+        euclidean = euclidean_ball_volume(d, r / 2)
+    except OverflowError:  # math.gamma, or r^d, past the float range
+        euclidean = math.nan
+    # only beside a normal Euclidean volume: then d < 342, and math.gamma in the sphere area is finite
+    hyperbolic = hyperbolic_ball_volume(d, R + r / 2) if euclidean >= sys.float_info.min else math.inf
+    if math.isfinite(hyperbolic):
+        value = hyperbolic / euclidean
+    else:
+        try:
+            integral = _decimal_power_integral(d - 1, R + r / 2, 1)
+            with localcontext(Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+                value = float(d * integral / (Decimal(r) / 2) ** d)
+        except Overflow:
+            value = math.inf
     try:
         lower = ((2 * R + r) / r) ** d
     except OverflowError:  # past the float range

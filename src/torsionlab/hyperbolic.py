@@ -656,10 +656,13 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
     count is that of the loxodromic the data describes, and no power of
     the matrix is formed.  k_max is the floor of the inverted closed form,
     checked once against that predicate: one step down if it fails, or
-    else one up if k_max + 1 passes, so the check ends for any l.  The
-    orbit is l-discrete, so the count must not exceed the volume ratio
-    N(d, eps, R) at eps = min(l, R), which is below 2R as that bound
-    requires.
+    else one up if k_max + 1 passes, so the check ends for any l.  Where
+    math.sinh overflows, past R ~ 1420.4, the predicate is decided on logs,
+    log sinh t = t - log 2 + log1p(-e^(-2t)), and k_max, from
+    2 asinh(sinh(R/2)/cosh r) = R - 2 log cosh r to rounding, is checked
+    once in the same way.  The orbit is l-discrete, so the count must not
+    exceed the volume ratio N(d, eps, R) at eps = min(l, R), which is
+    below 2R as that bound requires.
     """
     from .constants import volume_ratio_bound
 
@@ -668,12 +671,21 @@ def orbit_count_check(g: LorentzIsometry, x: np.ndarray, R: float) -> OrbitCount
         raise GeometryError("orbit counting requires a loxodromic isometry, not a parabolic")
     length = abs(amount)
     s = _normal(x.tolist(), [c.tolist() for c in _axis(*fixed)], -1)[1]
-    cosh_r, limit = math.sqrt(max(s, 1.0)), math.sinh(R / 2)
+    cosh_r = math.sqrt(max(s, 1.0))
+
+    def log_sinh(t: float) -> float:
+        return t - math.log(2) + math.log1p(-math.exp(-2 * t))
 
     def within(k: int) -> bool:
-        return cosh_r * math.sinh(k * length / 2) <= limit
+        try:
+            return cosh_r * math.sinh(k * length / 2) <= math.sinh(R / 2)
+        except OverflowError:
+            return math.log(cosh_r) + log_sinh(k * length / 2) <= log_sinh(R / 2)
 
-    k_max = max(0, math.floor(2 * math.asinh(limit / cosh_r) / length))
+    try:
+        k_max = max(0, math.floor(2 * math.asinh(math.sinh(R / 2) / cosh_r) / length))
+    except OverflowError:
+        k_max = math.floor((R - 2 * math.log(cosh_r)) / length)
     if not within(k_max):
         k_max -= 1
     elif within(k_max + 1):

@@ -83,43 +83,47 @@ class IndeterminateIntersectionError(ExactArithmeticError):
         super().__init__(f"cannot certify intersection of balls {indices}")
 
 
-class EuclideanSpace:
+@dataclass(frozen=True, eq=False)  # identity equality: BallCover compares spaces, not values
+class Space:
+    """Flat R^d (kind "E") or hyperbolic d-space in the hyperboloid model (kind "H")."""
+
+    kind: str
+    dimension: int
+
+    def __post_init__(self):
+        if self.kind not in ("E", "H"):
+            raise ValueError("space kind must be 'E' or 'H'")
+        if self.dimension < 1:
+            raise ValueError("dimension must be positive")
+
+    @property
+    def coordinates(self) -> int:
+        """A point's coordinate count: d in E^d, d + 1 on the hyperboloid."""
+        return self.dimension + (self.kind == "H")
+
+    def check_point(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.coordinates,):
+            point = "point" if self.kind == "E" else "hyperboloid point"
+            raise ValueError(f"{point} must have {self.coordinates} coordinates")
+        return x if self.kind == "E" else hyp.make_point(x)
+
+
+def EuclideanSpace(dimension: int) -> Space:
     """Flat R^d with the usual metric."""
-
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = dimension
-        self.kind = "E"
-
-    def check_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"point must have {self.dimension} coordinates")
-        return x
+    return Space("E", dimension)
 
 
-class HyperbolicSpace:
+def HyperbolicSpace(dimension: int) -> Space:
     """Hyperbolic d-space in the hyperboloid model."""
-
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = dimension
-        self.kind = "H"
-
-    def check_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension + 1,):
-            raise ValueError(f"hyperboloid point must have {self.dimension + 1} coordinates")
-        return hyp.make_point(x)
+    return Space("H", dimension)
 
 
 @dataclass(frozen=True)
 class BallCover:
     """Finite family of closed balls; the index set is the list position."""
 
-    space: EuclideanSpace | HyperbolicSpace
+    space: Space
     elements: tuple[tuple[np.ndarray, float], ...]
 
     @classmethod
@@ -225,7 +229,7 @@ class _CoverMatrix:
         n = len(balls)
         # one row per coordinate; <u, v> = dual(u) . v, with dual = c in E^d
         self._coordinates = np.array([c for c, _ in balls], dtype=float).reshape(
-            n, space.dimension + (not self._euclidean)).T.copy()
+            n, space.coordinates).T.copy()
         self._duals = self._coordinates
         self._squares = (self._coordinates * self._coordinates).sum(axis=0)
         width = len(self._coordinates)
@@ -251,41 +255,38 @@ class _CoverMatrix:
 
     @cached_property
     def _exact(self) -> tuple:
-        """The integer state, built at the first decision a filter leaves.
-        In E^d, one dyadic scaling of every centre and radius gives the
-        centres and the offsets o_i.  In H^d, one dyadic scaling of every
-        centre gives the integer centres and their Lorentz duals (<u, v> =
-        dual(u) . v); cosh_roots() encloses each h at the cover's bits, and
-        the factor the Gram matrix takes and h at the lower and the upper
-        end are over one common denominator."""
+        """The integer state, built at the first decision a filter leaves:
+        (points, duals, scale, ends), with A_ij = scale duals[i] . points[j]
+        + e_i + e_j (E^d) or + e_i e_j (H^d) at each end e of ends.  In E^d,
+        one dyadic scaling of every centre and radius gives the centres,
+        their own duals, scale 2 and the one end, the offsets o_i.  In H^d,
+        one dyadic scaling of every centre gives the integer centres and
+        their Lorentz duals (<u, v> = dual(u) . v); cosh_roots() encloses
+        each h at the cover's bits, and the factor the Gram matrix takes and
+        h at the lower and the upper end are over one common denominator."""
         if self._euclidean:
             rows = _dyadic([[*c, r] for c, r in self.balls])
             points = [row[:-1] for row in rows]
-            return points, [row[-1] ** 2 - _dot(p, p) for row, p in zip(rows, points)]
+            return points, points, 2, [[row[-1] ** 2 - _dot(p, p) for row, p in zip(rows, points)]]
         points = _dyadic([list(c) for c, _ in self.balls])
         h = cosh_roots([(r, p[0] * p[0] - _dot(p[1:], p[1:]))
                         for p, (_, r) in zip(points, self.balls)], self._bits)
         den = math.lcm(*(x.denominator for x in h))
-        lower, upper = ([x.numerator * (den // x.denominator) * ((1 << self._bits) + sign)
-                         for x in h] for sign in (-1, 1))
+        ends = [[x.numerator * (den // x.denominator) * ((1 << self._bits) + sign) for x in h]
+                for sign in (-1, 1)]
         duals = [[-p[0], *p[1:]] for p in points]
-        return points, duals, den * den << 2 * self._bits, lower, upper
+        return points, duals, den * den << 2 * self._bits, ends
 
-    def entries(self, i: int, j: int) -> tuple[int, int | None]:
-        """A_ij exactly, at the lower and the upper h (None in E^d)."""
-        if self._euclidean:
-            points, offsets = self._exact
-            return offsets[i] + offsets[j] + 2 * _dot(points[i], points[j]), None
-        points, duals, scale, lower, upper = self._exact
-        g = scale * _dot(duals[i], points[j])
-        return lower[i] * lower[j] + g, upper[i] * upper[j] + g
-
-    def full(self) -> tuple[list[list[int]], list[list[int]] | None]:
-        """Both whole matrices."""
-        n = len(self.balls)
-        cells = [[self.entries(i, j) for j in range(n)] for i in range(n)]
-        lower = [[lo for lo, _ in row] for row in cells]
-        return lower, None if self._euclidean else [[hi for _, hi in row] for row in cells]
+    def principal(self, s: Sequence[int]) -> tuple[list[list[int]], list[list[int]] | None]:
+        """A exactly on the rows and columns s, at the lower and the upper h
+        (None in E^d); each cell is built once, for both triangles."""
+        points, duals, scale, ends = self._exact
+        matrices = [[[0] * len(s) for _ in s] for _ in ends]
+        for (a, i), (b, j) in combinations_with_replacement(enumerate(s), 2):
+            gram = scale * _dot(duals[i], points[j])
+            for matrix, e in zip(matrices, ends):
+                matrix[a][b] = matrix[b][a] = gram + (e[i] + e[j] if self._euclidean else e[i] * e[j])
+        return matrices[0], matrices[1] if len(matrices) > 1 else None
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow makes stands() abstain
     def _floats(self, rows: np.ndarray, columns: np.ndarray, ends=(0,)) -> list:
@@ -393,9 +394,8 @@ class _CoverMatrix:
         which is slow on long entries: on an H^2 cover of a ball of radius
         3e5 at the base point and one of radius 0.3 at distance 1, it took
         2.3-2.7 s against 0.06 s for this (2-CPU VM)."""
-        (lo_i, hi_i), (lo_j, hi_j), (lo, hi) = (self.entries(*p) for p in ((i, i), (j, j), (i, j)))
-        return _certify(lambda a: _copositive_pair(*a), (lo_i, lo_j, lo),
-                        None if hi is None else (hi_i, hi_j, hi), (i, j))
+        return _certify(lambda a: _copositive_pair(a[0][0], a[1][1], a[0][1]),
+                        *self.principal((i, j)), (i, j))
 
     def certify(self, tuples: Sequence[tuple[int, ...]]) -> list[bool | None]:
         """The float filter's verdict on each tuple of one nerve level, in
@@ -427,13 +427,7 @@ class _CoverMatrix:
         """Whether the balls s meet, given that every facet of s meets at the
         lower A: then, A growing with h, also at the upper A, so one solve on
         the full support decides each.  Only the entries among s are built."""
-        cells = {(i, j): self.entries(i, j) for i, j in combinations_with_replacement(s, 2)}
-
-        def principal(end):
-            return [[cells[min(i, j), max(i, j)][end] for j in s] for i in s]
-
-        return _certify(lambda a: not inverse_sum_negative(a), principal(0),
-                        None if self._euclidean else principal(1), s)
+        return _certify(lambda a: not inverse_sum_negative(a), *self.principal(s), s)
 
 
 class _CoverTuple:
@@ -480,8 +474,8 @@ def common_point_exists(space, balls: Sequence[tuple[np.ndarray, float]] | _Cove
         return balls.verdict
 
     def decide(bits):
-        lower, upper = _CoverMatrix(space, balls, bits).full()
-        return _certify(_copositive, lower, upper, indices)
+        return _certify(_copositive, *_CoverMatrix(space, balls, bits).principal(range(len(balls))),
+                        indices)
 
     return _refined(decide)
 
@@ -623,12 +617,9 @@ def read_cover(text: str) -> BallCover:
             if len(parts) != 3 or parts[1] not in ("E", "H"):
                 raise InputError(f"line {lineno}: expected 'space E <d>' or 'space H <d>'")
             try:
-                d = int(parts[2])
+                space = Space(parts[1], int(parts[2]))
             except ValueError:
-                d = 0
-            if d < 1:
-                raise InputError(f"line {lineno}: space dimension must be a positive integer")
-            space = EuclideanSpace(d) if parts[1] == "E" else HyperbolicSpace(d)
+                raise InputError(f"line {lineno}: space dimension must be a positive integer") from None
         elif parts[0] == "ball":
             if space is None:
                 raise InputError(f"line {lineno}: 'space' line must come first")
@@ -636,9 +627,8 @@ def read_cover(text: str) -> BallCover:
                 nums = [float(p) for p in parts[1:]]
             except ValueError:
                 raise InputError(f"line {lineno}: non-numeric ball data") from None
-            want = space.dimension + (1 if space.kind == "H" else 0)
-            if len(nums) != want + 1:
-                raise InputError(f"line {lineno}: expected {want} coordinates plus a radius")
+            if len(nums) != space.coordinates + 1:
+                raise InputError(f"line {lineno}: expected {space.coordinates} coordinates plus a radius")
             try:
                 balls.append(_checked_ball(space, len(balls), nums[:-1], nums[-1]))
             except ValueError as exc:

@@ -627,15 +627,25 @@ def test_an_error_class_says_whose_fault_it_is(cls, base):
     assert issubclass(cls, base)
 
 
-def test_arithmetic_range_failure_is_an_internal_error():
-    # at d = 220 the Euclidean (r/2)-ball volume in volume_ratio_bound underflows to 0.0
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-m", "torsionlab.cli", "verify", "orbit",
-                           "--d", "220", "--count", "2"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3
-    assert "internal error" in proc.stderr and "ZeroDivisionError" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_arithmetic_range_failure_is_an_internal_error(capsys, monkeypatch):
+    # a float past its range inside a check is the program's fault, not the input's
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(hyperbolic, "orbit_count_check", overflow)
+    code, out, err = run_cli(capsys, "verify", "orbit", "--count", "2")
+    assert (code, out) == (3, "")
+    assert err == "torsionlab: internal error: OverflowError: math range error\n"
+
+
+@pytest.mark.parametrize("d, count", [(220, 2), (400, 1)])
+def test_orbit_rows_answer_where_a_ball_volume_leaves_the_float_range(capsys, d, count):
+    # d = 220: the Euclidean ball volume underflows to 0.0 (ZeroDivisionError
+    # before); d = 400: math.gamma overflows (OverflowError before)
+    code, out, err = run_cli(capsys, "verify", "orbit", "--d", str(d), "--count", str(count))
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == count + 1 and all(row["passed"] for row in rows[:-1])
 
 
 def test_a_closed_stdout_pipe_exits_141_without_a_word():

@@ -30,12 +30,24 @@ BALL_RADII = (1e-8, 1e-5, 1e-3, 0.05, 0.3125, 0.5, 1.0, 1.05, 2.0, 5.0, 20.0, 10
 CAP_RADII = (0.1, math.pi / 6, 0.5, 1.0, 2.0, 3.0, math.pi)
 
 
+def sinh_power_integral(d: int, R: float) -> mpmath.mpf:
+    """integral_0^R sinh^(d-1) t dt = 2^(d-1) v^a / a * 2F1(1-a, a; a+1; -v), a = d/2,
+    v = sinh(R/2)^2, at the working precision."""
+    a, v = mpmath.mpf(d) / 2, mpmath.sinh(mpmath.mpf(R) / 2) ** 2
+    return 2 ** (d - 1) * v ** a / a * mpmath.hyp2f1(1 - a, a, a + 1, -v)
+
+
 def hyperbolic_ball_volume_closed_form(d: int, R: float) -> float:
-    """surface(S^(d-1)) * 2^(d-1) v^a / a * 2F1(1-a, a; a+1; -v), a = d/2, v = sinh(R/2)^2."""
+    """surface(S^(d-1)) times the closed-form integral."""
     with mpmath.workprec(MPMATH_BITS):
-        a, v = mpmath.mpf(d) / 2, mpmath.sinh(mpmath.mpf(R) / 2) ** 2
-        integral = 2 ** (d - 1) * v ** a / a * mpmath.hyp2f1(1 - a, a, a + 1, -v)
+        integral = sinh_power_integral(d, R)
     return sphere_surface_area(d) * float(integral)
+
+
+def packing_ratio_closed_form(d: int, r: float, R: float) -> float:
+    """N(d, r, R) = d integral_0^(R + r/2) sinh^(d-1) t dt / (r/2)^d, with no sphere area."""
+    with mpmath.workprec(MPMATH_BITS):
+        return float(d * sinh_power_integral(d, R + r / 2) / (mpmath.mpf(r) / 2) ** d)
 
 
 def spherical_cap_area_closed_form(d: int, theta: float) -> float:
@@ -120,6 +132,23 @@ def test_volume_ratio_past_float_range_is_inf():
     # 21^250 and the 250-ball's sinh^249 integral both pass the float range
     ratio = volume_ratio_bound(250, 0.5, 5.0)
     assert ratio.value == ratio.euclidean_lower_bound == math.inf
+
+
+@pytest.mark.parametrize("d, r, R", [
+    (220, 0.1, 0.2), (341, 0.9, 1.0),  # the Euclidean volume underflows to 0.0
+    (342, 0.9, 1.0), (400, 0.1, 0.2), (400, 0.9, 1.0),  # math.gamma overflows
+    (2, 2e-155, 1e-150),  # the Euclidean volume is subnormal
+])
+def test_packing_ratio_cancels_the_sphere_area(d, r, R):
+    # before, ZeroDivisionError, OverflowError, or a quotient by a subnormal
+    assert volume_ratio_bound(d, r, R).value == packing_ratio_closed_form(d, r, R)
+
+
+@pytest.mark.parametrize("d, r", [(3, 1e-300), (220, 1e-300), (400, 0.01)])
+def test_packing_ratio_past_the_float_range_is_inf(d, r):
+    # the Euclidean volume underflows or math.gamma overflows, and so does
+    # the ratio: before, ZeroDivisionError or OverflowError
+    assert volume_ratio_bound(d, r, 2.0).value == math.inf
 
 
 @pytest.mark.parametrize("radius", [1e-3, 1e-5, 1e-8,

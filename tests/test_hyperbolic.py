@@ -1074,6 +1074,34 @@ def test_orbit_count_past_the_float_range_is_an_arithmetic_error():
         assert (report.count, report.bound, report.passed) == (count, math.inf, True)
 
 
+def test_orbit_count_past_the_float_range_of_sinh():
+    # past R ~ 1420.4, sinh(R/2), or sinh((k_max + 1) l/2) in the one-step
+    # check, overflows, and the predicate is decided on logs: before, each
+    # of these raised OverflowError.  The bound is inf, so the rows pass.
+    g = hyp.standard_loxodromic(3, 0.5)
+    for R, count in ((1420.7, 5682), (1500.3, 6000), (10000.1, 40000)):
+        report = hyp.orbit_count_check(g, hyp.base_point(3), R)
+        assert (report.count, report.bound, report.passed) == (count, math.inf, True)
+    rng = np.random.default_rng(12)
+    wrong = []
+    for i in range(300):
+        d = int(rng.integers(2, 7))
+        ends = rng.standard_normal((2, d))
+        g = hyp.loxodromic(*([1.0, *(e / np.linalg.norm(e))] for e in ends),
+                           float(rng.uniform(0.1, 1.0)))
+        x, R = random_point(rng, d), float(rng.uniform(1420.0, 5000.0))
+        count = hyp.orbit_count_check(g, x, R).count
+        if count != 2 * reference_max_power(g, x, R):
+            wrong.append((i, count))
+    assert wrong == []
+
+
+def test_orbit_count_bound_at_a_length_of_1e_300():
+    # the Euclidean (l/2)-ball volume underflows to 0.0: before, ZeroDivisionError
+    report = hyp.orbit_count_check(hyp.standard_loxodromic(3, 1e-300), hyp.base_point(3), 2.0)
+    assert (report.bound, report.passed) == (math.inf, True)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_orbit_count_on_axis_is_twice_the_floor_of_R_over_l(d):
     # R / l stays at least 0.026 off an integer, so kl = R is no tie.

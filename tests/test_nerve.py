@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -996,7 +996,7 @@ def test_float_bounds_on_h_contain_its_exact_enclosure(case, bits):
     # certified at the float lower h must be copositive at the exact lower A
     space, balls = case
     matrix = nerve_module._CoverMatrix(space, BallCover.of(space, balls).elements, bits)
-    points, _, scale, lower, upper = matrix._exact
+    points, _, scale, (lower, upper) = matrix._exact
     denominator = math.isqrt(scale)  # the Gram factor is the square of h's denominator
     assert denominator * denominator == scale
     for (c, _), p, lo, hi, x, y in zip(matrix.balls, points, *matrix._float_h, lower, upper):
@@ -1013,15 +1013,15 @@ def test_pair_filter_needs_a_normal_per():
 
 
 def count_exact_entries(patch):
-    """The exact entries A_ij built from now on."""
+    """The exact entries A_ij built from now on, each (i, j) once, i before j in s."""
     seen = []
-    entries = nerve_module._CoverMatrix.entries
+    principal = nerve_module._CoverMatrix.principal
 
-    def counting(self, i, j):
-        seen.append((i, j))
-        return entries(self, i, j)
+    def counting(self, s):
+        seen.extend(combinations_with_replacement(s, 2))
+        return principal(self, s)
 
-    patch.setattr(nerve_module._CoverMatrix, "entries", counting)
+    patch.setattr(nerve_module._CoverMatrix, "principal", counting)
     return seen
 
 
@@ -1036,6 +1036,17 @@ def count_calls(patch, name):
 
     patch.setattr(nerve_module, name, counting)
     return seen
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_the_reference_builds_each_exact_cell_once(monkeypatch, kind):
+    # one dot product per centre's square (E^d) or Lorentz norm (H^d), then
+    # one per cell on and above the diagonal, shared by both triangles and,
+    # in H^d, by both ends of h: before, one per cell of the whole matrix
+    cover = seeded_cover(kind, 4, "mixed", count=6)
+    dots = count_calls(monkeypatch, "_dot")
+    common_point_exists(cover.space, list(cover.elements), tuple(range(6)))
+    assert len(dots) == 6 + 6 * 7 // 2
 
 
 @pytest.mark.parametrize("kind", ["E", "H"])
@@ -1218,16 +1229,25 @@ def test_radius_past_the_float_range_of_cosh():
     assert nerve(cover).simplices == {(0,), (1,), (2,), (0, 1), (0, 2)}
 
 
+def test_spaces_compare_by_identity():
+    # value equality would make BallCover.__eq__ go on to compare centre arrays
+    space = HyperbolicSpace(2)
+    assert space == space and space != HyperbolicSpace(2)
+    assert (space.kind, space.dimension, space.coordinates) == ("H", 2, 3)
+    assert EuclideanSpace(2).coordinates == 2
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: EuclideanSpace(0), "dimension must be positive"),
     (lambda: HyperbolicSpace(0), "dimension must be positive"),
+    (lambda: nerve_module.Space("S", 2), "space kind must be 'E' or 'H'"),
     (lambda: BallCover.of(EuclideanSpace(2), [((0.0, 0.0, 0.0), 1.0)]),
      "ball 0: point must have 2 coordinates"),
     (lambda: BallCover.of(HyperbolicSpace(2), [((1.0, 0.0, 0.0), 1.0), ((1.0, 0.0), 1.0)]),
      "ball 1: hyperboloid point must have 3 coordinates"),
     (lambda: nerve(circle_cover(), max_dim=0), "dimension cap must be at least 1"),
-], ids=["euclidean-dimension", "hyperbolic-dimension", "euclidean-centre", "hyperbolic-centre",
-        "cap"])
+], ids=["euclidean-dimension", "hyperbolic-dimension", "kind", "euclidean-centre",
+        "hyperbolic-centre", "cap"])
 def test_bad_spaces_centres_and_caps_raise_a_value_error(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()
