@@ -308,34 +308,16 @@ def _axis(xi_minus: np.ndarray, xi_plus: np.ndarray) -> tuple[np.ndarray, np.nda
     return (xi_minus + xi_plus) / scale, (xi_plus - xi_minus) / scale
 
 
-def _frame_from_axis(xi_minus: np.ndarray, xi_plus: np.ndarray, d: int) -> np.ndarray:
-    """Lorentz frame whose first two columns are the axis columns p, u of
-    _axis(), completed by Gram-Schmidt on the coordinate vectors, each
-    projected twice: one pass can keep a remainder just above the 1e-8
-    cut-off that is mostly its own cancellation error, and the second pass
-    removes that error ("twice is enough": Kahan; Parlett, The Symmetric
-    Eigenvalue Problem, 1980)."""
-    p, u = _axis(xi_minus, xi_plus)
-    cols = [p, u]
-    for i in range(d + 1):
-        v = np.zeros(d + 1)
-        v[i] = 1.0
-        for _ in range(2):
-            v = v + lorentz_inner(v, p) * p - lorentz_inner(v, u) * u
-            for b in cols[2:]:
-                v = v - lorentz_inner(v, b) * b
-        n = tangent_norm(v)
-        if n > 1e-8:
-            cols.append(v / n)
-        if len(cols) == d + 1:
-            break
-    if len(cols) != d + 1:
-        raise GeometryError("failed to complete an axis frame")
-    return np.column_stack(cols)
-
-
 def _check_null_future(xi: Sequence[float]) -> np.ndarray:
+    """xi as a float array, checked as a future null direction: scaled by
+    a power of two, as in make_point, where its largest |coordinate| has an
+    exponent past +-500, so that the form neither over- nor underflows."""
     v = np.asarray(xi, dtype=float)
+    mantissa, e = math.frexp(float(np.abs(v).max()))
+    if not mantissa < 1:  # inf or NaN
+        raise GeometryError("ideal points must be finite")
+    if abs(e) > 500:
+        v = np.ldexp(v, -e)
     if abs(lorentz_inner(v, v)) > 1e-9 * float(np.dot(v, v)):
         raise GeometryError("ideal points must be null vectors")
     if v[0] <= 0:
@@ -397,7 +379,11 @@ def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
 
     v is the horospherical translation vector expressed in the d-1
     Euclidean directions transverse to the fixed point; parabolics with
-    the same fixed point commute.
+    the same fixed point commute.  They are (0, H e_2), ..., (0, H e_d)
+    for the reflection H = I - 2 w w^T / (w^T w) of R^d at
+    w = s + sign(s_1) e_1, s = n_spatial / |n_spatial|, sign(0) = 1: an
+    orthonormal basis of s's complement, as H e_1 = -sign(s_1) s
+    (Householder, J. ACM 5, 1958), and e_2, ..., e_d at n = (1, +-1, 0, ...).
     """
     n = _check_null_future(fixed)
     d = n.shape[0] - 1
@@ -412,15 +398,17 @@ def parabolic(fixed: Sequence[float], v: Sequence[float]) -> LorentzIsometry:
     if not norm < limit:  # also true for NaN
         raise GeometryError(f"translation vector length {norm} is not below {limit}, past "
                             "which the parabolic leaves the float range of the Lorentz form")
-    # frame with f_0 + f_1 = n / n_0, and v written in its other columns
-    mirror = n.copy()
-    mirror[1:] = -mirror[1:]
-    frame = _frame_from_axis(mirror, n, d)
-    m = frame[:, 0] + frame[:, 1]
-    t = frame[:, 2:] @ vec
+    # m = (1, s) is null, and t = (0, H (0, v)) is orthogonal to it; as
+    # |w| >= 1, no step of the reflection cancels
+    s = n[1:] / math.hypot(*n[1:])
+    w = s.copy()
+    w[0] += 1.0 if s[0] >= 0 else -1.0
+    t = np.concatenate(([0.0, 0.0], vec))
+    t[1:] -= (2 * float(w @ t[1:]) / float(w @ w)) * w
+    m = np.concatenate(([1.0], s))
     # the null rotation X x = <x, t> m - <x, m> t has X^3 = 0, and in the
-    # frame's light-cone coordinates u = x0 + x1, w = x0 - x1, y its
-    # exponential is (u, w, y) -> (u + 2 v.y + |v|^2 w, w, y + w v)
+    # coordinates a = -<x, (1, -s)>, b = -<x, m> and y on the basis its
+    # exponential is (a, b, y) -> (a + 2 v.y + |v|^2 b, b, y + b v)
     j = lorentz_form_matrix(d)
     x = np.outer(m, j @ t) - np.outer(t, j @ m)
     return LorentzIsometry(np.eye(d + 1) + x + x @ x / 2, data=((n,), vec))
@@ -452,7 +440,7 @@ class SublevelSet:
         fixed, amount = _data(g)
         if len(fixed) == 1:
             # horoball: cosh(displacement) = 1 + c w^2 with w(x) = -<x, n> and
-            # c = |v|^2 / (2 n_0^2): in parabolic()'s frame exp(X) moves y by
+            # c = |v|^2 / (2 n_0^2): in parabolic()'s basis exp(X) moves y by
             # w v / n_0, as -<x, m> = w / n_0; displacement eps is reached at
             # w = sqrt((cosh(eps) - 1) / c) = 2 n_0 sinh(eps / 2) / |v|
             [n] = fixed

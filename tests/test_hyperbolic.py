@@ -266,11 +266,12 @@ def test_loxodromic_rejects_bad_data(minus, plus, length, message):
         hyp.loxodromic(minus, plus, length)
 
 
-def loxodromic_from_the_frame(minus, plus, length):
-    """The boost along the axis, with p and u read off the full axis frame."""
+def loxodromic_from_the_axis(minus, plus, length):
+    """The boost along the axis, written in the axis columns p, u of _axis()
+    as a whole matrix."""
     a, b = np.asarray(minus, dtype=float), np.asarray(plus, dtype=float)
     d = a.shape[0] - 1
-    p, u = hyp._frame_from_axis(a, b, d)[:, :2].T
+    p, u = hyp._axis(a, b)
     j = np.eye(d + 1)
     j[0, 0] = -1.0
     cosh_part = (math.cosh(length) - 1) * (np.outer(u, u) - np.outer(p, p))
@@ -295,7 +296,7 @@ def seeded_axes():
 
 @pytest.mark.parametrize("minus, plus, length", list(seeded_axes()))
 def test_loxodromic_from_its_axis_matches_the_frame_bit_for_bit(minus, plus, length):
-    ref = loxodromic_from_the_frame(minus, plus, length)
+    ref = loxodromic_from_the_axis(minus, plus, length)
     assert np.array_equal(hyp.loxodromic(minus, plus, length).matrix, ref)
 
 
@@ -447,13 +448,28 @@ def test_parabolics_with_common_fixed_point_commute():
     assert np.allclose(a.matrix @ b.matrix, b.matrix @ a.matrix, rtol=0, atol=1e-12)
 
 
+def parabolic_frame(n):
+    """The Lorentz frame that parabolic() documents: e_0, (0, s) with
+    s = n_spatial / |n_spatial|, and (0, H e_2), ..., (0, H e_d) for the
+    reflection H = I - 2 w w^T / (w^T w) at w = s + sign(s_1) e_1."""
+    d = n.shape[0] - 1
+    s = n[1:] / np.linalg.norm(n[1:])
+    w = s + (1.0 if s[0] >= 0 else -1.0) * np.eye(d)[0]
+    h = np.eye(d) - 2 * np.outer(w, w) / (w @ w)
+    frame = np.zeros((d + 1, d + 1))
+    frame[0, 0] = 1.0
+    frame[1:, 1] = s
+    frame[1:, 2:] = h[:, 1:]
+    return frame
+
+
 def parabolic_from_the_light_cone(fixed, v):
     """The parabolic in light-cone coordinates u = x0 + x1, w = x0 - x1, y,
     (u, w, y) -> (u + 2 v.y + |v|^2 w, w, y + w v), read back column by
     column and conjugated into parabolic()'s frame."""
     n, v = np.asarray(fixed, dtype=float), np.asarray(v, dtype=float)
     d = n.shape[0] - 1
-    frame = hyp._frame_from_axis(np.concatenate([n[:1], -n[1:]]), n, d)
+    frame = parabolic_frame(n)
     standard = np.zeros((d + 1, d + 1))
     for col, e in enumerate(np.eye(d + 1)):
         u, w, y = e[0] + e[1], e[0] - e[1], e[2:]
@@ -498,51 +514,96 @@ def test_parabolic_is_the_exponential_of_its_null_rotation(fixed, v):
     assert np.abs(m - parabolic_from_the_light_cone(n, v)).max() <= 1e-12 * scale
 
 
+def parabolic_is_built(fixed, v):
+    """parabolic(fixed, v) fixes its ideal point, M - I = X + X^2 / 2 has
+    X^3 = 0, and M preserves the Lorentz form, each to rounding."""
+    n = np.asarray(fixed, dtype=float)
+    d = n.shape[0] - 1
+    m = hyp.parabolic(fixed, v).matrix
+    scale = float(np.abs(m).max())
+    a = m - np.eye(d + 1)
+    j = hyp.lorentz_form_matrix(d)
+    assert np.abs(m @ n - n).max() <= 1e-12 * scale * float(np.abs(n).max())
+    assert np.abs(a @ a @ a).max() <= 1e-13 * max(1.0, float(np.abs(a).max())) ** 3
+    assert np.abs(m.T @ j @ m - j).max() <= 1e-13 * scale ** 2
+
+
 def near_axis_fixed_points():
-    # a fixed point whose third coordinate s is tiny: its frame's projection
-    # of e_2 is just above the cut-off, about the size of its own rounding
-    for s in [*np.geomspace(1e-9, 1e-6, 400), 1.05e-8]:
+    # a fixed point whose third coordinate s is tiny, where a Gram-Schmidt
+    # completion of the frame kept a projection of e_2 about the size of
+    # its own rounding
+    for s in [*np.geomspace(1e-12, 1e-3, 400), 1.05e-8]:
         yield [1.0, math.sqrt(1 - s * s), float(s), 0.0]
 
 
 def test_a_parabolic_at_a_fixed_point_near_a_coordinate_axis_is_built():
-    j = hyp.lorentz_form_matrix(3)
     for fixed in near_axis_fixed_points():
-        n = np.asarray(fixed)
-        frame = hyp._frame_from_axis(np.concatenate([n[:1], -n[1:]]), n, 3)
-        assert np.abs(frame.T @ j @ frame - j).max() <= 1e-14
         for v in ([1.0, 0.5], [30.0, 10.0], [1e5, 1e5]):
-            m = hyp.parabolic(fixed, v).matrix  # one pass: "does not preserve the Lorentz form"
-            assert np.abs(m @ n - n).max() <= 1e-12 * np.abs(m).max()
+            parabolic_is_built(fixed, v)
 
 
-def one_pass_frame(xi_minus, xi_plus, d):
-    """_frame_from_axis with one Gram-Schmidt pass a vector."""
-    p, u = hyp._axis(xi_minus, xi_plus)
-    cols = [p, u]
-    for e in np.eye(d + 1):
-        v = e + hyp.lorentz_inner(e, p) * p - hyp.lorentz_inner(e, u) * u
-        for b in cols[2:]:
-            v = v - hyp.lorentz_inner(v, b) * b
-        if hyp.tangent_norm(v) > 1e-8:
-            cols.append(v / hyp.tangent_norm(v))
-    return np.column_stack(cols[:d + 1])
+def coordinate_axis_fixed_points(d):
+    # +-e_i and points within 1e-12 of it, towards every other axis
+    for i in range(1, d + 1):
+        for sign in (1.0, -1.0):
+            for j in (None, *(k for k in range(1, d + 1) if k != i)):
+                for delta in ((0.0,) if j is None else (1e-12, -1e-12)):
+                    n = np.zeros(d + 1)
+                    n[i] = sign
+                    if j is not None:
+                        n[j] = delta
+                    n[0] = np.linalg.norm(n[1:])
+                    yield n
 
 
-def test_a_second_projection_moves_a_generic_parabolic_at_rounding_level(monkeypatch):
-    rng = np.random.default_rng(52)
-    twice = []
-    for d in range(2, 7):
-        for _ in range(60):
-            w = rng.standard_normal(d)
-            n = float(rng.uniform(0.3, 3.0)) * np.concatenate([[1.0], w / np.linalg.norm(w)])
-            v = rng.standard_normal(d - 1)
-            twice.append((n, 10.0 ** rng.uniform(-3, 2) * v / np.linalg.norm(v)))
-    matrices = [hyp.parabolic(n, v).matrix for n, v in twice]
-    monkeypatch.setattr(hyp, "_frame_from_axis", one_pass_frame)
-    for (n, v), m in zip(twice, matrices):
-        once = hyp.parabolic(n, v).matrix
-        assert np.abs(m - once).max() <= 1e-13 * np.abs(once).max()
+@pytest.mark.parametrize("d", range(2, 7))
+def test_a_parabolic_at_and_near_every_coordinate_axis_is_built(d):
+    rng = np.random.default_rng(d)
+    for n in coordinate_axis_fixed_points(d):
+        parabolic_is_built(n, rng.standard_normal(d - 1))
+        parabolic_is_built(n, 1e4 * rng.standard_normal(d - 1))
+
+
+def test_a_parabolic_translates_along_the_reflection_basis():
+    # s = e_2 in d = 3: w = e_1 + e_2 and H e_2 = -e_1, where a Gram-Schmidt
+    # completion of the frame gave +e_1
+    m, t = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, -1.0, 0.0, 0.0])
+    j = hyp.lorentz_form_matrix(3)
+    x = np.outer(m, j @ t) - np.outer(t, j @ m)
+    assert np.array_equal(hyp.parabolic([1, 0, 1, 0], [1, 0]).matrix, np.eye(4) + x + x @ x / 2)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e150, 1e160, 1e300])
+def test_ideal_points_are_read_at_any_positive_scale(scale):
+    # before, 1e-200 and 1e-160 raised GeometryError and 1e160 and 1e200
+    # warned of an overflow in the null check
+    def build(c):
+        g = hyp.loxodromic([c, -c, 0.0], [c, c, 0.0], 0.5)
+        p = hyp.parabolic([c, c, 0.0, 0.0], [1.0, 0.5])
+        return g, p
+
+    (g, p), (g1, p1) = build(scale), build(1.0)
+    assert hyp.SublevelSet.of(g, 1.0).reach == hyp.SublevelSet.of(g1, 1.0).reach
+    x = hyp.make_point([1.3, 0.4, -0.6])
+    assert hyp.orbit_count_check(g, x, 3.0).count == hyp.orbit_count_check(g1, x, 3.0).count
+    assert hyp._orientation(g.data[0], g1.data[0]) == hyp._orientation(p.data[0], p1.data[0]) == 1
+    assert np.abs(g.matrix - g1.matrix).max() <= 1e-15
+    assert np.abs(p.matrix - p1.matrix).max() <= 1e-15
+    # a horoball's reach is in units of its null vector: distances agree
+    ball, ball1 = hyp.SublevelSet.of(p, 0.5), hyp.SublevelSet.of(p1, 0.5)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        y = random_point(rng, 3)
+        assert ball.distance_from(y) == pytest.approx(ball1.distance_from(y), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("fixed", [[math.nan, 1.0, 0.0], [1.0, math.nan, 0.0],
+                                   [math.inf, math.inf, 0.0], [1.0, -math.inf, 0.0]])
+def test_non_finite_ideal_points_are_refused(fixed):
+    with pytest.raises(hyp.GeometryError, match="ideal points must be finite"):
+        hyp.loxodromic(fixed, [1.0, 1.0, 0.0], 0.5)
+    with pytest.raises(hyp.GeometryError, match="ideal points must be finite"):
+        hyp.parabolic(fixed, [1.0])
 
 
 def test_sublevel_set_tube_geometry():
@@ -598,7 +659,8 @@ def test_a_long_loxodromic_on_a_general_axis_has_its_tube(length):
     assert s.columns == (p.tolist(), u.tolist())
     assert s.reach == math.acosh(math.sinh((length + 1) / 2) / math.sinh(length / 2))
     # at distance r from the axis, membership follows the displacement
-    w = hyp._frame_from_axis(minus, plus, 3)[:, 2]
+    w = np.array([0.0, 0.0, 0.0, 1.0])  # both endpoints lie in x_3 = 0
+    assert hyp.lorentz_inner(w, p) == hyp.lorentz_inner(w, u) == 0.0
     for r in (s.reach - 0.01, s.reach + 0.01):
         x = hyp.make_point(math.cosh(r) * p + math.sinh(r) * w)
         assert s.contains(x) == (r < s.reach) == (hyp.displacement(g, x) < length + 1)
